@@ -7,13 +7,17 @@ Usage (from the repository root):
 One client, closed loop: every run is a fresh Python process started after
 the previous one ended. With --trace 0 the benchmark measures set-up alone a
 few times, then makes timed runs back to back until --seconds have passed
-(at least one), then one reference run of the workload at
-SWEPTPLAN_THREADS=1. A timed run repeats each of the five stage calls until
-it has spent MIN_STAGE_S in it. With --trace 1 it makes one traced run and
-one traced run at SWEPTPLAN_THREADS=1. Every run passes the correctness gate or is
-counted as failed. The last line of standard output is one JSON object with
-the end-to-end metrics (--trace 0) or the per-layer metrics (--trace 1). The
-full record, with context and per-run detail, goes to
+(at least MIN_TIMED_RUNS), then one reference run at SWEPTPLAN_THREADS=1 of
+the two stages that run the threaded sweep (sweep and metrics, on the first
+timed run's plan and trace). A timed run makes each of the five stage calls
+once, with speed.SpeedProbe scaling its times to the reference host speed,
+and each reported time is the median over the timed runs. With --trace 1 it
+makes one traced run and one traced run at SWEPTPLAN_THREADS=1. Every run
+passes the correctness gate or is counted as failed. The last line of standard output
+is one JSON object with the end-to-end metrics (--trace 0) or the per-layer
+metrics (--trace 1). A child process still running after CHILD_TIMEOUT_S
+stops the benchmark with exit code 3 and no result. The full record, with
+context and per-run detail, goes to
 .perfbench_runs/results/<workload>-seed<seed>-trace<t>.json. See README.md.
 """
 
@@ -39,29 +43,40 @@ from layers import STAGE_LABELS, layer_metrics  # noqa: E402
 from workloads import STAGES, WORKLOADS, write_scenarios  # noqa: E402
 
 RUNS_DIR = ".perfbench_runs"
-DEADLINE_S = 170.0
+CHILD_TIMEOUT_S = 600.0
 SETUP_PROBES = 3
+# setup_s is scaled by REF_STARTUP_S over the median start-up time of a bare
+# interpreter that imports the program's dependencies, measured beside the
+# set-up probes: the same kind of work as set-up, so host speed cancels out.
+STARTUP_REFERENCE = ("import sys, time; import numpy, scipy.linalg, scipy.ndimage; "
+                     "print(time.monotonic() - float(sys.argv[1]))")
+REF_STARTUP_S = 0.45
+MIN_TIMED_RUNS = 2
+# The stages whose output can depend on the sweep's thread count, and the
+# artifacts they read from the stages before them.
+REFERENCE_STAGES = (("sweep", "sweep", "base"), ("metrics", "metrics", "base"))
+REFERENCE_INPUTS = ("trajectory.json", "trace.csv", "timings.json")
 THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "SWEPTPLAN_THREADS")
 
+# Every time is scaled to the reference host speed by speed.SpeedProbe.
+# wall_s and cpu_s are a run's five stage calls together, in wall time and in
+# process CPU time (all threads). The per-stage times and the unscaled times
+# are recorded and printed, not gated: see README.md, "Measured steadiness".
 END_TO_END = (
     ("setup_s", "s"),
+    ("wall_s", "s"),
     ("cpu_s", "s"),
-    ("stage_plan_cpu_s", "s"),
-    ("stage_sweep_cpu_s", "s"),
-    ("stage_track_cpu_s", "s"),
-    ("stage_metrics_cpu_s", "s"),
-    ("stage_track_ratelimit_cpu_s", "s"),
     ("peak_rss_mb", "MiB"),
     ("swept_area_m2", "m2"),
     ("planned_swept_area_m2", "m2"),
     ("max_abs_e_y_m", "m"),
     ("max_abs_e_phi_deg", "deg"),
 )
-# Only compute_swept_field reads SWEPTPLAN_THREADS; it runs in these stages.
-THREADED_STAGES = ("sweep", "metrics")
-# A timed run repeats each stage call until it has spent this long in it.
-MIN_STAGE_S = 4.0
+
+
+class HarnessTimeout(Exception):
+    """A child process outlived CHILD_TIMEOUT_S; the benchmark, not the program, gives up."""
 
 
 class Benchmark:
@@ -72,7 +87,6 @@ class Benchmark:
         self.workload = workload
         self.seed = seed
         self.work = os.path.join(root, RUNS_DIR, f"{workload}-seed{seed}")
-        self.deadline = time.monotonic() + DEADLINE_S
         shutil.rmtree(self.work, ignore_errors=True)
         self.scenarios = write_scenarios(root, workload, seed, self.work)
         self.env = dict(os.environ)
@@ -92,19 +106,15 @@ class Benchmark:
         with open(spec_path, "w", encoding="utf-8") as fh:
             json.dump(spec, fh)
         env = dict(self.env, SWEPTPLAN_THREADS=str(threads)) if threads else self.env
-        remaining = self.deadline - time.monotonic()
-        if remaining <= 1.0:
-            return None
         launched = time.monotonic()
         try:
             proc = subprocess.run(
                 [sys.executable, os.path.join(HERE, "worker.py"), spec_path, repr(launched)],
                 cwd=self.root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                text=True, timeout=remaining,
+                text=True, timeout=CHILD_TIMEOUT_S,
             )
-        except subprocess.TimeoutExpired:
-            print(f"perfbench: {label} exceeded the {DEADLINE_S:.0f} s deadline", file=sys.stderr)
-            return None
+        except subprocess.TimeoutExpired as exc:
+            raise HarnessTimeout(f"{label} still running after {CHILD_TIMEOUT_S:.0f} s") from exc
         if proc.returncode != 0 or not os.path.exists(spec["result"]):
             print(f"perfbench: {label} exited with {proc.returncode}:\n{proc.stderr[-2000:]}", file=sys.stderr)
             return None
@@ -118,9 +128,26 @@ class Benchmark:
         result = self._launch(label, {"setup_only": True})
         return None if result is None else result["setup_s"]
 
-    def run(self, label: str, trace: bool = False, threads: int | None = None, min_stage_s: float = 0.0) -> dict:
-        result = self._launch(label, {"trace": trace, "stages": STAGES, "min_stage_s": min_stage_s}, threads)
-        record = {"label": label, "trace": trace, "threads": threads, "stages": STAGES, "result": result,
+    def startup_reference(self) -> float | None:
+        """Seconds from launch until a bare interpreter has imported numpy and scipy."""
+        launched = time.monotonic()
+        try:
+            proc = subprocess.run([sys.executable, "-c", STARTUP_REFERENCE, repr(launched)], cwd=self.root,
+                                  env=self.env, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
+        except subprocess.TimeoutExpired as exc:
+            raise HarnessTimeout(f"start-up reference still running after {CHILD_TIMEOUT_S:.0f} s") from exc
+        return float(proc.stdout) if proc.returncode == 0 else None
+
+    def run(self, label: str, trace: bool = False, threads: int | None = None, probe: bool = False,
+            stages: tuple = STAGES, inputs_from: dict | None = None) -> dict:
+        """One run; with `inputs_from`, the REFERENCE_INPUTS of that run's base output are copied in first."""
+        if inputs_from is not None:
+            out = os.path.join(self.work, label, "out")
+            os.makedirs(out, exist_ok=True)
+            for name in REFERENCE_INPUTS:
+                shutil.copy(os.path.join(inputs_from["outs"]["base"], name), out)
+        result = self._launch(label, {"trace": trace, "probe": probe, "stages": stages}, threads)
+        record = {"label": label, "trace": trace, "threads": threads, "stages": stages, "result": result,
                   "reasons": []}
         if result is None:
             record["reasons"].append("run did not finish")
@@ -178,11 +205,10 @@ def gate(records: list) -> None:
         res = rec["result"]
         if res is None:
             continue
-        for label, calls in res["stages"].items():
-            for call in calls:
-                if call["rc"] != 0:
-                    rec["reasons"].append(f"stage {label} returned {call['rc']}")
-        missing = [label for label, _, _ in rec["stages"] if not res["stages"].get(label)]
+        for label, call in res["stages"].items():
+            if call["rc"] != 0:
+                rec["reasons"].append(f"stage {label} returned {call['rc']}")
+        missing = [label for label, _, _ in rec["stages"] if label not in res["stages"]]
         if missing:
             rec["reasons"].append(f"stages not run: {missing}")
         if rec["errors"]:
@@ -208,28 +234,28 @@ def _median(values):
 
 
 def _stage_medians(runs: list, key: str, total: str, per_stage: str) -> dict:
-    """Median of each stage's `key` time over the runs, and their sum.
-
-    A stage call at SWEPTPLAN_THREADS=1 is a sample only if it computes no
-    swept field, since nothing else reads the setting."""
-    out = {}
+    """Median over the runs of each stage's `key` time, and of their sum per run."""
+    out = {total: _median([sum(r["result"]["stages"][label][key] for label in STAGE_LABELS) for r in runs])}
     for label in STAGE_LABELS:
-        out[per_stage.format(label)] = _median([
-            call[key] for r in runs if r["threads"] is None or label not in THREADED_STAGES
-            for call in r["result"]["stages"].get(label, ())
-        ])
-    out[total] = sum(out.values())
-    return dict(sorted(out.items(), key=lambda kv: kv[0] != total))
+        out[per_stage.format(label)] = _median([r["result"]["stages"][label][key] for r in runs])
+    return out
 
 
 def end_to_end(runs: list, setups: list) -> tuple:
-    """(gated metrics, wall-clock medians) over the runs that passed the gate."""
-    ok = [r for r in runs if not r["reasons"]] or [r for r in runs if r["result"] is not None]
+    """(gated metrics, recorded medians) over the timed runs that passed the gate.
+
+    The recorded medians are the scaled per-stage times and every time
+    unscaled, under "scaled" and "unscaled"."""
+    ok = [r for r in runs if not r["reasons"]]
     if not ok:
         return {}, {}
     first = ok[0]
-    metrics = dict(_stage_medians(ok, "cpu_s", "cpu_s", "stage_{}_cpu_s"), setup_s=_median(setups),
-                   peak_rss_mb=_median([r["result"]["peak_rss_mb"] for r in ok if r["threads"] is None]))
+    metrics = dict(_stage_medians(ok, "norm_s", "wall_s", "stage_{}_s"),
+                   **_stage_medians(ok, "norm_cpu_s", "cpu_s", "stage_{}_cpu_s"))
+    raw = dict(_stage_medians(ok, "s", "wall_s", "stage_{}_s"),
+               **_stage_medians(ok, "cpu_s", "cpu_s", "stage_{}_cpu_s"))
+    raw["setup_s"] = _median([r["result"]["setup_s"] for r in ok])
+    metrics.update(setup_s=_median(setups), peak_rss_mb=_median([r["result"]["peak_rss_mb"] for r in ok]))
     if first["metrics"] is not None:
         metrics.update(
             swept_area_m2=first["metrics"]["swept_area"],
@@ -241,7 +267,8 @@ def end_to_end(runs: list, setups: list) -> tuple:
     units = dict(END_TO_END)
     gated = {name: {"value": metrics[name], "unit": units[name]} for name, _ in END_TO_END
              if math.isfinite(metrics.get(name, math.nan))}
-    return gated, _stage_medians(ok, "s", "wall_s", "stage_{}_s")
+    scaled = {name: value for name, value in metrics.items() if name.startswith("stage_")}
+    return gated, {"scaled": scaled, "unscaled": raw}
 
 
 def timings_gap(rec: dict) -> dict:
@@ -249,8 +276,7 @@ def timings_gap(rec: dict) -> dict:
     gaps = {}
     for label, stage, variant in STAGES:
         inner = rec["timings"].get(variant, {}).get(f"{stage}_s")
-        # timings.json holds the stage's last call.
-        outer = rec["result"]["stages"].get(label, [{}])[-1].get("s")
+        outer = rec["result"]["stages"].get(label, {}).get("s")
         if inner is not None and outer is not None:
             gaps[label] = {"external_s": outer, "timings_s": inner, "gap_s": outer - inner}
     return gaps
@@ -264,7 +290,7 @@ def traced_metrics(detail: dict, traced: dict, single: dict) -> dict:
     layer = layer_metrics(res["trace"], traced["plan_report"], single["result"]["trace"])
     for label, gap in timings_gap(traced).items():
         layer[f"cli.timings_gap_s.{label}"] = (gap["gap_s"], "s")
-    layer["trace.wall_s"] = (sum(c["s"] for calls in res["stages"].values() for c in calls), "s")
+    layer["trace.wall_s"] = (sum(c["s"] for c in res["stages"].values()), "s")
     layer["trace.spans"] = (res["trace_spans"], "count")
     layer["trace.overhead_est_s"] = (res["trace_spans"] * res["trace_call_cost_s"], "s")
     # Counts must not depend on the sweep's thread count.
@@ -318,21 +344,34 @@ def main(argv=None) -> int:
         print(f"perfbench: run from the repository root; missing {missing}", file=sys.stderr)
         return 2
 
+    sys.path.insert(0, os.path.join(root, "src"))
     bench = Benchmark(root, args.workload, args.seed)
-    bench.setup_probe("warmup")  # compiles bytecode; not a sample
-    setups = [s for s in (bench.setup_probe(f"setup{i}") for i in range(SETUP_PROBES)) if s is not None]
-    if args.trace:
-        traced = bench.run("traced", trace=True)
-        single = bench.run("traced_1t", trace=True, threads=1)
-        records = [traced, single]
-    else:
-        records = []
-        t0 = time.monotonic()
-        while not records or time.monotonic() - t0 < args.seconds:
-            records.append(bench.run(f"timed{len(records)}", min_stage_s=MIN_STAGE_S))
-            if records[-1]["result"] is None:
-                break
-        records.append(bench.run("reference_1t", threads=1))
+    try:
+        bench.setup_probe("warmup")  # compiles bytecode; not a sample
+        setups, starts = [], []
+        for i in range(SETUP_PROBES):
+            setups.append(bench.setup_probe(f"setup{i}"))
+            starts.append(bench.startup_reference())
+        setups = [s for s in setups if s is not None]
+        starts = [s for s in starts if s is not None]
+        if args.trace:
+            records = [bench.run("traced", trace=True), bench.run("traced_1t", trace=True, threads=1)]
+        else:
+            timed = []
+            t0 = time.monotonic()
+            while len(timed) < MIN_TIMED_RUNS or time.monotonic() - t0 < args.seconds:
+                timed.append(bench.run(f"timed{len(timed)}", probe=True))
+                if timed[-1]["result"] is None:
+                    break
+            records = list(timed)
+            calls = (timed[0]["result"] or {}).get("stages", {})
+            if all(label in calls and calls[label]["rc"] == 0 for label in STAGE_LABELS):
+                records.append(bench.run("reference_1t", threads=1, stages=REFERENCE_STAGES,
+                                         inputs_from=timed[0]["result"]))
+    except HarnessTimeout as exc:
+        print(f"perfbench: harness timeout, no result: {exc}", file=sys.stderr)
+        shutil.rmtree(bench.work, ignore_errors=True)
+        return 3
     gate(records)
     failed = sum(1 for r in records if r["reasons"])
 
@@ -342,20 +381,23 @@ def main(argv=None) -> int:
         res = rec["result"] or {}
         detail["runs"].append({
             "label": rec["label"], "threads": rec["threads"], "trace": rec["trace"], "reasons": rec["reasons"],
-            "setup_s": res.get("setup_s"), "peak_rss_mb": res.get("peak_rss_mb"),
+            "setup_s": res.get("setup_s"), "speed": res.get("speed"),
+            "peak_rss_mb": res.get("peak_rss_mb"),
             "stages": res.get("stages"), "timings_gap": timings_gap(rec) if res else None,
         })
     results_dir = os.path.join(root, RUNS_DIR, "results")
     os.makedirs(results_dir, exist_ok=True)
     if args.trace:
-        metrics = traced_metrics(detail, traced, single)
-        for rec in (traced, single):
+        metrics = traced_metrics(detail, *records)
+        for rec in records:
             if rec["result"] is not None:
                 spans = f"{args.workload}-seed{args.seed}-{rec['label']}-spans.jsonl"
                 shutil.copy(rec["result"]["spans"], os.path.join(results_dir, spans))
     else:
-        metrics, detail["wall"] = end_to_end(records, setups + [r["result"]["setup_s"] for r in records if r["result"]])
-        detail["setup_samples_s"] = setups
+        setups += [r["result"]["setup_s"] for r in records if r["result"]]
+        scale = REF_STARTUP_S / _median(starts)
+        metrics, detail["recorded"] = end_to_end(timed, [s * scale for s in setups])
+        detail.update(setup_samples_s=setups, startup_reference_s=starts, setup_scale=scale)
     detail["metrics"] = metrics
     done = next((r for r in records if not r["reasons"] and r["metrics"] and r["plan_report"]), None)
     if done is not None:
@@ -375,8 +417,9 @@ def main(argv=None) -> int:
         print(f"perfbench run {run['label']}: {'FAILED ' + '; '.join(run['reasons']) if run['reasons'] else 'ok'}")
     print(f"perfbench failed_ratio: {detail['failed_ratio']:.3f} ({failed}/{len(records)})")
     print(f"perfbench quality: {json.dumps(detail.get('quality'))}")
-    for name, value in detail.get("wall", {}).items():
-        print(f"perfbench wall-clock {name}: {value} s")
+    for kind, values in detail.get("recorded", {}).items():
+        for name, value in values.items():
+            print(f"perfbench recorded {kind} {name}: {value} s")
     for name, m in metrics.items():
         print(f"perfbench {name}: {m['value']} {m['unit']}")
     complete = bool(metrics) if args.trace else len(metrics) == len(END_TO_END)

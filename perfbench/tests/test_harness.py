@@ -9,7 +9,9 @@ import json
 import math
 import os
 import shutil
+import signal
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import run as bench  # noqa: E402
 import workloads  # noqa: E402
+from speed import BRACKET, SpeedProbe  # noqa: E402
 from tracer import MissingFunction, Tracer, wrapped_leftovers  # noqa: E402
 
 import sweptplan  # noqa: E402
@@ -98,6 +101,27 @@ def test_traced_run_fails_loudly_on_a_renamed_public_function(tiny_root, capsys)
     assert "MissingFunction: sweptplan.minco.propagate_gradient is not defined" in err
 
 
+def test_harness_timeout_exits_without_a_result(tiny_root, capsys, monkeypatch):
+    monkeypatch.setattr(bench, "CHILD_TIMEOUT_S", 0.01)
+    code, lines, err = _run(0, capsys)
+    assert code == 3
+    assert lines == []
+    assert "harness timeout" in err
+
+
+def test_speed_probe_samples_during_the_block_and_restores_the_timer():
+    handler = signal.getsignal(signal.SIGPROF)
+    with SpeedProbe() as probe:
+        c0 = time.process_time()
+        while time.process_time() - c0 < 0.5:
+            sum(range(1000))
+    assert signal.getsignal(signal.SIGPROF) is handler
+    assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+    assert len(probe.samples) > 2 * BRACKET  # samples were taken inside the block
+    assert 0.0 < probe.inside_cpu_s <= probe.inside_s < 0.5
+    assert probe.factor() > 0.0
+
+
 def _bindings_snapshot() -> dict:
     snap = {}
     for modname, mod in list(sys.modules.items()):
@@ -140,7 +164,7 @@ def test_missing_public_function_fails_install(monkeypatch, owner, attr):
 
 
 def _record(label, digests):
-    return {"label": label, "result": {"stages": {"sweep": [{"rc": 0}]}}, "stages": [("sweep", "sweep", "base")],
+    return {"label": label, "result": {"stages": {"sweep": {"rc": 0}}}, "stages": [("sweep", "sweep", "base")],
             "reasons": [], "errors": [], "plan_report": None, "digests": digests}
 
 
@@ -153,6 +177,12 @@ def test_gate_fails_runs_whose_artifacts_disagree():
     assert all(r["reasons"] for r in tie)
 
 
+def test_failed_runs_give_no_metrics():
+    failed = _record("a", {"f": "1"})
+    failed["reasons"].append("stage 2 is infeasible or unreported")
+    assert bench.end_to_end([failed], [0.5]) == ({}, {})
+
+
 def test_seed_zero_is_the_shipped_scenario_and_other_seeds_spare_the_planner():
     with open(os.path.join(ROOT, "scenarios", "turn90.json"), "r", encoding="utf-8") as fh:
         shipped = json.load(fh)
@@ -162,3 +192,7 @@ def test_seed_zero_is_the_shipped_scenario_and_other_seeds_spare_the_planner():
     changed = {k for k in shipped if docs["base"][k] != shipped[k]}
     assert changed == {"sweep", "mpc"}
     assert docs["ratelimit"]["mpc"]["du_max"] == workloads.RATE_LIMIT
+    # straight leaves sweep.margin unset; the seed perturbs the program's default.
+    default = sweptplan.cli.parse_scenario(os.path.join(ROOT, "scenarios", "straight.json")).echo["sweep"]["margin"]
+    margin = workloads.scenario_docs(ROOT, "straight", 7)["base"]["sweep"]["margin"]
+    assert 0.0 <= margin - default <= workloads.MARGIN_SHIFT_M

@@ -6,7 +6,11 @@ The launch time is the parent's time.monotonic() just before it started this
 process (CLOCK_MONOTONIC, shared by all processes on Linux), so setup_s runs
 from process start through ``import sweptplan`` and ``parse_scenario``. Each
 stage is then one ``run_pipeline(sc, [stage], out)`` call, timed from
-outside. The result goes to the spec's ``result`` path as JSON.
+outside by the wall clock and by the process CPU clock. With ``probe`` in
+the spec, speed.SpeedProbe samples the host's speed during each call, and
+the calls' times are also given scaled to the reference speed (``norm_s``,
+``norm_cpu_s``) by one factor for the run (``speed``). The result goes to
+the spec's ``result`` path as JSON.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ import resource
 import shutil
 import sys
 import time
-
-MAX_CALLS = 10
 
 
 def _qp_rows(cfg) -> int:
@@ -74,27 +76,37 @@ def main(spec_path: str, launched: float) -> int:
         _write(spec["result"], result)
         return 0
 
+    from speed import SpeedProbe
+
+    probe = SpeedProbe()
+
     for label, stage, variant in spec["stages"]:
         out_dir = spec["outs"][variant]
         os.makedirs(out_dir, exist_ok=True)
         if variant != "base" and stage != "plan":
             shutil.copy(os.path.join(spec["outs"]["base"], "trajectory.json"), out_dir)
-        calls = result["stages"][label] = []
-        # Repeat the call until min_stage_s have been spent in it; every call is a sample.
-        while not calls or (sum(c["s"] for c in calls) < spec["min_stage_s"] and len(calls) < MAX_CALLS):
-            span = contextlib.nullcontext()
-            if tracer is not None:
-                tracer.stage = label
-                span = tracer.span(f"stage.{label}")
-            with span:
-                t0, c0 = time.perf_counter(), time.process_time()
-                rc = cli.run_pipeline(scenarios[variant], [stage], out_dir)
-                elapsed, cpu = time.perf_counter() - t0, time.process_time() - c0
-            calls.append({"s": elapsed, "cpu_s": cpu, "rc": rc})
-            if rc != 0:
-                break
+        span = contextlib.nullcontext()
+        if tracer is not None:
+            tracer.stage = label
+            span = tracer.span(f"stage.{label}")
+        elif spec.get("probe"):
+            span = probe
+        with span:
+            t0, c0 = time.perf_counter(), time.process_time()
+            rc = cli.run_pipeline(scenarios[variant], [stage], out_dir)
+            elapsed, cpu = time.perf_counter() - t0, time.process_time() - c0
+        call = result["stages"][label] = {"s": elapsed, "cpu_s": cpu, "rc": rc}
+        if span is probe:
+            call.update(probe_s=probe.inside_s, probe_cpu_s=probe.inside_cpu_s)
         if rc != 0:
             break
+    if probe.samples:
+        # One speed factor for the run, from every sample of its stage calls;
+        # the probe's own samples inside a call are taken out before scaling.
+        result["speed"] = probe.factor()
+        for call in result["stages"].values():
+            call.update(norm_s=(call["s"] - call["probe_s"]) * result["speed"],
+                        norm_cpu_s=(call["cpu_s"] - call["probe_cpu_s"]) * result["speed"])
     result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     if tracer is not None:

@@ -37,22 +37,26 @@ STAGES = (
 RATE_LIMIT = [0.1, 0.1, 0.05]  # mpc.du_max of the rate-limited copy
 MARGIN_SHIFT_M = 0.1
 WEIGHT_SCALE = 0.02
-# README defaults, used when a scenario leaves the perturbed key unset.
-DEFAULT_MARGIN = 0.3
-DEFAULT_INPUT_WEIGHT = [0.05, 0.05, 0.05]
 
 
 def scenario_docs(root: str, workload: str, seed: int) -> dict:
-    """The scenario documents a run of `workload` at `seed` feeds the program."""
-    with open(os.path.join(root, WORKLOADS[workload]), "r", encoding="utf-8") as fh:
+    """The scenario documents a run of `workload` at `seed` feeds the program.
+
+    The perturbed values start from the program's resolved scenario, so a
+    key the file leaves unset starts from the program's own default. Needs
+    the package (``src/``) on sys.path."""
+    from sweptplan.cli import parse_scenario
+
+    path = os.path.join(root, WORKLOADS[workload])
+    with open(path, "r", encoding="utf-8") as fh:
         base = json.load(fh)
     if seed != 0:
+        resolved = parse_scenario(path).echo
         rng = random.Random(seed)
-        sweep = base.setdefault("sweep", {})
-        sweep["margin"] = sweep.get("margin", DEFAULT_MARGIN) + rng.uniform(0.0, MARGIN_SHIFT_M)
-        mpc = base.setdefault("mpc", {})
-        weights = mpc.get("input_weight", DEFAULT_INPUT_WEIGHT)
-        mpc["input_weight"] = [w * (1.0 + rng.uniform(-WEIGHT_SCALE, WEIGHT_SCALE)) for w in weights]
+        base.setdefault("sweep", {})["margin"] = resolved["sweep"]["margin"] + rng.uniform(0.0, MARGIN_SHIFT_M)
+        base.setdefault("mpc", {})["input_weight"] = [
+            w * (1.0 + rng.uniform(-WEIGHT_SCALE, WEIGHT_SCALE)) for w in resolved["mpc"]["input_weight"]
+        ]
     limited = json.loads(json.dumps(base))
     limited.setdefault("mpc", {})["du_max"] = list(RATE_LIMIT)
     return {"base": base, "ratelimit": limited}
