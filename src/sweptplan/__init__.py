@@ -8,7 +8,6 @@ from .planner import PlanOptions, PlannerWeights, PlanReport, optimize_stage1, o
 from .sim import MetricsReport, SimConfig, SimTrace, compute_metrics, plant_step, run_closed_loop
 from .sweptfield import (
     AreaReport,
-    FieldOptions,
     LinearPosePath,
     SweptField,
     compute_swept_field,
@@ -25,7 +24,6 @@ __all__ = [
     "Boundary",
     "Box",
     "Disc",
-    "FieldOptions",
     "GridMap",
     "InitialTrajectory",
     "LinearPosePath",

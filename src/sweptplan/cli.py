@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -82,92 +83,28 @@ def _check_keys(block: dict, allowed: set, ctx: str) -> None:
             raise ParseError(f"unknown key '{key}' in {ctx}")
 
 
-def _get_block(doc: dict, name: str) -> dict:
-    block = doc.get(name, {})
-    if not isinstance(block, dict):
-        raise ValidationError(f"'{name}' must be an object")
-    return block
+def _vector(n: int):
+    return lambda v, ctx: _as_vector(v, n, ctx).tolist()
 
 
-class Scenario:
-    """Fully resolved run configuration; `echo` holds every value after defaults."""
-
-    def __init__(
-        self,
-        name: str,
-        veh: VehicleParams,
-        bounds: tuple,
-        resolution: float,
-        clearance: float,
-        obstacles: list,
-        start: np.ndarray,
-        goal: np.ndarray,
-        weights: PlannerWeights,
-        plan_opts: PlanOptions,
-        waypoint_spacing: float,
-        mpc: MpcConfig,
-        sim: SimConfig,
-        sweep_resolution: float,
-        sweep_margin: float,
-        echo: dict,
-    ):
-        self.name = name
-        self.veh = veh
-        self.bounds = bounds
-        self.resolution = resolution
-        self.clearance = clearance
-        self.obstacles = obstacles
-        self.start = start
-        self.goal = goal
-        self.weights = weights
-        self.plan_opts = plan_opts
-        self.waypoint_spacing = waypoint_spacing
-        self.mpc = mpc
-        self.sim = sim
-        self.sweep_resolution = sweep_resolution
-        self.sweep_margin = sweep_margin
-        self.echo = echo
+def _string(v, ctx: str) -> str:
+    if not isinstance(v, str):
+        raise ValidationError(f"{ctx} must be a string")
+    return v
 
 
-def _parse_vehicle(doc: dict) -> VehicleParams:
-    if "vehicle" not in doc:
-        raise ValidationError("missing required block 'vehicle'")
-    block = _get_block(doc, "vehicle")
-    allowed = {"length", "width", "axle_count", "wheel_positions", "v_max", "omega_max"}
-    _check_keys(block, allowed, "vehicle")
-    for key in ("length", "width", "axle_count"):
-        if key not in block:
-            raise ValidationError(f"vehicle: missing required key '{key}'")
-    length = _as_number(block["length"], "vehicle.length")
-    width = _as_number(block["width"], "vehicle.width")
-    axle_count = _as_int(block["axle_count"], "vehicle.axle_count")
-    if "wheel_positions" in block:
-        raw = block["wheel_positions"]
-        if not isinstance(raw, list) or not raw:
-            raise ValidationError("vehicle.wheel_positions must be a nonempty list of [x, y]")
-        wheels = np.array([_as_vector(w, 2, f"vehicle.wheel_positions[{i}]") for i, w in enumerate(raw)])
-    else:
-        # Default layout: axles at pitch L/n symmetric about the center,
-        # one wheel on each side at the footprint edge.
-        pitch = length / axle_count
-        xs = (np.arange(axle_count) - (axle_count - 1) / 2.0) * pitch
-        wheels = np.array([[x, sgn * width / 2.0] for x in xs for sgn in (1.0, -1.0)])
-    v_max = _as_number(block.get("v_max", 2.0), "vehicle.v_max")
-    omega_max = _as_number(block.get("omega_max", 1.0), "vehicle.omega_max")
-    try:
-        return VehicleParams(
-            length=length,
-            width=width,
-            axle_count=axle_count,
-            wheel_positions=wheels,
-            v_max=v_max,
-            omega_max=omega_max,
-        )
-    except ValueError as exc:
-        raise ValidationError(f"vehicle: {exc}") from exc
+def _wheels(v, ctx: str) -> list:
+    if not isinstance(v, list) or not v:
+        raise ValidationError(f"{ctx} must be a nonempty list of [x, y]")
+    return [_as_vector(w, 2, f"{ctx}[{i}]").tolist() for i, w in enumerate(v)]
 
 
-def _parse_obstacles(raw, ctx: str) -> list:
+def _rate_cap(v, ctx: str):
+    return None if v is None else _as_vector(v, 3, ctx).tolist()
+
+
+def _obstacles(raw, ctx: str) -> list:
+    """Obstacles as {"type": "box", "min", "max"} or {"type": "disc", "center", "radius"}."""
     if not isinstance(raw, list):
         raise ValidationError(f"{ctx} must be a list")
     shapes = []
@@ -176,29 +113,219 @@ def _parse_obstacles(raw, ctx: str) -> list:
         if not isinstance(item, dict) or "type" not in item:
             raise ValidationError(f"{ictx} must be an object with a 'type' key")
         kind = item["type"]
+        keys = {"box": ("min", "max"), "disc": ("center", "radius")}.get(kind)
+        if keys is None:
+            raise ValidationError(f"{ictx}: unknown obstacle type '{kind}'")
+        _check_keys(item, {"type", *keys}, ictx)
+        for key in keys:
+            if key not in item:
+                raise ValidationError(f"{ictx}: {kind} needs '{key}'")
         if kind == "box":
-            _check_keys(item, {"type", "min", "max"}, ictx)
-            for key in ("min", "max"):
-                if key not in item:
-                    raise ValidationError(f"{ictx}: box needs '{key}'")
             lo = _as_vector(item["min"], 2, f"{ictx}.min")
             hi = _as_vector(item["max"], 2, f"{ictx}.max")
             if not np.all(hi > lo):
                 raise ValidationError(f"{ictx}: box max must exceed min componentwise")
-            shapes.append(Box(xmin=lo[0], ymin=lo[1], xmax=hi[0], ymax=hi[1]))
-        elif kind == "disc":
-            _check_keys(item, {"type", "center", "radius"}, ictx)
-            for key in ("center", "radius"):
-                if key not in item:
-                    raise ValidationError(f"{ictx}: disc needs '{key}'")
+            shapes.append({"type": "box", "min": lo.tolist(), "max": hi.tolist()})
+        else:
             center = _as_vector(item["center"], 2, f"{ictx}.center")
             radius = _as_number(item["radius"], f"{ictx}.radius")
             if radius <= 0:
                 raise ValidationError(f"{ictx}: disc radius must be positive")
-            shapes.append(Disc(cx=center[0], cy=center[1], radius=radius))
-        else:
-            raise ValidationError(f"{ictx}: unknown obstacle type '{kind}'")
+            shapes.append({"type": "disc", "center": center.tolist(), "radius": radius})
     return shapes
+
+
+def _positive(v, r):
+    return "must be positive" if v <= 0 else None
+
+
+def _nonnegative(v, r):
+    return "must be nonnegative" if v < 0 else None
+
+
+def _ordered_bounds(v, r):
+    return None if v[2] > v[0] and v[3] > v[1] else "must satisfy xmin < xmax and ymin < ymax"
+
+
+def _inside_world(v, r):
+    b = r["world"]["bounds"]
+    if b[0] <= v[0] <= b[2] and b[1] <= v[1] <= b[3]:
+        return None
+    return f"position {v[:2]} lies outside world.bounds"
+
+
+def _default_wheels(r, path):
+    # One wheel pair per axle: axles at pitch length/axle_count symmetric
+    # about the center, one wheel on each side at the footprint edge.
+    v = r["vehicle"]
+    n = v["axle_count"]
+    xs = (np.arange(n) - (n - 1) / 2.0) * (v["length"] / max(n, 1))
+    return np.array([[x, sgn * v["width"] / 2.0] for x in xs for sgn in (1.0, -1.0)]).tolist()
+
+
+def _speed_caps(r) -> list:
+    v = r["vehicle"]
+    return [v["v_max"], v["v_max"], v["omega_max"]]
+
+
+REQUIRED = object()
+
+# Every scenario setting, in resolution order: (block, key, parse, default,
+# check). Block None is the top level. parse(raw, ctx) returns the resolved
+# JSON value; a callable default is computed as default(resolved, path) from
+# the settings resolved before it; check(value, resolved) returns an error
+# message or None. README.md's scenario table documents the same rows.
+SCENARIO_SCHEMA = (
+    ("vehicle", "length", _as_number, REQUIRED, None),
+    ("vehicle", "width", _as_number, REQUIRED, None),
+    ("vehicle", "axle_count", _as_int, REQUIRED, None),
+    ("vehicle", "wheel_positions", _wheels, _default_wheels, None),
+    ("vehicle", "v_max", _as_number, VehicleParams.v_max, None),
+    ("vehicle", "omega_max", _as_number, VehicleParams.omega_max, None),
+    ("world", "bounds", _vector(4), REQUIRED, _ordered_bounds),
+    ("world", "resolution", _as_number, 0.1, _positive),
+    ("world", "clearance", _as_number, lambda r, path: r["vehicle"]["width"] / 2.0, None),
+    ("world", "obstacles", _obstacles, lambda r, path: [], None),
+    (None, "start", _vector(3), REQUIRED, _inside_world),
+    (None, "goal", _vector(3), REQUIRED, _inside_world),
+    ("planner", "energy", _as_number, PlannerWeights.energy, _nonnegative),
+    ("planner", "time", _as_number, PlannerWeights.time, _nonnegative),
+    ("planner", "deviation", _as_number, PlannerWeights.deviation, _nonnegative),
+    ("planner", "obstacle", _as_number, PlannerWeights.obstacle, _nonnegative),
+    ("planner", "sweep", _as_number, PlannerWeights.sweep, _nonnegative),
+    ("planner", "safety_margin", _as_number, PlannerWeights.safety_margin, _positive),
+    ("planner", "max_iterations", _as_int, PlanOptions.max_iterations, None),
+    ("planner", "grad_tol", _as_number, PlanOptions.grad_tol, None),
+    ("planner", "cost_tol", _as_number, PlanOptions.cost_tol, None),
+    ("planner", "init_speed", _as_number, PlanOptions.init_speed, None),
+    ("planner", "waypoint_spacing", _as_number, 1.0, _positive),
+    ("mpc", "dt", _as_number, MpcConfig.dt, None),
+    ("mpc", "horizon", _as_int, MpcConfig.horizon, None),
+    ("mpc", "control_horizon", _as_int, MpcConfig.control_horizon, None),
+    ("mpc", "state_weight", _vector(3), lambda r, path: np.diag(MpcConfig().state_weight).tolist(), None),
+    ("mpc", "input_weight", _vector(3), lambda r, path: np.diag(MpcConfig().input_weight).tolist(), None),
+    ("mpc", "u_min", _vector(3), lambda r, path: [-u for u in _speed_caps(r)], None),
+    ("mpc", "u_max", _vector(3), lambda r, path: _speed_caps(r), None),
+    ("mpc", "du_max", _rate_cap, None, None),  # null: unbounded
+    ("sim", "settle_time", _as_number, SimConfig.settle_time, _nonnegative),
+    ("sim", "input_lag_tau", _as_number, SimConfig.input_lag_tau, None),
+    ("sweep", "resolution", _as_number, 0.05, _positive),
+    ("sweep", "margin", _as_number, 0.3, None),
+    (None, "name", _string, lambda r, path: os.path.splitext(os.path.basename(path))[0], None),
+)
+
+_BLOCK_KEYS = {block: {k for b, k, *_ in SCENARIO_SCHEMA if b == block} for block, *_ in SCENARIO_SCHEMA}
+_REQUIRED_BLOCKS = {b for b, _, _, default, _ in SCENARIO_SCHEMA if b and default is REQUIRED}
+
+
+def _open_block(doc: dict, block) -> dict:
+    if block is None:
+        _check_keys(doc, {"schema", *_BLOCK_KEYS[None], *filter(None, _BLOCK_KEYS)}, "scenario")
+        if "schema" not in doc:
+            raise ValidationError("missing required key 'schema'")
+        if doc["schema"] != SCHEMA_VERSION:
+            raise ValidationError(f"unsupported schema {doc['schema']!r}; this tool reads schema {SCHEMA_VERSION}")
+        return doc
+    if block not in doc:
+        if block in _REQUIRED_BLOCKS:
+            raise ValidationError(f"missing required block '{block}'")
+        return {}
+    raw = doc[block]
+    if not isinstance(raw, dict):
+        raise ValidationError(f"'{block}' must be an object")
+    _check_keys(raw, _BLOCK_KEYS[block], block)
+    return raw
+
+
+def _resolve(doc: dict, path: str) -> dict:
+    """Walk SCENARIO_SCHEMA over a scenario document and return every setting
+    after defaults, nested like the document: rejects unknown keys, reports
+    missing required keys, fills defaults and runs the checks."""
+    resolved: dict = {}
+    raw_blocks = {None: _open_block(doc, None)}
+    for block, key, parse, default, check in SCENARIO_SCHEMA:
+        if block not in raw_blocks:
+            raw_blocks[block] = _open_block(doc, block)
+            resolved[block] = {}
+        raw = raw_blocks[block]
+        ctx = f"{block}.{key}" if block else key
+        if key in raw:
+            value = parse(raw[key], ctx)
+        elif default is REQUIRED:
+            raise ValidationError(f"{block + ': ' if block else ''}missing required key '{key}'")
+        else:
+            value = default(resolved, path) if callable(default) else default
+        problem = check(value, resolved) if check else None
+        if problem:
+            raise ValidationError(f"{ctx} {problem}")
+        (resolved[block] if block else resolved)[key] = value
+    return resolved
+
+
+@dataclass
+class Scenario:
+    """Fully resolved run configuration; `echo` holds every value after defaults."""
+
+    name: str
+    veh: VehicleParams
+    bounds: tuple
+    resolution: float
+    clearance: float
+    obstacles: list
+    start: np.ndarray
+    goal: np.ndarray
+    weights: PlannerWeights
+    plan_opts: PlanOptions
+    waypoint_spacing: float
+    mpc: MpcConfig
+    sim: SimConfig
+    sweep_resolution: float
+    sweep_margin: float
+    echo: dict
+
+
+def _build_scenario(echo: dict) -> Scenario:
+    world, planner, m = echo["world"], echo["planner"], echo["mpc"]
+    try:
+        veh = VehicleParams(**echo["vehicle"])
+    except ValueError as exc:
+        raise ValidationError(f"vehicle: {exc}") from exc
+    du_max = np.full(3, np.inf) if m["du_max"] is None else np.array(m["du_max"])
+    try:
+        mpc = MpcConfig(
+            dt=m["dt"],
+            horizon=m["horizon"],
+            control_horizon=m["control_horizon"],
+            state_weight=np.diag(m["state_weight"]),
+            input_weight=np.diag(m["input_weight"]),
+            u_min=np.array(m["u_min"]),
+            u_max=np.array(m["u_max"]),
+            du_min=-du_max,
+            du_max=du_max,
+        )
+    except ValueError as exc:
+        raise ValidationError(f"mpc: {exc}") from exc
+    return Scenario(
+        name=echo["name"],
+        veh=veh,
+        bounds=tuple(world["bounds"]),
+        resolution=world["resolution"],
+        clearance=world["clearance"],
+        obstacles=[
+            Box(*o["min"], *o["max"]) if o["type"] == "box" else Disc(*o["center"], o["radius"])
+            for o in world["obstacles"]
+        ],
+        start=np.array(echo["start"]),
+        goal=np.array(echo["goal"]),
+        weights=PlannerWeights(**{f.name: planner[f.name] for f in fields(PlannerWeights)}),
+        plan_opts=PlanOptions(**{f.name: planner[f.name] for f in fields(PlanOptions)}),
+        waypoint_spacing=planner["waypoint_spacing"],
+        mpc=mpc,
+        sim=SimConfig(**echo["sim"]),
+        sweep_resolution=echo["sweep"]["resolution"],
+        sweep_margin=echo["sweep"]["margin"],
+        echo=echo,
+    )
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -210,192 +337,7 @@ def parse_scenario(path: str) -> Scenario:
             raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
-    top_allowed = {"schema", "name", "vehicle", "world", "start", "goal", "planner", "mpc", "sim", "sweep"}
-    _check_keys(doc, top_allowed, "scenario")
-    if "schema" not in doc:
-        raise ValidationError("missing required key 'schema'")
-    if doc["schema"] != SCHEMA_VERSION:
-        raise ValidationError(f"unsupported schema {doc['schema']!r}; this tool reads schema {SCHEMA_VERSION}")
-
-    veh = _parse_vehicle(doc)
-
-    if "world" not in doc:
-        raise ValidationError("missing required block 'world'")
-    world = _get_block(doc, "world")
-    _check_keys(world, {"bounds", "resolution", "obstacles", "clearance"}, "world")
-    if "bounds" not in world:
-        raise ValidationError("world: missing required key 'bounds'")
-    bounds = tuple(_as_vector(world["bounds"], 4, "world.bounds"))
-    if not (bounds[2] > bounds[0] and bounds[3] > bounds[1]):
-        raise ValidationError("world.bounds must satisfy xmin < xmax and ymin < ymax")
-    resolution = _as_number(world.get("resolution", 0.1), "world.resolution")
-    if resolution <= 0:
-        raise ValidationError("world.resolution must be positive")
-    clearance = _as_number(world.get("clearance", veh.width / 2.0), "world.clearance")
-    obstacles = _parse_obstacles(world.get("obstacles", []), "world.obstacles")
-
-    for key in ("start", "goal"):
-        if key not in doc:
-            raise ValidationError(f"missing required key '{key}'")
-    start = _as_vector(doc["start"], 3, "start")
-    goal = _as_vector(doc["goal"], 3, "goal")
-    for label, pose in (("start", start), ("goal", goal)):
-        if not (bounds[0] <= pose[0] <= bounds[2] and bounds[1] <= pose[1] <= bounds[3]):
-            raise ValidationError(f"{label} position {pose[:2].tolist()} lies outside world.bounds")
-
-    planner = _get_block(doc, "planner")
-    _check_keys(
-        planner,
-        {
-            "energy",
-            "time",
-            "deviation",
-            "obstacle",
-            "sweep",
-            "safety_margin",
-            "max_iterations",
-            "grad_tol",
-            "cost_tol",
-            "init_speed",
-            "waypoint_spacing",
-        },
-        "planner",
-    )
-    weights = PlannerWeights(
-        energy=_as_number(planner.get("energy", 1.0), "planner.energy"),
-        time=_as_number(planner.get("time", 20.0), "planner.time"),
-        deviation=_as_number(planner.get("deviation", 100.0), "planner.deviation"),
-        obstacle=_as_number(planner.get("obstacle", 1000.0), "planner.obstacle"),
-        sweep=_as_number(planner.get("sweep", 300.0), "planner.sweep"),
-        safety_margin=_as_number(planner.get("safety_margin", 0.3), "planner.safety_margin"),
-    )
-    for label, value in (("energy", weights.energy), ("time", weights.time), ("deviation", weights.deviation), ("obstacle", weights.obstacle), ("sweep", weights.sweep)):
-        if value < 0:
-            raise ValidationError(f"planner.{label} must be nonnegative")
-    if weights.safety_margin <= 0:
-        raise ValidationError("planner.safety_margin must be positive")
-    plan_opts = PlanOptions(
-        max_iterations=_as_int(planner.get("max_iterations", 500), "planner.max_iterations"),
-        grad_tol=_as_number(planner.get("grad_tol", 1e-6), "planner.grad_tol"),
-        cost_tol=_as_number(planner.get("cost_tol", 1e-8), "planner.cost_tol"),
-        init_speed=_as_number(planner.get("init_speed", 1.0), "planner.init_speed"),
-    )
-    waypoint_spacing = _as_number(planner.get("waypoint_spacing", 1.0), "planner.waypoint_spacing")
-    if waypoint_spacing <= 0:
-        raise ValidationError("planner.waypoint_spacing must be positive")
-
-    mpc_block = _get_block(doc, "mpc")
-    _check_keys(
-        mpc_block,
-        {"dt", "horizon", "control_horizon", "state_weight", "input_weight", "u_min", "u_max", "du_max"},
-        "mpc",
-    )
-    u_default = np.array([veh.v_max, veh.v_max, veh.omega_max])
-    du_max = mpc_block.get("du_max")
-    try:
-        mpc = MpcConfig(
-            dt=_as_number(mpc_block.get("dt", 0.05), "mpc.dt"),
-            horizon=_as_int(mpc_block.get("horizon", 20), "mpc.horizon"),
-            control_horizon=_as_int(mpc_block.get("control_horizon", 10), "mpc.control_horizon"),
-            state_weight=np.diag(_as_vector(mpc_block.get("state_weight", [10.0, 10.0, 10.0]), 3, "mpc.state_weight")),
-            input_weight=np.diag(_as_vector(mpc_block.get("input_weight", [0.05, 0.05, 0.05]), 3, "mpc.input_weight")),
-            u_min=(_as_vector(mpc_block["u_min"], 3, "mpc.u_min") if "u_min" in mpc_block else -u_default),
-            u_max=(_as_vector(mpc_block["u_max"], 3, "mpc.u_max") if "u_max" in mpc_block else u_default),
-            du_min=(-_as_vector(du_max, 3, "mpc.du_max") if du_max is not None else np.full(3, -np.inf)),
-            du_max=(_as_vector(du_max, 3, "mpc.du_max") if du_max is not None else np.full(3, np.inf)),
-        )
-    except ValueError as exc:
-        raise ValidationError(f"mpc: {exc}") from exc
-
-    sim_block = _get_block(doc, "sim")
-    _check_keys(sim_block, {"settle_time", "input_lag_tau"}, "sim")
-    sim = SimConfig(
-        settle_time=_as_number(sim_block.get("settle_time", 2.0), "sim.settle_time"),
-        input_lag_tau=_as_number(sim_block.get("input_lag_tau", 0.0), "sim.input_lag_tau"),
-    )
-    if sim.settle_time < 0:
-        raise ValidationError("sim.settle_time must be nonnegative")
-
-    sweep_block = _get_block(doc, "sweep")
-    _check_keys(sweep_block, {"resolution", "margin"}, "sweep")
-    sweep_resolution = _as_number(sweep_block.get("resolution", 0.05), "sweep.resolution")
-    sweep_margin = _as_number(sweep_block.get("margin", 0.3), "sweep.margin")
-    if sweep_resolution <= 0:
-        raise ValidationError("sweep.resolution must be positive")
-
-    name = doc.get("name", os.path.splitext(os.path.basename(path))[0])
-    if not isinstance(name, str):
-        raise ValidationError("name must be a string")
-
-    echo = {
-        "name": name,
-        "vehicle": {
-            "length": veh.length,
-            "width": veh.width,
-            "axle_count": veh.axle_count,
-            "wheel_positions": np.atleast_2d(veh.wheel_positions).tolist(),
-            "v_max": veh.v_max,
-            "omega_max": veh.omega_max,
-        },
-        "world": {
-            "bounds": list(bounds),
-            "resolution": resolution,
-            "clearance": clearance,
-            "obstacles": [
-                (
-                    {"type": "box", "min": [s.xmin, s.ymin], "max": [s.xmax, s.ymax]}
-                    if isinstance(s, Box)
-                    else {"type": "disc", "center": [s.cx, s.cy], "radius": s.radius}
-                )
-                for s in obstacles
-            ],
-        },
-        "start": start.tolist(),
-        "goal": goal.tolist(),
-        "planner": {
-            "energy": weights.energy,
-            "time": weights.time,
-            "deviation": weights.deviation,
-            "obstacle": weights.obstacle,
-            "sweep": weights.sweep,
-            "safety_margin": weights.safety_margin,
-            "max_iterations": plan_opts.max_iterations,
-            "grad_tol": plan_opts.grad_tol,
-            "cost_tol": plan_opts.cost_tol,
-            "init_speed": plan_opts.init_speed,
-            "waypoint_spacing": waypoint_spacing,
-        },
-        "mpc": {
-            "dt": mpc.dt,
-            "horizon": mpc.horizon,
-            "control_horizon": mpc.control_horizon,
-            "state_weight": np.diag(mpc.state_weight).tolist(),
-            "input_weight": np.diag(mpc.input_weight).tolist(),
-            "u_min": mpc.u_min.tolist(),
-            "u_max": mpc.u_max.tolist(),
-            "du_max": (mpc.du_max.tolist() if np.all(np.isfinite(mpc.du_max)) else None),
-        },
-        "sim": {"settle_time": sim.settle_time, "input_lag_tau": sim.input_lag_tau},
-        "sweep": {"resolution": sweep_resolution, "margin": sweep_margin},
-    }
-    return Scenario(
-        name=name,
-        veh=veh,
-        bounds=bounds,
-        resolution=resolution,
-        clearance=clearance,
-        obstacles=obstacles,
-        start=start,
-        goal=goal,
-        weights=weights,
-        plan_opts=plan_opts,
-        waypoint_spacing=waypoint_spacing,
-        mpc=mpc,
-        sim=sim,
-        sweep_resolution=sweep_resolution,
-        sweep_margin=sweep_margin,
-        echo=echo,
-    )
+    return _build_scenario(_resolve(doc, path))
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +369,8 @@ def write_field_csv(path: str, field: SweptField) -> None:
 
 def load_field_csv(path: str) -> SweptField:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] < 2:
+        raise MissingArtifact(f"{path} holds fewer than two cells, so its grid resolution cannot be inferred")
     xs, ys = data[:, 0], data[:, 1]
     height = int(np.argmax(xs != xs[0])) or data.shape[0]
     if data.shape[0] % height != 0:
@@ -580,7 +524,7 @@ def _stage_sweep(sc: Scenario, out_dir: str, traj, grid, field_res: float) -> Sw
     field = compute_swept_field(traj, sc.veh, region=region, resolution=field_res)
     sweep_time = time.perf_counter() - t0
     write_field_csv(os.path.join(out_dir, "field.csv"), field)
-    report = excess_area(field, traj, sc.veh, baseline_mode="ribbon")
+    report = excess_area(field, traj, sc.veh)
     _write_json(
         os.path.join(out_dir, "area.json"),
         {
@@ -630,12 +574,11 @@ def _stage_metrics(sc: Scenario, out_dir: str, traj, trace, field: SweptField, p
             with open(timings_path, "r", encoding="utf-8") as fh:
                 plan_time = json.load(fh).get("plan_s", 0.0)
     report = compute_metrics(trace, traj, sc.veh, driven_field, planning_time=plan_time)
-    planned = excess_area(field, traj, sc.veh, baseline_mode="ribbon")
-    driven = excess_area(driven_field, driven_path(trace), sc.veh, baseline_mode="ribbon")
+    planned = excess_area(field, traj, sc.veh)
     doc = {
         "excess_swept_area": report.excess_swept_area,
-        "swept_area": driven.swept_area,
-        "baseline_area": driven.baseline_area,
+        "swept_area": report.swept_area,
+        "baseline_area": report.baseline_area,
         "planned_swept_area": planned.swept_area,
         "planned_excess_area": planned.excess_area,
         "max_abs_e_y": report.max_abs_e_y,
@@ -716,12 +659,15 @@ def run_pipeline(
 def _run_ablation(sc: Scenario, stages, out_dir: str, field_res, seed) -> int:
     """Run the pipeline twice: as configured, and with the sweep weight zeroed."""
     os.makedirs(out_dir, exist_ok=True)
+    sv_off = replace(
+        sc,
+        weights=replace(sc.weights, sweep=0.0),
+        echo=dict(sc.echo, planner=dict(sc.echo["planner"], sweep=0.0)),
+    )
     results = {}
-    for label, sweep_w in (("sv_on", sc.weights.sweep), ("sv_off", 0.0)):
+    for label, run_sc in (("sv_on", sc), ("sv_off", sv_off)):
         sub = os.path.join(out_dir, label)
-        sc.weights.sweep = sweep_w
-        sc.echo["planner"]["sweep"] = sweep_w
-        code = run_pipeline(sc, stages, sub, field_res=field_res, seed=seed)
+        code = run_pipeline(run_sc, stages, sub, field_res=field_res, seed=seed)
         if code != 0:
             return code
         metrics_path = os.path.join(sub, "metrics.json")

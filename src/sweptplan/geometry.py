@@ -37,6 +37,12 @@ def rotation_matrix(phi: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def to_body_frame(dx, dy, c, s) -> np.ndarray:
+    """World-frame offsets (dx, dy) rotated into a body frame whose heading
+    has cosine c and sine s; returns the stacked (..., 2) body coordinates."""
+    return np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1)
+
+
 @dataclass
 class Pose2:
     """Planar pose (x, y, phi); phi is normalized to (-pi, pi] on construction."""
@@ -61,10 +67,6 @@ class Pose2:
         """Map a world point into this pose's body frame."""
         d = np.asarray(p_world, dtype=float) - self.position
         return self.rotation().T @ d
-
-    def transform_to_world(self, p_body: np.ndarray) -> np.ndarray:
-        """Map a body-frame point into the world frame."""
-        return self.rotation() @ np.asarray(p_body, dtype=float) + self.position
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.phi])

@@ -22,6 +22,10 @@ from scipy.linalg import solve_banded
 
 _BAND = 7  # sub/super-diagonal count of the coefficient system
 
+# _DERIV[order][i]: factor of t^(i - order) in the order-th derivative of t^i,
+# the falling factorial i (i - 1) ... (i - order + 1); zero when i < order.
+_DERIV = [[float(math.perm(i, order)) for i in range(6)] for order in range(6)]
+
 
 class NonPositiveDuration(Exception):
     pass
@@ -68,10 +72,7 @@ def _basis(t: float, order: int) -> np.ndarray:
     """Row of the order-th derivative of [1, t, t^2, t^3, t^4, t^5]."""
     row = np.zeros(6)
     for i in range(order, 6):
-        c = 1.0
-        for k in range(order):
-            c *= i - k
-        row[i] = c * t ** (i - order)
+        row[i] = _DERIV[order][i] * t ** (i - order)
     return row
 
 
@@ -159,14 +160,7 @@ class MincoTrajectory:
         if not 0 <= order <= 5:
             raise ValueError("order must be in 0..5")
         j, tau = self._segment_of(t)
-        out = np.zeros(3)
-        # Horner evaluation of the order-th derivative.
-        for i in range(5, order - 1, -1):
-            c = 1.0
-            for k in range(order):
-                c *= i - k
-            out = out * tau + c * self.coeffs[j, i]
-        return out
+        return _eval_segment(self.coeffs[j], tau, order)
 
     def sample(self, ts: np.ndarray, order: int = 0) -> np.ndarray:
         """Vectorized eval over an array of times, shape (m, 3). Times are clamped to the domain."""
@@ -175,10 +169,7 @@ class MincoTrajectory:
         tau = np.clip(ts, 0.0, self.total_time) - self.knot_times[j]
         out = np.zeros(ts.shape + (3,))
         for i in range(5, order - 1, -1):
-            c = 1.0
-            for k in range(order):
-                c *= i - k
-            out = out * tau[..., None] + c * self.coeffs[j, i]
+            out = out * tau[..., None] + _DERIV[order][i] * self.coeffs[j, i]
         return out
 
     def arc_length(self, samples_per_second: float = 100.0) -> float:
@@ -283,12 +274,11 @@ def propagate_gradient(
 
 
 def _eval_segment(coeff: np.ndarray, tau: float, order: int) -> np.ndarray:
+    """Order-th derivative of one segment's quintic at local time tau, by Horner's rule."""
+    d = _DERIV[order]
     out = np.zeros(3)
     for i in range(5, order - 1, -1):
-        c = 1.0
-        for k in range(order):
-            c *= i - k
-        out = out * tau + c * coeff[i]
+        out = out * tau + d[i] * coeff[i]
     return out
 
 

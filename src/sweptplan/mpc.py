@@ -39,7 +39,6 @@ class MpcConfig:
     u_max: np.ndarray = field(default_factory=lambda: np.array([2.0, 2.0, 1.0]))
     du_min: np.ndarray = field(default_factory=lambda: np.full(NU, -np.inf))
     du_max: np.ndarray = field(default_factory=lambda: np.full(NU, np.inf))
-    input_hold_beyond_nc: bool = False  # reserved alternative tail model
 
     def __post_init__(self) -> None:
         self.state_weight = np.asarray(self.state_weight, dtype=float).reshape(NU, NU)
@@ -57,8 +56,6 @@ class MpcConfig:
                 raise ValueError(f"{name} must be positive semidefinite")
         if np.any(self.u_min >= self.u_max):
             raise ValueError("u_min must be below u_max componentwise")
-        if self.input_hold_beyond_nc:
-            raise NotImplementedError("hold-last-input tail model is not implemented")
 
 
 @dataclass

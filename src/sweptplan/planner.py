@@ -5,9 +5,8 @@ total time + anchor deviation). Stage 2 drops the anchors and adds the
 collision hinge and the sweep-alignment penalty, then verifies the result
 against the obstacle set by dense sampling. Durations are optimized through
 a softplus reparameterization so they stay above a floor; both stages run a
-limited-memory quasi-Newton loop whose line search is configurable (strong
-Wolfe for the smooth stage, descent-only Armijo backtracking for the hinged
-stage).
+limited-memory quasi-Newton loop, with a strong Wolfe line search for the
+smooth stage and descent-only Armijo backtracking for the hinged stage.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from .geometry import (
     VehicleParams,
     footprint_sdf_batch,
     footprint_sdf_values,
+    to_body_frame,
     wrap_angle,
     wrap_angles,
 )
@@ -37,6 +37,7 @@ from .minco import (
 from .worldmodel import GridMap, InitialTrajectory
 
 T_MIN = 0.01  # duration floor under the softplus map, seconds
+LBFGS_MEMORY = 8  # curvature pairs kept by the quasi-Newton loop
 
 
 class SizeMismatch(Exception):
@@ -58,11 +59,7 @@ class PlanOptions:
     max_iterations: int = 500
     grad_tol: float = 1e-6
     cost_tol: float = 1e-8
-    memory: int = 8
-    solver: str = "lbfgs"
-    line_search: str | None = None  # None = per-stage default
     init_speed: float = 1.0  # seeds segment durations from chord lengths, m/s
-    feasibility_dt: float = 0.05  # dense collision-check sampling step, seconds
 
 
 @dataclass
@@ -135,7 +132,7 @@ def obstacle_cost_with_grads(
     s_all = np.sin(q[:, 2])
     c = c_all[k_idx]
     s = s_all[k_idx]
-    body = np.column_stack([c * dxn + s * dyn, -s * dxn + c * dyn])
+    body = to_body_frame(dxn, dyn, c, s)
     f, g_body = footprint_sdf_batch(body, veh.length, veh.width)
     act = f < safety_margin
     if not act.any():
@@ -156,14 +153,6 @@ def obstacle_cost_with_grads(
     grad_q[:, 1] = np.bincount(k_act, weights=dJdF * -gwy, minlength=n_int)
     grad_q[:, 2] = np.bincount(k_act, weights=dJdF * dF_dphi, minlength=n_int)
     return CostWithGrads(value=value, grad_q=grad_q, grad_T=np.zeros(n_seg))
-
-
-def degenerate_velocity_mask(traj: MincoTrajectory, eps: float = 1e-8) -> np.ndarray:
-    """Interior knots whose planar speed squared falls below eps (skipped by sweep_cost)."""
-    if traj.n_segments < 2:
-        return np.zeros(0, dtype=bool)
-    v = traj.coeffs[1:, 1, :2]  # right-segment velocity at each junction
-    return v[:, 0] ** 2 + v[:, 1] ** 2 < eps
 
 
 def sweep_cost_with_grads(traj: MincoTrajectory, eps: float = 1e-8) -> CostWithGrads:
@@ -288,11 +277,8 @@ def _armijo_search(fg, x, f, g, d, c1=1e-4, shrink=0.5, max_evals=30):
     return None
 
 
-def _lbfgs(fg, x0, opts: PlanOptions, line_search: str):
+def _lbfgs(fg, x0, opts: PlanOptions, search):
     """Two-loop recursion quasi-Newton descent. Returns (x, trace, converged, reason)."""
-    if opts.solver != "lbfgs":
-        raise ValueError(f"unknown solver {opts.solver!r}")
-    search = {"wolfe": _wolfe_search, "armijo": _armijo_search}[line_search]
     x = np.asarray(x0, dtype=float).copy()
     f, g = fg(x)
     trace = [f]
@@ -337,7 +323,7 @@ def _lbfgs(fg, x0, opts: PlanOptions, line_search: str):
             s_hist.append(s)
             y_hist.append(y)
             rho_hist.append(1.0 / sy)
-            if len(s_hist) > opts.memory:
+            if len(s_hist) > LBFGS_MEMORY:
                 s_hist.pop(0), y_hist.pop(0), rho_hist.pop(0)
         x = x + s
         rel = abs(f - f_new) / max(1.0, abs(f))
@@ -399,7 +385,7 @@ def optimize_stage1(
         return val, _pack(gq, gT * _sigmoid(tau))
 
     z0 = _pack(q0, softplus_inverse(T0))
-    z, trace, converged, reason = _lbfgs(fg, z0, opts, opts.line_search or "wolfe")
+    z, trace, converged, reason = _lbfgs(fg, z0, opts, _wolfe_search)
     q, tau = _unpack(z, n_int)
     traj = build_minco(q, softplus(tau), boundary)
     return PlanReport(
@@ -429,8 +415,7 @@ def check_feasibility(
     worst = math.inf
     for x, y, phi in poses:
         d = pts - (x, y)
-        c, s = math.cos(phi), math.sin(phi)
-        body = np.column_stack([c * d[:, 0] + s * d[:, 1], -s * d[:, 0] + c * d[:, 1]])
+        body = to_body_frame(d[:, 0], d[:, 1], math.cos(phi), math.sin(phi))
         f = footprint_sdf_values(body, veh.length, veh.width)
         worst = min(worst, float(f.min()))
     return worst >= 0.0, worst
@@ -479,10 +464,10 @@ def optimize_stage2(
         return val, _pack(gq, gT * _sigmoid(tau))
 
     z0 = _pack(traj.waypoints.copy(), softplus_inverse(np.maximum(traj.durations, T_MIN * 1.001)))
-    z, trace, converged, reason = _lbfgs(fg, z0, opts, opts.line_search or "armijo")
+    z, trace, converged, reason = _lbfgs(fg, z0, opts, _armijo_search)
     q, tau = _unpack(z, n_int)
     out = build_minco(q, softplus(tau), boundary)
-    feasible, min_clear = check_feasibility(out, grid, veh, opts.feasibility_dt)
+    feasible, min_clear = check_feasibility(out, grid, veh)
     if not feasible:
         reason += "; infeasible_result"
     return PlanReport(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drivetrain import allocate
-from .geometry import Pose2, VehicleParams, wrap_angle
+from .geometry import Pose2, VehicleParams, to_body_frame, wrap_angle
 from .mpc import MpcConfig, mpc_step
 from .sweptfield import LinearPosePath, SweptField, excess_area
 
@@ -47,6 +47,8 @@ class SimTrace:
 @dataclass
 class MetricsReport:
     excess_swept_area: float
+    swept_area: float  # driven swept area, m^2
+    baseline_area: float  # ribbon baseline of the driven path, m^2
     planning_time: float
     max_abs_e_y: float
     mean_abs_e_y: float
@@ -149,10 +151,8 @@ def run_closed_loop(
         out_u[k] = u
         u_applied = u_applied + lag_alpha * (u - u_applied)
         # Wheel states follow the applied twist expressed in the body frame.
-        c, s = math.cos(pose.phi), math.sin(pose.phi)
-        u_body = np.array(
-            [c * u_applied[0] + s * u_applied[1], -s * u_applied[0] + c * u_applied[1], u_applied[2]]
-        )
+        v_body = to_body_frame(u_applied[0], u_applied[1], math.cos(pose.phi), math.sin(pose.phi))
+        u_body = np.array([v_body[0], v_body[1], u_applied[2]])
         cmds = allocate(u_body, veh, paper_matrix=sim_cfg.paper_wheel_matrix)
         out_g[k] = [cmd.gamma for cmd in cmds]
         out_s[k] = [cmd.speed for cmd in cmds]
@@ -188,10 +188,12 @@ def compute_metrics(
     planning_time: float = 0.0,
 ) -> MetricsReport:
     """Tracking and sweep metrics; `field` is the swept field of the driven poses."""
-    report = excess_area(field, driven_path(trace), veh, baseline_mode="ribbon")
+    report = excess_area(field, driven_path(trace), veh)
     e_phi_deg = np.degrees(np.abs(trace.e_phi))
     return MetricsReport(
         excess_swept_area=report.excess_area,
+        swept_area=report.swept_area,
+        baseline_area=report.baseline_area,
         planning_time=planning_time,
         max_abs_e_y=float(np.abs(trace.e_y).max()),
         mean_abs_e_y=float(np.abs(trace.e_y).mean()),

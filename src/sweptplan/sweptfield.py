@@ -18,24 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import VehicleParams, footprint_sdf_batch, footprint_sdf_values
+from .geometry import VehicleParams, footprint_sdf_batch, footprint_sdf_values, to_body_frame
 
 THREADS_ENV = "SWEPTPLAN_THREADS"
+
+# 64 samples keep basins narrower than the between-sample spacing from
+# hiding: at vehicle-scale speeds a body passage spans several samples
+COARSE_SAMPLES = 64
+ARMIJO_C = 1e-4
+SHRINK = 0.5
+TIME_TOL = 1e-4  # seconds; refinement stops below this step size
+MAX_REFINE_ITERS = 60
 
 
 class RegionTooSmall(Exception):
     """Raised when the requested field region does not contain the swept footprint."""
-
-
-@dataclass
-class FieldOptions:
-    # 64 samples keep basins narrower than the between-sample spacing from
-    # hiding: at vehicle-scale speeds a body passage spans several samples
-    coarse_samples: int = 64
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
-    time_tol: float = 1e-4  # seconds; refinement stops below this step size
-    max_refine_iters: int = 60
 
 
 @dataclass
@@ -106,9 +103,7 @@ def _g_values(path, veh: VehicleParams, points: np.ndarray, ts: np.ndarray) -> n
     """g(t_i) for each (point_i, t_i) pair; points (m,2), ts (m,)."""
     poses = path.sample(ts, 0)
     d = points - poses[:, :2]
-    c = np.cos(poses[:, 2])
-    s = np.sin(poses[:, 2])
-    body = np.stack([c * d[:, 0] + s * d[:, 1], -s * d[:, 0] + c * d[:, 1]], axis=-1)
+    body = to_body_frame(d[:, 0], d[:, 1], np.cos(poses[:, 2]), np.sin(poses[:, 2]))
     return footprint_sdf_values(body, veh.length, veh.width)
 
 
@@ -120,17 +115,13 @@ def _g_and_slope(path, veh: VehicleParams, points: np.ndarray, ts: np.ndarray):
     d = points - poses[:, :2]
     c = np.cos(poses[:, 2])
     s = np.sin(poses[:, 2])
-    body = np.stack([c * d[:, 0] + s * d[:, 1], -s * d[:, 0] + c * d[:, 1]], axis=-1)
-    val, grad = footprint_sdf_batch(body, veh.length, veh.width)
+    val, grad = footprint_sdf_batch(to_body_frame(d[:, 0], d[:, 1], c, s), veh.length, veh.width)
     w = twists[:, 2]
     # J (p - c) with J = [[0, 1], [-1, 0]]
     jx = d[:, 1]
     jy = -d[:, 0]
-    ax = jx * w - twists[:, 0]
-    ay = jy * w - twists[:, 1]
-    ux = c * ax + s * ay
-    uy = -s * ax + c * ay
-    slope = grad[:, 0] * ux + grad[:, 1] * uy
+    u = to_body_frame(jx * w - twists[:, 0], jy * w - twists[:, 1], c, s)
+    slope = grad[:, 0] * u[:, 0] + grad[:, 1] * u[:, 1]
     return val, slope
 
 
@@ -140,7 +131,6 @@ def min_time_distance(
     veh: VehicleParams,
     t_min: float = 0.0,
     t_max: float | None = None,
-    opts: FieldOptions | None = None,
 ) -> tuple[float, float]:
     """Globalized search for min_t F_SDF(p, t) over [t_min, t_max].
 
@@ -151,7 +141,7 @@ def min_time_distance(
     """
     pts = np.asarray(p, dtype=float).reshape(1, 2)
     t_hi = path.total_time if t_max is None else float(t_max)
-    t, f = _min_time_batch(pts, path, veh, float(t_min), t_hi, opts or FieldOptions())
+    t, f = _min_time_batch(pts, path, veh, float(t_min), t_hi)
     return float(t[0]), float(f[0])
 
 
@@ -161,13 +151,12 @@ def _min_time_batch(
     veh: VehicleParams,
     t_min: float,
     t_max: float,
-    opts: FieldOptions,
 ):
     m = points.shape[0]
     if t_max <= t_min:
         ts = np.full(m, t_min)
         return ts, _g_values(path, veh, points, ts)
-    k = max(2, int(opts.coarse_samples))
+    k = COARSE_SAMPLES
     grid_ts = np.linspace(t_min, t_max, k)
     vals = np.empty((k, m))
     for j, ti in enumerate(grid_ts):
@@ -184,17 +173,13 @@ def _min_time_batch(
     cols = np.arange(m)
 
     step0 = (t_max - t_min) / (k - 1)
-    best_t, best_f = _refine_times(
-        points, grid_ts[order[0]], path, veh, t_min, t_max, step0, opts
-    )
+    best_t, best_f = _refine_times(points, grid_ts[order[0]], path, veh, t_min, t_max, step0)
     for r in range(1, min(4, k)):
         has = np.isfinite(masked[order[r], cols])
         if not has.any():
             break
         sub = np.nonzero(has)[0]
-        tr, fr = _refine_times(
-            points[sub], grid_ts[order[r][sub]], path, veh, t_min, t_max, step0, opts
-        )
+        tr, fr = _refine_times(points[sub], grid_ts[order[r][sub]], path, veh, t_min, t_max, step0)
         better = fr < best_f[sub]
         best_f[sub[better]] = fr[better]
         best_t[sub[better]] = tr[better]
@@ -209,7 +194,6 @@ def _refine_times(
     t_min: float,
     t_max: float,
     step0: float,
-    opts: FieldOptions,
 ):
     """Armijo-backtracked descent on g(t) from per-point starts; mutates t0.
 
@@ -221,7 +205,7 @@ def _refine_times(
     f = _g_values(path, veh, points, t)
     alpha = np.full(m, step0)
     active = np.ones(m, dtype=bool)
-    for _ in range(opts.max_refine_iters):
+    for _ in range(MAX_REFINE_ITERS):
         if not active.any():
             break
         idx = np.nonzero(active)[0]
@@ -251,18 +235,18 @@ def _refine_times(
                 break
             tt = np.clip(t[idx[trying]] + a[trying] * d[trying], t_min, t_max)
             ft = _g_values(path, veh, points[idx[trying]], tt)
-            ok = ft <= g_val[trying] - opts.armijo_c * a[trying] * np.abs(slope[trying])
+            ok = ft <= g_val[trying] - ARMIJO_C * a[trying] * np.abs(slope[trying])
             sel = np.nonzero(trying)[0]
             acc = sel[ok]
             t_new[acc] = tt[ok]
             f_new[acc] = ft[ok]
             accepted[acc] = True
-            a[sel[~ok]] *= opts.shrink
+            a[sel[~ok]] *= SHRINK
         moved = np.abs(t_new - t[idx])
         t[idx] = t_new
         f[idx] = f_new
         alpha[idx] = np.maximum(a * 2.0, 1e-9)
-        settle = ~accepted | (moved < opts.time_tol)
+        settle = ~accepted | (moved < TIME_TOL)
         active[idx[settle]] = False
     # Final consistent evaluation at the refined times.
     f = _g_values(path, veh, points, t)
@@ -299,7 +283,6 @@ def compute_swept_field(
     veh: VehicleParams,
     region=None,
     resolution: float = 0.05,
-    opts: FieldOptions | None = None,
     threads: int | None = None,
 ) -> SweptField:
     """Evaluate f* and t* on a uniform grid covering `region`.
@@ -309,7 +292,6 @@ def compute_swept_field(
     output slices, so the result is bit-identical at any parallelism level
     (set via the `threads` argument or the SWEPTPLAN_THREADS env var, 0 = auto).
     """
-    opts = opts or FieldOptions()
     if region is None:
         region = auto_region(path, veh)
     xmin, ymin, xmax, ymax = (float(v) for v in region)
@@ -345,7 +327,7 @@ def compute_swept_field(
         pts = np.empty((nx * height, 2))
         pts[:, 0] = np.repeat(xs, height)
         pts[:, 1] = np.tile(ys, nx)
-        t, f = _min_time_batch(pts, path, veh, 0.0, path.total_time, opts)
+        t, f = _min_time_batch(pts, path, veh, 0.0, path.total_time)
         f_star[ix0:ix1] = f.reshape(nx, height)
         t_star[ix0:ix1] = t.reshape(nx, height)
 
@@ -371,26 +353,10 @@ def swept_area(field: SweptField) -> float:
     return float(np.count_nonzero(field.f_star <= 0.0)) * field.resolution**2
 
 
-def excess_area(
-    field: SweptField,
-    path,
-    veh: VehicleParams,
-    baseline_mode: str = "ribbon",
-    custom_baseline: float | None = None,
-) -> AreaReport:
-    """Swept area minus an ideal-coverage baseline.
-
-    "ribbon" baselines with width * center-path arc length + one footprint
-    (the minimum any rigid translation along the path must cover); "custom"
-    uses the caller-supplied value.
-    """
+def excess_area(field: SweptField, path, veh: VehicleParams) -> AreaReport:
+    """Swept area minus the ribbon baseline: width * center-path arc length
+    plus one footprint, the minimum any rigid translation along the path must
+    cover."""
     area = swept_area(field)
-    if baseline_mode == "ribbon":
-        baseline = veh.width * path.arc_length() + veh.length * veh.width
-    elif baseline_mode == "custom":
-        if custom_baseline is None:
-            raise ValueError("custom baseline mode needs custom_baseline")
-        baseline = float(custom_baseline)
-    else:
-        raise ValueError(f"unknown baseline mode {baseline_mode!r}")
+    baseline = veh.width * path.arc_length() + veh.length * veh.width
     return AreaReport(swept_area=area, baseline_area=baseline, excess_area=area - baseline)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import sweptplan.cli as cli
 from sweptplan.cli import (
     MissingArtifact,
     ParseError,
@@ -17,7 +19,9 @@ from sweptplan.cli import (
     main,
     parse_scenario,
     run_pipeline,
+    write_field_csv,
 )
+from sweptplan.sweptfield import SweptField
 
 STRAIGHT = os.path.join(os.path.dirname(__file__), "..", "scenarios", "straight.json")
 
@@ -94,6 +98,122 @@ def test_parse_rejects_boolean_number(tmp_path):
     body["vehicle"]["length"] = True
     with pytest.raises((ParseError, ValidationError)):
         parse_scenario(_write(tmp_path, body))
+
+
+DELETE = object()
+
+# One fault per scenario, each with the exact error it must raise. A path
+# names the key to set (or DELETE) in the minimal scenario.
+SINGLE_FAULTS = [
+    (('extra',), 1, ParseError, "unknown key 'extra' in scenario"),
+    (('schema',), DELETE, ValidationError, "missing required key 'schema'"),
+    (('schema',), 2, ValidationError, 'unsupported schema 2; this tool reads schema 1'),
+    (('name',), 5, ValidationError, 'name must be a string'),
+    (('vehicle',), DELETE, ValidationError, "missing required block 'vehicle'"),
+    (('vehicle',), [1], ValidationError, "'vehicle' must be an object"),
+    (('vehicle', 'wheels_raidus'), 0.3, ParseError, "unknown key 'wheels_raidus' in vehicle"),
+    (('vehicle', 'length'), DELETE, ValidationError, "vehicle: missing required key 'length'"),
+    (('vehicle', 'width'), DELETE, ValidationError, "vehicle: missing required key 'width'"),
+    (('vehicle', 'axle_count'), DELETE, ValidationError, "vehicle: missing required key 'axle_count'"),
+    (('vehicle', 'length'), '2', ValidationError, 'vehicle.length must be a number, got str'),
+    (('vehicle', 'length'), True, ValidationError, 'vehicle.length must be a number, got bool'),
+    (('vehicle', 'length'), -2.0, ValidationError, 'vehicle: footprint dimensions must be positive'),
+    (('vehicle', 'axle_count'), 2.0, ValidationError, 'vehicle.axle_count must be an integer, got float'),
+    (('vehicle', 'axle_count'), -1, ValidationError, 'vehicle: axle_count must be >= 1'),
+    (('vehicle', 'axle_count'), 0, ValidationError, 'vehicle: axle_count must be >= 1'),
+    (('vehicle', 'wheel_positions'), [], ValidationError, 'vehicle.wheel_positions must be a nonempty list of [x, y]'),
+    (('vehicle', 'wheel_positions'), [[0.0, 0.0, 0.0]], ValidationError, 'vehicle.wheel_positions[0] must be a list of 2 numbers'),
+    (('vehicle', 'wheel_positions'), [[-0.5, 0.0], [0.0, 0.0], [0.5, 0.0]], ValidationError, 'vehicle: wheel positions are collinear; twist reconstruction would be rank deficient'),
+    (('vehicle', 'wheel_positions'), [[-0.5, 0.4], [0.5, 0.4], [0.0, -2.0]], ValidationError, 'vehicle: wheel positions must lie inside the footprint'),
+    (('vehicle', 'v_max'), 'fast', ValidationError, 'vehicle.v_max must be a number, got str'),
+    (('vehicle', 'omega_max'), 0.0, ValidationError, 'vehicle: rate limits must be positive'),
+    (('world',), DELETE, ValidationError, "missing required block 'world'"),
+    (('world',), 'x', ValidationError, "'world' must be an object"),
+    (('world', 'origin'), [0, 0], ParseError, "unknown key 'origin' in world"),
+    (('world', 'bounds'), DELETE, ValidationError, "world: missing required key 'bounds'"),
+    (('world', 'bounds'), [0.0, 0.0, 1.0], ValidationError, 'world.bounds must be a list of 4 numbers'),
+    (('world', 'bounds'), [14.0, -3.0, -2.0, 3.0], ValidationError, 'world.bounds must satisfy xmin < xmax and ymin < ymax'),
+    (('world', 'bounds'), [-2.0, 'a', 14.0, 3.0], ValidationError, 'world.bounds[1] must be a number, got str'),
+    (('world', 'resolution'), 0.0, ValidationError, 'world.resolution must be positive'),
+    (('world', 'clearance'), 'x', ValidationError, 'world.clearance must be a number, got str'),
+    (('world', 'obstacles'), {}, ValidationError, 'world.obstacles must be a list'),
+    (('world', 'obstacles'), [{'min': [0, 0]}], ValidationError, "world.obstacles[0] must be an object with a 'type' key"),
+    (('world', 'obstacles'), [{'type': 'triangle'}], ValidationError, "world.obstacles[0]: unknown obstacle type 'triangle'"),
+    (('world', 'obstacles'), [{'type': 'box', 'min': [0, 0]}], ValidationError, "world.obstacles[0]: box needs 'max'"),
+    (('world', 'obstacles'), [{'type': 'box', 'min': [1, 1], 'max': [0, 2]}], ValidationError, 'world.obstacles[0]: box max must exceed min componentwise'),
+    (('world', 'obstacles'), [{'type': 'box', 'min': [0, 0], 'max': [1, 1], 'color': 'red'}], ParseError, "unknown key 'color' in world.obstacles[0]"),
+    (('world', 'obstacles'), [{'type': 'disc', 'center': [3, 3], 'radius': 0}], ValidationError, 'world.obstacles[0]: disc radius must be positive'),
+    (('world', 'obstacles'), [{'type': 'disc', 'center': [3], 'radius': 1}], ValidationError, 'world.obstacles[0].center must be a list of 2 numbers'),
+    (('world', 'obstacles'), [{'type': 'disc', 'center': [3, 3]}], ValidationError, "world.obstacles[0]: disc needs 'radius'"),
+    (('start',), DELETE, ValidationError, "missing required key 'start'"),
+    (('goal',), [10.0, 0.0], ValidationError, 'goal must be a list of 3 numbers'),
+    (('start',), [-50.0, 0.0, 0.0], ValidationError, 'start position [-50.0, 0.0] lies outside world.bounds'),
+    (('goal',), [10.0, 9.0, 0.0], ValidationError, 'goal position [10.0, 9.0] lies outside world.bounds'),
+    (('planner',), 3, ValidationError, "'planner' must be an object"),
+    (('planner', 'solver'), 'lbfgs', ParseError, "unknown key 'solver' in planner"),
+    (('planner', 'energy'), -1.0, ValidationError, 'planner.energy must be nonnegative'),
+    (('planner', 'sweep'), -0.5, ValidationError, 'planner.sweep must be nonnegative'),
+    (('planner', 'safety_margin'), 0.0, ValidationError, 'planner.safety_margin must be positive'),
+    (('planner', 'max_iterations'), 1.5, ValidationError, 'planner.max_iterations must be an integer, got float'),
+    (('planner', 'grad_tol'), 'tiny', ValidationError, 'planner.grad_tol must be a number, got str'),
+    (('planner', 'waypoint_spacing'), 0.0, ValidationError, 'planner.waypoint_spacing must be positive'),
+    (('mpc', 'input_hold_beyond_nc'), True, ParseError, "unknown key 'input_hold_beyond_nc' in mpc"),
+    (('mpc', 'dt'), 'x', ValidationError, 'mpc.dt must be a number, got str'),
+    (('mpc', 'horizon'), 2.5, ValidationError, 'mpc.horizon must be an integer, got float'),
+    (('mpc', 'state_weight'), [1.0, 2.0], ValidationError, 'mpc.state_weight must be a list of 3 numbers'),
+    (('mpc', 'du_max'), [1.0, 1.0], ValidationError, 'mpc.du_max must be a list of 3 numbers'),
+    (('mpc', 'u_min'), [-1.0, False, -1.0], ValidationError, 'mpc.u_min[1] must be a number, got bool'),
+    (('mpc', 'dt'), 0.0, ValidationError, 'mpc: dt must be positive'),
+    (('mpc', 'control_horizon'), 30, ValidationError, 'mpc: need 1 <= control_horizon <= horizon'),
+    (('mpc', 'u_min'), [3.0, -2.0, -1.0], ValidationError, 'mpc: u_min must be below u_max componentwise'),
+    (('mpc', 'input_weight'), [-1.0, 0.05, 0.05], ValidationError, 'mpc: input_weight must be positive semidefinite'),
+    (('sim', 'paper_wheel_matrix'), True, ParseError, "unknown key 'paper_wheel_matrix' in sim"),
+    (('sim', 'settle_time'), -1.0, ValidationError, 'sim.settle_time must be nonnegative'),
+    (('sim', 'input_lag_tau'), 'slow', ValidationError, 'sim.input_lag_tau must be a number, got str'),
+    (('sweep', 'threads'), 2, ParseError, "unknown key 'threads' in sweep"),
+    (('sweep', 'resolution'), 0.0, ValidationError, 'sweep.resolution must be positive'),
+    (('sweep', 'margin'), 'x', ValidationError, 'sweep.margin must be a number, got str'),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, exc, message", SINGLE_FAULTS, ids=["/".join(case[0]) for case in SINGLE_FAULTS]
+)
+def test_parse_single_fault_message(tmp_path, path, value, exc, message):
+    body = _minimal()
+    block = body
+    for key in path[:-1]:
+        block = block.setdefault(key, {})
+    if value is DELETE:
+        del block[path[-1]]
+    else:
+        block[path[-1]] = value
+    with pytest.raises(exc) as info:
+        parse_scenario(_write(tmp_path, body))
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("[1, 2]", "scenario document must be a JSON object"),
+        ('{"schema": 1,\n  "name": }', "invalid JSON at line 2 column 11: Expecting value"),
+    ],
+)
+def test_parse_document_fault_message(tmp_path, body, message):
+    with pytest.raises(ParseError) as info:
+        parse_scenario(_write(tmp_path, body))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("scenario", ["straight.json", "turn90.json"])
+def test_parse_echo_round_trip(tmp_path, scenario):
+    sc = parse_scenario(os.path.join(os.path.dirname(STRAIGHT), scenario))
+    assert sc.echo["mpc"]["du_max"] is None
+    again = parse_scenario(_write(tmp_path, dict(sc.echo, schema=1)))
+    assert again.echo == sc.echo
+    npt.assert_array_equal(again.mpc.du_max, np.full(3, np.inf))
 
 
 def test_pipeline_straight_all_stages(tmp_path):
@@ -225,3 +345,58 @@ def test_cli_subprocess_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "trajectory.json").exists()
+
+
+def test_ablation_leaves_scenario_unchanged(tmp_path, monkeypatch):
+    sc = parse_scenario(STRAIGHT)
+    echo_before = json.dumps(sc.echo, sort_keys=True)
+    seen = []
+
+    def fake_run(run_sc, stages, out_dir, field_res=None, seed=None):
+        seen.append((run_sc.weights.sweep, run_sc.echo["planner"]["sweep"]))
+        return 0
+
+    monkeypatch.setattr(cli, "run_pipeline", fake_run)
+    assert cli._run_ablation(sc, ["plan"], str(tmp_path), None, None) == 0
+    assert seen == [(300.0, 300.0), (0.0, 0.0)]
+    assert sc.weights.sweep == 300.0
+    assert json.dumps(sc.echo, sort_keys=True) == echo_before
+
+
+def test_field_csv_single_cell_is_reported(tmp_path):
+    field = SweptField(
+        origin=np.array([0.0, 0.0]),
+        resolution=0.5,
+        width=1,
+        height=1,
+        f_star=np.array([[-0.25]]),
+        t_star=np.array([[1.0]]),
+    )
+    path = str(tmp_path / "field.csv")
+    write_field_csv(path, field)
+    with pytest.raises(MissingArtifact, match="field.csv.*resolution"):
+        load_field_csv(path)
+
+
+def _readme_scenario_keys():
+    """{(block, key)} named in README.md's scenario table; block None is the top level."""
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Scenario format", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 4 or cells[0] in ("Block", "---"):
+            continue
+        block = None if cells[0] == "top level" else cells[0]
+        keys |= {(block, key) for key in re.findall(r"`(\w+)`", cells[1])}
+    return keys
+
+
+def test_readme_scenario_table_matches_schema():
+    documented = _readme_scenario_keys()
+    schema = {(block, key) for block, key, *_ in cli.SCENARIO_SCHEMA}
+    optional = {(block, key) for block, key, _, default, _ in cli.SCENARIO_SCHEMA if default is not cli.REQUIRED}
+    assert optional - documented == set()
+    assert documented - schema == set()

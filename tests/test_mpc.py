@@ -225,8 +225,6 @@ def test_config_validation():
         MpcConfig(u_min=np.array([1.0, -1.0, -1.0]), u_max=np.array([0.5, 1.0, 1.0]))
     with pytest.raises(ValueError):
         MpcConfig(state_weight=np.diag([-1.0, 1.0, 1.0]))
-    with pytest.raises(NotImplementedError):
-        MpcConfig(input_hold_beyond_nc=True)
 
 
 def test_heading_wrap_mismatch_rejected():

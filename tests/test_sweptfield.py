@@ -112,13 +112,6 @@ def test_excess_rotation_analytic(veh):
     npt.assert_allclose(report.excess_area, 1.25 * math.pi - 2.0, rtol=0.03)
 
 
-def test_excess_custom_baseline(veh, line_traj):
-    field = compute_swept_field(line_traj, veh, resolution=0.1)
-    report = excess_area(field, line_traj, veh, baseline_mode="custom", custom_baseline=5.0)
-    npt.assert_allclose(report.baseline_area, 5.0)
-    npt.assert_allclose(report.excess_area, report.swept_area - 5.0)
-
-
 def test_field_mirror_symmetry(veh, bend_traj):
     # region extents are exact multiples of the resolution so the mirrored
     # grid samples exactly the mirrored cell centers
