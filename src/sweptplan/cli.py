@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -328,11 +329,15 @@ def _build_scenario(echo: dict) -> Scenario:
     )
 
 
+def _reject_constant(name: str):
+    raise ParseError(f"invalid JSON constant '{name}': scenario numbers must be finite")
+
+
 def parse_scenario(path: str) -> Scenario:
     """Strict scenario load: unknown keys and invariant violations are errors."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -467,6 +472,7 @@ def _stage_plan(sc: Scenario, out_dir: str, seed) -> tuple:
     grid = _build_grid(sc)
     t0 = time.perf_counter()
     init = _plan_init(sc, grid)
+    init_time = time.perf_counter() - t0
     report1 = optimize_stage1(init, sc.weights, sc.plan_opts)
     report2 = optimize_stage2(report1.trajectory, grid, sc.veh, sc.weights, sc.plan_opts)
     plan_time = time.perf_counter() - t0
@@ -501,7 +507,15 @@ def _stage_plan(sc: Scenario, out_dir: str, seed) -> tuple:
     rows = [(0.0, float(i), c) for i, c in enumerate(report1.cost_trace)]
     rows += [(1.0, float(i), c) for i, c in enumerate(report2.cost_trace)]
     _write_csv(os.path.join(out_dir, "cost_trace.csv"), ["stage", "iteration", "cost"], rows)
-    _merge_timings(out_dir, {"plan_s": plan_time})
+    _merge_timings(
+        out_dir,
+        {
+            "plan_s": plan_time,
+            "plan_init_s": init_time,
+            "plan_stage1_s": report1.wall_time_s,
+            "plan_stage2_s": report2.wall_time_s,
+        },
+    )
     if not report2.feasible:
         raise RuntimeError(
             "planned trajectory violates the hard clearance check "
@@ -604,8 +618,8 @@ def run_pipeline(
     """Execute the requested stages, writing artifacts into out_dir.
 
     Missing dependencies are loaded from previous artifacts in out_dir.
-    Returns 0 on success; on failure writes error.json naming the stage and
-    exception and returns 1.
+    Returns 0 on success; on failure writes error.json naming the stage, the
+    exception and the innermost traceback frame, and returns 1.
     """
     os.makedirs(out_dir, exist_ok=True)
     todo = [s for s in _STAGE_ORDER if s in stages]
@@ -644,9 +658,11 @@ def run_pipeline(
                     field = load_field_csv(field_path)
                 _stage_metrics(sc, out_dir, traj, trace, field, plan_time)
     except Exception as exc:  # noqa: BLE001 - every failure becomes a machine-readable report
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
         _write_json(
             os.path.join(out_dir, "error.json"),
-            {"stage": stage, "error": type(exc).__name__, "message": str(exc)},
+            {"stage": stage, "error": type(exc).__name__, "message": str(exc), "where": where},
         )
         print(f"error in stage '{stage}': {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,7 @@ against the transposed system, so callers get total derivatives.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,45 +69,58 @@ class CostWithGrads:
     grad_T: np.ndarray  # (N-1,)
 
 
-def _basis(t: float, order: int) -> np.ndarray:
-    """Row of the order-th derivative of [1, t, t^2, t^3, t^4, t^5]."""
-    row = np.zeros(6)
-    for i in range(order, 6):
-        row[i] = _DERIV[order][i] * t ** (i - order)
-    return row
+@functools.lru_cache(maxsize=8)
+def _band_pattern(n_seg: int):
+    """Fixed sparsity of the coefficient system for n_seg segments.
+
+    Entry k has the value factor[k] * powers[power[k]], where powers is the
+    (n_seg, 6) table of T_seg ** p flattened (rows evaluated at local time 0
+    use p = 0). It sits at flat index ab_flat[k] of the banded storage and at
+    abt_flat[k] of the transpose's. The arrays are shared, so read-only.
+    """
+    rows, cols, power, factor = [], [], [], []
+
+    def put_row(r: int, seg: int, at_end: bool, order: int, sign: float = 1.0) -> None:
+        # At local time 0 only the t^order term of the derivative row survives.
+        for i in range(order, 6) if at_end else (order,):
+            rows.append(r)
+            cols.append(6 * seg + i)
+            power.append(6 * seg + (i - order if at_end else 0))
+            factor.append(sign * _DERIV[order][i])
+
+    for order in range(3):
+        put_row(order, 0, False, order)
+    for j in range(1, n_seg):  # junction between segment j-1 and j (0-based)
+        r0 = 6 * j - 3
+        put_row(r0, j - 1, True, 0)
+        for k in range(1, 5):
+            put_row(r0 + k, j - 1, True, k)
+            put_row(r0 + k, j, False, k, sign=-1.0)
+        put_row(r0 + 5, j, False, 0)
+    for order in range(3):
+        put_row(6 * n_seg - 3 + order, n_seg - 1, True, order)
+    rows, cols = np.array(rows), np.array(cols)
+    n = 6 * n_seg
+    ab_flat = (_BAND + rows - cols) * n + cols
+    abt_flat = (_BAND + cols - rows) * n + rows
+    pattern = (ab_flat, abt_flat, np.array(power), np.array(factor))
+    for a in pattern:
+        a.setflags(write=False)
+    return pattern
 
 
 def _assemble(T: np.ndarray):
     """Banded storage of the coefficient system for solve_banded, plus its transpose."""
     n_seg = T.shape[0]
     n = 6 * n_seg
+    ab_flat, abt_flat, power, factor = _band_pattern(n_seg)
+    # Powers from Python floats: numpy's array power rounds some of them differently.
+    powers = np.array([[t**p for p in range(6)] for t in T.tolist()])
+    values = factor * powers.ravel()[power]
     ab = np.zeros((2 * _BAND + 1, n))
     abt = np.zeros((2 * _BAND + 1, n))
-
-    def put(r: int, c: int, v: float) -> None:
-        ab[_BAND + r - c, c] = v
-        abt[_BAND + c - r, r] = v
-
-    def put_row(r: int, seg: int, t: float, order: int, sign: float = 1.0) -> None:
-        row = _basis(t, order)
-        base = 6 * seg
-        for i in range(6):
-            if row[i] != 0.0:
-                put(r, base + i, sign * row[i])
-
-    put_row(0, 0, 0.0, 0)
-    put_row(1, 0, 0.0, 1)
-    put_row(2, 0, 0.0, 2)
-    for j in range(1, n_seg):  # junction between segment j-1 and j (0-based)
-        r0 = 6 * j - 3
-        put_row(r0, j - 1, T[j - 1], 0)
-        for k in range(1, 5):
-            put_row(r0 + k, j - 1, T[j - 1], k)
-            put_row(r0 + k, j, 0.0, k, sign=-1.0)
-        put_row(r0 + 5, j, 0.0, 0)
-    put_row(n - 3, n_seg - 1, T[n_seg - 1], 0)
-    put_row(n - 2, n_seg - 1, T[n_seg - 1], 1)
-    put_row(n - 1, n_seg - 1, T[n_seg - 1], 2)
+    ab.ravel()[ab_flat] = values
+    abt.ravel()[abt_flat] = values
     return ab, abt
 
 
@@ -160,17 +174,14 @@ class MincoTrajectory:
         if not 0 <= order <= 5:
             raise ValueError("order must be in 0..5")
         j, tau = self._segment_of(t)
-        return _eval_segment(self.coeffs[j], tau, order)
+        return _horner(self.coeffs, j, tau, order)
 
     def sample(self, ts: np.ndarray, order: int = 0) -> np.ndarray:
         """Vectorized eval over an array of times, shape (m, 3). Times are clamped to the domain."""
         ts = np.asarray(ts, dtype=float)
         j = np.clip(np.searchsorted(self.knot_times, ts, side="right") - 1, 0, self.n_segments - 1)
         tau = np.clip(ts, 0.0, self.total_time) - self.knot_times[j]
-        out = np.zeros(ts.shape + (3,))
-        for i in range(5, order - 1, -1):
-            out = out * tau[..., None] + _DERIV[order][i] * self.coeffs[j, i]
-        return out
+        return _horner(self.coeffs, j, tau, order)
 
     def arc_length(self, samples_per_second: float = 100.0) -> float:
         """Polyline arc length of the planar center path at a fixed sampling rate."""
@@ -255,30 +266,33 @@ def propagate_gradient(
     grad_q = np.zeros((max(n_seg - 1, 0), 3))
     if grad_q_direct is not None:
         grad_q += grad_q_direct
-    for j in range(1, n_seg):
-        grad_q[j - 1] += lam[6 * j - 3] + lam[6 * j + 2]
+    # Knot j (1-based junction) enters the right-hand side in rows 6 j - 3 and 6 j + 2.
+    grad_q += lam[3 : n - 3 : 6] + lam[8 : n - 3 : 6]
 
     grad_T = np.zeros(n_seg)
     if grad_T_direct is not None:
         grad_T += grad_T_direct
+    # Segment j's end rows are 6 j + 3 + k: five continuity rows at a
+    # junction, three boundary rows after the last segment.
+    seg = np.arange(n_seg)
     T = traj.durations
-    for j in range(n_seg):
-        if j < n_seg - 1:
-            rows = [(6 * (j + 1) - 3 + k, k) for k in range(5)]
-        else:
-            rows = [(n - 3 + k, k) for k in range(3)]
-        for r, order in rows:
-            deriv = _eval_segment(traj.coeffs[j], T[j], order + 1)
-            grad_T[j] -= float(lam[r] @ deriv)
+    for k in range(5):
+        m = n_seg if k < 3 else n_seg - 1
+        deriv = _horner(traj.coeffs, seg[:m], T[:m], k + 1)
+        grad_T[:m] -= np.vecdot(lam[6 * seg[:m] + 3 + k], deriv)
     return grad_q, grad_T
 
 
-def _eval_segment(coeff: np.ndarray, tau: float, order: int) -> np.ndarray:
-    """Order-th derivative of one segment's quintic at local time tau, by Horner's rule."""
+def _horner(coeffs: np.ndarray, seg, tau, order: int) -> np.ndarray:
+    """Order-th derivative of segments seg of (N-1, 6, 3) coeffs at local times tau (Horner).
+
+    seg and tau are scalars or matching arrays; the result is tau.shape + (3,).
+    """
     d = _DERIV[order]
-    out = np.zeros(3)
+    tau = np.asarray(tau, dtype=float)[..., None]
+    out = np.zeros(tau.shape[:-1] + (3,))
     for i in range(5, order - 1, -1):
-        out = out * tau + d[i] * coeff[i]
+        out = out * tau + d[i] * coeffs[seg, i]
     return out
 
 
@@ -311,10 +325,8 @@ def energy_cost_with_grads(traj: MincoTrajectory) -> CostWithGrads:
     grad_C[:, 4, :] = 144.0 * c3 * t2 + 384.0 * c4 * t3 + 720.0 * c5 * t4
     grad_C[:, 5, :] = 240.0 * c3 * t3 + 720.0 * c4 * t4 + 1440.0 * c5 * t5
     # Direct T dependence: the integrand (squared jerk) evaluated at the segment end.
-    direct_T = np.empty(traj.n_segments)
-    for j in range(traj.n_segments):
-        jerk = _eval_segment(C[j], T[j], 3)
-        direct_T[j] = float(jerk @ jerk)
+    jerk = _horner(C, np.arange(traj.n_segments), T, 3)
+    direct_T = np.vecdot(jerk, jerk)
     grad_q, grad_T = propagate_gradient(traj, grad_C, grad_T_direct=direct_T)
     return CostWithGrads(value=value, grad_q=grad_q, grad_T=grad_T)
 

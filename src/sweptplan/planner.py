@@ -11,6 +11,7 @@ smooth stage and descent-only Armijo backtracking for the hinged stage.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from .minco import (
 from .worldmodel import GridMap, InitialTrajectory
 
 T_MIN = 0.01  # duration floor under the softplus map, seconds
+_QUERY_SLACK = 1e-6  # meters added to the obstacle KD-tree query radius
 LBFGS_MEMORY = 8  # curvature pairs kept by the quasi-Newton loop
 
 
@@ -121,13 +123,9 @@ def obstacle_cost_with_grads(
     # diagonal of the knot center; prefilter keeps the SDF batch small. All
     # (knot, point) pairs go through one batched evaluation.
     reach = safety_margin + veh.half_diagonal + 1e-9
-    dx = pts[None, :, 0] - q[:, None, 0]
-    dy = pts[None, :, 1] - q[:, None, 1]
-    k_idx, m_idx = np.nonzero(dx * dx + dy * dy <= reach * reach)
+    k_idx, _, dxn, dyn = _obstacle_pairs(q, grid, reach)
     if k_idx.size == 0:
         return CostWithGrads(value=0.0, grad_q=grad_q, grad_T=np.zeros(n_seg))
-    dxn = dx[k_idx, m_idx]
-    dyn = dy[k_idx, m_idx]
     c_all = np.cos(q[:, 2])
     s_all = np.sin(q[:, 2])
     c = c_all[k_idx]
@@ -153,6 +151,25 @@ def obstacle_cost_with_grads(
     grad_q[:, 1] = np.bincount(k_act, weights=dJdF * -gwy, minlength=n_int)
     grad_q[:, 2] = np.bincount(k_act, weights=dJdF * dF_dphi, minlength=n_int)
     return CostWithGrads(value=value, grad_q=grad_q, grad_T=np.zeros(n_seg))
+
+
+def _obstacle_pairs(q: np.ndarray, grid: GridMap, reach: float):
+    """(knot, point) pairs with the point within reach of the knot center.
+
+    Returns knot and point indices, knot-major with points ascending, and
+    the point-minus-knot offsets dx, dy. Candidates come from the grid's
+    KD-tree queried slightly wider than reach; the exact test on the offsets
+    decides, so rounding in the tree's distances cannot change the pairs.
+    """
+    near = grid.obstacle_tree.query_ball_point(q[:, :2], reach + _QUERY_SLACK, return_sorted=True)
+    counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+    k_idx = np.repeat(np.arange(len(near)), counts)
+    m_idx = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=int(counts.sum()))
+    pts = grid.obstacle_points
+    dx = pts[m_idx, 0] - q[k_idx, 0]
+    dy = pts[m_idx, 1] - q[k_idx, 1]
+    keep = dx * dx + dy * dy <= reach * reach
+    return k_idx[keep], m_idx[keep], dx[keep], dy[keep]
 
 
 def sweep_cost_with_grads(traj: MincoTrajectory, eps: float = 1e-8) -> CostWithGrads:

@@ -9,6 +9,7 @@ trajectory optimizer is seeded with.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -89,6 +90,13 @@ class GridMap:
 
     def in_bounds(self, ix: int, iy: int) -> bool:
         return 0 <= ix < self.width and 0 <= iy < self.height
+
+    @functools.cached_property
+    def obstacle_tree(self):
+        """KD-tree over obstacle_points, built on first use (scipy.spatial loads only then)."""
+        from scipy.spatial import cKDTree
+
+        return cKDTree(self.obstacle_points)
 
 
 def rasterize_obstacles(shapes, bounds, resolution: float) -> GridMap:

@@ -3,7 +3,13 @@
 Everything here is written the slow, obvious way (dense sampling, exhaustive
 enumeration, textbook graph search) so agreement with the fast library code
 is evidence, not tautology. Nothing in this module imports from the planner,
-field, or QP internals beyond plain data containers.
+field, or QP internals beyond plain data containers and the geometry
+primitives.
+
+The scalar MINCO and obstacle-prefilter forms at the end are the planner's
+hot paths written one entry and one pair at a time. The vectorized library
+code performs the same floating-point operations in the same order, so the
+tests compare the two with exact equality.
 """
 
 from __future__ import annotations
@@ -13,6 +19,9 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import solve_banded
+
+from sweptplan.geometry import footprint_sdf_batch, to_body_frame
 
 
 def rect_boundary_points(length: float, width: float, n: int) -> np.ndarray:
@@ -208,3 +217,134 @@ def disc_cell_count(bounds, resolution: float, cx: float, cy: float, r: float) -
 def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
     fn = getattr(np, "trapezoid", None) or np.trapz
     return float(fn(y, x))
+
+
+# ---------------------------------------------------------------------------
+# scalar forms of the planner hot paths, for exact-equality checks
+
+_BAND = 7  # sub/super-diagonal count of the MINCO coefficient system
+_DERIV = [[float(math.perm(i, order)) for i in range(6)] for order in range(6)]
+
+
+def _basis(t: float, order: int) -> np.ndarray:
+    row = np.zeros(6)
+    for i in range(order, 6):
+        row[i] = _DERIV[order][i] * t ** (i - order)
+    return row
+
+
+def minco_band(T: np.ndarray):
+    """MINCO system in solve_banded storage and its transpose, one entry at a time."""
+    n_seg = T.shape[0]
+    n = 6 * n_seg
+    ab = np.zeros((2 * _BAND + 1, n))
+    abt = np.zeros((2 * _BAND + 1, n))
+
+    def put_row(r: int, seg: int, t: float, order: int, sign: float = 1.0) -> None:
+        row = _basis(t, order)
+        for i in range(6):
+            if row[i] != 0.0:
+                c = 6 * seg + i
+                ab[_BAND + r - c, c] = sign * row[i]
+                abt[_BAND + c - r, r] = sign * row[i]
+
+    put_row(0, 0, 0.0, 0)
+    put_row(1, 0, 0.0, 1)
+    put_row(2, 0, 0.0, 2)
+    for j in range(1, n_seg):
+        r0 = 6 * j - 3
+        put_row(r0, j - 1, T[j - 1], 0)
+        for k in range(1, 5):
+            put_row(r0 + k, j - 1, T[j - 1], k)
+            put_row(r0 + k, j, 0.0, k, sign=-1.0)
+        put_row(r0 + 5, j, 0.0, 0)
+    put_row(n - 3, n_seg - 1, T[n_seg - 1], 0)
+    put_row(n - 2, n_seg - 1, T[n_seg - 1], 1)
+    put_row(n - 1, n_seg - 1, T[n_seg - 1], 2)
+    return ab, abt
+
+
+def segment_derivative(coeff: np.ndarray, tau: float, order: int) -> np.ndarray:
+    """Order-th derivative of one (6, 3) quintic segment at local time tau, by Horner's rule."""
+    d = _DERIV[order]
+    out = np.zeros(3)
+    for i in range(5, order - 1, -1):
+        out = out * tau + d[i] * coeff[i]
+    return out
+
+
+def minco_adjoint(traj, grad_C, grad_T_direct=None, grad_q_direct=None):
+    """(grad_q, grad_T) of a coefficient-space gradient, one knot and one row at a time."""
+    n_seg = traj.n_segments
+    n = 6 * n_seg
+    _, abt = minco_band(traj.durations)
+    lam = solve_banded((_BAND, _BAND), abt, np.asarray(grad_C, dtype=float).reshape(n, 3))
+    grad_q = np.zeros((max(n_seg - 1, 0), 3))
+    if grad_q_direct is not None:
+        grad_q += grad_q_direct
+    for j in range(1, n_seg):
+        grad_q[j - 1] += lam[6 * j - 3] + lam[6 * j + 2]
+    grad_T = np.zeros(n_seg)
+    if grad_T_direct is not None:
+        grad_T += grad_T_direct
+    T = traj.durations
+    for j in range(n_seg):
+        if j < n_seg - 1:
+            rows = [(6 * (j + 1) - 3 + k, k) for k in range(5)]
+        else:
+            rows = [(n - 3 + k, k) for k in range(3)]
+        for r, order in rows:
+            deriv = segment_derivative(traj.coeffs[j], T[j], order + 1)
+            grad_T[j] -= float(lam[r] @ deriv)
+    return grad_q, grad_T
+
+
+def energy_direct_T(traj) -> np.ndarray:
+    """Squared jerk at each segment end: the explicit duration term of the energy gradient."""
+    out = np.empty(traj.n_segments)
+    for j in range(traj.n_segments):
+        jerk = segment_derivative(traj.coeffs[j], traj.durations[j], 3)
+        out[j] = float(jerk @ jerk)
+    return out
+
+
+def obstacle_pairs_all(q: np.ndarray, pts: np.ndarray, reach: float):
+    """Every (knot, point) pair within reach, tested exhaustively: (k, m, dx, dy)."""
+    dx = pts[None, :, 0] - q[:, None, 0]
+    dy = pts[None, :, 1] - q[:, None, 1]
+    k_idx, m_idx = np.nonzero(dx * dx + dy * dy <= reach * reach)
+    return k_idx, m_idx, dx[k_idx, m_idx], dy[k_idx, m_idx]
+
+
+def obstacle_cost_all_pairs(traj, pts: np.ndarray, veh, safety_margin: float):
+    """Knot obstacle hinge (value, grad_q) over the exhaustive pair prefilter."""
+    q = traj.waypoints
+    n_int = q.shape[0]
+    grad_q = np.zeros_like(q)
+    if pts.shape[0] == 0 or n_int == 0:
+        return 0.0, grad_q
+    reach = safety_margin + veh.half_diagonal + 1e-9
+    k_idx, _, dxn, dyn = obstacle_pairs_all(q, pts, reach)
+    if k_idx.size == 0:
+        return 0.0, grad_q
+    c = np.cos(q[:, 2])[k_idx]
+    s = np.sin(q[:, 2])[k_idx]
+    body = to_body_frame(dxn, dyn, c, s)
+    f, g_body = footprint_sdf_batch(body, veh.length, veh.width)
+    act = f < safety_margin
+    if not act.any():
+        return 0.0, grad_q
+    k_act = k_idx[act]
+    h = safety_margin - f[act]
+    value = float(np.sum(h**3))
+    dJdF = -3.0 * h * h
+    gb = g_body[act]
+    c, s = c[act], s[act]
+    gwx = c * gb[:, 0] - s * gb[:, 1]
+    gwy = s * gb[:, 0] + c * gb[:, 1]
+    body_act = body[act]
+    dF_dphi = gb[:, 0] * body_act[:, 1] - gb[:, 1] * body_act[:, 0]
+    grad_q[:, 0] = np.bincount(k_act, weights=dJdF * -gwx, minlength=n_int)
+    grad_q[:, 1] = np.bincount(k_act, weights=dJdF * -gwy, minlength=n_int)
+    grad_q[:, 2] = np.bincount(k_act, weights=dJdF * dF_dphi, minlength=n_int)
+    return value, grad_q

@@ -251,6 +251,7 @@ def test_pipeline_stage_dependency_missing(tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["stage"] == "track"
     assert err["error"] == "MissingArtifact"
+    assert re.fullmatch(r"cli\.py:\d+ in _load_traj", err["where"]), err["where"]
 
 
 def test_pipeline_unreachable_goal_error_report(tmp_path):
@@ -333,6 +334,27 @@ def test_main_parse_error_exit_code(tmp_path):
     bad = _write(tmp_path, '{"schema": 1')
     rc = main(["all", "--config", bad, "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_parse_rejects_non_finite_constant(tmp_path, constant, capsys):
+    body = json.dumps(_minimal()).replace('"world": {', f'"world": {{"resolution": {constant}, ', 1)
+    path = _write(tmp_path, body)
+    with pytest.raises(ParseError) as info:
+        parse_scenario(path)
+    assert str(info.value) == f"invalid JSON constant '{constant}': scenario numbers must be finite"
+    assert main(["plan", "--config", path, "--out", str(tmp_path / "x")]) == 2
+    assert constant in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_plan_substage_timings(tmp_path):
+    out = tmp_path / "out"
+    assert run_pipeline(parse_scenario(STRAIGHT), ["plan"], str(out)) == 0
+    timings = json.loads((out / "timings.json").read_text())
+    parts = [timings[k] for k in ("plan_init_s", "plan_stage1_s", "plan_stage2_s")]
+    assert all(p > 0.0 for p in parts)
+    assert sum(parts) <= timings["plan_s"]
 
 
 def test_cli_subprocess_smoke(tmp_path):

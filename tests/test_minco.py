@@ -5,7 +5,16 @@ import numpy.testing as npt
 import pytest
 
 from helpers import random_instance
-from oracles import fd_cost_grads, rel_err, trapezoid
+from oracles import (
+    energy_direct_T,
+    fd_cost_grads,
+    minco_adjoint,
+    minco_band,
+    rel_err,
+    segment_derivative,
+    trapezoid,
+)
+from sweptplan import minco
 from sweptplan.minco import (
     Boundary,
     MincoTrajectory,
@@ -13,8 +22,17 @@ from sweptplan.minco import (
     OutOfDomain,
     build_minco,
     energy_cost_with_grads,
+    propagate_gradient,
     time_cost_with_grads,
 )
+
+
+def _exact_instances(n_seg: int, count: int = 6):
+    """Seeded (q, T, boundary) with durations spread over 0.05 s .. 20 s."""
+    for seed in range(count):
+        q, _, boundary = random_instance(seed, n_interior=n_seg - 1)
+        T = np.exp(np.random.default_rng(seed + 50).uniform(-3.0, 3.0, n_seg))
+        yield seed, q, T, boundary
 
 
 def test_single_segment_rest_to_rest_coefficients():
@@ -170,3 +188,59 @@ def test_arc_length_straight_line():
     boundary = Boundary.rest_to_rest((0.0, 0.0, 0.0), (3.0, 4.0, 0.0))
     traj = build_minco(np.array([[1.5, 2.0, 0.0]]), np.array([2.0, 2.0]), boundary)
     npt.assert_allclose(traj.arc_length(), 5.0, rtol=1e-4)
+
+
+# The vectorized hot paths must reproduce their scalar forms in oracles.py
+# bit for bit, so equality here is exact, not within a tolerance.
+
+
+@pytest.mark.parametrize("n_seg", [1, 2, 15])
+def test_band_assembly_equals_scalar_oracle(n_seg):
+    for _, _, T, _ in _exact_instances(n_seg):
+        ab, abt = minco._assemble(T)
+        ab_ref, abt_ref = minco_band(T)
+        assert np.array_equal(ab, ab_ref)
+        assert np.array_equal(abt, abt_ref)
+
+
+@pytest.mark.parametrize("n_seg", [1, 2, 15])
+def test_adjoint_equals_scalar_oracle(n_seg):
+    for seed, q, T, boundary in _exact_instances(n_seg):
+        traj = build_minco(q, T, boundary)
+        rng = np.random.default_rng(seed)
+        grad_C = rng.standard_normal(traj.coeffs.shape)
+        direct_T = rng.standard_normal(n_seg)
+        direct_q = rng.standard_normal(q.shape)
+        for kwargs in ({}, {"grad_T_direct": direct_T, "grad_q_direct": direct_q}):
+            grad_q, grad_T = propagate_gradient(traj, grad_C, **kwargs)
+            ref_q, ref_T = minco_adjoint(traj, grad_C, **kwargs)
+            assert np.array_equal(grad_q, ref_q)
+            assert np.array_equal(grad_T, ref_T)
+
+
+@pytest.mark.parametrize("n_seg", [1, 2, 15])
+def test_energy_direct_term_equals_scalar_oracle(n_seg, monkeypatch):
+    seen = []
+
+    def capture(traj, grad_C, grad_T_direct=None, grad_q_direct=None):
+        seen.append(grad_T_direct)
+        return propagate_gradient(traj, grad_C, grad_T_direct, grad_q_direct)
+
+    monkeypatch.setattr(minco, "propagate_gradient", capture)
+    for _, q, T, boundary in _exact_instances(n_seg):
+        traj = build_minco(q, T, boundary)
+        energy_cost_with_grads(traj)
+        assert np.array_equal(seen.pop(), energy_direct_T(traj))
+
+
+def test_eval_and_sample_equal_scalar_horner():
+    q, T, boundary = random_instance(2)
+    traj = build_minco(q, T, boundary)
+    ts = np.linspace(0.0, T.sum(), 41)
+    for order in range(6):
+        block = traj.sample(ts, order)
+        for i, t in enumerate(ts):
+            j = min(int(np.searchsorted(traj.knot_times, t, side="right")) - 1, traj.n_segments - 1)
+            ref = segment_derivative(traj.coeffs[j], t - traj.knot_times[j], order)
+            assert np.array_equal(block[i], ref)
+            assert np.array_equal(traj.eval(t, order), ref)

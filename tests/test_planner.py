@@ -5,12 +5,13 @@ import numpy.testing as npt
 import pytest
 
 from helpers import nudge_off_kinks, random_instance, scatter_grid, small_vehicle, straight_traj
-from oracles import fd_cost_grads, rel_err
+from oracles import fd_cost_grads, obstacle_cost_all_pairs, obstacle_pairs_all, rel_err
 from sweptplan.minco import Boundary, build_minco, energy_cost_with_grads
 from sweptplan.planner import (
     PlanOptions,
     PlannerWeights,
     SizeMismatch,
+    _obstacle_pairs,
     check_feasibility,
     deviation_cost_with_grads,
     obstacle_cost_with_grads,
@@ -18,7 +19,7 @@ from sweptplan.planner import (
     optimize_stage2,
     sweep_cost_with_grads,
 )
-from sweptplan.worldmodel import Box, InitialTrajectory, estimate_headings, rasterize_obstacles
+from sweptplan.worldmodel import Box, GridMap, InitialTrajectory, estimate_headings, rasterize_obstacles
 
 
 def _ref_from_traj(traj):
@@ -128,6 +129,64 @@ def test_obstacle_gradients_match_finite_differences(veh):
         )
         worst = max(worst, err)
     assert 0.0 < worst <= 1e-3
+
+
+def _point_grid(points) -> GridMap:
+    """Grid carrying exactly the given obstacle points (occupancy is not read by the costs)."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    return GridMap(np.zeros(2), 0.1, 1, 1, np.zeros((1, 1), dtype=bool), pts)
+
+
+def test_obstacle_pairs_equal_exhaustive_prefilter(veh):
+    reach = 0.3 + veh.half_diagonal + 1e-9  # as obstacle_cost_with_grads computes it
+    rng = np.random.default_rng(5)
+    q = np.array([[0.0, 0.0, 0.3], [1.5, -0.5, -1.0], [4.0, 4.0, 2.0]])
+    edge = [
+        (reach, 0.0),  # exactly at reach
+        (np.nextafter(reach, 0.0), 0.0),  # just inside
+        (np.nextafter(reach, np.inf), 0.0),  # just outside
+        (0.0, -reach),
+    ]
+    grid = _point_grid(np.vstack([edge, rng.uniform(-3.0, 5.0, size=(400, 2))]))
+    got = _obstacle_pairs(q, grid, reach)
+    ref = obstacle_pairs_all(q, grid.obstacle_points, reach)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+    near_origin = set(got[1][got[0] == 0].tolist())
+    assert {0, 1, 3} <= near_origin and 2 not in near_origin
+
+
+@pytest.mark.parametrize("n_seg", [1, 2, 15])
+def test_obstacle_cost_equals_exhaustive_prefilter(veh, n_seg):
+    active = 0
+    for seed in range(6):
+        q, T, boundary = random_instance(seed, n_interior=n_seg - 1)
+        traj = build_minco(q, T, boundary)
+        # Scatter around the 4-knot instance of the same seed, which spans the same route.
+        grid = scatter_grid(build_minco(*random_instance(seed)), seed, n_points=120)
+        for margin in (0.1, 0.4):
+            c = obstacle_cost_with_grads(traj, grid, veh, margin)
+            value, grad_q = obstacle_cost_all_pairs(traj, grid.obstacle_points, veh, margin)
+            assert c.value == value
+            assert np.array_equal(c.grad_q, grad_q)
+            assert np.array_equal(c.grad_T, np.zeros(n_seg))
+            active += value > 0.0
+    assert active > 0 or n_seg == 1
+
+
+def test_obstacle_cost_early_returns_build_no_tree(veh):
+    traj = straight_traj()
+    empty = _point_grid(np.zeros((0, 2)))
+    c = obstacle_cost_with_grads(traj, empty, veh)
+    assert c.value == 0.0 and not c.grad_q.any()
+    boundary = Boundary.rest_to_rest((0.0, 0.0, 0.0), (2.0, 0.0, 0.0))
+    one_segment = build_minco(np.zeros((0, 3)), np.array([2.0]), boundary)
+    crowded = _point_grid([(1.0, 0.0), (1.2, 0.1)])
+    c = obstacle_cost_with_grads(one_segment, crowded, veh)
+    assert c.value == 0.0 and c.grad_q.shape == (0, 3)
+    # Neither early return may build the KD-tree (and so import scipy.spatial).
+    assert "obstacle_tree" not in vars(empty) and "obstacle_tree" not in vars(crowded)
+    assert crowded.obstacle_tree is crowded.obstacle_tree
 
 
 def test_sweep_zero_when_aligned():
