@@ -355,11 +355,15 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
+_CSV_BLOCK_ROWS = 4096  # rows formatted per writelines call; bounds the memory the text takes
+
+
 def _write_csv(path: str, header: list, rows) -> None:
+    data = np.asarray(rows, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for i in range(0, len(data), _CSV_BLOCK_ROWS):
+            fh.writelines([",".join(map(repr, r)) + "\n" for r in data[i : i + _CSV_BLOCK_ROWS].tolist()])
 
 
 def write_field_csv(path: str, field: SweptField) -> None:
@@ -410,6 +414,13 @@ def write_trace_csv(path: str, trace: SimTrace) -> None:
         ]
     )
     _write_csv(path, header, rows)
+
+
+def write_qp_log(path: str, trace: SimTrace) -> None:
+    """One row per solved MPC step: whether the QP ended optimal, its iterations and active-set size."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("step,optimal,iterations,active_set_size\n")
+        fh.writelines([f"{k},{o},{i},{a}\n" for k, (o, i, a) in enumerate(trace.qp.tolist())])
 
 
 def load_trace_csv(path: str) -> SimTrace:
@@ -537,7 +548,9 @@ def _stage_sweep(sc: Scenario, out_dir: str, traj, grid, field_res: float) -> Sw
     region = auto_region(traj, sc.veh, margin=sc.sweep_margin)
     field = compute_swept_field(traj, sc.veh, region=region, resolution=field_res)
     sweep_time = time.perf_counter() - t0
+    t0 = time.perf_counter()
     write_field_csv(os.path.join(out_dir, "field.csv"), field)
+    csv_time = time.perf_counter() - t0
     report = excess_area(field, traj, sc.veh)
     _write_json(
         os.path.join(out_dir, "area.json"),
@@ -547,6 +560,7 @@ def _stage_sweep(sc: Scenario, out_dir: str, traj, grid, field_res: float) -> Sw
             "excess_area": report.excess_area,
         },
     )
+    t0 = time.perf_counter()
     render_scene(
         os.path.join(out_dir, "scene.svg"),
         sc.veh,
@@ -555,7 +569,8 @@ def _stage_sweep(sc: Scenario, out_dir: str, traj, grid, field_res: float) -> Sw
         field=field,
         bounds=sc.bounds,
     )
-    _merge_timings(out_dir, {"sweep_s": sweep_time})
+    svg_time = time.perf_counter() - t0
+    _merge_timings(out_dir, {"sweep_s": sweep_time, "sweep_csv_s": csv_time, "sweep_svg_s": svg_time})
     return field
 
 
@@ -564,6 +579,7 @@ def _stage_track(sc: Scenario, out_dir: str, traj) -> SimTrace:
     trace = run_closed_loop(traj, sc.veh, sc.mpc, sc.sim)
     track_time = time.perf_counter() - t0
     write_trace_csv(os.path.join(out_dir, "trace.csv"), trace)
+    write_qp_log(os.path.join(out_dir, "qp_log.csv"), trace)
     _merge_timings(out_dir, {"track_s": track_time})
     if trace.aborted is not None:
         raise RuntimeError(f"controller aborted mid-run: {trace.aborted}")

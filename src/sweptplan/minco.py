@@ -290,9 +290,10 @@ def _horner(coeffs: np.ndarray, seg, tau, order: int) -> np.ndarray:
     """
     d = _DERIV[order]
     tau = np.asarray(tau, dtype=float)[..., None]
+    c = coeffs[seg]
     out = np.zeros(tau.shape[:-1] + (3,))
     for i in range(5, order - 1, -1):
-        out = out * tau + d[i] * coeffs[seg, i]
+        out = out * tau + d[i] * c[..., i, :]
     return out
 
 

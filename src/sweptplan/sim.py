@@ -42,6 +42,8 @@ class SimTrace:
     wheel_speed: np.ndarray
     dt: float
     aborted: str | None = None
+    # (solved steps, 3) ints per QP solve: optimal (1/0), iterations, active-set size
+    qp: np.ndarray | None = None
 
 
 @dataclass
@@ -117,6 +119,7 @@ def run_closed_loop(
     out_ephi = np.empty(m)
     out_g = np.empty((m, n_w))
     out_s = np.empty((m, n_w))
+    qp_log = []
     aborted = None
 
     if start_pose is None:
@@ -144,6 +147,7 @@ def run_closed_loop(
         try:
             u, info = mpc_step(pose, traj, t, u_prev, mpc_cfg, initial_active=warm, full_output=True)
             warm = info["active_set"]
+            qp_log.append((int(info["status"] == "optimal"), info["iterations"], len(warm)))
         except Exception as exc:  # noqa: BLE001 - the trace records the failure mode
             aborted = f"{type(exc).__name__}: {exc}"
             m = k + 1
@@ -170,6 +174,7 @@ def run_closed_loop(
         wheel_speed=out_s[:m],
         dt=dt,
         aborted=aborted,
+        qp=np.array(qp_log, dtype=int).reshape(-1, 3),
     )
 
 

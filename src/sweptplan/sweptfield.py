@@ -4,9 +4,9 @@ For a query point p and a pose path P(t), g(t) = F_SDF(p, P(t)) is the
 footprint distance at time t. Its minimum over the trajectory duration,
 f*(p) = min_t g(t), is negative exactly where the vehicle body passes, so the
 f* <= 0 sublevel set is the swept area. Each grid cell runs an independent
-K-sample coarse scan whose local minima seed Armijo-backtracked gradient
-descent on g; cells are pure functions of the inputs, so chunks may execute
-in parallel without changing the output.
+K-sample coarse scan, over K poses sampled once per field, whose local minima
+seed Armijo-backtracked gradient descent on g; cells are pure functions of the
+inputs, so chunks may execute in parallel without changing the output.
 """
 
 from __future__ import annotations
@@ -141,8 +141,18 @@ def min_time_distance(
     """
     pts = np.asarray(p, dtype=float).reshape(1, 2)
     t_hi = path.total_time if t_max is None else float(t_max)
-    t, f = _min_time_batch(pts, path, veh, float(t_min), t_hi)
+    t, f = _min_time_batch(pts, path, veh, float(t_min), t_hi, _coarse_poses(path, float(t_min), t_hi))
     return float(t[0]), float(f[0])
+
+
+def _coarse_poses(path, t_min: float, t_max: float):
+    """The coarse scan's times with their poses as (ts, x, y, cos, sin), sampled
+    once and shared by every point; None for an empty interval."""
+    if t_max <= t_min:
+        return None
+    ts = np.linspace(t_min, t_max, COARSE_SAMPLES)
+    poses = path.sample(ts, 0)
+    return ts, poses[:, 0], poses[:, 1], np.cos(poses[:, 2]), np.sin(poses[:, 2])
 
 
 def _min_time_batch(
@@ -151,16 +161,19 @@ def _min_time_batch(
     veh: VehicleParams,
     t_min: float,
     t_max: float,
+    coarse,
 ):
     m = points.shape[0]
-    if t_max <= t_min:
+    if coarse is None:
         ts = np.full(m, t_min)
         return ts, _g_values(path, veh, points, ts)
-    k = COARSE_SAMPLES
-    grid_ts = np.linspace(t_min, t_max, k)
+    grid_ts, xs, ys, cs, ss = coarse
+    k = grid_ts.shape[0]
+    px, py = points[:, 0], points[:, 1]
     vals = np.empty((k, m))
-    for j, ti in enumerate(grid_ts):
-        vals[j] = _g_values(path, veh, points, np.full(m, ti))
+    for j in range(k):
+        body = to_body_frame(px - xs[j], py - ys[j], cs[j], ss[j])
+        vals[j] = footprint_sdf_values(body, veh.length, veh.width)
 
     # Every sampled local minimum is a candidate basin; the sample ordering by
     # value can differ from the ordering of the true basin depths, so the best
@@ -173,13 +186,16 @@ def _min_time_batch(
     cols = np.arange(m)
 
     step0 = (t_max - t_min) / (k - 1)
-    best_t, best_f = _refine_times(points, grid_ts[order[0]], path, veh, t_min, t_max, step0)
+    best_t, best_f = _refine_times(
+        points, grid_ts[order[0]], vals[order[0], cols], path, veh, t_min, t_max, step0
+    )
     for r in range(1, min(4, k)):
         has = np.isfinite(masked[order[r], cols])
         if not has.any():
             break
         sub = np.nonzero(has)[0]
-        tr, fr = _refine_times(points[sub], grid_ts[order[r][sub]], path, veh, t_min, t_max, step0)
+        start = order[r][sub]
+        tr, fr = _refine_times(points[sub], grid_ts[start], vals[start, sub], path, veh, t_min, t_max, step0)
         better = fr < best_f[sub]
         best_f[sub[better]] = fr[better]
         best_t[sub[better]] = tr[better]
@@ -188,21 +204,22 @@ def _min_time_batch(
 
 def _refine_times(
     points: np.ndarray,
-    t0: np.ndarray,
+    t: np.ndarray,
+    f: np.ndarray,
     path,
     veh: VehicleParams,
     t_min: float,
     t_max: float,
     step0: float,
 ):
-    """Armijo-backtracked descent on g(t) from per-point starts; mutates t0.
+    """Armijo-backtracked descent on g(t) from per-point starts t with values
+    f = g(t); mutates and returns both.
 
     All points iterate in lockstep under masks, each touching only its own
-    state, so results do not depend on how points are batched.
+    state, so results do not depend on how points are batched. Every update
+    of t comes with g at the new t, so f needs no final re-evaluation.
     """
     m = points.shape[0]
-    t = t0
-    f = _g_values(path, veh, points, t)
     alpha = np.full(m, step0)
     active = np.ones(m, dtype=bool)
     for _ in range(MAX_REFINE_ITERS):
@@ -248,20 +265,25 @@ def _refine_times(
         alpha[idx] = np.maximum(a * 2.0, 1e-9)
         settle = ~accepted | (moved < TIME_TOL)
         active[idx[settle]] = False
-    # Final consistent evaluation at the refined times.
-    f = _g_values(path, veh, points, t)
     return t, f
 
 
-def auto_region(path, veh: VehicleParams, margin: float = 0.3, samples: int = 512):
-    """Trajectory footprint bounding box inflated by vehicle length + margin."""
-    ts = np.linspace(0.0, path.total_time, max(2, samples))
-    poses = path.sample(ts, 0)
+def _footprint_bounds(path, veh: VehicleParams):
+    """(xmin, ymin, xmax, ymax) of the footprint's circumscribed circle over
+    512 poses evenly spaced in time."""
+    poses = path.sample(np.linspace(0.0, path.total_time, 512), 0)
     r = veh.half_diagonal
-    xmin = float(poses[:, 0].min()) - r
-    xmax = float(poses[:, 0].max()) + r
-    ymin = float(poses[:, 1].min()) - r
-    ymax = float(poses[:, 1].max()) + r
+    return (
+        float(poses[:, 0].min()) - r,
+        float(poses[:, 1].min()) - r,
+        float(poses[:, 0].max()) + r,
+        float(poses[:, 1].max()) + r,
+    )
+
+
+def auto_region(path, veh: VehicleParams, margin: float = 0.3):
+    """Trajectory footprint bounding box inflated by vehicle length + margin."""
+    xmin, ymin, xmax, ymax = _footprint_bounds(path, veh)
     pad = veh.length + margin
     return (xmin - pad, ymin - pad, xmax + pad, ymax + pad)
 
@@ -297,16 +319,8 @@ def compute_swept_field(
     xmin, ymin, xmax, ymax = (float(v) for v in region)
     if not (xmax > xmin and ymax > ymin):
         raise RegionTooSmall(f"degenerate region {region!r}")
-    # The region must contain every footprint corner along the trajectory.
-    ts = np.linspace(0.0, path.total_time, 512)
-    poses = path.sample(ts, 0)
-    r = veh.half_diagonal
-    if (
-        poses[:, 0].min() - r < xmin
-        or poses[:, 0].max() + r > xmax
-        or poses[:, 1].min() - r < ymin
-        or poses[:, 1].max() + r > ymax
-    ):
+    fx0, fy0, fx1, fy1 = _footprint_bounds(path, veh)
+    if fx0 < xmin or fy0 < ymin or fx1 > xmax or fy1 > ymax:
         raise RegionTooSmall("trajectory footprint leaves the requested region")
 
     width = int(math.ceil((xmax - xmin) / resolution))
@@ -316,6 +330,8 @@ def compute_swept_field(
     t_star = np.empty((width, height))
 
     iy = np.arange(height)
+    # Sampled once per call, not per chunk, so the work done is the same at any thread count.
+    coarse = _coarse_poses(path, 0.0, path.total_time)
     n_threads = _resolve_threads(threads)
     chunk = max(1, math.ceil(width / (n_threads * 4)))
 
@@ -327,7 +343,7 @@ def compute_swept_field(
         pts = np.empty((nx * height, 2))
         pts[:, 0] = np.repeat(xs, height)
         pts[:, 1] = np.tile(ys, nx)
-        t, f = _min_time_batch(pts, path, veh, 0.0, path.total_time)
+        t, f = _min_time_batch(pts, path, veh, 0.0, path.total_time, coarse)
         f_star[ix0:ix1] = f.reshape(nx, height)
         t_star[ix0:ix1] = t.reshape(nx, height)
 

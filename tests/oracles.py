@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.linalg import solve_banded
 
-from sweptplan.geometry import footprint_sdf_batch, to_body_frame
+from sweptplan.geometry import footprint_sdf_batch, footprint_sdf_values, to_body_frame
 
 
 def rect_boundary_points(length: float, width: float, n: int) -> np.ndarray:
@@ -348,3 +348,138 @@ def obstacle_cost_all_pairs(traj, pts: np.ndarray, veh, safety_margin: float):
     grad_q[:, 1] = np.bincount(k_act, weights=dJdF * -gwy, minlength=n_int)
     grad_q[:, 2] = np.bincount(k_act, weights=dJdF * dF_dphi, minlength=n_int)
     return value, grad_q
+
+
+# The swept-field search as it was before the coarse poses were shared: every
+# point samples the path at every coarse time, refinement re-evaluates g at
+# its start times, and a final evaluation recomputes g at the refined times.
+# The library now performs the same floating-point operations on the same
+# operands with less repeated work, so the tests compare with exact equality.
+
+_COARSE_SAMPLES = 64
+_ARMIJO_C = 1e-4
+_SHRINK = 0.5
+_TIME_TOL = 1e-4
+_MAX_REFINE_ITERS = 60
+
+
+def horner_six_gathers(coeffs: np.ndarray, seg, tau, order: int) -> np.ndarray:
+    """Order-th derivative of segments seg at local times tau, gathering coeffs[seg, i] per power."""
+    d = _DERIV[order]
+    tau = np.asarray(tau, dtype=float)[..., None]
+    out = np.zeros(tau.shape[:-1] + (3,))
+    for i in range(5, order - 1, -1):
+        out = out * tau + d[i] * coeffs[seg, i]
+    return out
+
+
+def _g_values(path, veh, points, ts):
+    poses = path.sample(ts, 0)
+    d = points - poses[:, :2]
+    body = to_body_frame(d[:, 0], d[:, 1], np.cos(poses[:, 2]), np.sin(poses[:, 2]))
+    return footprint_sdf_values(body, veh.length, veh.width)
+
+
+def _g_and_slope(path, veh, points, ts):
+    poses = path.sample(ts, 0)
+    twists = path.sample(ts, 1)
+    d = points - poses[:, :2]
+    c = np.cos(poses[:, 2])
+    s = np.sin(poses[:, 2])
+    val, grad = footprint_sdf_batch(to_body_frame(d[:, 0], d[:, 1], c, s), veh.length, veh.width)
+    w = twists[:, 2]
+    jx = d[:, 1]
+    jy = -d[:, 0]
+    u = to_body_frame(jx * w - twists[:, 0], jy * w - twists[:, 1], c, s)
+    return val, grad[:, 0] * u[:, 0] + grad[:, 1] * u[:, 1]
+
+
+def _refine_per_point_starts(points, t0, path, veh, t_min, t_max, step0):
+    m = points.shape[0]
+    t = t0
+    f = _g_values(path, veh, points, t)
+    alpha = np.full(m, step0)
+    active = np.ones(m, dtype=bool)
+    for _ in range(_MAX_REFINE_ITERS):
+        if not active.any():
+            break
+        idx = np.nonzero(active)[0]
+        g_val, slope = _g_and_slope(path, veh, points[idx], t[idx])
+        f[idx] = g_val
+        d = np.where(slope > 0.0, -1.0, 1.0)
+        flat = np.abs(slope) < 1e-12
+        at_lo = (t[idx] <= t_min + 1e-15) & (d < 0.0)
+        at_hi = (t[idx] >= t_max - 1e-15) & (d > 0.0)
+        done = flat | at_lo | at_hi
+        if done.any():
+            active[idx[done]] = False
+            idx = idx[~done]
+            if idx.size == 0:
+                continue
+            g_val = g_val[~done]
+            slope = slope[~done]
+            d = d[~done]
+        a = alpha[idx].copy()
+        accepted = np.zeros(idx.size, dtype=bool)
+        t_new = t[idx].copy()
+        f_new = g_val.copy()
+        for _ in range(40):
+            trying = ~accepted & (a > 1e-12)
+            if not trying.any():
+                break
+            tt = np.clip(t[idx[trying]] + a[trying] * d[trying], t_min, t_max)
+            ft = _g_values(path, veh, points[idx[trying]], tt)
+            ok = ft <= g_val[trying] - _ARMIJO_C * a[trying] * np.abs(slope[trying])
+            sel = np.nonzero(trying)[0]
+            acc = sel[ok]
+            t_new[acc] = tt[ok]
+            f_new[acc] = ft[ok]
+            accepted[acc] = True
+            a[sel[~ok]] *= _SHRINK
+        moved = np.abs(t_new - t[idx])
+        t[idx] = t_new
+        f[idx] = f_new
+        alpha[idx] = np.maximum(a * 2.0, 1e-9)
+        settle = ~accepted | (moved < _TIME_TOL)
+        active[idx[settle]] = False
+    f = _g_values(path, veh, points, t)
+    return t, f
+
+
+def min_time_per_point_poses(points, path, veh, t_min: float, t_max: float):
+    """(t*, f*) of the coarse scan plus refinement, sampling each coarse pose once per point."""
+    m = points.shape[0]
+    if t_max <= t_min:
+        ts = np.full(m, t_min)
+        return ts, _g_values(path, veh, points, ts)
+    k = _COARSE_SAMPLES
+    grid_ts = np.linspace(t_min, t_max, k)
+    vals = np.empty((k, m))
+    for j, ti in enumerate(grid_ts):
+        vals[j] = _g_values(path, veh, points, np.full(m, ti))
+    is_min = np.ones((k, m), dtype=bool)
+    is_min[1:] &= vals[1:] <= vals[:-1]
+    is_min[:-1] &= vals[:-1] <= vals[1:]
+    masked = np.where(is_min, vals, np.inf)
+    order = np.argsort(masked, axis=0, kind="stable")
+    cols = np.arange(m)
+    step0 = (t_max - t_min) / (k - 1)
+    best_t, best_f = _refine_per_point_starts(points, grid_ts[order[0]], path, veh, t_min, t_max, step0)
+    for r in range(1, min(4, k)):
+        has = np.isfinite(masked[order[r], cols])
+        if not has.any():
+            break
+        sub = np.nonzero(has)[0]
+        tr, fr = _refine_per_point_starts(points[sub], grid_ts[order[r][sub]], path, veh, t_min, t_max, step0)
+        better = fr < best_f[sub]
+        best_f[sub[better]] = fr[better]
+        best_t[sub[better]] = tr[better]
+    return best_t, best_f
+
+
+def write_csv_per_value(path: str, header: list, rows) -> None:
+    """CSV writer that formats one value at a time with repr(float(v))."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -9,7 +9,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import straight_traj
+from oracles import write_csv_per_value
 import sweptplan.cli as cli
+import sweptplan.mpc as mpc
 from sweptplan.cli import (
     MissingArtifact,
     ParseError,
@@ -229,10 +232,18 @@ def test_pipeline_straight_all_stages(tmp_path):
         "area.json",
         "scene.svg",
         "trace.csv",
+        "qp_log.csv",
         "metrics.json",
         "timings.json",
     ):
         assert (out / name).exists(), name
+    timings = json.loads((out / "timings.json").read_text())
+    for key in ("sweep_s", "sweep_csv_s", "sweep_svg_s"):
+        assert timings[key] > 0.0, key
+    qp_rows = (out / "qp_log.csv").read_text().splitlines()
+    assert qp_rows[0] == "step,optimal,iterations,active_set_size"
+    assert len(qp_rows) - 1 == len(load_trace_csv(str(out / "trace.csv")).t)
+    assert all(row.split(",")[1] == "1" for row in qp_rows[1:])
     metrics = json.loads((out / "metrics.json").read_text())
     assert abs(metrics["excess_swept_area"]) < 0.2
     assert metrics["max_abs_e_y"] < 0.05
@@ -422,3 +433,42 @@ def test_readme_scenario_table_matches_schema():
     optional = {(block, key) for block, key, _, default, _ in cli.SCENARIO_SCHEMA if default is not cli.REQUIRED}
     assert optional - documented == set()
     assert documented - schema == set()
+
+
+def test_write_csv_equals_per_value_oracle(tmp_path):
+    odd = np.array(
+        [
+            [-0.0, 1e-05, 1e22, 3.0],
+            [5e-324, 2.2250738585072014e-308 / 3.0, -7.0, 0.1],
+            [np.nan, np.inf, -np.inf, 1.0 / 3.0],
+        ]
+    )
+    blocks = np.random.default_rng(0).standard_normal((2 * cli._CSV_BLOCK_ROWS + 5, 3))
+    cases = (odd, odd.tolist(), [(0.0, 1, -2), (1.0, 2, 10**22)], np.arange(6).reshape(3, 2), [], blocks)
+    for i, rows in enumerate(cases):
+        got, ref = tmp_path / f"got{i}.csv", tmp_path / f"ref{i}.csv"
+        cli._write_csv(str(got), ["a", "b"], rows)
+        write_csv_per_value(str(ref), ["a", "b"], rows)
+        assert got.read_bytes() == ref.read_bytes(), i
+
+
+def test_qp_log_records_non_optimal_solves(tmp_path, monkeypatch):
+    real = mpc.solve_qp
+    calls = []
+
+    def stub(*args, **kwargs):
+        x, info = real(*args, **kwargs)
+        calls.append(info)
+        if len(calls) == 3:
+            info = dict(info, status="max_iterations", iterations=50)
+        return x, info
+
+    monkeypatch.setattr(mpc, "solve_qp", stub)
+    sc = parse_scenario(STRAIGHT)
+    cli._stage_track(sc, str(tmp_path), straight_traj(distance=2.0, n_interior=1))
+    rows = (tmp_path / "qp_log.csv").read_text().splitlines()
+    assert len(rows) - 1 == len(calls)
+    assert rows[3] == f"2,0,50,{len(calls[2]['active_set'])}"
+    assert all(row.split(",")[1] == "1" for row in rows[1:] if row != rows[3])
+    header = (tmp_path / "trace.csv").read_text().splitlines()[0].split(",")
+    assert header[:12] == ["t", "x", "y", "phi", "ref_x", "ref_y", "ref_phi", "vx", "vy", "omega", "e_y", "e_phi"]

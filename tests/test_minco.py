@@ -8,6 +8,7 @@ from helpers import random_instance
 from oracles import (
     energy_direct_T,
     fd_cost_grads,
+    horner_six_gathers,
     minco_adjoint,
     minco_band,
     rel_err,
@@ -244,3 +245,16 @@ def test_eval_and_sample_equal_scalar_horner():
             ref = segment_derivative(traj.coeffs[j], t - traj.knot_times[j], order)
             assert np.array_equal(block[i], ref)
             assert np.array_equal(traj.eval(t, order), ref)
+
+
+@pytest.mark.parametrize("order", range(6))
+def test_horner_equals_six_gather_oracle(order):
+    q, T, boundary = random_instance(3)
+    traj = build_minco(q, T, boundary)
+    rng = np.random.default_rng(order)
+    seg = rng.integers(0, traj.n_segments, size=(4, 9))
+    tau = rng.uniform(0.0, 1.0, size=seg.shape) * T[seg]
+    assert np.array_equal(minco._horner(traj.coeffs, seg, tau, order), horner_six_gathers(traj.coeffs, seg, tau, order))
+    for j in range(traj.n_segments):
+        scalar = minco._horner(traj.coeffs, j, T[j] / 3.0, order)
+        assert np.array_equal(scalar, horner_six_gathers(traj.coeffs, j, T[j] / 3.0, order))

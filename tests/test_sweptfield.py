@@ -5,10 +5,12 @@ import numpy.testing as npt
 import pytest
 
 from helpers import rotation_traj, small_vehicle, straight_traj
-from oracles import min_time_scan
-from sweptplan.geometry import Pose2, world_sdf_with_grad
+from oracles import min_time_per_point_poses, min_time_scan
+from sweptplan import sweptfield
+from sweptplan.geometry import Pose2, to_body_frame, world_sdf_with_grad
 from sweptplan.minco import Boundary, build_minco
 from sweptplan.sweptfield import (
+    COARSE_SAMPLES,
     AreaReport,
     LinearPosePath,
     RegionTooSmall,
@@ -165,3 +167,118 @@ def test_linear_pose_path_sampling():
     npt.assert_allclose(path.sample(np.array([0.5]), 0)[0], [1.0, 0.0, 0.5])
     npt.assert_allclose(path.sample(np.array([2.0]), 0)[0], [2.0, 2.0, 1.0])
     npt.assert_allclose(path.arc_length(), 6.0, rtol=1e-9)
+
+
+def test_region_check_matches_footprint_bounds(veh, bend_traj):
+    compute_swept_field(bend_traj, veh, region=auto_region(bend_traj, veh, margin=0.0), resolution=0.5)
+    tight = sweptfield._footprint_bounds(bend_traj, veh)
+    compute_swept_field(bend_traj, veh, region=tight, resolution=0.5)
+    for side in range(4):
+        shrunk = list(tight)
+        shrunk[side] += 0.01 if side < 2 else -0.01
+        with pytest.raises(RegionTooSmall):
+            compute_swept_field(bend_traj, veh, region=shrunk, resolution=0.5)
+
+
+# The coarse poses are sampled once per call and refinement starts from the
+# coarse values; oracles.min_time_per_point_poses samples every coarse pose
+# once per point and re-evaluates g around refinement. The operations and
+# operands are the same, so the results must agree bit for bit.
+
+
+def _exact_path(kind: str, bend_traj):
+    if kind == "minco":
+        return bend_traj
+    ts = np.linspace(0.0, bend_traj.total_time, 300)
+    return LinearPosePath(ts, bend_traj.sample(ts, 0))
+
+
+def _query_points(path, veh, n: int) -> np.ndarray:
+    xmin, ymin, xmax, ymax = auto_region(path, veh)
+    return np.random.default_rng(n).uniform([xmin, ymin], [xmax, ymax], size=(n, 2))
+
+
+def _batch(points, path, veh, t_min, t_max):
+    coarse = sweptfield._coarse_poses(path, t_min, t_max)
+    return sweptfield._min_time_batch(points, path, veh, t_min, t_max, coarse)
+
+
+@pytest.mark.parametrize("n", [1, 7, 20_000])
+@pytest.mark.parametrize("kind", ["minco", "linear"])
+def test_min_time_batch_equals_per_point_oracle(veh, bend_traj, kind, n):
+    path = _exact_path(kind, bend_traj)
+    pts = _query_points(path, veh, n)
+    t, f = _batch(pts, path, veh, 0.0, path.total_time)
+    t_ref, f_ref = min_time_per_point_poses(pts, path, veh, 0.0, path.total_time)
+    assert np.array_equal(f, f_ref)
+    assert np.array_equal(t, t_ref)
+
+
+@pytest.mark.parametrize("kind", ["minco", "linear"])
+def test_min_time_batch_subinterval_equals_oracle(veh, bend_traj, kind):
+    path = _exact_path(kind, bend_traj)
+    pts = _query_points(path, veh, 500)
+    t_min, t_max = 0.7, 0.6 * path.total_time
+    t, f = _batch(pts, path, veh, t_min, t_max)
+    t_ref, f_ref = min_time_per_point_poses(pts, path, veh, t_min, t_max)
+    assert np.array_equal(f, f_ref)
+    assert np.array_equal(t, t_ref)
+    assert t.min() >= t_min and t.max() <= t_max
+
+
+@pytest.mark.parametrize("n", [1, 7, 20_000])
+def test_empty_interval_equals_oracle(veh, bend_traj, n):
+    pts = _query_points(bend_traj, veh, n)
+    for t_min, t_max in ((2.0, 2.0), (3.0, 1.0)):
+        t, f = _batch(pts, bend_traj, veh, t_min, t_max)
+        t_ref, f_ref = min_time_per_point_poses(pts, bend_traj, veh, t_min, t_max)
+        assert np.array_equal(f, f_ref)
+        assert np.array_equal(t, t_ref)
+        assert np.all(t == t_min)
+    assert min_time_distance(pts[0], bend_traj, veh, t_min=3.0, t_max=1.0) == (t_ref[0], f_ref[0])
+
+
+def test_field_equals_per_point_oracle(veh, bend_traj):
+    field = compute_swept_field(bend_traj, veh, resolution=0.25, threads=2)
+    t_ref, f_ref = min_time_per_point_poses(field.cell_centers(), bend_traj, veh, 0.0, bend_traj.total_time)
+    assert np.array_equal(field.f_star.ravel(), f_ref)
+    assert np.array_equal(field.t_star.ravel(), t_ref)
+
+
+class _CountingPath:
+    """Path proxy recording the number of times each sample() call evaluates."""
+
+    def __init__(self, path):
+        self.path = path
+        self.total_time = path.total_time
+        self.points = 0
+
+    def sample(self, ts, order=0):
+        self.points += np.size(ts)
+        return self.path.sample(ts, order)
+
+
+def test_sampled_points_do_not_depend_on_threads(veh, bend_traj):
+    region = auto_region(bend_traj, veh)
+    counts = []
+    for threads in (1, 3):
+        path = _CountingPath(bend_traj)
+        field = compute_swept_field(path, veh, region=region, resolution=0.25, threads=threads)
+        counts.append(path.points)
+    assert counts[0] == counts[1]
+    # Sampling the coarse poses once per cell alone would take this many.
+    assert counts[0] < COARSE_SAMPLES * field.width * field.height
+
+
+def test_coarse_scan_rotates_by_one_cos_sin_per_time(veh, bend_traj, monkeypatch):
+    scalar_calls = []
+
+    def spy(dx, dy, c, s):
+        if np.ndim(c) == 0:
+            scalar_calls.append(c)
+        return to_body_frame(dx, dy, c, s)
+
+    monkeypatch.setattr(sweptfield, "to_body_frame", spy)
+    pts = _query_points(bend_traj, veh, 7)
+    _batch(pts, bend_traj, veh, 0.0, bend_traj.total_time)
+    assert len(scalar_calls) == COARSE_SAMPLES
