@@ -580,7 +580,7 @@ def _stage_track(sc: Scenario, out_dir: str, traj) -> SimTrace:
     track_time = time.perf_counter() - t0
     write_trace_csv(os.path.join(out_dir, "trace.csv"), trace)
     write_qp_log(os.path.join(out_dir, "qp_log.csv"), trace)
-    _merge_timings(out_dir, {"track_s": track_time})
+    _merge_timings(out_dir, {"track_s": track_time, "track_mpc_s": trace.mpc_s, "track_alloc_s": trace.alloc_s})
     if trace.aborted is not None:
         raise RuntimeError(f"controller aborted mid-run: {trace.aborted}")
     return trace

@@ -6,12 +6,17 @@ input sequence gives a dense least-squares tracking objective; bounds on the
 inputs and their first differences make it a box/rate-constrained strictly
 convex QP, solved by a primal active-set method with deterministic
 tie-breaking and optional warm starts.
+
+Psi, H and Theta^T Qbar depend only on the config, so they are built once per
+distinct config and each step forms only the gradient and the bounds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -79,11 +84,28 @@ def build_prediction(cfg: MpcConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     np_, nc = cfg.horizon, cfg.control_horizon
     psi = np.tile(np.eye(NU), (np_, 1))
-    theta = np.zeros((NU * np_, NU * nc))
-    for r in range(np_):
-        for c in range(min(r + 1, nc)):
-            theta[NU * r : NU * r + NU, NU * c : NU * c + NU] = cfg.dt * np.eye(NU)
+    theta = np.kron(np.tril(np.ones((np_, nc))), cfg.dt * np.eye(NU))
     return psi, theta
+
+
+@functools.lru_cache(maxsize=16)
+def _qp_terms(dt, horizon: int, control_horizon: int, state_weight: bytes, input_weight: bytes):
+    """Read-only (Psi, H, Theta^T Qbar), keyed by the weights' bytes so an in-place edit is a new key."""
+    cfg = SimpleNamespace(dt=dt, horizon=horizon, control_horizon=control_horizon)
+    psi, theta = build_prediction(cfg)
+    qbar = np.kron(np.eye(horizon), np.frombuffer(state_weight).reshape(NU, NU))
+    rbar = np.kron(np.eye(control_horizon), np.frombuffer(input_weight).reshape(NU, NU))
+    theta_t_qbar = theta.T @ qbar
+    h = theta_t_qbar @ theta + rbar
+    h = 0.5 * (h + h.T)
+    # Regularize only if the assembled Hessian is not already positive definite.
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        h = h + 1e-9 * np.eye(h.shape[0])
+    for a in (psi, h, theta_t_qbar):
+        a.flags.writeable = False
+    return psi, h, theta_t_qbar
 
 
 def build_qp(state: Pose2, ref: np.ndarray, u_prev: np.ndarray, cfg: MpcConfig) -> MpcProblem:
@@ -101,20 +123,11 @@ def build_qp(state: Pose2, ref: np.ndarray, u_prev: np.ndarray, cfg: MpcConfig) 
     if np.any(np.abs(np.diff(phis)) > math.pi + 1e-9):
         raise HeadingWrapMismatch("reference heading jumps by more than pi per step")
 
-    psi, theta = build_prediction(cfg)
-    qbar = np.kron(np.eye(np_), cfg.state_weight)
-    rbar = np.kron(np.eye(nc), cfg.input_weight)
-    h = theta.T @ qbar @ theta + rbar
-    h = 0.5 * (h + h.T)
-    # Regularize only if the assembled Hessian is not already positive definite.
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        h = h + 1e-9 * np.eye(h.shape[0])
-    x0 = state.as_array()
-    g = theta.T @ qbar @ (psi @ x0 - ref)
+    weights = (np.asarray(w, dtype=float).tobytes() for w in (cfg.state_weight, cfg.input_weight))
+    psi, h, theta_t_qbar = _qp_terms(cfg.dt, np_, nc, *weights)
+    g = theta_t_qbar @ (psi @ state.as_array() - ref)
     return MpcProblem(
-        H=h,
+        H=h.copy(),
         g=g,
         lb=np.tile(cfg.u_min, nc),
         ub=np.tile(cfg.u_max, nc),
@@ -166,49 +179,19 @@ def _feasible_start(prob: MpcProblem) -> np.ndarray:
 
 
 def _constraint_rows(prob: MpcProblem):
-    """Inequalities as a^T u <= b. Order: box upper, box lower, rate upper, rate lower."""
-    n = NU * prob.nc
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for i in range(n):
-        if np.isfinite(prob.ub[i]):
-            e = np.zeros(n)
-            e[i] = 1.0
-            rows.append(e)
-            rhs.append(prob.ub[i])
-    for i in range(n):
-        if np.isfinite(prob.lb[i]):
-            e = np.zeros(n)
-            e[i] = -1.0
-            rows.append(e)
-            rhs.append(-prob.lb[i])
-    for i in range(n):
-        comp = i % NU
-        if np.isfinite(prob.du_ub[comp]):
-            e = np.zeros(n)
-            e[i] = 1.0
-            off = prob.du_ub[comp]
-            if i >= NU:
-                e[i - NU] = -1.0
-            else:
-                off += prob.u_prev[comp]
-            rows.append(e)
-            rhs.append(off)
-    for i in range(n):
-        comp = i % NU
-        if np.isfinite(prob.du_lb[comp]):
-            e = np.zeros(n)
-            e[i] = -1.0
-            off = -prob.du_lb[comp]
-            if i >= NU:
-                e[i - NU] = 1.0
-            else:
-                off -= prob.u_prev[comp]
-            rows.append(e)
-            rhs.append(off)
-    if rows:
-        return np.array(rows), np.array(rhs)
-    return np.zeros((0, n)), np.zeros(0)
+    """Rows of a^T u <= b: box upper, box lower, rate upper, rate lower; zeros are +0.0."""
+    nc = prob.nc
+    eye = np.eye(NU * nc)
+    shift = np.eye(NU * nc, k=-NU)  # row i picks u[i - NU]
+    rate_ub = np.tile(prob.du_ub, nc)
+    rate_ub[:NU] = prob.du_ub + prob.u_prev
+    rate_lb = np.tile(-prob.du_lb, nc)
+    rate_lb[:NU] = (-prob.du_lb) - prob.u_prev
+    box_ub, box_lb = np.isfinite(prob.ub), np.isfinite(prob.lb)
+    du_ub, du_lb = np.tile(np.isfinite(prob.du_ub), nc), np.tile(np.isfinite(prob.du_lb), nc)
+    a_mat = np.concatenate([eye[box_ub], (0.0 - eye)[box_lb], (eye - shift)[du_ub], (shift - eye)[du_lb]])
+    b_vec = np.concatenate([prob.ub[box_ub], -prob.lb[box_lb], rate_ub[du_ub], rate_lb[du_lb]])
+    return a_mat, b_vec
 
 
 def solve_qp(prob: MpcProblem, initial_active=None, full_output: bool = False):
@@ -255,17 +238,20 @@ def solve_qp(prob: MpcProblem, initial_active=None, full_output: bool = False):
             work.pop(drop)
             continue
         # Step length to the nearest violated constraint not in the working set.
+        # Rows hold one or two +-1 entries, so a @ p and a @ x round once, as
+        # in a row-by-row scan. Candidates are scanned in index order and a
+        # later ratio must undercut alpha by 1e-12, so near-ties keep the lower index.
         alpha = 1.0
         blocker = -1
-        for i in range(m):
-            if i in work:
-                continue
-            ap = float(a_mat[i] @ p)
-            if ap > 1e-12:
-                ratio = (b_vec[i] - float(a_mat[i] @ x)) / ap
-                if ratio < alpha - 1e-12:
-                    alpha = max(ratio, 0.0)
-                    blocker = i
+        ap = a_mat @ p
+        moving = ap > 1e-12
+        moving[work] = False
+        rows = np.flatnonzero(moving)
+        ratios = (b_vec[rows] - a_mat[rows] @ x) / ap[rows]
+        for i, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < alpha - 1e-12:
+                alpha = max(ratio, 0.0)
+                blocker = i
         x = x + alpha * p
         if blocker >= 0:
             work.append(blocker)

@@ -11,6 +11,7 @@ errors.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,9 @@ class SimTrace:
     aborted: str | None = None
     # (solved steps, 3) ints per QP solve: optimal (1/0), iterations, active-set size
     qp: np.ndarray | None = None
+    # wall-clock seconds inside mpc_step and allocate, summed over steps; never written to trace.csv
+    mpc_s: float = 0.0
+    alloc_s: float = 0.0
 
 
 @dataclass
@@ -114,11 +118,12 @@ def run_closed_loop(
     out_t = np.empty(m)
     out_pose = np.empty((m, 3))
     out_ref = np.empty((m, 3))
-    out_u = np.empty((m, 3))
+    # The step where mpc_step raises keeps NaN commands and wheel states.
+    out_u = np.full((m, 3), np.nan)
     out_ey = np.empty(m)
     out_ephi = np.empty(m)
-    out_g = np.empty((m, n_w))
-    out_s = np.empty((m, n_w))
+    out_g = np.full((m, n_w), np.nan)
+    out_s = np.full((m, n_w), np.nan)
     qp_log = []
     aborted = None
 
@@ -135,7 +140,7 @@ def run_closed_loop(
     else:
         lag_alpha = 1.0
 
-    k = 0
+    mpc_s = alloc_s = 0.0
     for k in range(m):
         t = k * dt
         ref = traj.sample(np.array([min(t, traj.total_time)]), 0)[0]
@@ -144,6 +149,7 @@ def run_closed_loop(
         out_ref[k] = [ref[0], ref[1], wrap_angle(ref[2])]
         out_ey[k] = signed_lateral_error(pose.position, knots)
         out_ephi[k] = wrap_angle(pose.phi - ref[2])
+        t0 = time.perf_counter()
         try:
             u, info = mpc_step(pose, traj, t, u_prev, mpc_cfg, initial_active=warm, full_output=True)
             warm = info["active_set"]
@@ -152,12 +158,16 @@ def run_closed_loop(
             aborted = f"{type(exc).__name__}: {exc}"
             m = k + 1
             break
+        finally:
+            mpc_s += time.perf_counter() - t0
         out_u[k] = u
         u_applied = u_applied + lag_alpha * (u - u_applied)
         # Wheel states follow the applied twist expressed in the body frame.
         v_body = to_body_frame(u_applied[0], u_applied[1], math.cos(pose.phi), math.sin(pose.phi))
         u_body = np.array([v_body[0], v_body[1], u_applied[2]])
+        t0 = time.perf_counter()
         cmds = allocate(u_body, veh, paper_matrix=sim_cfg.paper_wheel_matrix)
+        alloc_s += time.perf_counter() - t0
         out_g[k] = [cmd.gamma for cmd in cmds]
         out_s[k] = [cmd.speed for cmd in cmds]
         if k < steps:
@@ -175,6 +185,8 @@ def run_closed_loop(
         dt=dt,
         aborted=aborted,
         qp=np.array(qp_log, dtype=int).reshape(-1, 3),
+        mpc_s=mpc_s,
+        alloc_s=alloc_s,
     )
 
 

@@ -9,7 +9,9 @@ primitives.
 The scalar MINCO and obstacle-prefilter forms at the end are the planner's
 hot paths written one entry and one pair at a time. The vectorized library
 code performs the same floating-point operations in the same order, so the
-tests compare the two with exact equality.
+tests compare the two with exact equality. The loop forms of the MPC (per-step
+QP assembly, row-by-row constraints, scalar ratio test) share only the data
+containers and the feasible-start routine with the library.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import math
 import numpy as np
 from scipy.linalg import solve_banded
 
-from sweptplan.geometry import footprint_sdf_batch, footprint_sdf_values, to_body_frame
+from sweptplan.geometry import footprint_sdf_batch, footprint_sdf_values, to_body_frame, wrap_angle
+from sweptplan.mpc import NU, MpcProblem, _feasible_start
 
 
 def rect_boundary_points(length: float, width: float, n: int) -> np.ndarray:
@@ -483,3 +486,160 @@ def write_csv_per_value(path: str, header: list, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def prediction_loop(cfg):
+    """Psi and Theta with Theta filled one dt*I block at a time."""
+    np_, nc = cfg.horizon, cfg.control_horizon
+    psi = np.tile(np.eye(NU), (np_, 1))
+    theta = np.zeros((NU * np_, NU * nc))
+    for r in range(np_):
+        for c in range(min(r + 1, nc)):
+            theta[NU * r : NU * r + NU, NU * c : NU * c + NU] = cfg.dt * np.eye(NU)
+    return psi, theta
+
+
+def build_qp_per_step(state, ref, u_prev, cfg) -> MpcProblem:
+    """The tracking QP with every term rebuilt from the config on each call."""
+    ref = np.asarray(ref, dtype=float).ravel()
+    np_, nc = cfg.horizon, cfg.control_horizon
+    psi, theta = prediction_loop(cfg)
+    qbar = np.kron(np.eye(np_), cfg.state_weight)
+    rbar = np.kron(np.eye(nc), cfg.input_weight)
+    h = theta.T @ qbar @ theta + rbar
+    h = 0.5 * (h + h.T)
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        h = h + 1e-9 * np.eye(h.shape[0])
+    g = theta.T @ qbar @ (psi @ state.as_array() - ref)
+    return MpcProblem(
+        H=h,
+        g=g,
+        lb=np.tile(cfg.u_min, nc),
+        ub=np.tile(cfg.u_max, nc),
+        du_lb=cfg.du_min.copy(),
+        du_ub=cfg.du_max.copy(),
+        u_prev=np.asarray(u_prev, dtype=float).reshape(NU),
+        nc=nc,
+    )
+
+
+def constraint_rows_loop(prob: MpcProblem):
+    """Box upper, box lower, rate upper, rate lower rows, one row at a time."""
+    n = NU * prob.nc
+    rows = []
+    rhs = []
+    for i in range(n):
+        if np.isfinite(prob.ub[i]):
+            e = np.zeros(n)
+            e[i] = 1.0
+            rows.append(e)
+            rhs.append(prob.ub[i])
+    for i in range(n):
+        if np.isfinite(prob.lb[i]):
+            e = np.zeros(n)
+            e[i] = -1.0
+            rows.append(e)
+            rhs.append(-prob.lb[i])
+    for i in range(n):
+        comp = i % NU
+        if np.isfinite(prob.du_ub[comp]):
+            e = np.zeros(n)
+            e[i] = 1.0
+            off = prob.du_ub[comp]
+            if i >= NU:
+                e[i - NU] = -1.0
+            else:
+                off += prob.u_prev[comp]
+            rows.append(e)
+            rhs.append(off)
+    for i in range(n):
+        comp = i % NU
+        if np.isfinite(prob.du_lb[comp]):
+            e = np.zeros(n)
+            e[i] = -1.0
+            off = -prob.du_lb[comp]
+            if i >= NU:
+                e[i - NU] = 1.0
+            else:
+                off -= prob.u_prev[comp]
+            rows.append(e)
+            rhs.append(off)
+    if rows:
+        return np.array(rows), np.array(rhs)
+    return np.zeros((0, n)), np.zeros(0)
+
+
+def solve_qp_scalar(prob: MpcProblem, initial_active=None, full_output: bool = False):
+    """Primal active-set solve whose ratio test visits one row at a time."""
+    n = NU * prob.nc
+    a_mat, b_vec = constraint_rows_loop(prob)
+    m = a_mat.shape[0]
+    x = _feasible_start(prob)
+    work = []
+    if initial_active:
+        for idx in initial_active:
+            if 0 <= idx < m and abs(a_mat[idx] @ x - b_vec[idx]) < 1e-10:
+                work.append(idx)
+    max_iter = 50 * max(n, 1)
+    status = "max_iterations"
+    lam_full = np.zeros(m)
+    for it in range(max_iter):
+        k = len(work)
+        kkt = np.zeros((n + k, n + k))
+        kkt[:n, :n] = prob.H
+        rhs = np.zeros(n + k)
+        rhs[:n] = -(prob.H @ x + prob.g)
+        if k:
+            aw = a_mat[work]
+            kkt[:n, n:] = aw.T
+            kkt[n:, :n] = aw
+        sol = np.linalg.solve(kkt, rhs)
+        p = sol[:n]
+        lam = sol[n:]
+        if float(np.abs(p).max(initial=0.0)) <= 1e-11:
+            if k == 0 or lam.min() >= -1e-9:
+                status = "optimal"
+                lam_full = np.zeros(m)
+                lam_full[work] = lam
+                break
+            work.pop(int(np.argmin(lam)))
+            continue
+        alpha = 1.0
+        blocker = -1
+        for i in range(m):
+            if i in work:
+                continue
+            ap = float(a_mat[i] @ p)
+            if ap > 1e-12:
+                ratio = (b_vec[i] - float(a_mat[i] @ x)) / ap
+                if ratio < alpha - 1e-12:
+                    alpha = max(ratio, 0.0)
+                    blocker = i
+        x = x + alpha * p
+        if blocker >= 0:
+            work.append(blocker)
+            work.sort()
+    kkt_residual = float(np.abs(prob.H @ x + prob.g + a_mat.T @ lam_full).max(initial=0.0)) if status == "optimal" else math.inf
+    info = {
+        "status": status,
+        "iterations": it + 1 if status == "optimal" else max_iter,
+        "active_set": tuple(sorted(work)),
+        "kkt_residual": kkt_residual,
+    }
+    return (x, info) if full_output else x
+
+
+def mpc_step_per_step(state, traj, t_now, u_prev, cfg, initial_active=None, full_output: bool = False):
+    """One MPC update through build_qp_per_step and solve_qp_scalar."""
+    np_ = cfg.horizon
+    ts = t_now + cfg.dt * np.arange(1, np_ + 1)
+    ref = traj.sample(np.clip(ts, 0.0, traj.total_time), 0).copy()
+    prev_phi = state.phi
+    for i in range(np_):
+        ref[i, 2] = prev_phi + wrap_angle(ref[i, 2] - prev_phi)
+        prev_phi = ref[i, 2]
+    prob = build_qp_per_step(state, ref.ravel(), u_prev, cfg)
+    u, info = solve_qp_scalar(prob, initial_active=initial_active, full_output=True)
+    return (u[:NU], info) if full_output else u[:NU]

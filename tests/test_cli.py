@@ -13,6 +13,7 @@ from helpers import straight_traj
 from oracles import write_csv_per_value
 import sweptplan.cli as cli
 import sweptplan.mpc as mpc
+import sweptplan.sim as sim
 from sweptplan.cli import (
     MissingArtifact,
     ParseError,
@@ -472,3 +473,37 @@ def test_qp_log_records_non_optimal_solves(tmp_path, monkeypatch):
     assert all(row.split(",")[1] == "1" for row in rows[1:] if row != rows[3])
     header = (tmp_path / "trace.csv").read_text().splitlines()[0].split(",")
     assert header[:12] == ["t", "x", "y", "phi", "ref_x", "ref_y", "ref_phi", "vx", "vy", "omega", "e_y", "e_phi"]
+
+
+def test_track_substage_timings(tmp_path):
+    cli._stage_track(parse_scenario(STRAIGHT), str(tmp_path), straight_traj(distance=2.0, n_interior=1))
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    parts = [timings[k] for k in ("track_mpc_s", "track_alloc_s")]
+    assert all(p >= 0.0 for p in parts)
+    assert sum(parts) <= timings["track_s"]
+
+
+def test_aborted_trace_csv_is_deterministic(tmp_path, monkeypatch):
+    real = sim.mpc_step
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 4:
+            raise RuntimeError("stubbed failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "mpc_step", stub)
+    sc = parse_scenario(STRAIGHT)
+    traj = straight_traj(distance=2.0, n_interior=1)
+    for run in ("a", "b"):
+        calls.clear()
+        (tmp_path / run).mkdir()
+        with pytest.raises(RuntimeError, match="controller aborted mid-run: RuntimeError: stubbed failure"):
+            cli._stage_track(sc, str(tmp_path / run), traj)
+    first = (tmp_path / "a" / "trace.csv").read_bytes()
+    assert first == (tmp_path / "b" / "trace.csv").read_bytes()
+    last = first.decode().splitlines()[-1].split(",")
+    assert len(first.decode().splitlines()) == 5
+    assert all(v != "nan" for v in last[:7] + last[10:12])
+    assert all(v == "nan" for v in last[7:10] + last[12:])

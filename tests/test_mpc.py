@@ -5,13 +5,14 @@ import numpy.testing as npt
 import pytest
 
 from helpers import straight_traj
-from oracles import qp_enumerate
+from oracles import build_qp_per_step, constraint_rows_loop, prediction_loop, qp_enumerate, solve_qp_scalar
 from sweptplan.geometry import Pose2
 from sweptplan.mpc import (
     HeadingWrapMismatch,
     Infeasible,
     MpcConfig,
     MpcProblem,
+    _constraint_rows,
     build_prediction,
     build_qp,
     mpc_step,
@@ -283,3 +284,167 @@ def test_mpc_step_reference_past_end_clamps(line_traj):
     end = line_traj.eval(line_traj.total_time, 0)
     u = mpc_step(Pose2(*end), line_traj, line_traj.total_time + 5.0, np.zeros(3), cfg)
     npt.assert_allclose(u, 0.0, atol=1e-8)
+
+
+# Exactness against the loop forms in oracles.py: same bits, not just close.
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _spd(rng, n, scale=1.0):
+    a = rng.standard_normal((n, n))
+    return scale * (a @ a.T + 0.5 * np.eye(n))
+
+
+def _random_problem(rng, nc, g_scale=3.0):
+    """Box and rate bounds with some entries infinite; u = u_prev at every step is feasible."""
+    n = 3 * nc
+    lo = np.where(rng.random(n) < 0.3, -np.inf, rng.uniform(-2.0, -0.5, n))
+    hi = np.where(rng.random(n) < 0.3, np.inf, rng.uniform(0.5, 2.0, n))
+    du_hi = np.where(rng.random(3) < 0.3, np.inf, rng.uniform(0.05, 0.6, 3))
+    du_lo = np.where(rng.random(3) < 0.3, -np.inf, -rng.uniform(0.05, 0.6, 3))
+    return MpcProblem(
+        H=_spd(rng, n),
+        g=g_scale * rng.standard_normal(n),
+        lb=lo,
+        ub=hi,
+        du_lb=du_lo,
+        du_ub=du_hi,
+        u_prev=rng.uniform(-0.4, 0.4, 3),
+        nc=nc,
+    )
+
+
+@pytest.mark.parametrize("dt,horizon,nc", [(0.1, 1, 1), (0.05, 20, 10), (0.05, 20, 20), (0.3, 7, 3)])
+def test_prediction_matches_loop(dt, horizon, nc):
+    cfg = _cfg(dt=dt, horizon=horizon, control_horizon=nc)
+    for got, ref in zip(build_prediction(cfg), prediction_loop(cfg)):
+        assert _same_bits(got, ref)
+
+
+@pytest.mark.parametrize("nc", [1, 2, 10])
+def test_constraint_rows_match_loop(nc):
+    rng = np.random.default_rng(nc)
+    for _ in range(20):
+        prob = _random_problem(rng, nc)
+        for got, ref in zip(_constraint_rows(prob), constraint_rows_loop(prob)):
+            assert _same_bits(got, ref)
+    unbounded = MpcProblem(
+        H=np.eye(3 * nc), g=np.zeros(3 * nc),
+        lb=np.full(3 * nc, -np.inf), ub=np.full(3 * nc, np.inf),
+        du_lb=np.full(3, -np.inf), du_ub=np.full(3, np.inf),
+        u_prev=np.zeros(3), nc=nc,
+    )
+    for got, ref in zip(_constraint_rows(unbounded), constraint_rows_loop(unbounded)):
+        assert _same_bits(got, ref)
+
+
+def _assert_same_solve(prob, initial_active=None):
+    x, info = solve_qp(prob, initial_active=initial_active, full_output=True)
+    x_ref, info_ref = solve_qp_scalar(prob, initial_active=initial_active, full_output=True)
+    assert _same_bits(x, x_ref)
+    for key in ("status", "iterations", "active_set", "kkt_residual"):
+        assert info[key] == info_ref[key], key
+    return info
+
+
+@pytest.mark.parametrize("nc,g_scale", [(1, 3.0), (2, 3.0), (10, 3.0), (1, 1e4), (2, 1e4), (10, 1e3)])
+def test_solve_qp_matches_scalar_ratio_test(nc, g_scale):
+    # the large g_scale makes |p| big enough that working-set rows show a*p
+    # rounding residues above 1e-12, which the ratio test must skip
+    rng = np.random.default_rng(100 * nc + int(math.log10(g_scale)))
+    for _ in range(12):
+        prob = _random_problem(rng, nc, g_scale)
+        info = _assert_same_solve(prob)
+        _assert_same_solve(prob, initial_active=info["active_set"])
+        m = _constraint_rows(prob)[0].shape[0]
+        _assert_same_solve(prob, initial_active=sorted(rng.choice(max(m, 1), size=min(m, 4), replace=False).tolist()))
+
+
+def test_ratio_near_tie_keeps_lowest_index():
+    # two box rows block at ratios 2.5e-13 apart: the lower index wins,
+    # not the smaller ratio
+    prob = MpcProblem(
+        H=np.eye(3), g=np.array([-2.0, -2.0, 0.0]),
+        lb=np.full(3, -5.0), ub=np.array([1.0, 1.0 - 5e-13, 5.0]),
+        du_lb=np.full(3, -np.inf), du_ub=np.full(3, np.inf),
+        u_prev=np.zeros(3), nc=1,
+    )
+    x, info = solve_qp(prob, full_output=True)
+    assert _same_bits(x, [1.0, 1.0, 0.0])
+    assert info["active_set"] == (0, 1)
+    _assert_same_solve(prob)
+
+
+def _weights(rng):
+    return dict(state_weight=_spd(rng, 3, 5.0), input_weight=_spd(rng, 3, 0.05))
+
+
+def _qp_inputs(rng, cfg):
+    state = Pose2(*rng.uniform(-1.0, 1.0, 3))
+    ref = rng.uniform(-1.0, 1.0, 3 * cfg.horizon)
+    return state, ref, rng.uniform(-0.5, 0.5, 3)
+
+
+def _assert_qp_matches_oracle(cfg, state, ref, u_prev):
+    got, want = build_qp(state, ref, u_prev, cfg), build_qp_per_step(state, ref, u_prev, cfg)
+    for name in ("H", "g", "lb", "ub", "du_lb", "du_ub", "u_prev"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+    assert got.nc == want.nc
+    return got
+
+
+@pytest.mark.parametrize("horizon,nc", [(1, 1), (4, 2), (20, 10)])
+def test_build_qp_matches_per_step_assembly(horizon, nc):
+    rng = np.random.default_rng(horizon)
+    cfg = MpcConfig(dt=0.05, horizon=horizon, control_horizon=nc, **_weights(rng))
+    for _ in range(5):
+        _assert_qp_matches_oracle(cfg, *_qp_inputs(rng, cfg))
+    # zero input weight and zero y weight make H singular: the regularized branch
+    singular = MpcConfig(dt=0.05, horizon=horizon, control_horizon=nc, input_weight=np.zeros((3, 3)),
+                         state_weight=np.diag([1.0, 0.0, 1.0]))
+    _assert_qp_matches_oracle(singular, *_qp_inputs(rng, singular))
+
+
+def test_build_qp_cache_separates_configs():
+    rng = np.random.default_rng(3)
+    w = _weights(rng)
+    cfg_a = MpcConfig(horizon=6, control_horizon=3, **w)
+    w_b = {k: v.copy() for k, v in w.items()}
+    w_b["input_weight"][1, 1] += 0.01
+    cfg_b = MpcConfig(horizon=6, control_horizon=3, **w_b)
+    inputs = _qp_inputs(rng, cfg_a)
+    h_a = _assert_qp_matches_oracle(cfg_a, *inputs).H
+    h_b = _assert_qp_matches_oracle(cfg_b, *inputs).H
+    assert not np.array_equal(h_a, h_b)
+    w_c = {k: v.copy() for k, v in w.items()}
+    w_c["state_weight"][0, 0] *= 2.0
+    cfg_c = MpcConfig(horizon=6, control_horizon=3, **w_c)
+    g_c = _assert_qp_matches_oracle(cfg_c, *inputs).g
+    assert not np.array_equal(g_c, build_qp(*inputs, cfg_a).g)
+
+
+def test_build_qp_sees_in_place_weight_edit():
+    rng = np.random.default_rng(4)
+    cfg = MpcConfig(horizon=5, control_horizon=2, **_weights(rng))
+    inputs = _qp_inputs(rng, cfg)
+    before = build_qp(*inputs, cfg).H
+    cfg.input_weight[2, 2] += 0.25
+    after = _assert_qp_matches_oracle(cfg, *inputs).H
+    assert after[2, 2] != before[2, 2]
+
+
+def test_editing_a_problem_leaves_the_next_step_unchanged():
+    rng = np.random.default_rng(5)
+    cfg = MpcConfig(horizon=5, control_horizon=2, **_weights(rng))
+    inputs = _qp_inputs(rng, cfg)
+    prob = build_qp(*inputs, cfg)
+    try:
+        prob.H[:] = 0.0
+        prob.H += 7.0
+    except ValueError:  # a read-only H is as safe as a copied one
+        pass
+    _assert_qp_matches_oracle(cfg, *inputs)

@@ -4,7 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import sweptplan.sim as sim
 from helpers import rotation_traj, straight_traj
+from oracles import mpc_step_per_step
 from sweptplan.geometry import Pose2
 from sweptplan.minco import Boundary, build_minco
 from sweptplan.mpc import MpcConfig
@@ -175,3 +177,15 @@ def test_abort_produces_partial_trace(veh, line_traj):
     assert trace.aborted is not None
     assert "Infeasible" in trace.aborted
     assert trace.t.shape[0] >= 1
+
+
+def test_closed_loop_matches_per_step_mpc(veh, bend_traj, monkeypatch):
+    cfg = MpcConfig(du_min=np.array([-0.1, -0.1, -0.05]), du_max=np.array([0.1, 0.1, 0.05]))
+    sim_cfg = SimConfig(settle_time=0.5)
+    got = run_closed_loop(bend_traj, veh, mpc_cfg=cfg, sim_cfg=sim_cfg)
+    monkeypatch.setattr(sim, "mpc_step", mpc_step_per_step)
+    want = run_closed_loop(bend_traj, veh, mpc_cfg=cfg, sim_cfg=sim_cfg)
+    assert got.aborted is None and want.aborted is None
+    assert (got.qp[:, 2] > 0).any()  # constraints bind, so ratio tests and warm starts do work
+    for name in ("t", "pose", "ref", "u", "e_y", "e_phi", "wheel_gamma", "wheel_speed", "qp"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
