@@ -30,7 +30,7 @@ from .minco import MincoTrajectory
 from .mpc import MpcConfig
 from .planner import PlanOptions, PlannerWeights, optimize_stage1, optimize_stage2
 from .render import render_scene
-from .sim import SimConfig, SimTrace, compute_metrics, driven_path, run_closed_loop
+from .sim import SimConfig, SimTrace, compute_metrics, run_closed_loop
 from .sweptfield import SweptField, auto_region, compute_swept_field, excess_area
 from .worldmodel import (
     Box,
@@ -588,22 +588,13 @@ def _stage_track(sc: Scenario, out_dir: str, traj) -> SimTrace:
 
 def _stage_metrics(sc: Scenario, out_dir: str, traj, trace, field: SweptField, plan_time) -> dict:
     t0 = time.perf_counter()
-    region = (
-        float(field.origin[0]),
-        float(field.origin[1]),
-        float(field.origin[0] + field.width * field.resolution),
-        float(field.origin[1] + field.height * field.resolution),
-    )
-    driven_field = compute_swept_field(
-        driven_path(trace), sc.veh, region=region, resolution=field.resolution
-    )
     if plan_time is None:
         plan_time = 0.0
         timings_path = os.path.join(out_dir, "timings.json")
         if os.path.exists(timings_path):
             with open(timings_path, "r", encoding="utf-8") as fh:
                 plan_time = json.load(fh).get("plan_s", 0.0)
-    report = compute_metrics(trace, traj, sc.veh, driven_field, planning_time=plan_time)
+    report = compute_metrics(trace, traj, sc.veh, field, planning_time=plan_time)
     planned = excess_area(field, traj, sc.veh)
     doc = {
         "excess_swept_area": report.excess_swept_area,
@@ -617,7 +608,25 @@ def _stage_metrics(sc: Scenario, out_dir: str, traj, trace, field: SweptField, p
         "mean_abs_e_phi_deg": report.mean_abs_e_phi_deg,
     }
     _write_json(os.path.join(out_dir, "metrics.json"), doc)
-    _merge_timings(out_dir, {"metrics_s": time.perf_counter() - t0, "planning_time_s": float(plan_time)})
+    sweep = report.sweep
+    _write_json(
+        os.path.join(out_dir, "metrics_sweep.json"),
+        {
+            "cells": sweep.cells,
+            "skipped_far": sweep.skipped_far,
+            "certified_inside": sweep.certified_inside,
+            "certified_outside": sweep.certified_outside,
+            "refined": sweep.refined,
+        },
+    )
+    _merge_timings(
+        out_dir,
+        {
+            "metrics_s": time.perf_counter() - t0,
+            "metrics_area_s": report.area_s,
+            "planning_time_s": float(plan_time),
+        },
+    )
     return doc
 
 

@@ -4,8 +4,8 @@ The plant integrates the commanded world-frame twist exactly (x += dt*Vx and
 so on, heading wrapped). Each control step samples the reference, runs the
 tracking QP, optionally low-passes the command to emulate actuation lag,
 allocates wheel states for the log, and advances the plant. Metrics compare
-the driven swept field against the ribbon baseline and summarize tracking
-errors.
+the driven path's swept area, a certified count of its f* <= 0 cells, against
+the ribbon baseline and summarize tracking errors.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .drivetrain import allocate
 from .geometry import Pose2, VehicleParams, to_body_frame, wrap_angle
 from .mpc import MpcConfig, mpc_step
-from .sweptfield import LinearPosePath, SweptField, excess_area
+from .sweptfield import LinearPosePath, SweepCount, SweptField, count_swept_cells, ribbon_report
 
 
 @dataclass
@@ -60,6 +60,8 @@ class MetricsReport:
     mean_abs_e_y: float
     max_abs_e_phi_deg: float
     mean_abs_e_phi_deg: float
+    sweep: SweepCount  # how the driven swept cells were decided
+    area_s: float = 0.0  # wall-clock seconds of the driven count; never written to metrics.json
 
 
 def plant_step(pose: Pose2, u_world: np.ndarray, dt: float) -> Pose2:
@@ -204,8 +206,24 @@ def compute_metrics(
     field: SweptField,
     planning_time: float = 0.0,
 ) -> MetricsReport:
-    """Tracking and sweep metrics; `field` is the swept field of the driven poses."""
-    report = excess_area(field, driven_path(trace), veh)
+    """Tracking and sweep metrics.
+
+    `field` supplies only the grid: the driven path's f* <= 0 cells are
+    counted on the region it covers, at its resolution, by
+    `count_swept_cells`, which equals the count of a full swept field of the
+    driven poses on that region.
+    """
+    path = driven_path(trace)
+    region = (
+        float(field.origin[0]),
+        float(field.origin[1]),
+        float(field.origin[0] + field.width * field.resolution),
+        float(field.origin[1] + field.height * field.resolution),
+    )
+    t0 = time.perf_counter()
+    sweep = count_swept_cells(path, veh, region, field.resolution)
+    area_s = time.perf_counter() - t0
+    report = ribbon_report(float(sweep.swept) * field.resolution**2, path, veh)
     e_phi_deg = np.degrees(np.abs(trace.e_phi))
     return MetricsReport(
         excess_swept_area=report.excess_area,
@@ -216,4 +234,6 @@ def compute_metrics(
         mean_abs_e_y=float(np.abs(trace.e_y).mean()),
         max_abs_e_phi_deg=float(e_phi_deg.max()),
         mean_abs_e_phi_deg=float(e_phi_deg.mean()),
+        sweep=sweep,
+        area_s=area_s,
     )

@@ -7,6 +7,18 @@ f* <= 0 sublevel set is the swept area. Each grid cell runs an independent
 K-sample coarse scan, over K poses sampled once per field, whose local minima
 seed Armijo-backtracked gradient descent on g; cells are pure functions of the
 inputs, so chunks may execute in parallel without changing the output.
+
+When only the f* <= 0 cell count is needed (the driven path's swept area),
+`count_swept_cells` decides most cells from the coarse scan alone. Between
+coarse samples j and j+1, h apart, g changes no faster than
+L_j = vmax_j + wmax_j * (|p - c_j| + vmax_j * h), the exact speed and heading
+rate maxima over the interval times the body-frame reach, so
+min g >= (g_j + g_{j+1}) / 2 - L_j * h / 2 there. A cell whose lower bound is
+positive on every interval is certified outside; one with a non-positive
+coarse sample is inside, because refinement only ever accepts decreases from
+the deepest sample. Cells farther than half_diagonal + vmax_j * h from every
+coarse center skip the SDF. The rest are refined exactly as in
+`compute_swept_field`, so the count equals that field's count.
 """
 
 from __future__ import annotations
@@ -29,6 +41,10 @@ ARMIJO_C = 1e-4
 SHRINK = 0.5
 TIME_TOL = 1e-4  # seconds; refinement stops below this step size
 MAX_REFINE_ITERS = 60
+# meters; certificates must clear floating-point noise in g and its bound by this much
+CERT_MARGIN = 1e-9
+# cell classes of the certified count
+FAR, INSIDE, OUTSIDE, REFINED = range(4)
 
 
 class RegionTooSmall(Exception):
@@ -49,6 +65,18 @@ class SweptField:
     def cell_centers(self) -> np.ndarray:
         ix, iy = np.meshgrid(np.arange(self.width), np.arange(self.height), indexing="ij")
         return self.origin + (np.stack([ix.ravel(), iy.ravel()], axis=1) + 0.5) * self.resolution
+
+
+@dataclass
+class SweepCount:
+    """How `count_swept_cells` decided each cell; the four classes sum to `cells`."""
+
+    cells: int
+    skipped_far: int
+    certified_inside: int
+    certified_outside: int
+    refined: int
+    swept: int  # cells with f* <= 0
 
 
 @dataclass
@@ -93,6 +121,24 @@ class LinearPosePath:
             dt = np.diff(self.times)[seg]
             return (self.poses[seg + 1] - self.poses[seg]) / dt[..., None]
         return np.zeros(ts.shape + (3,))
+
+    def rate_bounds(self, ts: np.ndarray):
+        """(vmax, wmax) per interval [ts[j], ts[j+1]]: the largest translational
+        speed and |heading rate| of the linear pieces that interval overlaps."""
+        ts = np.asarray(ts, dtype=float)
+        n = self.times.shape[0]
+        if n < 2:
+            zero = np.zeros(ts.shape[0] - 1)
+            return zero, zero
+        dt = np.diff(self.times)
+        d = np.diff(self.poses, axis=0)
+        speed = np.hypot(d[:, 0], d[:, 1]) / dt
+        rate = np.abs(d[:, 2]) / dt
+        lo = np.clip(np.searchsorted(self.times, ts[:-1], side="right") - 1, 0, n - 2)
+        hi = np.maximum(np.minimum(np.searchsorted(self.times, ts[1:], side="left"), n - 1), lo + 1)
+        vmax = np.array([speed[a:b].max() for a, b in zip(lo, hi)])
+        wmax = np.array([rate[a:b].max() for a, b in zip(lo, hi)])
+        return vmax, wmax
 
     def arc_length(self) -> float:
         d = np.diff(self.poses[:, :2], axis=0)
@@ -300,6 +346,26 @@ def _resolve_threads(threads: int | None) -> int:
     return max(1, threads)
 
 
+def _region_grid(path, veh: VehicleParams, region, resolution: float):
+    """(origin, width, height, cx, cy) of the grid over `region`, None for an
+    auto-sized box; cx and cy are the cell-center coordinates along x and y.
+    Raises RegionTooSmall unless the region holds the path's footprint."""
+    if region is None:
+        region = auto_region(path, veh)
+    xmin, ymin, xmax, ymax = (float(v) for v in region)
+    if not (xmax > xmin and ymax > ymin):
+        raise RegionTooSmall(f"degenerate region {region!r}")
+    fx0, fy0, fx1, fy1 = _footprint_bounds(path, veh)
+    if fx0 < xmin or fy0 < ymin or fx1 > xmax or fy1 > ymax:
+        raise RegionTooSmall("trajectory footprint leaves the requested region")
+    width = int(math.ceil((xmax - xmin) / resolution))
+    height = int(math.ceil((ymax - ymin) / resolution))
+    origin = np.array([xmin, ymin])
+    cx = origin[0] + (np.arange(width) + 0.5) * resolution
+    cy = origin[1] + (np.arange(height) + 0.5) * resolution
+    return origin, width, height, cx, cy
+
+
 def compute_swept_field(
     path,
     veh: VehicleParams,
@@ -314,22 +380,10 @@ def compute_swept_field(
     output slices, so the result is bit-identical at any parallelism level
     (set via the `threads` argument or the SWEPTPLAN_THREADS env var, 0 = auto).
     """
-    if region is None:
-        region = auto_region(path, veh)
-    xmin, ymin, xmax, ymax = (float(v) for v in region)
-    if not (xmax > xmin and ymax > ymin):
-        raise RegionTooSmall(f"degenerate region {region!r}")
-    fx0, fy0, fx1, fy1 = _footprint_bounds(path, veh)
-    if fx0 < xmin or fy0 < ymin or fx1 > xmax or fy1 > ymax:
-        raise RegionTooSmall("trajectory footprint leaves the requested region")
-
-    width = int(math.ceil((xmax - xmin) / resolution))
-    height = int(math.ceil((ymax - ymin) / resolution))
-    origin = np.array([xmin, ymin])
+    origin, width, height, cx, cy = _region_grid(path, veh, region, resolution)
     f_star = np.empty((width, height))
     t_star = np.empty((width, height))
 
-    iy = np.arange(height)
     # Sampled once per call, not per chunk, so the work done is the same at any thread count.
     coarse = _coarse_poses(path, 0.0, path.total_time)
     n_threads = _resolve_threads(threads)
@@ -338,11 +392,9 @@ def compute_swept_field(
     def work(ix0: int) -> None:
         ix1 = min(ix0 + chunk, width)
         nx = ix1 - ix0
-        xs = origin[0] + (np.arange(ix0, ix1) + 0.5) * resolution
-        ys = origin[1] + (iy + 0.5) * resolution
         pts = np.empty((nx * height, 2))
-        pts[:, 0] = np.repeat(xs, height)
-        pts[:, 1] = np.tile(ys, nx)
+        pts[:, 0] = np.repeat(cx[ix0:ix1], height)
+        pts[:, 1] = np.tile(cy, nx)
         t, f = _min_time_batch(pts, path, veh, 0.0, path.total_time, coarse)
         f_star[ix0:ix1] = f.reshape(nx, height)
         t_star[ix0:ix1] = t.reshape(nx, height)
@@ -364,15 +416,90 @@ def compute_swept_field(
     )
 
 
+def _certify(path, veh: VehicleParams, cx: np.ndarray, cy: np.ndarray, coarse) -> np.ndarray:
+    """Class of every cell of the (cx x cy) grid, shape (cx.size, cy.size):
+    FAR, INSIDE, OUTSIDE, or REFINED where the coarse scan cannot decide.
+
+    Works one coarse interval at a time with running minima, so memory stays
+    linear in the number of cells whatever the sample count.
+    """
+    ts, xs, ys, cs, ss = coarse
+    h = np.diff(ts)
+    vmax, wmax = path.rate_bounds(ts)
+    # Within interval j the body stays inside a disc of this radius around c_j.
+    reach = veh.half_diagonal + vmax * h + CERT_MARGIN
+    near = np.zeros((cx.size, cy.size), dtype=bool)
+    for j in range(h.size):
+        ix0, ix1 = np.searchsorted(cx, [xs[j] - reach[j], xs[j] + reach[j]], side="left")
+        iy0, iy1 = np.searchsorted(cy, [ys[j] - reach[j], ys[j] + reach[j]], side="left")
+        dx = cx[ix0:ix1, None] - xs[j]
+        dy = cy[None, iy0:iy1] - ys[j]
+        near[ix0:ix1, iy0:iy1] |= dx * dx + dy * dy <= reach[j] * reach[j]
+
+    ix, iy = np.nonzero(near)
+    px, py = cx[ix], cy[iy]
+    for j in range(ts.size):
+        dx = px - xs[j]
+        dy = py - ys[j]
+        g = footprint_sdf_values(to_body_frame(dx, dy, cs[j], ss[j]), veh.length, veh.width)
+        if j == 0:
+            g_min = g.copy()
+            bound = g.copy()
+        else:
+            i = j - 1  # the interval from sample j-1 to sample j
+            lip = vmax[i] + wmax[i] * (dist_prev + vmax[i] * h[i])
+            np.minimum(g_min, g, out=g_min)
+            np.minimum(bound, np.minimum(0.5 * (g_prev + g) - 0.5 * lip * h[i], g), out=bound)
+        g_prev = g
+        dist_prev = np.hypot(dx, dy)
+
+    cls = np.full((cx.size, cy.size), FAR, dtype=np.int8)
+    cls[ix, iy] = np.where(g_min <= -CERT_MARGIN, INSIDE, np.where(bound > CERT_MARGIN, OUTSIDE, REFINED))
+    return cls
+
+
+def count_swept_cells(path: LinearPosePath, veh: VehicleParams, region, resolution: float) -> SweepCount:
+    """Number of f* <= 0 cells of `compute_swept_field(path, veh, region,
+    resolution)`, without computing the field.
+
+    Cells are certified from the coarse scan (see the module docstring) and
+    only the undecided ones are refined, by the same code and coarse poses as
+    the field; their results do not depend on how cells are batched, so the
+    count is exact. The bound needs exact rate maxima, so `path` must provide
+    `rate_bounds`, as a LinearPosePath does.
+    """
+    _, width, height, cx, cy = _region_grid(path, veh, region, resolution)
+    coarse = _coarse_poses(path, 0.0, path.total_time)
+    if coarse is None:
+        cls = np.full((width, height), REFINED, dtype=np.int8)
+    else:
+        cls = _certify(path, veh, cx, cy, coarse)
+    ix, iy = np.nonzero(cls == REFINED)
+    _, f = _min_time_batch(np.column_stack([cx[ix], cy[iy]]), path, veh, 0.0, path.total_time, coarse)
+    n = np.bincount(cls.ravel(), minlength=4)
+    return SweepCount(
+        cells=width * height,
+        skipped_far=int(n[FAR]),
+        certified_inside=int(n[INSIDE]),
+        certified_outside=int(n[OUTSIDE]),
+        refined=int(n[REFINED]),
+        swept=int(n[INSIDE]) + int(np.count_nonzero(f <= 0.0)),
+    )
+
+
 def swept_area(field: SweptField) -> float:
     """Area of the f* <= 0 sublevel set, counted by cell centers."""
     return float(np.count_nonzero(field.f_star <= 0.0)) * field.resolution**2
 
 
 def excess_area(field: SweptField, path, veh: VehicleParams) -> AreaReport:
+    """The field's swept area against the ribbon baseline of `path`."""
+    return ribbon_report(swept_area(field), path, veh)
+
+
+def ribbon_report(area: float, path, veh: VehicleParams) -> AreaReport:
     """Swept area minus the ribbon baseline: width * center-path arc length
     plus one footprint, the minimum any rigid translation along the path must
     cover."""
-    area = swept_area(field)
     baseline = veh.width * path.arc_length() + veh.length * veh.width
     return AreaReport(swept_area=area, baseline_area=baseline, excess_area=area - baseline)

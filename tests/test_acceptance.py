@@ -397,7 +397,7 @@ def test_acceptance_8_determinism(tmp_path):
         outs.append(out)
     same = {
         name: (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        for name in ("trace.csv", "field.csv", "metrics.json")
+        for name in ("trace.csv", "field.csv", "metrics.json", "metrics_sweep.json")
     }
     _report(
         8,

@@ -220,11 +220,16 @@ def test_parse_echo_round_trip(tmp_path, scenario):
     npt.assert_array_equal(again.mpc.du_max, np.full(3, np.inf))
 
 
-def test_pipeline_straight_all_stages(tmp_path):
-    sc = parse_scenario(STRAIGHT)
-    out = tmp_path / "out"
-    rc = run_pipeline(sc, ["plan", "sweep", "track", "metrics"], str(out))
-    assert rc == 0
+@pytest.fixture(scope="module")
+def straight_all(tmp_path_factory):
+    """Output directory of one `all` run on straight.json."""
+    out = tmp_path_factory.mktemp("straight_all")
+    assert run_pipeline(parse_scenario(STRAIGHT), ["plan", "sweep", "track", "metrics"], str(out)) == 0
+    return out
+
+
+def test_pipeline_straight_all_stages(straight_all):
+    out = straight_all
     for name in (
         "trajectory.json",
         "plan_report.json",
@@ -235,6 +240,7 @@ def test_pipeline_straight_all_stages(tmp_path):
         "trace.csv",
         "qp_log.csv",
         "metrics.json",
+        "metrics_sweep.json",
         "timings.json",
     ):
         assert (out / name).exists(), name
@@ -473,6 +479,24 @@ def test_qp_log_records_non_optimal_solves(tmp_path, monkeypatch):
     assert all(row.split(",")[1] == "1" for row in rows[1:] if row != rows[3])
     header = (tmp_path / "trace.csv").read_text().splitlines()[0].split(",")
     assert header[:12] == ["t", "x", "y", "phi", "ref_x", "ref_y", "ref_phi", "vx", "vy", "omega", "e_y", "e_phi"]
+
+
+def test_metrics_sweep_counters_and_area_timing(straight_all):
+    sweep = json.loads((straight_all / "metrics_sweep.json").read_text())
+    parts = ("skipped_far", "certified_inside", "certified_outside", "refined")
+    assert set(sweep) == {"cells", *parts}
+    assert sum(sweep[k] for k in parts) == sweep["cells"]
+    assert sweep["refined"] < sweep["cells"]
+    timings = json.loads((straight_all / "timings.json").read_text())
+    assert 0.0 <= timings["metrics_area_s"] <= timings["metrics_s"]
+
+
+def test_readme_artifact_table_names_every_file(straight_all):
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, "r", encoding="utf-8") as fh:
+        section = fh.read().split("## Artifacts", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE))
+    assert set(os.listdir(straight_all)) - documented == set()
 
 
 def test_track_substage_timings(tmp_path):

@@ -1,14 +1,19 @@
+import json
 import math
+import os
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.spatial import cKDTree
 
-from helpers import rotation_traj, small_vehicle, straight_traj
+from helpers import curved_traj, rotation_traj, small_vehicle, straight_traj
 from oracles import min_time_per_point_poses, min_time_scan
 from sweptplan import sweptfield
+from sweptplan.cli import load_trace_csv, parse_scenario, run_pipeline
 from sweptplan.geometry import Pose2, to_body_frame, world_sdf_with_grad
-from sweptplan.minco import Boundary, build_minco
+from sweptplan.minco import Boundary, MincoTrajectory, build_minco
+from sweptplan.sim import driven_path
 from sweptplan.sweptfield import (
     COARSE_SAMPLES,
     AreaReport,
@@ -16,6 +21,7 @@ from sweptplan.sweptfield import (
     RegionTooSmall,
     auto_region,
     compute_swept_field,
+    count_swept_cells,
     excess_area,
     min_time_distance,
     swept_area,
@@ -282,3 +288,137 @@ def test_coarse_scan_rotates_by_one_cos_sin_per_time(veh, bend_traj, monkeypatch
     pts = _query_points(bend_traj, veh, 7)
     _batch(pts, bend_traj, veh, 0.0, bend_traj.total_time)
     assert len(scalar_calls) == COARSE_SAMPLES
+
+
+# The certified count must equal the full field's f* <= 0 count exactly. The
+# paths below stress each part of the certificate:
+# - spin: the heading-rate term of the Lipschitz bound;
+# - random_walk: large uneven steps, where the bound decides almost nothing;
+# - dash: several footprint diagonals between coarse samples (the stamp's reach);
+# - jab: a sideways jab hidden between two coarse samples whose sampled
+#   velocity is 0 (the exact per-piece rate maxima);
+# - edge_line: cell centers exactly on the footprint edge (f* = 0);
+# - touch_and_retreat: an exact interval bound of 0 that evaluates to +3e-17
+#   (the float margin).
+
+
+def _spin_path():
+    ts = np.linspace(0.0, 6.0, 40)
+    return LinearPosePath(ts, np.column_stack([np.zeros(40), np.zeros(40), ts * math.pi]))
+
+
+def _random_walk(seed: int):
+    rng = np.random.default_rng(seed)
+    n = 40
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.02, 0.6, n - 1))])
+    xy = np.cumsum(rng.normal(0.0, 1.5, (n, 2)), axis=0)
+    phi = np.cumsum(rng.normal(0.0, 1.0, n))
+    return LinearPosePath(times, np.column_stack([xy, phi]))
+
+
+def _jab_path():
+    # 1 m sideways and back at 20 m/s, strictly between the samples at 7.75 s and 8 s
+    times = np.array([0.0, 7.8, 7.85, 7.9, 15.75])
+    poses = np.zeros((5, 3))
+    poses[2, 1] = 1.0
+    return LinearPosePath(times, poses)
+
+
+def _bend_path():
+    traj = curved_traj(seed=11, n_interior=5)
+    ts = np.linspace(0.0, traj.total_time, 300)
+    return LinearPosePath(ts, traj.sample(ts, 0))
+
+
+def _auto(path):
+    return path, auto_region(path, small_vehicle()), 0.1
+
+
+def _line(times, poses):
+    return LinearPosePath(np.array(times), np.array(poses, dtype=float))
+
+
+# name -> () -> (path, region, resolution). The hand-set regions put 0.25 m cell
+# centers on multiples of 0.25 m, so edge_line's rows at y = +-0.5 lie on the
+# long edges and touch_and_retreat's row at y = 2 meets the top edge at 7.875 s,
+# midway between coarse samples 0.25 s apart.
+COUNT_CASES = {
+    "bend": lambda: _auto(_bend_path()),
+    "spin": lambda: _auto(_spin_path()),
+    "random_walk": lambda: _auto(_random_walk(3)),
+    "jab": lambda: _auto(_jab_path()),
+    "dash": lambda: (_line([0.0, 1.0], [[0, 0, 0], [200, 0, 0]]), (-1.25, -1.25, 201.25, 1.25), 0.25),
+    "edge_line": lambda: (_line([0.0, 10.0], [[0, 0, 0], [10, 0, 0]]), (-3.125, -2.125, 13.125, 2.125), 0.25),
+    "touch_and_retreat": lambda: (
+        _line([0.0, 7.875, 15.75], [[0, 0, 0], [0, 1.5, 0], [0, 0, 0]]),
+        (-3.125, -2.125, 3.125, 2.875),
+        0.25,
+    ),
+    "one_sample": lambda: (_line([0.0], [[1.0, 2.0, 0.4]]), (-2.0, -1.0, 4.0, 5.0), 0.05),
+}
+
+
+@pytest.mark.parametrize("scenario", ["straight", "turn90"])
+def test_count_swept_cells_equals_full_field_on_scenarios(tmp_path, scenario):
+    sc = parse_scenario(os.path.join(os.path.dirname(__file__), "..", "scenarios", f"{scenario}.json"))
+    assert run_pipeline(sc, ["plan", "track"], str(tmp_path)) == 0
+    traj = MincoTrajectory.from_dict(json.loads((tmp_path / "trajectory.json").read_text()))
+    path = driven_path(load_trace_csv(str(tmp_path / "trace.csv")))
+    region = auto_region(traj, sc.veh, margin=sc.sweep_margin)
+    field = compute_swept_field(path, sc.veh, region=region, resolution=sc.sweep_resolution)
+    count = count_swept_cells(path, sc.veh, region, sc.sweep_resolution)
+    assert count.swept == np.count_nonzero(field.f_star <= 0.0)
+    assert count.refined < 0.05 * count.cells
+
+
+@pytest.mark.parametrize("name", list(COUNT_CASES))
+def test_count_swept_cells_equals_full_field(veh, name):
+    path, region, res = COUNT_CASES[name]()
+    field = compute_swept_field(path, veh, region=region, resolution=res)
+    count = count_swept_cells(path, veh, region, res)
+    assert count.swept == np.count_nonzero(field.f_star <= 0.0)
+    assert count.cells == field.width * field.height
+    assert count.skipped_far + count.certified_inside + count.certified_outside + count.refined == count.cells
+
+
+def test_count_edge_cases_hit_zero(veh):
+    # The edge rows and the touched row really sit at f* = 0.
+    for path, region, res in (COUNT_CASES["edge_line"](), COUNT_CASES["touch_and_retreat"]()):
+        field = compute_swept_field(path, veh, region=region, resolution=res)
+        assert np.count_nonzero(field.f_star == 0.0) >= 7
+
+
+def _classes(path, veh, region, res):
+    _, _, _, cx, cy = sweptfield._region_grid(path, veh, region, res)
+    cls = sweptfield._certify(path, veh, cx, cy, sweptfield._coarse_poses(path, 0.0, path.total_time))
+    ix, iy = np.meshgrid(np.arange(cx.size), np.arange(cy.size), indexing="ij")
+    return cls.ravel(), np.column_stack([cx[ix.ravel()], cy[iy.ravel()]])
+
+
+@pytest.mark.parametrize("name", ["bend", "dash", "jab", "edge_line", "touch_and_retreat"])
+def test_certificates_hold_on_dense_samples(veh, name):
+    path, region, res = COUNT_CASES[name]()
+    cls, pts = _classes(path, veh, region, res)
+    outside = pts[cls == sweptfield.OUTSIDE]
+    assert outside.size
+    _, g_min = min_time_scan(outside, path, veh.length, veh.width, t_step=path.total_time / 19_999)
+    assert g_min.min() > 0.0
+    centers = path.sample(np.linspace(0.0, path.total_time, 20_000), 0)[:, :2]
+    dist, _ = cKDTree(centers).query(pts[cls == sweptfield.FAR])
+    assert np.all(dist > veh.half_diagonal)
+
+
+def test_rate_bounds_are_per_piece_maxima():
+    times = np.array([0.0, 1.0, 1.1, 3.0])
+    poses = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.5], [2.0, 0.0, -0.5], [2.0, 3.8, -0.5]])
+    vmax, wmax = LinearPosePath(times, poses).rate_bounds(np.array([0.0, 0.5, 1.5, 3.0]))
+    # the fast 0.1 s piece lies strictly inside the second interval
+    npt.assert_allclose(vmax, [1.0, 10.0, 2.0])
+    npt.assert_allclose(wmax, [0.5, 10.0, 0.0])
+    zero_v, zero_w = LinearPosePath(np.array([0.0]), np.zeros((1, 3))).rate_bounds(np.array([0.0, 1.0]))
+    assert zero_v.tolist() == [0.0] and zero_w.tolist() == [0.0]
+
+
+def test_count_region_must_cover_path(veh):
+    with pytest.raises(RegionTooSmall):
+        count_swept_cells(_spin_path(), veh, (0.0, 0.0, 2.0, 2.0), 0.1)
