@@ -4,7 +4,9 @@ Stages: plan (route search + two-stage spline optimization), sweep (swept
 field of the planned trajectory), track (closed-loop MPC simulation), metrics
 (driven-pose sweep + tracking statistics). Later stages load earlier stages'
 artifacts from the output directory when they are not run in the same
-invocation.
+invocation. The sweep stage alone decides the swept-field grid: it records
+the region and resolution in area.json, and the metrics stage counts the
+driven cells on that grid, reading only trace.csv and area.json.
 
 All artifacts are deterministic: floats are serialized with shortest
 round-trip repr, JSON keys are sorted, and CSV layouts are fixed. Wall-clock
@@ -532,7 +534,7 @@ def _stage_plan(sc: Scenario, out_dir: str, seed) -> tuple:
             "planned trajectory violates the hard clearance check "
             f"(min footprint distance {report2.min_clearance:.4f} m)"
         )
-    return traj, grid, plan_time
+    return traj, grid
 
 
 def _load_traj(out_dir: str) -> MincoTrajectory:
@@ -543,23 +545,25 @@ def _load_traj(out_dir: str) -> MincoTrajectory:
         return MincoTrajectory.from_dict(json.load(fh))
 
 
-def _stage_sweep(sc: Scenario, out_dir: str, traj, grid, field_res: float) -> SweptField:
+def _stage_sweep(sc: Scenario, out_dir: str, traj, grid) -> dict:
+    """Swept field of the plan; returns the area.json dict, which carries the
+    field's region and resolution for the metrics stage."""
     t0 = time.perf_counter()
-    region = auto_region(traj, sc.veh, margin=sc.sweep_margin)
-    field = compute_swept_field(traj, sc.veh, region=region, resolution=field_res)
+    region = list(auto_region(traj, sc.veh, margin=sc.sweep_margin))
+    field = compute_swept_field(traj, sc.veh, region=region, resolution=sc.sweep_resolution)
     sweep_time = time.perf_counter() - t0
     t0 = time.perf_counter()
     write_field_csv(os.path.join(out_dir, "field.csv"), field)
     csv_time = time.perf_counter() - t0
     report = excess_area(field, traj, sc.veh)
-    _write_json(
-        os.path.join(out_dir, "area.json"),
-        {
-            "swept_area": report.swept_area,
-            "baseline_area": report.baseline_area,
-            "excess_area": report.excess_area,
-        },
-    )
+    area = {
+        "swept_area": report.swept_area,
+        "baseline_area": report.baseline_area,
+        "excess_area": report.excess_area,
+        "region": region,
+        "resolution": sc.sweep_resolution,
+    }
+    _write_json(os.path.join(out_dir, "area.json"), area)
     t0 = time.perf_counter()
     render_scene(
         os.path.join(out_dir, "scene.svg"),
@@ -571,7 +575,22 @@ def _stage_sweep(sc: Scenario, out_dir: str, traj, grid, field_res: float) -> Sw
     )
     svg_time = time.perf_counter() - t0
     _merge_timings(out_dir, {"sweep_s": sweep_time, "sweep_csv_s": csv_time, "sweep_svg_s": svg_time})
-    return field
+    return area
+
+
+_AREA_KEYS = ("swept_area", "excess_area", "region", "resolution")
+
+
+def _load_area(out_dir: str) -> dict:
+    path = os.path.join(out_dir, "area.json")
+    if not os.path.exists(path):
+        raise MissingArtifact("metrics needs area.json; run the sweep stage first")
+    with open(path, "r", encoding="utf-8") as fh:
+        area = json.load(fh)
+    missing = [key for key in _AREA_KEYS if key not in area]
+    if missing:
+        raise MissingArtifact(f"area.json lacks {', '.join(missing)}; rerun the sweep stage")
+    return area
 
 
 def _stage_track(sc: Scenario, out_dir: str, traj) -> SimTrace:
@@ -586,22 +605,16 @@ def _stage_track(sc: Scenario, out_dir: str, traj) -> SimTrace:
     return trace
 
 
-def _stage_metrics(sc: Scenario, out_dir: str, traj, trace, field: SweptField, plan_time) -> dict:
+def _stage_metrics(sc: Scenario, out_dir: str, trace, area: dict) -> dict:
+    """Driven-path metrics on the sweep stage's grid; the planned areas are area.json's."""
     t0 = time.perf_counter()
-    if plan_time is None:
-        plan_time = 0.0
-        timings_path = os.path.join(out_dir, "timings.json")
-        if os.path.exists(timings_path):
-            with open(timings_path, "r", encoding="utf-8") as fh:
-                plan_time = json.load(fh).get("plan_s", 0.0)
-    report = compute_metrics(trace, traj, sc.veh, field, planning_time=plan_time)
-    planned = excess_area(field, traj, sc.veh)
+    report = compute_metrics(trace, sc.veh, area["region"], area["resolution"])
     doc = {
         "excess_swept_area": report.excess_swept_area,
         "swept_area": report.swept_area,
         "baseline_area": report.baseline_area,
-        "planned_swept_area": planned.swept_area,
-        "planned_excess_area": planned.excess_area,
+        "planned_swept_area": area["swept_area"],
+        "planned_excess_area": area["excess_area"],
         "max_abs_e_y": report.max_abs_e_y,
         "mean_abs_e_y": report.mean_abs_e_y,
         "max_abs_e_phi_deg": report.max_abs_e_phi_deg,
@@ -619,27 +632,14 @@ def _stage_metrics(sc: Scenario, out_dir: str, traj, trace, field: SweptField, p
             "refined": sweep.refined,
         },
     )
-    _merge_timings(
-        out_dir,
-        {
-            "metrics_s": time.perf_counter() - t0,
-            "metrics_area_s": report.area_s,
-            "planning_time_s": float(plan_time),
-        },
-    )
+    _merge_timings(out_dir, {"metrics_s": time.perf_counter() - t0, "metrics_area_s": report.area_s})
     return doc
 
 
 _STAGE_ORDER = ("plan", "sweep", "track", "metrics")
 
 
-def run_pipeline(
-    sc: Scenario,
-    stages,
-    out_dir: str,
-    field_res: float | None = None,
-    seed: int | None = None,
-) -> int:
+def run_pipeline(sc: Scenario, stages, out_dir: str, seed: int | None = None) -> int:
     """Execute the requested stages, writing artifacts into out_dir.
 
     Missing dependencies are loaded from previous artifacts in out_dir.
@@ -650,38 +650,31 @@ def run_pipeline(
     todo = [s for s in _STAGE_ORDER if s in stages]
     if not todo:
         raise ValueError("no stages requested")
-    res = field_res if field_res is not None else sc.sweep_resolution
 
     traj = None
     grid = None
-    field = None
+    area = None
     trace = None
-    plan_time = None
     stage = todo[0]
     try:
         for stage in todo:
             if stage == "plan":
-                traj, grid, plan_time = _stage_plan(sc, out_dir, seed)
+                traj, grid = _stage_plan(sc, out_dir, seed)
             elif stage == "sweep":
                 traj = traj if traj is not None else _load_traj(out_dir)
                 grid = grid if grid is not None else _build_grid(sc)
-                field = _stage_sweep(sc, out_dir, traj, grid, res)
+                area = _stage_sweep(sc, out_dir, traj, grid)
             elif stage == "track":
                 traj = traj if traj is not None else _load_traj(out_dir)
                 trace = _stage_track(sc, out_dir, traj)
             elif stage == "metrics":
-                traj = traj if traj is not None else _load_traj(out_dir)
                 if trace is None:
                     trace_path = os.path.join(out_dir, "trace.csv")
                     if not os.path.exists(trace_path):
                         raise MissingArtifact("metrics needs trace.csv; run the track stage first")
                     trace = load_trace_csv(trace_path)
-                if field is None:
-                    field_path = os.path.join(out_dir, "field.csv")
-                    if not os.path.exists(field_path):
-                        raise MissingArtifact("metrics needs field.csv; run the sweep stage first")
-                    field = load_field_csv(field_path)
-                _stage_metrics(sc, out_dir, traj, trace, field, plan_time)
+                area = area if area is not None else _load_area(out_dir)
+                _stage_metrics(sc, out_dir, trace, area)
     except Exception as exc:  # noqa: BLE001 - every failure becomes a machine-readable report
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
@@ -697,7 +690,7 @@ def run_pipeline(
     return 0
 
 
-def _run_ablation(sc: Scenario, stages, out_dir: str, field_res, seed) -> int:
+def _run_ablation(sc: Scenario, stages, out_dir: str, seed) -> int:
     """Run the pipeline twice: as configured, and with the sweep weight zeroed."""
     os.makedirs(out_dir, exist_ok=True)
     sv_off = replace(
@@ -708,7 +701,7 @@ def _run_ablation(sc: Scenario, stages, out_dir: str, field_res, seed) -> int:
     results = {}
     for label, run_sc in (("sv_on", sc), ("sv_off", sv_off)):
         sub = os.path.join(out_dir, label)
-        code = run_pipeline(run_sc, stages, sub, field_res=field_res, seed=seed)
+        code = run_pipeline(run_sc, stages, sub, seed=seed)
         if code != 0:
             return code
         metrics_path = os.path.join(sub, "metrics.json")
@@ -741,12 +734,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="scenario JSON file (schema 1)")
     parser.add_argument("--out", default="out", help="artifact output directory (default: ./out)")
     parser.add_argument(
-        "--grid-res",
-        type=float,
-        default=None,
-        help="override the swept-field grid resolution in meters",
-    )
-    parser.add_argument(
         "--ablate-sv",
         action="store_true",
         help="run twice (sv_on/, sv_off/ subdirectories) and compare excess swept areas",
@@ -771,8 +758,8 @@ def main(argv=None) -> int:
         sc.sim.paper_wheel_matrix = True
     stages = list(_STAGE_ORDER) if args.stages == "all" else [args.stages]
     if args.ablate_sv:
-        return _run_ablation(sc, stages, args.out, args.grid_res, args.seed)
-    return run_pipeline(sc, stages, args.out, field_res=args.grid_res, seed=args.seed)
+        return _run_ablation(sc, stages, args.out, args.seed)
+    return run_pipeline(sc, stages, args.out, seed=args.seed)
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ The plant integrates the commanded world-frame twist exactly (x += dt*Vx and
 so on, heading wrapped). Each control step samples the reference, runs the
 tracking QP, optionally low-passes the command to emulate actuation lag,
 allocates wheel states for the log, and advances the plant. Metrics compare
-the driven path's swept area, a certified count of its f* <= 0 cells, against
-the ribbon baseline and summarize tracking errors.
+the driven path's swept area, a certified count of its f* <= 0 cells on a
+given grid (the sweep stage's), against the ribbon baseline and summarize
+tracking errors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .drivetrain import allocate
 from .geometry import Pose2, VehicleParams, to_body_frame, wrap_angle
 from .mpc import MpcConfig, mpc_step
-from .sweptfield import LinearPosePath, SweepCount, SweptField, count_swept_cells, ribbon_report
+from .sweptfield import LinearPosePath, SweepCount, count_swept_cells, ribbon_report
 
 
 @dataclass
@@ -55,7 +56,6 @@ class MetricsReport:
     excess_swept_area: float
     swept_area: float  # driven swept area, m^2
     baseline_area: float  # ribbon baseline of the driven path, m^2
-    planning_time: float
     max_abs_e_y: float
     mean_abs_e_y: float
     max_abs_e_phi_deg: float
@@ -199,37 +199,23 @@ def driven_path(trace: SimTrace) -> LinearPosePath:
     return LinearPosePath(times=trace.t, poses=poses)
 
 
-def compute_metrics(
-    trace: SimTrace,
-    traj,
-    veh: VehicleParams,
-    field: SweptField,
-    planning_time: float = 0.0,
-) -> MetricsReport:
+def compute_metrics(trace: SimTrace, veh: VehicleParams, region, resolution: float) -> MetricsReport:
     """Tracking and sweep metrics.
 
-    `field` supplies only the grid: the driven path's f* <= 0 cells are
-    counted on the region it covers, at its resolution, by
-    `count_swept_cells`, which equals the count of a full swept field of the
-    driven poses on that region.
+    The driven path's f* <= 0 cells are counted on the grid of `resolution`
+    over `region` (xmin, ymin, xmax, ymax) by `count_swept_cells`, which
+    equals the count of a full swept field of the driven poses on that grid.
     """
     path = driven_path(trace)
-    region = (
-        float(field.origin[0]),
-        float(field.origin[1]),
-        float(field.origin[0] + field.width * field.resolution),
-        float(field.origin[1] + field.height * field.resolution),
-    )
     t0 = time.perf_counter()
-    sweep = count_swept_cells(path, veh, region, field.resolution)
+    sweep = count_swept_cells(path, veh, region, resolution)
     area_s = time.perf_counter() - t0
-    report = ribbon_report(float(sweep.swept) * field.resolution**2, path, veh)
+    report = ribbon_report(float(sweep.swept) * resolution**2, path, veh)
     e_phi_deg = np.degrees(np.abs(trace.e_phi))
     return MetricsReport(
         excess_swept_area=report.excess_area,
         swept_area=report.swept_area,
         baseline_area=report.baseline_area,
-        planning_time=planning_time,
         max_abs_e_y=float(np.abs(trace.e_y).max()),
         mean_abs_e_y=float(np.abs(trace.e_y).mean()),
         max_abs_e_phi_deg=float(e_phi_deg.max()),

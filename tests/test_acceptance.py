@@ -370,6 +370,15 @@ def test_acceptance_7_corner_scenario(turn90_run):
     )
 
 
+def test_turn90_metrics_count_on_the_sweep_grid(turn90_run):
+    """The metrics stage counts driven cells on exactly the sweep stage's grid."""
+    for label in ("sv_on", "sv_off"):
+        with open(turn90_run / label / "field.csv", "r", encoding="utf-8") as fh:
+            rows = sum(1 for _ in fh) - 1
+        sweep = json.loads((turn90_run / label / "metrics_sweep.json").read_text())
+        assert sweep["cells"] == rows, label
+
+
 def test_acceptance_8_determinism(tmp_path):
     """Identical inputs give byte-identical artifacts at any parallelism."""
     outs = []
@@ -397,11 +406,11 @@ def test_acceptance_8_determinism(tmp_path):
         outs.append(out)
     same = {
         name: (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        for name in ("trace.csv", "field.csv", "metrics.json", "metrics_sweep.json")
+        for name in ("trace.csv", "field.csv", "area.json", "metrics.json", "metrics_sweep.json")
     }
     _report(
         8,
-        "two pipeline runs, sweep threads 1 vs 4: trace/field/metrics byte-identical: "
+        "two pipeline runs, sweep threads 1 vs 4: trace/field/area/metrics byte-identical: "
         + ", ".join(f"{k}={v}" for k, v in same.items()),
         all(same.values()),
     )

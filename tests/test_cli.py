@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -261,15 +262,27 @@ def test_pipeline_straight_all_stages(straight_all):
     assert report["scenario"]["name"] == "straight"
 
 
-def test_pipeline_stage_dependency_missing(tmp_path):
-    sc = parse_scenario(STRAIGHT)
+@pytest.mark.parametrize("case", ["no_trajectory", "no_area", "stale_area"])
+def test_pipeline_stage_dependency_missing(tmp_path, straight_all, case):
     out = tmp_path / "out"
-    rc = run_pipeline(sc, ["track"], str(out))
+    out.mkdir()
+    stage, loader, message = "track", "_load_traj", "trajectory.json"
+    if case != "no_trajectory":
+        stage, loader, message = "metrics", "_load_area", "area.json"
+        shutil.copy(straight_all / "trace.csv", out)
+    if case == "stale_area":
+        # an area.json from before the sweep stage recorded its grid
+        area = json.loads((straight_all / "area.json").read_text())
+        del area["region"], area["resolution"]
+        (out / "area.json").write_text(json.dumps(area))
+        message = "area.json lacks region, resolution"
+    rc = run_pipeline(parse_scenario(STRAIGHT), [stage], str(out))
     assert rc == 1
     err = json.loads((out / "error.json").read_text())
-    assert err["stage"] == "track"
+    assert err["stage"] == stage
     assert err["error"] == "MissingArtifact"
-    assert re.fullmatch(r"cli\.py:\d+ in _load_traj", err["where"]), err["where"]
+    assert message in err["message"], err["message"]
+    assert re.fullmatch(rf"cli\.py:\d+ in {loader}", err["where"]), err["where"]
 
 
 def test_pipeline_unreachable_goal_error_report(tmp_path):
@@ -290,7 +303,7 @@ def test_pipeline_unreachable_goal_error_report(tmp_path):
     assert err["error"] == "NoPath"
 
 
-def test_pipeline_staged_execution_from_disk(tmp_path):
+def test_pipeline_staged_execution_from_disk(tmp_path, straight_all):
     sc = parse_scenario(STRAIGHT)
     out = tmp_path / "out"
     assert run_pipeline(sc, ["plan"], str(out)) == 0
@@ -299,6 +312,10 @@ def test_pipeline_staged_execution_from_disk(tmp_path):
     assert run_pipeline(sc, ["metrics"], str(out)) == 0
     assert (out / "metrics.json").exists()
     assert not (out / "error.json").exists()
+    # four staged calls write the same bytes as one `all` call; only wall times differ
+    names = sorted(set(os.listdir(straight_all)) - {"timings.json"})
+    assert sorted(set(os.listdir(out)) - {"timings.json"}) == names
+    assert [n for n in names if (out / n).read_bytes() != (straight_all / n).read_bytes()] == []
 
 
 def test_pipeline_rerun_overwrites_identically(tmp_path):
@@ -330,14 +347,20 @@ def test_grid_res_override(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     assert run_pipeline(sc, ["plan", "sweep"], str(out1)) == 0
-    sc2 = parse_scenario(STRAIGHT)
-    assert run_pipeline(sc2, ["plan", "sweep"], str(out2), field_res=0.1) == 0
+    with open(STRAIGHT, "r", encoding="utf-8") as fh:
+        body = json.load(fh)
+    body["sweep"]["resolution"] = 0.1
+    sc2 = parse_scenario(_write(tmp_path, body))
+    assert run_pipeline(sc2, ["plan", "sweep"], str(out2)) == 0
     f1 = load_field_csv(str(out1 / "field.csv"))
     f2 = load_field_csv(str(out2 / "field.csv"))
     # resolution is inferred from the written cell centers, so only close
     npt.assert_allclose(f2.resolution, 0.1, rtol=1e-9)
     npt.assert_allclose(f1.resolution, 0.05, rtol=1e-9)
     assert f1.f_star.size > f2.f_star.size
+    # area.json records the exact resolution the field was computed at
+    assert json.loads((out1 / "area.json").read_text())["resolution"] == 0.05
+    assert json.loads((out2 / "area.json").read_text())["resolution"] == 0.1
 
 
 def test_main_help_and_exit_codes(tmp_path):
@@ -392,12 +415,12 @@ def test_ablation_leaves_scenario_unchanged(tmp_path, monkeypatch):
     echo_before = json.dumps(sc.echo, sort_keys=True)
     seen = []
 
-    def fake_run(run_sc, stages, out_dir, field_res=None, seed=None):
+    def fake_run(run_sc, stages, out_dir, seed=None):
         seen.append((run_sc.weights.sweep, run_sc.echo["planner"]["sweep"]))
         return 0
 
     monkeypatch.setattr(cli, "run_pipeline", fake_run)
-    assert cli._run_ablation(sc, ["plan"], str(tmp_path), None, None) == 0
+    assert cli._run_ablation(sc, ["plan"], str(tmp_path), None) == 0
     assert seen == [(300.0, 300.0), (0.0, 0.0)]
     assert sc.weights.sweep == 300.0
     assert json.dumps(sc.echo, sort_keys=True) == echo_before
@@ -497,6 +520,10 @@ def test_readme_artifact_table_names_every_file(straight_all):
         section = fh.read().split("## Artifacts", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE))
     assert set(os.listdir(straight_all)) - documented == set()
+    # the timings.json row names exactly the keys a run writes; other backticked names are artifacts
+    row = re.search(r"^\| `timings\.json` \|.*$", section, flags=re.MULTILINE).group(0)
+    keys = set(re.findall(r"`([^`]+)`", row)) - documented
+    assert keys == set(json.loads((straight_all / "timings.json").read_text()))
 
 
 def test_track_substage_timings(tmp_path):

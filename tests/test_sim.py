@@ -19,7 +19,7 @@ from sweptplan.sim import (
     run_closed_loop,
     signed_lateral_error,
 )
-from sweptplan.sweptfield import compute_swept_field
+from sweptplan.sweptfield import auto_region
 
 
 def test_plant_zero_input():
@@ -148,11 +148,9 @@ def test_stationary_metrics(veh):
     traj = build_minco(np.zeros((0, 3)), np.array([3.0]), Boundary.rest_to_rest(pose, pose))
     trace = run_closed_loop(traj, veh, start_pose=Pose2(*pose))
     path = driven_path(trace)
-    field = compute_swept_field(path, veh, resolution=0.02)
-    report = compute_metrics(trace, traj, veh, field, planning_time=0.7)
+    report = compute_metrics(trace, veh, auto_region(path, veh), 0.02)
     assert isinstance(report, MetricsReport)
     npt.assert_allclose(report.excess_swept_area + 2.0, 2.0, atol=0.05)
-    assert report.planning_time == 0.7
     assert report.max_abs_e_y <= 1e-6
     assert report.max_abs_e_phi_deg <= 1e-6
     assert report.max_abs_e_y >= report.mean_abs_e_y
@@ -162,8 +160,7 @@ def test_stationary_metrics(veh):
 def test_straight_metrics_near_zero_excess(veh, line_traj):
     trace = run_closed_loop(line_traj, veh)
     path = driven_path(trace)
-    field = compute_swept_field(path, veh, resolution=0.05)
-    report = compute_metrics(trace, line_traj, veh, field)
+    report = compute_metrics(trace, veh, auto_region(path, veh), 0.05)
     assert abs(report.excess_swept_area) < 0.15
     assert report.max_abs_e_y < 0.01
 
