@@ -33,7 +33,7 @@ from .mpc import MpcConfig
 from .planner import PlanOptions, PlannerWeights, optimize_stage1, optimize_stage2
 from .render import render_scene
 from .sim import SimConfig, SimTrace, compute_metrics, run_closed_loop
-from .sweptfield import SweptField, auto_region, compute_swept_field, excess_area
+from .sweptfield import SweptField, auto_region, compute_swept_field, excess_area, footprint_bounds
 from .worldmodel import (
     Box,
     Disc,
@@ -369,13 +369,22 @@ def _write_csv(path: str, header: list, rows) -> None:
 
 
 def write_field_csv(path: str, field: SweptField) -> None:
-    """Rows in fixed (ix outer, iy inner) order so files compare bytewise."""
+    """Rows in fixed (ix outer, iy inner) order so files compare bytewise.
+
+    Each distinct x and y is formatted once. Rows are built one grid column
+    at a time, so the text held in memory stays one column long.
+    """
     cx = field.origin[0] + (np.arange(field.width) + 0.5) * field.resolution
     cy = field.origin[1] + (np.arange(field.height) + 0.5) * field.resolution
-    xs = np.repeat(cx, field.height)
-    ys = np.tile(cy, field.width)
-    rows = np.column_stack([xs, ys, field.f_star.ravel(), field.t_star.ravel()])
-    _write_csv(path, ["x", "y", "f_star", "t_star"], rows)
+    ys = [f"{y!r}," for y in cy.tolist()]
+    f_star = np.asarray(field.f_star, dtype=float)
+    t_star = np.asarray(field.t_star, dtype=float)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("x,y,f_star,t_star\n")
+        for ix, x in enumerate(cx.tolist()):
+            xr = f"{x!r},"
+            column = zip(ys, f_star[ix].tolist(), t_star[ix].tolist())
+            fh.write("".join([f"{xr}{y}{f!r},{t!r}\n" for y, f, t in column]))
 
 
 def load_field_csv(path: str) -> SweptField:
@@ -549,8 +558,11 @@ def _stage_sweep(sc: Scenario, out_dir: str, traj, grid) -> dict:
     """Swept field of the plan; returns the area.json dict, which carries the
     field's region and resolution for the metrics stage."""
     t0 = time.perf_counter()
-    region = list(auto_region(traj, sc.veh, margin=sc.sweep_margin))
-    field = compute_swept_field(traj, sc.veh, region=region, resolution=sc.sweep_resolution)
+    footprint = footprint_bounds(traj, sc.veh)
+    region = list(auto_region(traj, sc.veh, margin=sc.sweep_margin, footprint=footprint))
+    field = compute_swept_field(
+        traj, sc.veh, region=region, resolution=sc.sweep_resolution, footprint=footprint
+    )
     sweep_time = time.perf_counter() - t0
     t0 = time.perf_counter()
     write_field_csv(os.path.join(out_dir, "field.csv"), field)

@@ -195,13 +195,17 @@ def footprint_sdf_batch(points: np.ndarray, length: float, width: float):
 
 
 def footprint_sdf_values(points: np.ndarray, length: float, width: float) -> np.ndarray:
-    """Values-only variant of footprint_sdf_batch for distance-check hot paths."""
+    """Values-only variant of footprint_sdf_batch for distance-check hot paths.
+
+    Same values as footprint_sdf_batch: the hypotenuse is written over the
+    max(dx, dy) edge distance only at corner points, in place.
+    """
     pts = np.asarray(points, dtype=float)
     dx = np.abs(pts[..., 0]) - length / 2.0
     dy = np.abs(pts[..., 1]) - width / 2.0
-    corner = (dx > 0.0) & (dy > 0.0)
-    hyp = np.hypot(np.where(corner, dx, 1.0), np.where(corner, dy, 1.0))
-    return np.where(corner, hyp, np.maximum(dx, dy))
+    out = np.maximum(dx, dy, out=np.empty(np.shape(dx)))
+    np.hypot(dx, dy, out=out, where=(dx > 0.0) & (dy > 0.0))
+    return out
 
 
 def world_sdf_with_grad(p_world: np.ndarray, pose: Pose2, veh: VehicleParams) -> SdfResult:

@@ -10,6 +10,12 @@ treated as an unwrapped real scalar throughout.
 Costs evaluated on the spline return gradients with respect to (q, T); the
 dependence of the coefficients on (q, T) is folded in by an adjoint solve
 against the transposed system, so callers get total derivatives.
+
+Every evaluation (eval, sample, and the derivative rows of the adjoint and
+the energy gradient) goes through one Horner evaluator. It reads a
+component-major table of the coefficients, each already multiplied by its
+derivative factor, built once per trajectory on first use. A Horner step is
+then one `np.take` gather and one in-place multiply-add on (3, m) arrays.
 """
 
 from __future__ import annotations
@@ -137,7 +143,8 @@ def _rhs(q: np.ndarray, boundary: Boundary, n_seg: int) -> np.ndarray:
 class MincoTrajectory:
     """Solved spline: durations, interior knots, boundary, and coefficients.
 
-    coeffs has shape (N-1, 6, 3): segment, monomial power, component.
+    coeffs has shape (N-1, 6, 3): segment, monomial power, component. It
+    must not change after the first evaluation, which builds `_tables` from it.
     """
 
     def __init__(self, durations, waypoints, boundary: Boundary, coeffs, band=None):
@@ -147,6 +154,12 @@ class MincoTrajectory:
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.knot_times = np.concatenate([[0.0], np.cumsum(self.durations)])
         self._band = band
+
+    @functools.cached_property
+    def _tables(self) -> np.ndarray:
+        """(6, 6, 3, N-1) table: [order, power, component, segment] holds the
+        power's coefficient times its order-th derivative factor _DERIV."""
+        return np.array(_DERIV)[:, :, None, None] * self.coeffs.transpose(1, 2, 0)
 
     @property
     def n_segments(self) -> int:
@@ -174,14 +187,19 @@ class MincoTrajectory:
         if not 0 <= order <= 5:
             raise ValueError("order must be in 0..5")
         j, tau = self._segment_of(t)
-        return _horner(self.coeffs, j, tau, order)
+        return _horner(self, j, tau, order)
 
     def sample(self, ts: np.ndarray, order: int = 0) -> np.ndarray:
-        """Vectorized eval over an array of times, shape (m, 3). Times are clamped to the domain."""
+        """Vectorized eval over an array of times, shape (m, 3). Times are clamped to the domain.
+
+        The result is the transpose of a component-major (3, m) array, so each
+        component column is contiguous.
+        """
         ts = np.asarray(ts, dtype=float)
-        j = np.clip(np.searchsorted(self.knot_times, ts, side="right") - 1, 0, self.n_segments - 1)
-        tau = np.clip(ts, 0.0, self.total_time) - self.knot_times[j]
-        return _horner(self.coeffs, j, tau, order)
+        # Junctions at or before t: the segment index, already in 0..N-2.
+        j = np.searchsorted(self.junction_times, ts, side="right")
+        tau = np.clip(ts, 0.0, self.total_time) - np.take(self.knot_times, j)
+        return _horner(self, j, tau, order)
 
     def arc_length(self, samples_per_second: float = 100.0) -> float:
         """Polyline arc length of the planar center path at a fixed sampling rate."""
@@ -278,23 +296,28 @@ def propagate_gradient(
     T = traj.durations
     for k in range(5):
         m = n_seg if k < 3 else n_seg - 1
-        deriv = _horner(traj.coeffs, seg[:m], T[:m], k + 1)
+        deriv = _horner(traj, seg[:m], T[:m], k + 1)
         grad_T[:m] -= np.vecdot(lam[6 * seg[:m] + 3 + k], deriv)
     return grad_q, grad_T
 
 
-def _horner(coeffs: np.ndarray, seg, tau, order: int) -> np.ndarray:
-    """Order-th derivative of segments seg of (N-1, 6, 3) coeffs at local times tau (Horner).
+def _horner(traj: MincoTrajectory, seg, tau, order: int) -> np.ndarray:
+    """Order-th derivative of traj's segments seg at local times tau (Horner).
 
-    seg and tau are scalars or matching arrays; the result is tau.shape + (3,).
+    seg and tau are scalars or matching arrays; the result is tau.shape + (3,),
+    a view of a component-major array. The steps are those of
+    out = out * tau + d_i c_i from out = 0, with d_i c_i read from the
+    trajectory's table; the first step keeps its 0 * tau term, so signed
+    zeros and non-finite times come out as from a zero start.
     """
-    d = _DERIV[order]
-    tau = np.asarray(tau, dtype=float)[..., None]
-    c = coeffs[seg]
-    out = np.zeros(tau.shape[:-1] + (3,))
-    for i in range(5, order - 1, -1):
-        out = out * tau + d[i] * c[..., i, :]
-    return out
+    table = traj._tables[order]
+    tau = np.asarray(tau, dtype=float)
+    out = table[5].take(seg, axis=1)
+    np.add(0.0 * tau, out, out=out)
+    for i in range(4, order - 1, -1):
+        out *= tau
+        out += table[i].take(seg, axis=1)
+    return out.transpose((*range(1, out.ndim), 0))
 
 
 def energy_cost_with_grads(traj: MincoTrajectory) -> CostWithGrads:
@@ -326,7 +349,7 @@ def energy_cost_with_grads(traj: MincoTrajectory) -> CostWithGrads:
     grad_C[:, 4, :] = 144.0 * c3 * t2 + 384.0 * c4 * t3 + 720.0 * c5 * t4
     grad_C[:, 5, :] = 240.0 * c3 * t3 + 720.0 * c4 * t4 + 1440.0 * c5 * t5
     # Direct T dependence: the integrand (squared jerk) evaluated at the segment end.
-    jerk = _horner(C, np.arange(traj.n_segments), T, 3)
+    jerk = _horner(traj, np.arange(traj.n_segments), T, 3)
     direct_T = np.vecdot(jerk, jerk)
     grad_q, grad_T = propagate_gradient(traj, grad_C, grad_T_direct=direct_T)
     return CostWithGrads(value=value, grad_q=grad_q, grad_T=grad_T)

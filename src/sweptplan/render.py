@@ -51,57 +51,60 @@ def _interp(pa, va, pb, vb):
 
 
 def _contour_segments(field: SweptField, level: float = 0.0):
-    """Marching-squares line segments of the f* = level isocontour."""
+    """Marching-squares line segments of the f* = level isocontour.
+
+    The case codes of all cells come from one vectorized pass; only the
+    mixed cells (neither all inside nor all outside) are visited, in the
+    same (ix outer, iy inner) order as a full scan.
+    """
     f = field.f_star - level
-    nx, ny = f.shape
     ox = field.origin[0] + 0.5 * field.resolution
     oy = field.origin[1] + 0.5 * field.resolution
     res = field.resolution
+    inside = f <= 0
+    codes = (
+        inside[:-1, :-1] * 1
+        | inside[1:, :-1] * 2
+        | inside[1:, 1:] * 4
+        | inside[:-1, 1:] * 8
+    )
     segs = []
-    for ix in range(nx - 1):
+    for ix, iy in np.argwhere((codes != 0) & (codes != 15)).tolist():
+        case = int(codes[ix, iy])
         x0 = ox + ix * res
         x1 = x0 + res
-        for iy in range(ny - 1):
-            v00 = f[ix, iy]
-            v10 = f[ix + 1, iy]
-            v11 = f[ix + 1, iy + 1]
-            v01 = f[ix, iy + 1]
-            case = (
-                (1 if v00 <= 0 else 0)
-                | (2 if v10 <= 0 else 0)
-                | (4 if v11 <= 0 else 0)
-                | (8 if v01 <= 0 else 0)
-            )
-            if case in (0, 15):
-                continue
-            y0 = oy + iy * res
-            y1 = y0 + res
-            p00, p10, p11, p01 = (x0, y0), (x1, y0), (x1, y1), (x0, y1)
-            bottom = _interp(p00, v00, p10, v10) if (case & 1) != (case >> 1 & 1) else None
-            right = _interp(p10, v10, p11, v11) if (case >> 1 & 1) != (case >> 2 & 1) else None
-            top = _interp(p01, v01, p11, v11) if (case >> 3 & 1) != (case >> 2 & 1) else None
-            left = _interp(p00, v00, p01, v01) if (case & 1) != (case >> 3 & 1) else None
-            if case in (5, 10):
-                # saddle: split by the cell-center average
-                center_inside = (v00 + v10 + v11 + v01) <= 0.0
-                if case == 5:
-                    if center_inside:
-                        segs.append((left, bottom))
-                        segs.append((top, right))
-                    else:
-                        segs.append((left, top))
-                        segs.append((bottom, right))
+        v00 = f[ix, iy]
+        v10 = f[ix + 1, iy]
+        v11 = f[ix + 1, iy + 1]
+        v01 = f[ix, iy + 1]
+        y0 = oy + iy * res
+        y1 = y0 + res
+        p00, p10, p11, p01 = (x0, y0), (x1, y0), (x1, y1), (x0, y1)
+        bottom = _interp(p00, v00, p10, v10) if (case & 1) != (case >> 1 & 1) else None
+        right = _interp(p10, v10, p11, v11) if (case >> 1 & 1) != (case >> 2 & 1) else None
+        top = _interp(p01, v01, p11, v11) if (case >> 3 & 1) != (case >> 2 & 1) else None
+        left = _interp(p00, v00, p01, v01) if (case & 1) != (case >> 3 & 1) else None
+        if case in (5, 10):
+            # saddle: split by the cell-center average
+            center_inside = (v00 + v10 + v11 + v01) <= 0.0
+            if case == 5:
+                if center_inside:
+                    segs.append((left, bottom))
+                    segs.append((top, right))
                 else:
-                    if center_inside:
-                        segs.append((bottom, right))
-                        segs.append((top, left))
-                    else:
-                        segs.append((bottom, left))
-                        segs.append((top, right))
-                continue
-            pts = [p for p in (bottom, right, top, left) if p is not None]
-            if len(pts) == 2:
-                segs.append((pts[0], pts[1]))
+                    segs.append((left, top))
+                    segs.append((bottom, right))
+            else:
+                if center_inside:
+                    segs.append((bottom, right))
+                    segs.append((top, left))
+                else:
+                    segs.append((bottom, left))
+                    segs.append((top, right))
+            continue
+        pts = [p for p in (bottom, right, top, left) if p is not None]
+        if len(pts) == 2:
+            segs.append((pts[0], pts[1]))
     return segs
 
 

@@ -8,6 +8,13 @@ K-sample coarse scan, over K poses sampled once per field, whose local minima
 seed Armijo-backtracked gradient descent on g; cells are pure functions of the
 inputs, so chunks may execute in parallel without changing the output.
 
+A cell refines up to four candidates, its sampled local minima ranked by
+value with ties to the lower sample index, each once. They are selected from
+the sparse list of minima, sorted by (cell, value, sample index). Refinement
+runs the cells of a batch in lockstep. Each descent step's backtracking
+passes carry a compacted set of only the points still trying a step, so a
+pass costs in proportion to the points it evaluates.
+
 When only the f* <= 0 cell count is needed (the driven path's swept area),
 `count_swept_cells` decides most cells from the coarse scan alone. Between
 coarse samples j and j+1, h apart, g changes no faster than
@@ -224,23 +231,32 @@ def _min_time_batch(
     # Every sampled local minimum is a candidate basin; the sample ordering by
     # value can differ from the ordering of the true basin depths, so the best
     # few candidates are refined independently per point and the deepest wins.
+    # Candidates are ranked per cell by value, ties to the lower sample index;
+    # a cell with no finite local minimum starts from sample 0.
     is_min = np.ones((k, m), dtype=bool)
     is_min[1:] &= vals[1:] <= vals[:-1]
     is_min[:-1] &= vals[:-1] <= vals[1:]
-    masked = np.where(is_min, vals, np.inf)
-    order = np.argsort(masked, axis=0, kind="stable")
-    cols = np.arange(m)
+    j, cell = np.nonzero(is_min)
+    v = vals[j, cell]
+    finite = v < np.inf
+    j, cell, v = j[finite], cell[finite], v[finite]
+    order = np.lexsort((j, v, cell))
+    j, cell = j[order], cell[order]
+    counts = np.bincount(cell, minlength=m)
+    rank = np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
     step0 = (t_max - t_min) / (k - 1)
+    first = rank == 0
+    start = np.zeros(m, dtype=np.intp)
+    start[cell[first]] = j[first]
     best_t, best_f = _refine_times(
-        points, grid_ts[order[0]], vals[order[0], cols], path, veh, t_min, t_max, step0
+        points, grid_ts[start], vals[start, np.arange(m)], path, veh, t_min, t_max, step0
     )
     for r in range(1, min(4, k)):
-        has = np.isfinite(masked[order[r], cols])
-        if not has.any():
+        nth = rank == r
+        if not nth.any():
             break
-        sub = np.nonzero(has)[0]
-        start = order[r][sub]
+        sub, start = cell[nth], j[nth]
         tr, fr = _refine_times(points[sub], grid_ts[start], vals[start, sub], path, veh, t_min, t_max, step0)
         better = fr < best_f[sub]
         best_f[sub[better]] = fr[better]
@@ -261,60 +277,60 @@ def _refine_times(
     """Armijo-backtracked descent on g(t) from per-point starts t with values
     f = g(t); mutates and returns both.
 
-    All points iterate in lockstep under masks, each touching only its own
-    state, so results do not depend on how points are batched. Every update
-    of t comes with g at the new t, so f needs no final re-evaluation.
+    All points iterate in lockstep, each touching only its own state, so
+    results do not depend on how points are batched. Every update of t comes
+    with g at the new t, so f needs no final re-evaluation. The backtracking
+    passes carry a compacted set of only the points still trying a step.
     """
     m = points.shape[0]
     alpha = np.full(m, step0)
-    active = np.ones(m, dtype=bool)
+    idx = np.arange(m)  # the points still descending
     for _ in range(MAX_REFINE_ITERS):
-        if not active.any():
+        if idx.size == 0:
             break
-        idx = np.nonzero(active)[0]
-        g_val, slope = _g_and_slope(path, veh, points[idx], t[idx])
+        t0 = t.take(idx)
+        pts = points.take(idx, axis=0)
+        g_val, slope = _g_and_slope(path, veh, pts, t0)
         f[idx] = g_val
         d = np.where(slope > 0.0, -1.0, 1.0)
         # Stationary or pressed against the boundary: done.
         flat = np.abs(slope) < 1e-12
-        at_lo = (t[idx] <= t_min + 1e-15) & (d < 0.0)
-        at_hi = (t[idx] >= t_max - 1e-15) & (d > 0.0)
-        done = flat | at_lo | at_hi
-        if done.any():
-            active[idx[done]] = False
-            idx = idx[~done]
-            if idx.size == 0:
-                continue
-            g_val = g_val[~done]
-            slope = slope[~done]
-            d = d[~done]
-        a = alpha[idx].copy()
-        accepted = np.zeros(idx.size, dtype=bool)
-        t_new = t[idx].copy()
+        at_lo = (t0 <= t_min + 1e-15) & (d < 0.0)
+        at_hi = (t0 >= t_max - 1e-15) & (d > 0.0)
+        go = np.flatnonzero(~(flat | at_lo | at_hi))
+        idx, t0, pts, g_val, slope, d = (x.take(go, axis=0) for x in (idx, t0, pts, g_val, slope, d))
+        a = alpha.take(idx)
+        t_new = t0.copy()
         f_new = g_val.copy()
+        accepted = np.zeros(idx.size, dtype=bool)
+        # The backtracking passes carry only the points still trying a step:
+        # their positions in idx and their operands.
+        live = np.flatnonzero(a > 1e-12)
+        lt, la, ld, lp, lg, ls = (x.take(live, axis=0) for x in (t0, a, d, pts, g_val, np.abs(slope)))
         for _ in range(40):
-            trying = ~accepted & (a > 1e-12)
-            if not trying.any():
+            if live.size == 0:
                 break
-            tt = np.clip(t[idx[trying]] + a[trying] * d[trying], t_min, t_max)
-            ft = _g_values(path, veh, points[idx[trying]], tt)
-            ok = ft <= g_val[trying] - ARMIJO_C * a[trying] * np.abs(slope[trying])
-            sel = np.nonzero(trying)[0]
-            acc = sel[ok]
-            t_new[acc] = tt[ok]
-            f_new[acc] = ft[ok]
+            tt = np.clip(lt + la * ld, t_min, t_max)
+            ft = _g_values(path, veh, lp, tt)
+            ok = ft <= lg - ARMIJO_C * la * ls
+            hit = np.flatnonzero(ok)
+            acc = live.take(hit)
+            t_new[acc] = tt.take(hit)
+            f_new[acc] = ft.take(hit)
             accepted[acc] = True
-            a[sel[~ok]] *= SHRINK
-        moved = np.abs(t_new - t[idx])
+            la = np.where(ok, la, la * SHRINK)
+            a[live] = la
+            rest = np.flatnonzero(~ok & (la > 1e-12))
+            live, lt, la, ld, lp, lg, ls = (x.take(rest, axis=0) for x in (live, lt, la, ld, lp, lg, ls))
+        moved = np.abs(t_new - t0)
         t[idx] = t_new
         f[idx] = f_new
         alpha[idx] = np.maximum(a * 2.0, 1e-9)
-        settle = ~accepted | (moved < TIME_TOL)
-        active[idx[settle]] = False
+        idx = idx.take(np.flatnonzero(accepted & ~(moved < TIME_TOL)))
     return t, f
 
 
-def _footprint_bounds(path, veh: VehicleParams):
+def footprint_bounds(path, veh: VehicleParams):
     """(xmin, ymin, xmax, ymax) of the footprint's circumscribed circle over
     512 poses evenly spaced in time."""
     poses = path.sample(np.linspace(0.0, path.total_time, 512), 0)
@@ -327,9 +343,13 @@ def _footprint_bounds(path, veh: VehicleParams):
     )
 
 
-def auto_region(path, veh: VehicleParams, margin: float = 0.3):
-    """Trajectory footprint bounding box inflated by vehicle length + margin."""
-    xmin, ymin, xmax, ymax = _footprint_bounds(path, veh)
+def auto_region(path, veh: VehicleParams, margin: float = 0.3, footprint=None):
+    """Trajectory footprint bounding box inflated by vehicle length + margin.
+
+    footprint is `footprint_bounds(path, veh)`, computed here unless the
+    caller already has it.
+    """
+    xmin, ymin, xmax, ymax = footprint_bounds(path, veh) if footprint is None else footprint
     pad = veh.length + margin
     return (xmin - pad, ymin - pad, xmax + pad, ymax + pad)
 
@@ -346,16 +366,19 @@ def _resolve_threads(threads: int | None) -> int:
     return max(1, threads)
 
 
-def _region_grid(path, veh: VehicleParams, region, resolution: float):
+def _region_grid(path, veh: VehicleParams, region, resolution: float, footprint=None):
     """(origin, width, height, cx, cy) of the grid over `region`, None for an
     auto-sized box; cx and cy are the cell-center coordinates along x and y.
-    Raises RegionTooSmall unless the region holds the path's footprint."""
+    Raises RegionTooSmall unless the region holds the path's footprint, which
+    is `footprint_bounds(path, veh)`, sampled here unless given."""
+    if footprint is None:
+        footprint = footprint_bounds(path, veh)
     if region is None:
-        region = auto_region(path, veh)
+        region = auto_region(path, veh, footprint=footprint)
     xmin, ymin, xmax, ymax = (float(v) for v in region)
     if not (xmax > xmin and ymax > ymin):
         raise RegionTooSmall(f"degenerate region {region!r}")
-    fx0, fy0, fx1, fy1 = _footprint_bounds(path, veh)
+    fx0, fy0, fx1, fy1 = footprint
     if fx0 < xmin or fy0 < ymin or fx1 > xmax or fy1 > ymax:
         raise RegionTooSmall("trajectory footprint leaves the requested region")
     width = int(math.ceil((xmax - xmin) / resolution))
@@ -372,15 +395,18 @@ def compute_swept_field(
     region=None,
     resolution: float = 0.05,
     threads: int | None = None,
+    footprint=None,
 ) -> SweptField:
     """Evaluate f* and t* on a uniform grid covering `region`.
 
-    region is (xmin, ymin, xmax, ymax) or None for an auto-sized box. Cells
+    region is (xmin, ymin, xmax, ymax) or None for an auto-sized box. The
+    region must hold footprint, `footprint_bounds(path, veh)`, which a caller
+    that sized the region from it passes in to skip sampling it again. Cells
     are distributed over worker threads in fixed row chunks writing disjoint
     output slices, so the result is bit-identical at any parallelism level
     (set via the `threads` argument or the SWEPTPLAN_THREADS env var, 0 = auto).
     """
-    origin, width, height, cx, cy = _region_grid(path, veh, region, resolution)
+    origin, width, height, cx, cy = _region_grid(path, veh, region, resolution, footprint)
     f_star = np.empty((width, height))
     t_star = np.empty((width, height))
 

@@ -115,6 +115,16 @@ def sdf_values_brute(points_body: np.ndarray, length: float, width: float) -> np
     return out
 
 
+def sdf_values_where(points: np.ndarray, length: float, width: float) -> np.ndarray:
+    """Footprint SDF values with the hypotenuse taken of where-masked operands everywhere."""
+    pts = np.asarray(points, dtype=float)
+    dx = np.abs(pts[..., 0]) - length / 2.0
+    dy = np.abs(pts[..., 1]) - width / 2.0
+    corner = (dx > 0.0) & (dy > 0.0)
+    hyp = np.hypot(np.where(corner, dx, 1.0), np.where(corner, dy, 1.0))
+    return np.where(corner, hyp, np.maximum(dx, dy))
+
+
 def min_time_scan(points: np.ndarray, path, length: float, width: float, t_step: float = 1e-3):
     """Dense time-grid minimum of the pose-relative SDF for each query point.
 
@@ -643,3 +653,186 @@ def mpc_step_per_step(state, traj, t_now, u_prev, cfg, initial_active=None, full
     prob = build_qp_per_step(state, ref.ravel(), u_prev, cfg)
     u, info = solve_qp_scalar(prob, initial_active=initial_active, full_output=True)
     return (u[:NU], info) if full_output else u[:NU]
+
+
+# The swept-field engine as it was before the coefficient table, the sparse
+# candidate selection and the compacted backtracking: Horner on gathered
+# coefficients (horner_six_gathers), a stable argsort over the masked
+# (64, m) table of sampled values, and backtracking passes that re-mask the
+# whole active set. The library performs the same floating-point operations
+# on the same operands, so the tests compare with exact equality, signed
+# zeros included.
+
+
+class GatheredMinco:
+    """A MINCO trajectory's sample() by clipped knot search and horner_six_gathers."""
+
+    def __init__(self, traj):
+        self.traj = traj
+        self.total_time = traj.total_time
+
+    def sample(self, ts, order: int = 0) -> np.ndarray:
+        tr = self.traj
+        ts = np.asarray(ts, dtype=float)
+        j = np.clip(np.searchsorted(tr.knot_times, ts, side="right") - 1, 0, tr.n_segments - 1)
+        tau = np.clip(ts, 0.0, tr.total_time) - tr.knot_times[j]
+        return horner_six_gathers(tr.coeffs, j, tau, order)
+
+
+def coarse_values(points, path, veh, t_min: float, t_max: float):
+    """The 64 coarse times and the (64, m) table of g at them."""
+    grid_ts = np.linspace(t_min, t_max, _COARSE_SAMPLES)
+    poses = path.sample(grid_ts, 0)
+    cs, ss = np.cos(poses[:, 2]), np.sin(poses[:, 2])
+    px, py = points[:, 0], points[:, 1]
+    vals = np.empty((grid_ts.shape[0], points.shape[0]))
+    for j in range(grid_ts.shape[0]):
+        body = to_body_frame(px - poses[j, 0], py - poses[j, 1], cs[j], ss[j])
+        vals[j] = footprint_sdf_values(body, veh.length, veh.width)
+    return grid_ts, vals
+
+
+def sampled_minima(vals: np.ndarray) -> np.ndarray:
+    """(64, m) mask of the sampled local minima (ties count on both sides)."""
+    is_min = np.ones(vals.shape, dtype=bool)
+    is_min[1:] &= vals[1:] <= vals[:-1]
+    is_min[:-1] &= vals[:-1] <= vals[1:]
+    return is_min
+
+
+def refine_times_masked(points, t, f, path, veh, t_min, t_max, step0):
+    """Armijo descent in lockstep under masks over the whole active set."""
+    m = points.shape[0]
+    alpha = np.full(m, step0)
+    active = np.ones(m, dtype=bool)
+    for _ in range(_MAX_REFINE_ITERS):
+        if not active.any():
+            break
+        idx = np.nonzero(active)[0]
+        g_val, slope = _g_and_slope(path, veh, points[idx], t[idx])
+        f[idx] = g_val
+        d = np.where(slope > 0.0, -1.0, 1.0)
+        flat = np.abs(slope) < 1e-12
+        at_lo = (t[idx] <= t_min + 1e-15) & (d < 0.0)
+        at_hi = (t[idx] >= t_max - 1e-15) & (d > 0.0)
+        done = flat | at_lo | at_hi
+        if done.any():
+            active[idx[done]] = False
+            idx = idx[~done]
+            if idx.size == 0:
+                continue
+            g_val = g_val[~done]
+            slope = slope[~done]
+            d = d[~done]
+        a = alpha[idx].copy()
+        accepted = np.zeros(idx.size, dtype=bool)
+        t_new = t[idx].copy()
+        f_new = g_val.copy()
+        for _ in range(40):
+            trying = ~accepted & (a > 1e-12)
+            if not trying.any():
+                break
+            tt = np.clip(t[idx[trying]] + a[trying] * d[trying], t_min, t_max)
+            ft = _g_values(path, veh, points[idx[trying]], tt)
+            ok = ft <= g_val[trying] - _ARMIJO_C * a[trying] * np.abs(slope[trying])
+            sel = np.nonzero(trying)[0]
+            acc = sel[ok]
+            t_new[acc] = tt[ok]
+            f_new[acc] = ft[ok]
+            accepted[acc] = True
+            a[sel[~ok]] *= _SHRINK
+        moved = np.abs(t_new - t[idx])
+        t[idx] = t_new
+        f[idx] = f_new
+        alpha[idx] = np.maximum(a * 2.0, 1e-9)
+        settle = ~accepted | (moved < _TIME_TOL)
+        active[idx[settle]] = False
+    return t, f
+
+
+def min_time_batch_argsort(points, path, veh, t_min: float, t_max: float):
+    """(t*, f*): refine the four deepest sampled minima per point, taken from a
+    stable argsort over the masked (64, m) table; the deepest result wins."""
+    m = points.shape[0]
+    if t_max <= t_min:
+        ts = np.full(m, t_min)
+        return ts, _g_values(path, veh, points, ts)
+    grid_ts, vals = coarse_values(points, path, veh, t_min, t_max)
+    k = grid_ts.shape[0]
+    masked = np.where(sampled_minima(vals), vals, np.inf)
+    order = np.argsort(masked, axis=0, kind="stable")
+    cols = np.arange(m)
+    step0 = (t_max - t_min) / (k - 1)
+    best_t, best_f = refine_times_masked(
+        points, grid_ts[order[0]], vals[order[0], cols], path, veh, t_min, t_max, step0
+    )
+    for r in range(1, min(4, k)):
+        has = np.isfinite(masked[order[r], cols])
+        if not has.any():
+            break
+        sub = np.nonzero(has)[0]
+        start = order[r][sub]
+        tr, fr = refine_times_masked(points[sub], grid_ts[start], vals[start, sub], path, veh, t_min, t_max, step0)
+        better = fr < best_f[sub]
+        best_f[sub[better]] = fr[better]
+        best_t[sub[better]] = tr[better]
+    return best_t, best_f
+
+
+def _contour_interp(pa, va, pb, vb):
+    t = va / (va - vb)
+    return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+
+
+def contour_segments_loop(field, level: float = 0.0):
+    """Marching-squares segments of f* = level, visiting every cell in a Python loop."""
+    f = field.f_star - level
+    nx, ny = f.shape
+    ox = field.origin[0] + 0.5 * field.resolution
+    oy = field.origin[1] + 0.5 * field.resolution
+    res = field.resolution
+    segs = []
+    for ix in range(nx - 1):
+        x0 = ox + ix * res
+        x1 = x0 + res
+        for iy in range(ny - 1):
+            v00 = f[ix, iy]
+            v10 = f[ix + 1, iy]
+            v11 = f[ix + 1, iy + 1]
+            v01 = f[ix, iy + 1]
+            case = (
+                (1 if v00 <= 0 else 0)
+                | (2 if v10 <= 0 else 0)
+                | (4 if v11 <= 0 else 0)
+                | (8 if v01 <= 0 else 0)
+            )
+            if case in (0, 15):
+                continue
+            y0 = oy + iy * res
+            y1 = y0 + res
+            p00, p10, p11, p01 = (x0, y0), (x1, y0), (x1, y1), (x0, y1)
+            bottom = _contour_interp(p00, v00, p10, v10) if (case & 1) != (case >> 1 & 1) else None
+            right = _contour_interp(p10, v10, p11, v11) if (case >> 1 & 1) != (case >> 2 & 1) else None
+            top = _contour_interp(p01, v01, p11, v11) if (case >> 3 & 1) != (case >> 2 & 1) else None
+            left = _contour_interp(p00, v00, p01, v01) if (case & 1) != (case >> 3 & 1) else None
+            if case in (5, 10):
+                center_inside = (v00 + v10 + v11 + v01) <= 0.0
+                if case == 5:
+                    if center_inside:
+                        segs.append((left, bottom))
+                        segs.append((top, right))
+                    else:
+                        segs.append((left, top))
+                        segs.append((bottom, right))
+                else:
+                    if center_inside:
+                        segs.append((bottom, right))
+                        segs.append((top, left))
+                    else:
+                        segs.append((bottom, left))
+                        segs.append((top, right))
+                continue
+            pts = [p for p in (bottom, right, top, left) if p is not None]
+            if len(pts) == 2:
+                segs.append((pts[0], pts[1]))
+    return segs

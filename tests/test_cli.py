@@ -441,6 +441,83 @@ def test_field_csv_single_cell_is_reported(tmp_path):
         load_field_csv(path)
 
 
+def _field(f_star, t_star, origin=(-1.25, 0.5), resolution=0.1):
+    f_star = np.asarray(f_star, dtype=float)
+    width, height = f_star.shape
+    return SweptField(
+        origin=np.array(origin),
+        resolution=resolution,
+        width=width,
+        height=height,
+        f_star=f_star,
+        t_star=np.asarray(t_star, dtype=float),
+    )
+
+
+def _write_field_per_value(path, field):
+    cx = field.origin[0] + (np.arange(field.width) + 0.5) * field.resolution
+    cy = field.origin[1] + (np.arange(field.height) + 0.5) * field.resolution
+    rows = np.column_stack(
+        [np.repeat(cx, field.height), np.tile(cy, field.width), field.f_star.ravel(), field.t_star.ravel()]
+    )
+    write_csv_per_value(path, ["x", "y", "f_star", "t_star"], rows)
+
+
+_ODD_VALUES = [-0.0, 1e-05, 1e22, 5e-324, 2.2250738585072014e-308, math.nan, math.inf, -math.inf, 0.1, -1.5]
+
+
+@pytest.mark.parametrize(
+    "shape, origin",
+    [((2, 5), (-1.25, 0.5)), ((1, 10), (0.0, -0.0)), ((10, 1), (1e22, -3.3)), ((1, 1), (-0.05, -0.05))],
+    ids=["grid", "one_column", "one_row", "one_cell"],
+)
+def test_field_csv_bytes_equal_per_value_writer(tmp_path, shape, origin):
+    n = shape[0] * shape[1]
+    f_star = np.resize(_ODD_VALUES, n).reshape(shape)
+    t_star = np.resize(_ODD_VALUES[::-1], n).reshape(shape)
+    field = _field(f_star, t_star, origin=origin)
+    write_field_csv(str(tmp_path / "a.csv"), field)
+    _write_field_per_value(str(tmp_path / "b.csv"), field)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_sweep_and_metrics_stages_sample_footprint_poses_once(tmp_path, straight_all, monkeypatch):
+    # One 512-pose footprint sample per stage: the sweep stage sizes its region
+    # and checks it from the same sample, the metrics stage checks the driven path.
+    out = tmp_path / "out"
+    shutil.copytree(straight_all, out)
+    calls = []
+    for cls in (cli.MincoTrajectory, sim.LinearPosePath):
+        real = cls.sample
+
+        def counting(self, ts, order=0, real=real, name=cls.__name__):
+            if np.size(ts) == 512 and np.array_equal(ts, np.linspace(0.0, self.total_time, 512)):
+                calls.append(name)
+            return real(self, ts, order)
+
+        monkeypatch.setattr(cls, "sample", counting)
+    assert run_pipeline(parse_scenario(STRAIGHT), ["sweep"], str(out)) == 0
+    assert calls == ["MincoTrajectory"]
+    assert run_pipeline(parse_scenario(STRAIGHT), ["metrics"], str(out)) == 0
+    assert calls == ["MincoTrajectory", "LinearPosePath"]
+    for name in ("field.csv", "area.json", "metrics.json", "metrics_sweep.json"):
+        assert (out / name).read_bytes() == (straight_all / name).read_bytes()
+
+
+def test_sweep_stage_rejects_a_region_too_small(tmp_path, straight_all):
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(straight_all / "trajectory.json", out)
+    raw = json.loads(open(STRAIGHT, encoding="utf-8").read())
+    # the auto region's pad, vehicle length + margin, ends 1 cm inside the footprint box
+    raw.setdefault("sweep", {})["margin"] = -parse_scenario(STRAIGHT).veh.length - 0.01
+    rc = run_pipeline(parse_scenario(_write(tmp_path, raw)), ["sweep"], str(out))
+    assert rc == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["stage"] == "sweep" and err["error"] == "RegionTooSmall"
+    assert "footprint leaves the requested region" in err["message"]
+
+
 def _readme_scenario_keys():
     """{(block, key)} named in README.md's scenario table; block None is the top level."""
     readme = os.path.join(os.path.dirname(__file__), "..", "README.md")

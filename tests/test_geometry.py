@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import boundary_distance, rect_boundary_points
+from oracles import boundary_distance, rect_boundary_points, sdf_values_where
 from sweptplan.geometry import (
     Pose2,
     VehicleParams,
@@ -195,3 +195,19 @@ def test_vehicle_validation():
         VehicleParams(length=2.0, width=1.0, axle_count=2, wheel_positions=[(1.0, 0.0), (0.0, 0.0), (-1.0, 0.0)])
     v = VehicleParams(length=2.0, width=1.0, axle_count=2, wheel_positions=wheels)
     npt.assert_allclose(v.half_diagonal, math.sqrt(1.25))
+
+
+def test_sdf_values_equal_where_form(veh, rng):
+    pts = np.concatenate(
+        [
+            rng.uniform(-3.0, 3.0, size=(2000, 2)),
+            [[0.0, 0.0], [-0.0, -0.0], [veh.length / 2, 0.2], [-veh.length / 2, veh.width / 2]],
+            [[veh.length / 2, -veh.width / 2], [np.nan, 0.0], [np.inf, 1.0], [-np.inf, np.inf]],
+        ]
+    )
+    for batch in (pts, pts[:1], pts.reshape(-1, 4, 2)):
+        got = footprint_sdf_values(batch, veh.length, veh.width)
+        ref = sdf_values_where(batch, veh.length, veh.width)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref, equal_nan=True) and np.array_equal(np.signbit(got), np.signbit(ref))
+    assert footprint_sdf_values(pts[0], veh.length, veh.width) == sdf_values_where(pts[0], veh.length, veh.width)

@@ -4,8 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import random_instance
+from helpers import random_instance, straight_traj
 from oracles import (
+    GatheredMinco,
     energy_direct_T,
     fd_cost_grads,
     horner_six_gathers,
@@ -254,7 +255,27 @@ def test_horner_equals_six_gather_oracle(order):
     rng = np.random.default_rng(order)
     seg = rng.integers(0, traj.n_segments, size=(4, 9))
     tau = rng.uniform(0.0, 1.0, size=seg.shape) * T[seg]
-    assert np.array_equal(minco._horner(traj.coeffs, seg, tau, order), horner_six_gathers(traj.coeffs, seg, tau, order))
+    assert np.array_equal(minco._horner(traj, seg, tau, order), horner_six_gathers(traj.coeffs, seg, tau, order))
     for j in range(traj.n_segments):
-        scalar = minco._horner(traj.coeffs, j, T[j] / 3.0, order)
+        scalar = minco._horner(traj, j, T[j] / 3.0, order)
         assert np.array_equal(scalar, horner_six_gathers(traj.coeffs, j, T[j] / 3.0, order))
+
+
+@pytest.mark.parametrize("order", range(6))
+@pytest.mark.parametrize("kind", ["random", "line_x"])
+def test_sample_equals_frozen_gathered_horner(kind, order):
+    # line_x: y coefficients of both signs of zero, so signs must match too
+    traj = build_minco(*random_instance(3)) if kind == "random" else straight_traj()
+    total = traj.total_time
+    inside = np.concatenate([[-0.0, 0.0, total], traj.knot_times, np.linspace(0.0, total, 257)])
+    ts = np.concatenate([inside, [-1.0, total + 1.0, np.nextafter(total, np.inf)]])
+    got = traj.sample(ts, order)
+    ref = GatheredMinco(traj).sample(ts, order)
+    assert got.shape == (ts.size, 3)
+    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+    for t in inside:
+        j, tau = traj._segment_of(t)
+        one = traj.eval(t, order)
+        ref_one = horner_six_gathers(traj.coeffs, j, tau, order)
+        assert one.shape == (3,)
+        assert np.array_equal(one, ref_one) and np.array_equal(np.signbit(one), np.signbit(ref_one))

@@ -8,7 +8,15 @@ import pytest
 from scipy.spatial import cKDTree
 
 from helpers import curved_traj, rotation_traj, small_vehicle, straight_traj
-from oracles import min_time_per_point_poses, min_time_scan
+import oracles
+from oracles import (
+    GatheredMinco,
+    coarse_values,
+    min_time_batch_argsort,
+    min_time_per_point_poses,
+    min_time_scan,
+    sampled_minima,
+)
 from sweptplan import sweptfield
 from sweptplan.cli import load_trace_csv, parse_scenario, run_pipeline
 from sweptplan.geometry import Pose2, to_body_frame, world_sdf_with_grad
@@ -177,7 +185,7 @@ def test_linear_pose_path_sampling():
 
 def test_region_check_matches_footprint_bounds(veh, bend_traj):
     compute_swept_field(bend_traj, veh, region=auto_region(bend_traj, veh, margin=0.0), resolution=0.5)
-    tight = sweptfield._footprint_bounds(bend_traj, veh)
+    tight = sweptfield.footprint_bounds(bend_traj, veh)
     compute_swept_field(bend_traj, veh, region=tight, resolution=0.5)
     for side in range(4):
         shrunk = list(tight)
@@ -422,3 +430,103 @@ def test_rate_bounds_are_per_piece_maxima():
 def test_count_region_must_cover_path(veh):
     with pytest.raises(RegionTooSmall):
         count_swept_cells(_spin_path(), veh, (0.0, 0.0, 2.0, 2.0), 0.1)
+
+
+# The coefficient table, the sparse candidate selection and the compacted
+# backtracking against the engine as it was (oracles.min_time_batch_argsort on
+# oracles.GatheredMinco). The operations and operands are the same, so f* and
+# t* must agree bit for bit, signed zeros included.
+
+
+def _frozen(path):
+    return GatheredMinco(path) if isinstance(path, MincoTrajectory) else path
+
+
+def _assert_same_bits(a, b):
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+FROZEN_PATHS = {
+    "minco": lambda: curved_traj(seed=11, n_interior=5),
+    "linear": _bend_path,
+    # y coefficients of both signs of zero
+    "line_x": lambda: straight_traj(distance=10.0, speed=1.0, n_interior=3),
+}
+
+
+def test_line_x_has_signed_zero_coefficients():
+    y = FROZEN_PATHS["line_x"]().coeffs[:, :, 1]
+    assert np.all(y == 0.0) and np.signbit(y).any() and not np.signbit(y).all()
+
+
+@pytest.mark.parametrize("n", [1, 7, 20_000])
+@pytest.mark.parametrize("kind", list(FROZEN_PATHS))
+def test_min_time_batch_equals_frozen_engine(veh, kind, n):
+    path = FROZEN_PATHS[kind]()
+    pts = _query_points(path, veh, n)
+    intervals = [(0.0, path.total_time), (0.7, 0.6 * path.total_time), (2.0, 2.0), (3.0, 1.0)]
+    for t_min, t_max in intervals:
+        t, f = _batch(pts, path, veh, t_min, t_max)
+        t_ref, f_ref = min_time_batch_argsort(pts, _frozen(path), veh, t_min, t_max)
+        _assert_same_bits(f, f_ref)
+        _assert_same_bits(t, t_ref)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(FROZEN_PATHS))
+def test_field_equals_frozen_engine(veh, kind, threads):
+    path = FROZEN_PATHS[kind]()
+    field = compute_swept_field(path, veh, resolution=0.25, threads=threads)
+    t_ref, f_ref = min_time_batch_argsort(field.cell_centers(), _frozen(path), veh, 0.0, path.total_time)
+    _assert_same_bits(field.f_star.ravel(), f_ref)
+    _assert_same_bits(field.t_star.ravel(), t_ref)
+
+
+# Equal bits alone do not show that no work is repeated: a selection that
+# refines a cell's first candidate again when it has fewer than four minima
+# returns the same f* and t*. So count the work. rotation_traj spins in place:
+# at the origin all 64 coarse samples are bit-equal minima, so ranks 0-3 are
+# decided by the sample index alone.
+
+
+@pytest.mark.parametrize("kind", ["bend", "rotation"])
+def test_refinement_work_equals_frozen_engine(veh, bend_traj, kind, monkeypatch):
+    path = bend_traj if kind == "bend" else rotation_traj()
+    pts = compute_swept_field(path, veh, resolution=0.25).cell_centers()
+    if kind == "rotation":
+        pts = np.vstack([pts, [0.0, 0.0]])
+    cell_of = {p: i for i, p in enumerate(map(tuple, pts.tolist()))}
+    starts = np.zeros(len(cell_of), dtype=int)
+    points = {}
+
+    def counted(name, fn):
+        def wrapper(path, veh, pts, ts):
+            points[name] = points.get(name, 0) + pts.shape[0]
+            return fn(path, veh, pts, ts)
+
+        return wrapper
+
+    refine = sweptfield._refine_times
+
+    def counting_refine(p, *args):
+        np.add.at(starts, [cell_of[q] for q in map(tuple, p.tolist())], 1)
+        return refine(p, *args)
+
+    monkeypatch.setattr(sweptfield, "_refine_times", counting_refine)
+    for module, prefix in ((sweptfield, ""), (oracles, "ref")):
+        for name in ("_g_values", "_g_and_slope"):
+            monkeypatch.setattr(module, name, counted(prefix + name, getattr(module, name)))
+    t, f = _batch(pts, path, veh, 0.0, path.total_time)
+    t_ref, f_ref = min_time_batch_argsort(pts, _frozen(path), veh, 0.0, path.total_time)
+    _assert_same_bits(f, f_ref)
+    _assert_same_bits(t, t_ref)
+
+    _, vals = coarse_values(pts, path, veh, 0.0, path.total_time)
+    n_min = sampled_minima(vals).sum(axis=0)
+    assert np.array_equal(starts, np.minimum(4, n_min))
+    assert (n_min < 4).any() and (n_min > 4).any()
+    assert points["_g_values"] == points["ref_g_values"] > 0
+    assert points["_g_and_slope"] == points["ref_g_and_slope"] > 0
+    if kind == "rotation":
+        assert n_min[-1] == 64 and np.all(vals[:, -1] == vals[0, -1])
