@@ -30,7 +30,7 @@ import numpy as np
 from .geometry import VehicleParams
 from .minco import MincoTrajectory
 from .mpc import MpcConfig
-from .planner import PlanOptions, PlannerWeights, optimize_stage1, optimize_stage2
+from .planner import TRACE_COLUMNS, PlanOptions, PlannerWeights, optimize_stage1, optimize_stage2
 from .render import render_scene
 from .sim import SimConfig, SimTrace, compute_metrics, run_closed_loop
 from .sweptfield import SweptField, auto_region, compute_swept_field, excess_area, footprint_bounds
@@ -357,7 +357,7 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-_CSV_BLOCK_ROWS = 4096  # rows formatted per writelines call; bounds the memory the text takes
+_CSV_BLOCK_ROWS = 256  # rows formatted per writelines call; bounds the memory the text takes
 
 
 def _write_csv(path: str, header: list, rows) -> None:
@@ -508,13 +508,13 @@ def _stage_plan(sc: Scenario, out_dir: str, seed) -> tuple:
         "stage1": {
             "converged": report1.converged,
             "reason": report1.reason,
-            "iterations": len(report1.cost_trace),
+            "iterations": report1.iterations,
             "final_cost": report1.cost_trace[-1],
         },
         "stage2": {
             "converged": report2.converged,
             "reason": report2.reason,
-            "iterations": len(report2.cost_trace),
+            "iterations": report2.iterations,
             "final_cost": report2.cost_trace[-1],
             "feasible": report2.feasible,
             "min_clearance": (
@@ -526,9 +526,11 @@ def _stage_plan(sc: Scenario, out_dir: str, seed) -> tuple:
         "total_time_s": traj.total_time,
     }
     _write_json(os.path.join(out_dir, "plan_report.json"), doc)
-    rows = [(0.0, float(i), c) for i, c in enumerate(report1.cost_trace)]
-    rows += [(1.0, float(i), c) for i, c in enumerate(report2.cost_trace)]
-    _write_csv(os.path.join(out_dir, "cost_trace.csv"), ["stage", "iteration", "cost"], rows)
+    rows = np.vstack([
+        np.column_stack([np.full(len(r.trace), float(stage)), np.arange(len(r.trace), dtype=float), r.trace])
+        for stage, r in enumerate((report1, report2))
+    ])
+    _write_csv(os.path.join(out_dir, "cost_trace.csv"), ["stage", "iteration", *TRACE_COLUMNS], rows)
     _merge_timings(
         out_dir,
         {

@@ -9,7 +9,11 @@ treated as an unwrapped real scalar throughout.
 
 Costs evaluated on the spline return gradients with respect to (q, T); the
 dependence of the coefficients on (q, T) is folded in by an adjoint solve
-against the transposed system, so callers get total derivatives.
+against the transposed system, so callers get total derivatives. The system
+goes to LAPACK's banded solver directly (`dgbsv`, the routine behind
+`scipy.linalg.solve_banded`), and the transposed system is LU-factored once
+per trajectory (`dgbtrf`), so each adjoint is one `dgbtrs`. `dgbsv` is
+`dgbtrf` followed by `dgbtrs`, so both give the same bits as `solve_banded`.
 
 Every evaluation (eval, sample, and the derivative rows of the adjoint and
 the energy gradient) goes through one Horner evaluator. It reads a
@@ -25,9 +29,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
 
 _BAND = 7  # sub/super-diagonal count of the coefficient system
+# Rows of LAPACK's banded storage: _BAND rows of fill-in space above the
+# 2 _BAND + 1 diagonals, which sit at rows _BAND.. (solve_banded's layout).
+_LDAB = 3 * _BAND + 1
 
 # _DERIV[order][i]: factor of t^(i - order) in the order-th derivative of t^i,
 # the falling factorial i (i - 1) ... (i - order + 1); zero when i < order.
@@ -81,8 +88,9 @@ def _band_pattern(n_seg: int):
 
     Entry k has the value factor[k] * powers[power[k]], where powers is the
     (n_seg, 6) table of T_seg ** p flattened (rows evaluated at local time 0
-    use p = 0). It sits at flat index ab_flat[k] of the banded storage and at
-    abt_flat[k] of the transpose's. The arrays are shared, so read-only.
+    use p = 0). It sits at flat index ab_flat[k] of the column-major banded
+    storage and at abt_flat[k] of the transpose's. The arrays are shared, so
+    read-only.
     """
     rows, cols, power, factor = [], [], [], []
 
@@ -106,36 +114,49 @@ def _band_pattern(n_seg: int):
     for order in range(3):
         put_row(6 * n_seg - 3 + order, n_seg - 1, True, order)
     rows, cols = np.array(rows), np.array(cols)
-    n = 6 * n_seg
-    ab_flat = (_BAND + rows - cols) * n + cols
-    abt_flat = (_BAND + cols - rows) * n + rows
+    # Entry (i, j) of a banded matrix sits at row 2 _BAND + i - j of column j.
+    ab_flat = cols * _LDAB + 2 * _BAND + rows - cols
+    abt_flat = rows * _LDAB + 2 * _BAND + cols - rows
     pattern = (ab_flat, abt_flat, np.array(power), np.array(factor))
     for a in pattern:
         a.setflags(write=False)
     return pattern
 
 
+def _check_finite(a: np.ndarray) -> None:
+    # The failure solve_banded's check_finite gives; LAPACK would return NaNs.
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
 def _assemble(T: np.ndarray):
-    """Banded storage of the coefficient system for solve_banded, plus its transpose."""
+    """LAPACK banded storage of the coefficient system, plus its transpose's.
+
+    Rows _BAND.. of each hold solve_banded's (2 _BAND + 1, n) layout.
+    """
     n_seg = T.shape[0]
     n = 6 * n_seg
     ab_flat, abt_flat, power, factor = _band_pattern(n_seg)
     # Powers from Python floats: numpy's array power rounds some of them differently.
     powers = np.array([[t**p for p in range(6)] for t in T.tolist()])
     values = factor * powers.ravel()[power]
-    ab = np.zeros((2 * _BAND + 1, n))
-    abt = np.zeros((2 * _BAND + 1, n))
-    ab.ravel()[ab_flat] = values
-    abt.ravel()[abt_flat] = values
+    _check_finite(values)
+    # Column-major (_LDAB, n), so LAPACK works on them in place.
+    ab = np.zeros((n, _LDAB)).T
+    abt = np.zeros((n, _LDAB)).T
+    ab.T.ravel()[ab_flat] = values
+    abt.T.ravel()[abt_flat] = values
     return ab, abt
 
 
 def _rhs(q: np.ndarray, boundary: Boundary, n_seg: int) -> np.ndarray:
-    b = np.zeros((6 * n_seg, 3))
+    """Right-hand side, column-major so LAPACK solves in place."""
+    n = 6 * n_seg
+    b = np.zeros((3, n)).T
     b[0:3] = boundary.start
-    for j in range(1, n_seg):
-        b[6 * j - 3] = q[j - 1]
-        b[6 * j + 2] = q[j - 1]
+    # Knot j (1-based junction) fills rows 6 j - 3 and 6 j + 2.
+    b[3 : n - 3 : 6] = q
+    b[8 : n - 3 : 6] = q
     b[-3:] = boundary.end
     return b
 
@@ -145,21 +166,50 @@ class MincoTrajectory:
 
     coeffs has shape (N-1, 6, 3): segment, monomial power, component. It
     must not change after the first evaluation, which builds `_tables` from it.
+    adjoint_band is the transposed system's banded storage when the caller
+    already has it; the first adjoint solve factors it in place.
     """
 
-    def __init__(self, durations, waypoints, boundary: Boundary, coeffs, band=None):
+    def __init__(self, durations, waypoints, boundary: Boundary, coeffs, adjoint_band=None):
         self.durations = np.asarray(durations, dtype=float)
         self.waypoints = np.asarray(waypoints, dtype=float).reshape(-1, 3)
         self.boundary = boundary
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.knot_times = np.concatenate([[0.0], np.cumsum(self.durations)])
-        self._band = band
+        self._adjoint_band = adjoint_band
 
     @functools.cached_property
     def _tables(self) -> np.ndarray:
         """(6, 6, 3, N-1) table: [order, power, component, segment] holds the
         power's coefficient times its order-th derivative factor _DERIV."""
         return np.array(_DERIV)[:, :, None, None] * self.coeffs.transpose(1, 2, 0)
+
+    @functools.cached_property
+    def _adjoint_lu(self):
+        """LU factors and pivots of the transposed system (LAPACK dgbtrf)."""
+        abt = self._adjoint_band
+        if abt is None:
+            abt = _assemble(self.durations)[1]
+        self._adjoint_band = None  # dgbtrf overwrites it
+        lu, piv, info = dgbtrf(abt, _BAND, _BAND, overwrite_ab=1)
+        if info != 0:
+            raise SingularSystem(f"dgbtrf info {info} on the transposed system")
+        return lu, piv
+
+    @functools.cached_property
+    def _end_rows(self) -> np.ndarray:
+        """Derivatives of orders 1-5 at each segment's end, [order - 1] -> (N-1, 3).
+
+        _horner's steps at tau = T for every segment at once: order k takes
+        the steps of powers 4 down to k, so a step updates a prefix of orders.
+        """
+        T = self.durations
+        tables = self._tables[1:]
+        out = tables[:, 5] + 0.0 * T
+        for i in range(4, 0, -1):
+            out[:i] *= T
+            out[:i] += tables[:i, i]
+        return out.transpose(0, 2, 1)
 
     @property
     def n_segments(self) -> int:
@@ -251,12 +301,12 @@ def build_minco(q: np.ndarray, T: np.ndarray, boundary: Boundary) -> MincoTrajec
         raise SingularSystem(f"durations below 1e-6 s make the system numerically singular: {T}")
     ab, abt = _assemble(T)
     b = _rhs(q, boundary, n_seg)
-    try:
-        flat = solve_banded((_BAND, _BAND), ab, b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by the T checks above
-        raise SingularSystem(str(exc)) from exc
+    _check_finite(b)
+    _, _, flat, info = dgbsv(_BAND, _BAND, ab, b, overwrite_ab=1, overwrite_b=1)
+    if info != 0:  # pragma: no cover - guarded by the T checks above
+        raise SingularSystem(f"dgbsv info {info}")
     coeffs = flat.reshape(n_seg, 6, 3)
-    return MincoTrajectory(durations=T, waypoints=q, boundary=boundary, coeffs=coeffs, band=(ab, abt))
+    return MincoTrajectory(durations=T, waypoints=q, boundary=boundary, coeffs=coeffs, adjoint_band=abt)
 
 
 def propagate_gradient(
@@ -274,12 +324,10 @@ def propagate_gradient(
     """
     n_seg = traj.n_segments
     n = 6 * n_seg
-    if traj._band is None:
-        ab, abt = _assemble(traj.durations)
-    else:
-        ab, abt = traj._band
+    lu, piv = traj._adjoint_lu
     g = np.asarray(grad_C, dtype=float).reshape(n, 3)
-    lam = solve_banded((_BAND, _BAND), abt, g)
+    _check_finite(g)
+    lam, _ = dgbtrs(lu, _BAND, _BAND, g, piv)
 
     grad_q = np.zeros((max(n_seg - 1, 0), 3))
     if grad_q_direct is not None:
@@ -292,12 +340,10 @@ def propagate_gradient(
         grad_T += grad_T_direct
     # Segment j's end rows are 6 j + 3 + k: five continuity rows at a
     # junction, three boundary rows after the last segment.
-    seg = np.arange(n_seg)
-    T = traj.durations
-    for k in range(5):
-        m = n_seg if k < 3 else n_seg - 1
-        deriv = _horner(traj, seg[:m], T[:m], k + 1)
-        grad_T[:m] -= np.vecdot(lam[6 * seg[:m] + 3 + k], deriv)
+    for k, deriv in enumerate(traj._end_rows):
+        rows = lam[3 + k :: 6]
+        m = rows.shape[0]
+        grad_T[:m] -= np.vecdot(rows, deriv[:m])
     return grad_q, grad_T
 
 
@@ -349,7 +395,7 @@ def energy_cost_with_grads(traj: MincoTrajectory) -> CostWithGrads:
     grad_C[:, 4, :] = 144.0 * c3 * t2 + 384.0 * c4 * t3 + 720.0 * c5 * t4
     grad_C[:, 5, :] = 240.0 * c3 * t3 + 720.0 * c4 * t4 + 1440.0 * c5 * t5
     # Direct T dependence: the integrand (squared jerk) evaluated at the segment end.
-    jerk = _horner(traj, np.arange(traj.n_segments), T, 3)
+    jerk = traj._end_rows[2]
     direct_T = np.vecdot(jerk, jerk)
     grad_q, grad_T = propagate_gradient(traj, grad_C, grad_T_direct=direct_T)
     return CostWithGrads(value=value, grad_q=grad_q, grad_T=grad_T)

@@ -212,6 +212,8 @@ def solve_qp(prob: MpcProblem, initial_active=None, full_output: bool = False):
             if 0 <= idx < m and abs(a_mat[idx] @ x - b_vec[idx]) < 1e-10:
                 work.append(idx)
     max_iter = 50 * max(n, 1)
+    # A zero step on the working set, relative to the gradient's scale.
+    step_tol = 1e-11 * max(1.0, float(np.abs(prob.g).max(initial=0.0)))
     status = "max_iterations"
     lam_full = np.zeros(m)
     for it in range(max_iter):
@@ -228,7 +230,7 @@ def solve_qp(prob: MpcProblem, initial_active=None, full_output: bool = False):
         sol = np.linalg.solve(kkt, rhs)
         p = sol[:n]
         lam = sol[n:]
-        if float(np.abs(p).max(initial=0.0)) <= 1e-11:
+        if float(np.abs(p).max(initial=0.0)) <= step_tol:
             if k == 0 or lam.min() >= -1e-9:
                 status = "optimal"
                 lam_full = np.zeros(m)

@@ -6,11 +6,18 @@ collision hinge and the sweep-alignment penalty, then verifies the result
 against the obstacle set by dense sampling. Durations are optimized through
 a softplus reparameterization so they stay above a floor; both stages run a
 limited-memory quasi-Newton loop, with a strong Wolfe line search for the
-smooth stage and descent-only Armijo backtracking for the hinged stage.
+smooth stage and descent-only Armijo backtracking for the hinged stage. Each
+accepted point is traced with its gradient norm, step, the evaluations its
+line search made and the weighted cost terms.
+
+Stage 2 finds the obstacle points near each knot through a neighbour list
+with a skin: one KD-tree query serves every evaluation until a knot drifts
+farther than the skin from where it was queried.
 """
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 import time
@@ -39,6 +46,7 @@ from .worldmodel import GridMap, InitialTrajectory
 
 T_MIN = 0.01  # duration floor under the softplus map, seconds
 _QUERY_SLACK = 1e-6  # meters added to the obstacle KD-tree query radius
+_SKIN = 0.5  # meters a knot may drift from where the neighbour list was queried
 LBFGS_MEMORY = 8  # curvature pairs kept by the quasi-Newton loop
 
 
@@ -64,16 +72,30 @@ class PlanOptions:
     init_speed: float = 1.0  # seeds segment durations from chord lengths, m/s
 
 
+# Columns of PlanReport.trace; the last five are the weighted cost terms,
+# 0.0 for a term the stage lacks, and sum left to right to the cost.
+TRACE_COLUMNS = ("cost", "grad_norm", "step", "evals", "energy", "time", "deviation", "obstacle", "sweep")
+
+
 @dataclass
 class PlanReport:
     trajectory: MincoTrajectory
-    cost_trace: list
+    trace: np.ndarray  # one TRACE_COLUMNS row per accepted point, the start point first
     wall_time_s: float
     converged: bool
     reason: str
     stage: str
     feasible: bool | None = None
     min_clearance: float | None = None
+
+    @property
+    def cost_trace(self) -> list:
+        return self.trace[:, 0].tolist()
+
+    @property
+    def iterations(self) -> int:
+        """Optimizer steps taken: accepted points after the start point."""
+        return self.trace.shape[0] - 1
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +127,15 @@ def obstacle_cost_with_grads(
     grid: GridMap,
     veh: VehicleParams,
     safety_margin: float = 0.3,
+    neighbours: _NeighbourList | None = None,
 ) -> CostWithGrads:
     """Cubic hinge on footprint distance to obstacle cell centers at each interior knot.
 
     Contribution per (knot, obstacle point): (margin - F)^3 where F is the
     world-frame footprint distance, active only when F < margin. Knot poses
     are the decision variables themselves, so gradients land directly on q.
+    neighbours, a list over `grid` kept across calls, saves the KD-tree
+    query; the result is the same with or without it.
     """
     n_seg = traj.n_segments
     q = traj.waypoints
@@ -123,7 +148,7 @@ def obstacle_cost_with_grads(
     # diagonal of the knot center; prefilter keeps the SDF batch small. All
     # (knot, point) pairs go through one batched evaluation.
     reach = safety_margin + veh.half_diagonal + 1e-9
-    k_idx, _, dxn, dyn = _obstacle_pairs(q, grid, reach)
+    k_idx, _, dxn, dyn = (neighbours or _NeighbourList(grid)).pairs(q, reach)
     if k_idx.size == 0:
         return CostWithGrads(value=0.0, grad_q=grad_q, grad_T=np.zeros(n_seg))
     c_all = np.cos(q[:, 2])
@@ -153,23 +178,51 @@ def obstacle_cost_with_grads(
     return CostWithGrads(value=value, grad_q=grad_q, grad_T=np.zeros(n_seg))
 
 
-def _obstacle_pairs(q: np.ndarray, grid: GridMap, reach: float):
-    """(knot, point) pairs with the point within reach of the knot center.
+class _NeighbourList:
+    """(knot, point) pairs within reach of the knot centers, from reused candidates.
 
-    Returns knot and point indices, knot-major with points ascending, and
-    the point-minus-knot offsets dx, dy. Candidates come from the grid's
-    KD-tree queried slightly wider than reach; the exact test on the offsets
-    decides, so rounding in the tree's distances cannot change the pairs.
+    A Verlet list: the grid's KD-tree is queried at reach + _SKIN around
+    anchor positions of the knots, and those candidates serve every later
+    call while each knot stays within _SKIN of its anchor, since a point
+    within reach of the knot is then within reach + _SKIN of the anchor. A
+    larger drift, another reach or another knot count queries again. The
+    exact offset test decides, so rounding in the tree's distances cannot
+    change the pairs.
     """
-    near = grid.obstacle_tree.query_ball_point(q[:, :2], reach + _QUERY_SLACK, return_sorted=True)
-    counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
-    k_idx = np.repeat(np.arange(len(near)), counts)
-    m_idx = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=int(counts.sum()))
-    pts = grid.obstacle_points
-    dx = pts[m_idx, 0] - q[k_idx, 0]
-    dy = pts[m_idx, 1] - q[k_idx, 1]
-    keep = dx * dx + dy * dy <= reach * reach
-    return k_idx[keep], m_idx[keep], dx[keep], dy[keep]
+
+    def __init__(self, grid: GridMap):
+        self.grid = grid
+        self.anchors = None
+        self.reach = None
+
+    def _query(self, q: np.ndarray, reach: float) -> None:
+        self.anchors = q[:, :2].copy()
+        self.reach = reach
+        near = self.grid.obstacle_tree.query_ball_point(
+            self.anchors, reach + _SKIN + _QUERY_SLACK, return_sorted=True
+        )
+        counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+        self.k_idx = np.repeat(np.arange(len(near)), counts)
+        self.m_idx = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=int(counts.sum()))
+        pts = self.grid.obstacle_points
+        self.px = pts[self.m_idx, 0]
+        self.py = pts[self.m_idx, 1]
+
+    def pairs(self, q: np.ndarray, reach: float):
+        """Knot and point indices, knot-major with points ascending, and the
+        point-minus-knot offsets dx, dy of every pair within reach."""
+        anchors = self.anchors
+        if anchors is None or reach != self.reach or anchors.shape[0] != q.shape[0]:
+            self._query(q, reach)
+        else:
+            drift = q[:, :2] - anchors
+            if not (np.vecdot(drift, drift) <= _SKIN * _SKIN).all():
+                self._query(q, reach)
+        k_idx = self.k_idx
+        dx = self.px - q[k_idx, 0]
+        dy = self.py - q[k_idx, 1]
+        keep = dx * dx + dy * dy <= reach * reach
+        return k_idx[keep], self.m_idx[keep], dx[keep], dy[keep]
 
 
 def sweep_cost_with_grads(traj: MincoTrajectory, eps: float = 1e-8) -> CostWithGrads:
@@ -185,12 +238,13 @@ def sweep_cost_with_grads(traj: MincoTrajectory, eps: float = 1e-8) -> CostWithG
     grad_q = np.zeros((max(n_seg - 1, 0), 3))
     grad_C = np.zeros_like(traj.coeffs)
     value = 0.0
-    for k in range(n_seg - 1):
-        vx, vy = traj.coeffs[k + 1, 1, 0], traj.coeffs[k + 1, 1, 1]
+    # Python floats do the same double arithmetic as numpy scalars, faster.
+    knots = zip(traj.coeffs[1:, 1, :2].tolist(), traj.waypoints[:, 2].tolist())
+    for k, ((vx, vy), phi) in enumerate(knots):
         s2 = vx * vx + vy * vy
         if s2 < eps:
             continue
-        delta = wrap_angle(traj.waypoints[k, 2] - math.atan2(vy, vx))
+        delta = wrap_angle(phi - math.atan2(vy, vx))
         value += delta * delta
         grad_q[k, 2] += 2.0 * delta
         grad_C[k + 1, 1, 0] += 2.0 * delta * (vy / s2)
@@ -230,11 +284,15 @@ def _sigmoid(tau: np.ndarray) -> np.ndarray:
 
 
 def _wolfe_search(fg, x, f, g, d, c1=1e-4, c2=0.9, max_evals=25):
-    """Strong Wolfe line search (bracket + zoom). Returns (alpha, f, g, evals) or None."""
+    """Strong Wolfe line search (bracket + zoom).
+
+    Returns (alpha, f, g, terms, evals) of the accepted step, which is always
+    the last point evaluated, or None.
+    """
     g0 = float(g @ d)
     if g0 >= 0.0:
         return None
-    alpha_prev, f_prev, g_prev = 0.0, f, g0
+    alpha_prev, f_prev = 0.0, f
     alpha = 1.0
     alpha_max = 1e4
     evals = 0
@@ -242,36 +300,40 @@ def _wolfe_search(fg, x, f, g, d, c1=1e-4, c2=0.9, max_evals=25):
     def phi(a):
         nonlocal evals
         evals += 1
-        fv, gv = fg(x + a * d)
-        return fv, gv
+        return fg(x + a * d)
 
-    f_a, g_vec = phi(alpha)
+    def zoom(lo, f_lo, hi, f_hi):
+        res = _zoom(phi, f, g0, lo, f_lo, hi, f_hi, c1, c2, d, max_evals - evals)
+        return res and (*res, evals)
+
+    f_a, g_vec, terms = phi(alpha)
     while evals < max_evals:
         g_a = float(g_vec @ d)
         if f_a > f + c1 * alpha * g0 or (evals > 1 and f_a >= f_prev):
-            return _zoom(phi, f, g0, alpha_prev, f_prev, alpha, f_a, c1, c2, d, max_evals - evals)
+            return zoom(alpha_prev, f_prev, alpha, f_a)
         if abs(g_a) <= -c2 * g0:
-            return alpha, f_a, g_vec, evals
+            return alpha, f_a, g_vec, terms, evals
         if g_a >= 0.0:
-            return _zoom(phi, f, g0, alpha, f_a, alpha_prev, f_prev, c1, c2, d, max_evals - evals)
+            return zoom(alpha, f_a, alpha_prev, f_prev)
         alpha_prev, f_prev = alpha, f_a
         alpha = min(2.0 * alpha, alpha_max)
         if alpha >= alpha_max:
             return None
-        f_a, g_vec = phi(alpha)
+        f_a, g_vec, terms = phi(alpha)
     return None
 
 
 def _zoom(phi, f0, g0, lo, f_lo, hi, f_hi, c1, c2, d, budget):
+    """Bisect the bracket [lo, hi]; returns (alpha, f, g, terms) or None."""
     for _ in range(max(budget, 1)):
         alpha = 0.5 * (lo + hi)
-        f_a, g_vec = phi(alpha)
+        f_a, g_vec, terms = phi(alpha)
         g_a = float(g_vec @ d)
         if f_a > f0 + c1 * alpha * g0 or f_a >= f_lo:
             hi, f_hi = alpha, f_a
         else:
             if abs(g_a) <= -c2 * g0:
-                return alpha, f_a, g_vec, 0
+                return alpha, f_a, g_vec, terms
             if g_a * (hi - lo) >= 0.0:
                 hi, f_hi = lo, f_lo
             lo, f_lo = alpha, f_a
@@ -281,31 +343,41 @@ def _zoom(phi, f0, g0, lo, f_lo, hi, f_hi, c1, c2, d, budget):
 
 
 def _armijo_search(fg, x, f, g, d, c1=1e-4, shrink=0.5, max_evals=30):
-    """Backtracking with sufficient decrease only; tolerant of kinked objectives."""
+    """Backtracking with sufficient decrease only; tolerant of kinked objectives.
+
+    Returns (alpha, f, g, terms, evals) of the accepted step, the last point
+    evaluated, or None.
+    """
     g0 = float(g @ d)
     if g0 >= 0.0:
         return None
     alpha = 1.0
-    for _ in range(max_evals):
-        f_a, g_vec = fg(x + alpha * d)
+    for evals in range(1, max_evals + 1):
+        f_a, g_vec, terms = fg(x + alpha * d)
         if f_a <= f + c1 * alpha * g0:
-            return alpha, f_a, g_vec, 0
+            return alpha, f_a, g_vec, terms, evals
         alpha *= shrink
     return None
 
 
 def _lbfgs(fg, x0, opts: PlanOptions, search):
-    """Two-loop recursion quasi-Newton descent. Returns (x, trace, converged, reason)."""
+    """Two-loop recursion quasi-Newton descent.
+
+    fg(x) returns (cost, gradient, weighted cost terms). Returns (x, trace,
+    converged, reason); trace has one TRACE_COLUMNS row per accepted point,
+    the start point first.
+    """
     x = np.asarray(x0, dtype=float).copy()
-    f, g = fg(x)
-    trace = [f]
+    f, g, terms = fg(x)
+    gnorm = float(np.linalg.norm(g))
+    # Flat doubles rather than a list of tuples: a stage-2 trace has ~1,000 rows.
+    trace = array.array("d", (f, gnorm, 0.0, 1, *terms))
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     rho_hist: list[float] = []
     converged = False
     reason = "max_iterations"
     for _ in range(opts.max_iterations):
-        gnorm = float(np.linalg.norm(g))
         if gnorm < opts.grad_tol:
             converged, reason = True, "gradient_tolerance"
             break
@@ -332,7 +404,7 @@ def _lbfgs(fg, x0, opts: PlanOptions, search):
         if res is None:
             converged, reason = False, "line_search_failure"
             break
-        alpha, f_new, g_new, _ = res
+        alpha, f_new, g_new, terms, evals = res
         s = alpha * d
         y = g_new - g
         sy = float(s @ y)
@@ -345,11 +417,12 @@ def _lbfgs(fg, x0, opts: PlanOptions, search):
         x = x + s
         rel = abs(f - f_new) / max(1.0, abs(f))
         f, g = f_new, g_new
-        trace.append(f)
+        gnorm = float(np.linalg.norm(g))
+        trace.extend((f, gnorm, alpha, evals, *terms))
         if rel < opts.cost_tol:
             converged, reason = True, "cost_tolerance"
             break
-    return x, trace, converged, reason
+    return x, np.frombuffer(trace).reshape(-1, len(TRACE_COLUMNS)), converged, reason
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +469,11 @@ def optimize_stage1(
         e = energy_cost_with_grads(traj)
         tc = time_cost_with_grads(T)
         dev = deviation_cost_with_grads(traj, init)
-        val = weights.energy * e.value + weights.time * tc.value + weights.deviation * dev.value
+        terms = (weights.energy * e.value, weights.time * tc.value, weights.deviation * dev.value, 0.0, 0.0)
+        val = terms[0] + terms[1] + terms[2]
         gq = weights.energy * e.grad_q + weights.time * tc.grad_q + weights.deviation * dev.grad_q
         gT = weights.energy * e.grad_T + weights.time * tc.grad_T + weights.deviation * dev.grad_T
-        return val, _pack(gq, gT * _sigmoid(tau))
+        return val, _pack(gq, gT * _sigmoid(tau)), terms
 
     z0 = _pack(q0, softplus_inverse(T0))
     z, trace, converged, reason = _lbfgs(fg, z0, opts, _wolfe_search)
@@ -407,7 +481,7 @@ def optimize_stage1(
     traj = build_minco(q, softplus(tau), boundary)
     return PlanReport(
         trajectory=traj,
-        cost_trace=trace,
+        trace=trace,
         wall_time_s=time.perf_counter() - t0,
         converged=converged,
         reason=reason,
@@ -451,6 +525,7 @@ def optimize_stage2(
     t0 = time.perf_counter()
     boundary = traj.boundary
     n_int = traj.waypoints.shape[0]
+    neighbours = _NeighbourList(grid)
 
     def fg(z):
         q, tau = _unpack(z, n_int)
@@ -458,14 +533,12 @@ def optimize_stage2(
         tr = build_minco(q, T, boundary)
         e = energy_cost_with_grads(tr)
         tc = time_cost_with_grads(T)
-        ob = obstacle_cost_with_grads(tr, grid, veh, weights.safety_margin)
+        ob = obstacle_cost_with_grads(tr, grid, veh, weights.safety_margin, neighbours)
         sv = sweep_cost_with_grads(tr)
-        val = (
-            weights.energy * e.value
-            + weights.time * tc.value
-            + weights.obstacle * ob.value
-            + weights.sweep * sv.value
+        terms = (
+            weights.energy * e.value, weights.time * tc.value, 0.0, weights.obstacle * ob.value, weights.sweep * sv.value
         )
+        val = terms[0] + terms[1] + terms[3] + terms[4]
         gq = (
             weights.energy * e.grad_q
             + weights.time * tc.grad_q
@@ -478,7 +551,7 @@ def optimize_stage2(
             + weights.obstacle * ob.grad_T
             + weights.sweep * sv.grad_T
         )
-        return val, _pack(gq, gT * _sigmoid(tau))
+        return val, _pack(gq, gT * _sigmoid(tau)), terms
 
     z0 = _pack(traj.waypoints.copy(), softplus_inverse(np.maximum(traj.durations, T_MIN * 1.001)))
     z, trace, converged, reason = _lbfgs(fg, z0, opts, _armijo_search)
@@ -489,7 +562,7 @@ def optimize_stage2(
         reason += "; infeasible_result"
     return PlanReport(
         trajectory=out,
-        cost_trace=trace,
+        trace=trace,
         wall_time_s=time.perf_counter() - t0,
         converged=converged,
         reason=reason,

@@ -321,6 +321,25 @@ def energy_direct_T(traj) -> np.ndarray:
     return out
 
 
+def sweep_cost_loop(traj, eps: float = 1e-8):
+    """Sweep misalignment (value, grad_C, direct grad_q) on numpy scalars, one knot at a time."""
+    n_seg = traj.n_segments
+    grad_q = np.zeros((max(n_seg - 1, 0), 3))
+    grad_C = np.zeros_like(traj.coeffs)
+    value = 0.0
+    for k in range(n_seg - 1):
+        vx, vy = traj.coeffs[k + 1, 1, 0], traj.coeffs[k + 1, 1, 1]
+        s2 = vx * vx + vy * vy
+        if s2 < eps:
+            continue
+        delta = wrap_angle(traj.waypoints[k, 2] - math.atan2(vy, vx))
+        value += delta * delta
+        grad_q[k, 2] += 2.0 * delta
+        grad_C[k + 1, 1, 0] += 2.0 * delta * (vy / s2)
+        grad_C[k + 1, 1, 1] += 2.0 * delta * (-vx / s2)
+    return value, grad_C, grad_q
+
+
 def obstacle_pairs_all(q: np.ndarray, pts: np.ndarray, reach: float):
     """Every (knot, point) pair within reach, tested exhaustively: (k, m, dx, dy)."""
     dx = pts[None, :, 0] - q[:, None, 0]
@@ -593,6 +612,8 @@ def solve_qp_scalar(prob: MpcProblem, initial_active=None, full_output: bool = F
             if 0 <= idx < m and abs(a_mat[idx] @ x - b_vec[idx]) < 1e-10:
                 work.append(idx)
     max_iter = 50 * max(n, 1)
+    # A zero step on the working set, relative to the gradient's scale.
+    step_tol = 1e-11 * max(1.0, float(np.abs(prob.g).max(initial=0.0)))
     status = "max_iterations"
     lam_full = np.zeros(m)
     for it in range(max_iter):
@@ -608,7 +629,7 @@ def solve_qp_scalar(prob: MpcProblem, initial_active=None, full_output: bool = F
         sol = np.linalg.solve(kkt, rhs)
         p = sol[:n]
         lam = sol[n:]
-        if float(np.abs(p).max(initial=0.0)) <= 1e-11:
+        if float(np.abs(p).max(initial=0.0)) <= step_tol:
             if k == 0 or lam.min() >= -1e-9:
                 status = "optimal"
                 lam_full = np.zeros(m)

@@ -262,6 +262,34 @@ def test_pipeline_straight_all_stages(straight_all):
     assert report["scenario"]["name"] == "straight"
 
 
+def test_cost_trace_columns_explain_convergence(straight_all):
+    lines = (straight_all / "cost_trace.csv").read_text().splitlines()
+    assert lines[0] == "stage,iteration,cost,grad_norm,step,evals,energy,time,deviation,obstacle,sweep"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    report = json.loads((straight_all / "plan_report.json").read_text())
+    for stage, key in ((0.0, "stage1"), (1.0, "stage2")):
+        part = rows[rows[:, 0] == stage]
+        assert part[:, 1].tolist() == list(range(len(part)))
+        assert report[key]["iterations"] == len(part) - 1
+        assert report[key]["final_cost"] == part[-1, 2]
+        assert part[0, 4:6].tolist() == [0.0, 1.0]
+    for row in rows.tolist():
+        total = row[6]
+        for term in row[7:]:
+            total += term
+        assert total == row[2]
+
+
+def test_plan_report_counts_steps_not_points(tmp_path):
+    out = tmp_path / "out"
+    sc = parse_scenario(_write(tmp_path, _minimal(planner={"max_iterations": 5})))
+    assert run_pipeline(sc, ["plan"], str(out)) == 0
+    report = json.loads((out / "plan_report.json").read_text())
+    assert report["stage1"]["iterations"] == report["stage2"]["iterations"] == 5
+    assert report["stage1"]["reason"] == report["stage2"]["reason"] == "max_iterations"
+    assert len((out / "cost_trace.csv").read_text().splitlines()) == 1 + 2 * 6
+
+
 @pytest.mark.parametrize("case", ["no_trajectory", "no_area", "stale_area"])
 def test_pipeline_stage_dependency_missing(tmp_path, straight_all, case):
     out = tmp_path / "out"

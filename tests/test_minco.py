@@ -201,8 +201,10 @@ def test_band_assembly_equals_scalar_oracle(n_seg):
     for _, _, T, _ in _exact_instances(n_seg):
         ab, abt = minco._assemble(T)
         ab_ref, abt_ref = minco_band(T)
-        assert np.array_equal(ab, ab_ref)
-        assert np.array_equal(abt, abt_ref)
+        # LAPACK storage: solve_banded's rows below _BAND rows of fill-in space.
+        assert np.array_equal(ab[minco._BAND :], ab_ref)
+        assert np.array_equal(abt[minco._BAND :], abt_ref)
+        assert not ab[: minco._BAND].any() and not abt[: minco._BAND].any()
 
 
 @pytest.mark.parametrize("n_seg", [1, 2, 15])
@@ -235,6 +237,72 @@ def test_energy_direct_term_equals_scalar_oracle(n_seg, monkeypatch):
         assert np.array_equal(seen.pop(), energy_direct_T(traj))
 
 
+@pytest.mark.parametrize("n_seg", [1, 2, 15])
+def test_lapack_solve_equals_solve_banded(n_seg):
+    from scipy.linalg import solve_banded
+
+    for _, q, T, boundary in _exact_instances(n_seg):
+        b = np.zeros((6 * n_seg, 3))
+        b[0:3] = boundary.start
+        for j in range(1, n_seg):
+            b[6 * j - 3] = b[6 * j + 2] = q[j - 1]
+        b[-3:] = boundary.end
+        ref = solve_banded((minco._BAND, minco._BAND), minco_band(T)[0], b).reshape(n_seg, 6, 3)
+        assert np.array_equal(build_minco(q, T, boundary).coeffs, ref)
+
+
+def test_adjoint_factors_once_per_trajectory(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dgbtrf(*args, **kwargs)
+
+    dgbtrf = minco.dgbtrf
+    monkeypatch.setattr(minco, "dgbtrf", counting)
+    q, T, boundary = random_instance(4)
+    traj = build_minco(q, T, boundary)
+    assert not calls
+    grad_C = np.random.default_rng(4).standard_normal(traj.coeffs.shape)
+    first = propagate_gradient(traj, grad_C)
+    energy_cost_with_grads(traj)
+    again = propagate_gradient(traj, grad_C)
+    assert len(calls) == 1
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    # A trajectory read back from its dict assembles and factors its own system once.
+    clone = MincoTrajectory.from_dict(traj.to_dict())
+    for _ in range(2):
+        got = propagate_gradient(clone, grad_C)
+        assert all(np.array_equal(a, b) for a, b in zip(got, first))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("where", ["q", "T", "start", "end"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_build_minco_rejects_non_finite_before_lapack(where, bad, monkeypatch):
+    def lapack(*args, **kwargs):
+        raise AssertionError("LAPACK ran on non-finite input")
+
+    monkeypatch.setattr(minco, "dgbsv", lapack)
+    q, T, boundary = random_instance(0)
+    if where == "q":
+        q[1, 2] = bad
+    elif where == "T":
+        T[2] = abs(bad)  # a negative duration is NonPositiveDuration, not a solver input
+    else:
+        getattr(boundary, where)[1, 0] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        build_minco(q, T, boundary)
+
+
+def test_adjoint_rejects_non_finite_gradient():
+    traj = build_minco(*random_instance(1))
+    grad_C = np.zeros(traj.coeffs.shape)
+    grad_C[0, 3, 1] = math.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        propagate_gradient(traj, grad_C)
+
+
 def test_eval_and_sample_equal_scalar_horner():
     q, T, boundary = random_instance(2)
     traj = build_minco(q, T, boundary)
@@ -259,6 +327,12 @@ def test_horner_equals_six_gather_oracle(order):
     for j in range(traj.n_segments):
         scalar = minco._horner(traj, j, T[j] / 3.0, order)
         assert np.array_equal(scalar, horner_six_gathers(traj.coeffs, j, T[j] / 3.0, order))
+    # The cached segment-end rows take the same steps at tau = T; straight_traj
+    # has y coefficients of both signs of zero.
+    for tr in (traj, straight_traj()) if order > 0 else ():
+        ends = horner_six_gathers(tr.coeffs, np.arange(tr.n_segments), tr.durations, order)
+        got = tr._end_rows[order - 1]
+        assert np.array_equal(got, ends) and np.array_equal(np.signbit(got), np.signbit(ends))
 
 
 @pytest.mark.parametrize("order", range(6))

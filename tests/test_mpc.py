@@ -379,6 +379,29 @@ def test_ratio_near_tie_keeps_lowest_index():
     _assert_same_solve(prob)
 
 
+@pytest.mark.parametrize("nc,g_scale", [(10, 1e4), (2, 1e6)])
+def test_solve_qp_stop_rule_scales_with_gradient(nc, g_scale):
+    # With |g| large the iterates are large too, so the working-set step
+    # carries rounding far above an absolute 1e-11 and a fixed threshold never
+    # stops. Each solve must end optimal and pass an independent KKT check:
+    # feasible, tight on its active rows, stationary with nonnegative multipliers.
+    rng = np.random.default_rng(100 * nc + int(math.log10(g_scale)))
+    tol = 1e-9 * g_scale
+    for _ in range(12):
+        prob = _random_problem(rng, nc, g_scale)
+        x, info = solve_qp(prob, full_output=True)
+        assert info["status"] == "optimal"
+        a_mat, b_vec = _constraint_rows(prob)
+        assert np.all(a_mat @ x <= b_vec + tol)
+        work = list(info["active_set"])
+        aw = a_mat[work]
+        assert np.all(np.abs(aw @ x - b_vec[work]) <= tol)
+        grad = prob.H @ x + prob.g
+        lam = np.linalg.lstsq(aw.T, -grad, rcond=None)[0] if work else np.zeros(0)
+        assert np.all(lam >= -tol)
+        assert np.abs(grad + aw.T @ lam).max() <= tol
+
+
 def _weights(rng):
     return dict(state_weight=_spd(rng, 3, 5.0), input_weight=_spd(rng, 3, 0.05))
 

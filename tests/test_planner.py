@@ -1,17 +1,21 @@
 import math
+import os
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from helpers import nudge_off_kinks, random_instance, scatter_grid, small_vehicle, straight_traj
-from oracles import fd_cost_grads, obstacle_cost_all_pairs, obstacle_pairs_all, rel_err
+from oracles import fd_cost_grads, obstacle_cost_all_pairs, obstacle_pairs_all, rel_err, sweep_cost_loop
+import sweptplan.planner as planner
+from sweptplan.cli import _build_grid, _plan_init, parse_scenario
 from sweptplan.minco import Boundary, build_minco, energy_cost_with_grads
 from sweptplan.planner import (
+    TRACE_COLUMNS,
     PlanOptions,
     PlannerWeights,
     SizeMismatch,
-    _obstacle_pairs,
+    _NeighbourList,
     check_feasibility,
     deviation_cost_with_grads,
     obstacle_cost_with_grads,
@@ -148,12 +152,47 @@ def test_obstacle_pairs_equal_exhaustive_prefilter(veh):
         (0.0, -reach),
     ]
     grid = _point_grid(np.vstack([edge, rng.uniform(-3.0, 5.0, size=(400, 2))]))
-    got = _obstacle_pairs(q, grid, reach)
+    got = _NeighbourList(grid).pairs(q, reach)
     ref = obstacle_pairs_all(q, grid.obstacle_points, reach)
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
     near_origin = set(got[1][got[0] == 0].tolist())
     assert {0, 1, 3} <= near_origin and 2 not in near_origin
+
+
+def test_neighbour_list_equals_exhaustive_along_random_walk(veh, monkeypatch):
+    calls = []
+    query = _NeighbourList._query
+    monkeypatch.setattr(_NeighbourList, "_query", lambda *a: calls.append(1) or query(*a))
+    rng = np.random.default_rng(11)
+    grid = _point_grid(rng.uniform(-4.0, 4.0, size=(800, 2)))
+    empty = _NeighbourList(_point_grid(np.zeros((0, 2))))
+    nl = _NeighbourList(grid)
+    reach = 0.3 + veh.half_diagonal + 1e-9
+    q = rng.uniform(-2.5, 2.5, size=(5, 3))
+    reused = 0
+    for step in range(80):
+        if step == 30:
+            reach = 0.05 + veh.half_diagonal + 1e-9
+        if step == 55:
+            q = rng.uniform(-2.5, 2.5, size=(7, 3))
+        # Steps well below the skin add up to drifts across it; every tenth
+        # step jumps one knot farther than the skin at once.
+        q = q + rng.normal(scale=0.03, size=q.shape)
+        jump = step % 10 == 9
+        if jump:
+            q[step % q.shape[0], :2] += 1.5 * planner._SKIN
+        queries = len(calls)
+        got = nl.pairs(q, reach)
+        ref = obstacle_pairs_all(q, grid.obstacle_points, reach)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        assert got[0].size > 0
+        if jump or step in (30, 55):
+            assert len(calls) == queries + 1
+        reused += len(calls) == queries
+        got = empty.pairs(q, reach)
+        assert all(a.size == 0 for a in got)
+    assert reused > 40
 
 
 @pytest.mark.parametrize("n_seg", [1, 2, 15])
@@ -223,6 +262,37 @@ def test_sweep_skips_degenerate_velocity():
     assert np.all(np.isfinite(c.grad_T))
     if v[0] ** 2 + v[1] ** 2 < 1e-8:
         assert c.value == 0.0
+
+
+def _sweep_cases():
+    for seed in range(8):
+        for n_interior in (0, 1, 4, 14):
+            q, T, boundary = random_instance(seed, n_interior=n_interior)
+            # Headings whole turns away from travel exercise the wrap.
+            q[:, 2] += np.random.default_rng(seed).integers(-3, 4, size=n_interior) * 2.0 * math.pi
+            yield build_minco(q, T, boundary)
+    yield straight_traj()  # y velocities of both signs of zero
+    # Out and back: the turning knot has (almost) zero velocity and is skipped.
+    yield build_minco(np.array([[2.0, 1.0, 0.15]]), np.array([2.0, 2.0]),
+                      Boundary.rest_to_rest((0.0, 0.0, 0.0), (0.0, 0.0, 0.3)))
+
+
+def test_sweep_cost_equals_numpy_scalar_oracle(monkeypatch):
+    seen = []
+
+    def capture(traj, grad_C, grad_T_direct=None, grad_q_direct=None):
+        seen.append((grad_C, grad_q_direct))
+        return propagate(traj, grad_C, grad_T_direct, grad_q_direct)
+
+    propagate = planner.propagate_gradient
+    monkeypatch.setattr(planner, "propagate_gradient", capture)
+    for traj in _sweep_cases():
+        c = sweep_cost_with_grads(traj)
+        value, grad_C, grad_q = sweep_cost_loop(traj)
+        got_C, got_q = seen.pop()
+        assert c.value == value
+        for a, b in ((got_C, grad_C), (got_q, grad_q)):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_sweep_gradients_match_finite_differences():
@@ -361,6 +431,48 @@ def test_stage2_flags_infeasible_result(veh):
     assert not r2.feasible
     assert r2.min_clearance < 0.0
     assert "infeasible_result" in r2.reason
+
+
+@pytest.mark.parametrize("name", ["turn90", "straight"])
+def test_trace_rows_account_for_every_evaluation(name, monkeypatch):
+    sc = parse_scenario(os.path.join(os.path.dirname(__file__), "..", "scenarios", f"{name}.json"))
+    grid = _build_grid(sc)
+    init = _plan_init(sc, grid)
+    evals, queries = [], []
+    energy, query = planner.energy_cost_with_grads, _NeighbourList._query
+    monkeypatch.setattr(planner, "energy_cost_with_grads", lambda traj: evals.append(1) or energy(traj))
+    monkeypatch.setattr(_NeighbourList, "_query", lambda *a: queries.append(1) or query(*a))
+    r1 = optimize_stage1(init, sc.weights, sc.plan_opts)
+    n1 = len(evals)
+    r2 = optimize_stage2(r1.trajectory, grid, sc.veh, sc.weights, sc.plan_opts)
+    n2 = len(evals) - n1
+    absent = {"stage1": ("obstacle", "sweep"), "stage2": ("deviation",)}
+    for report, n in ((r1, n1), (r2, n2)):
+        rows = [dict(zip(TRACE_COLUMNS, row)) for row in report.trace.tolist()]
+        assert sum(row["evals"] for row in rows) == n
+        assert (rows[0]["step"], rows[0]["evals"]) == (0.0, 1)
+        assert all(row["step"] > 0.0 and row["evals"] >= 1 for row in rows[1:])
+        assert report.iterations == len(rows) - 1 and report.cost_trace == [row["cost"] for row in rows]
+        for row in rows:
+            total = row["energy"]
+            for term in ("time", "deviation", "obstacle", "sweep"):
+                total += row[term]
+            assert total == row["cost"]  # bit for bit, left to right
+            assert all(row[term] == 0.0 for term in absent[report.stage])
+    # straight has no obstacles; on turn90 the neighbour list serves most
+    # stage-2 evaluations without a KD-tree query.
+    assert (len(queries) == 0) if name == "straight" else (0 < len(queries) <= n2 // 10)
+
+
+def test_capped_run_reports_the_cap(veh):
+    init = _line_init()
+    grid = rasterize_obstacles([Box(3.8, -0.4, 4.2, 0.0)], (-2.0, -4.0, 12.0, 4.0), 0.2)
+    opts = PlanOptions(max_iterations=5)
+    r1 = optimize_stage1(init, PlannerWeights(), opts)
+    r2 = optimize_stage2(r1.trajectory, grid, veh, PlannerWeights(), opts)
+    for report in (r1, r2):
+        assert report.reason.startswith("max_iterations")
+        assert report.iterations == 5 and len(report.trace) == 6
 
 
 def test_check_feasibility_reports_min_clearance(veh):
