@@ -576,6 +576,8 @@ def _stage_sweep(sc: Scenario, out_dir: str, traj, grid) -> dict:
         "excess_area": report.excess_area,
         "region": region,
         "resolution": sc.sweep_resolution,
+        "field_cells": field.width * field.height,
+        "field_refined": int(np.count_nonzero(field.refined)),
     }
     _write_json(os.path.join(out_dir, "area.json"), area)
     t0 = time.perf_counter()

@@ -39,6 +39,9 @@ _LDAB = 3 * _BAND + 1
 # _DERIV[order][i]: factor of t^(i - order) in the order-th derivative of t^i,
 # the falling factorial i (i - 1) ... (i - order + 1); zero when i < order.
 _DERIV = [[float(math.perm(i, order)) for i in range(6)] for order in range(6)]
+# Relative slack on rate_bounds: the rounding of its Horner sums and of a
+# sampled rate stays far below it.
+_RATE_MARGIN = 1e-9
 
 
 class NonPositiveDuration(Exception):
@@ -250,6 +253,30 @@ class MincoTrajectory:
         j = np.searchsorted(self.junction_times, ts, side="right")
         tau = np.clip(ts, 0.0, self.total_time) - np.take(self.knot_times, j)
         return _horner(self, j, tau, order)
+
+    def rate_bounds(self, ts: np.ndarray):
+        """(vmax, wmax) per interval [ts[j], ts[j+1]]: upper bounds on the planar
+        speed and |heading rate| there, from coefficient magnitudes.
+
+        ts is increasing and inside [0, total_time]. Each interval is cut at
+        the knots it spans. On a piece from a, u seconds long, the velocity's
+        Taylor coefficients d_k at a bound each component by
+        |p'(a + u)| <= sum_k |d_k| u^k, so the speed is at most the hypot of
+        the x and y sums. Both bounds carry a relative margin for rounding.
+        """
+        ts = np.asarray(ts, dtype=float)
+        knots = self.junction_times
+        cuts = np.union1d(ts, knots[(knots > ts[0]) & (knots < ts[-1])])
+        a, u = cuts[:-1], np.diff(cuts)[:, None]
+        seg = np.searchsorted(knots, a, side="right")
+        tau = a - np.take(self.knot_times, seg)
+        # Horner in u over |d_k| = |p^(k+1)(a)| / k!, from k = 4 down.
+        b = np.abs(_horner(self, seg, tau, 5)) / 24.0
+        for k in range(3, -1, -1):
+            b = b * u + np.abs(_horner(self, seg, tau, k + 1)) / math.factorial(k)
+        b *= 1.0 + _RATE_MARGIN
+        first = np.searchsorted(cuts, ts[:-1])
+        return np.maximum.reduceat(np.hypot(b[:, 0], b[:, 1]), first), np.maximum.reduceat(b[:, 2], first)
 
     def arc_length(self, samples_per_second: float = 100.0) -> float:
         """Polyline arc length of the planar center path at a fixed sampling rate."""

@@ -15,17 +15,24 @@ runs the cells of a batch in lockstep. Each descent step's backtracking
 passes carry a compacted set of only the points still trying a step, so a
 pass costs in proportion to the points it evaluates.
 
-When only the f* <= 0 cell count is needed (the driven path's swept area),
-`count_swept_cells` decides most cells from the coarse scan alone. Between
-coarse samples j and j+1, h apart, g changes no faster than
-L_j = vmax_j + wmax_j * (|p - c_j| + vmax_j * h), the exact speed and heading
-rate maxima over the interval times the body-frame reach, so
-min g >= (g_j + g_{j+1}) / 2 - L_j * h / 2 there. A cell whose lower bound is
-positive on every interval is certified outside; one with a non-positive
-coarse sample is inside, because refinement only ever accepts decreases from
-the deepest sample. Cells farther than half_diagonal + vmax_j * h from every
-coarse center skip the SDF. The rest are refined exactly as in
-`compute_swept_field`, so the count equals that field's count.
+Between coarse samples j and j+1, h apart, g changes no faster than
+L_j = vmax_j + wmax_j * (|p - c_j| + vmax_j * h), with vmax_j and wmax_j the
+path's `rate_bounds` on speed and |heading rate| over the interval and c_j
+the sampled pose center, so min g >= (g_j + g_{j+1}) / 2 - L_j * h / 2 there.
+One helper computes this interval bound for both of its users:
+
+- `compute_swept_field` is exact only in a band. A cell is refined when its
+  bound, the least over the intervals, is at most B = `field_band(resolution)`.
+  Any other cell keeps its deepest coarse sample and that sample's time,
+  unrefined: a value >= the refined f* and > B. The zero contour, the swept
+  area and the planner's clearances all lie inside the band.
+- When only the f* <= 0 cell count is needed (the driven path's swept area),
+  `count_swept_cells` decides most cells from the coarse scan alone. A cell
+  whose bound is positive on every interval is certified outside; one with a
+  non-positive coarse sample is inside, because refinement only ever accepts
+  decreases from the deepest sample. Cells farther than half_diagonal +
+  vmax_j * h from every coarse center skip the SDF. The rest are refined
+  exactly as in `compute_swept_field`, so the count equals that field's count.
 """
 
 from __future__ import annotations
@@ -54,6 +61,13 @@ CERT_MARGIN = 1e-9
 FAR, INSIDE, OUTSIDE, REFINED = range(4)
 
 
+def field_band(resolution: float) -> float:
+    """B, the level below which `compute_swept_field` refines: 0.5 m or two
+    cells, whichever is larger. f* is 1-Lipschitz in p, so each cell of a
+    square that the zero contour crosses has f* <= sqrt(2) * resolution < B."""
+    return max(0.5, 2.0 * resolution)
+
+
 class RegionTooSmall(Exception):
     """Raised when the requested field region does not contain the swept footprint."""
 
@@ -68,6 +82,9 @@ class SweptField:
     height: int
     f_star: np.ndarray
     t_star: np.ndarray
+    # (width, height): the cells whose f* and t* were refined; None when unknown,
+    # as for a field loaded from field.csv
+    refined: np.ndarray | None = None
 
     def cell_centers(self) -> np.ndarray:
         ix, iy = np.meshgrid(np.arange(self.width), np.arange(self.height), indexing="ij")
@@ -194,7 +211,7 @@ def min_time_distance(
     """
     pts = np.asarray(p, dtype=float).reshape(1, 2)
     t_hi = path.total_time if t_max is None else float(t_max)
-    t, f = _min_time_batch(pts, path, veh, float(t_min), t_hi, _coarse_poses(path, float(t_min), t_hi))
+    t, f, _ = _min_time_batch(pts, path, veh, float(t_min), t_hi, _coarse_poses(path, float(t_min), t_hi))
     return float(t[0]), float(f[0])
 
 
@@ -215,11 +232,21 @@ def _min_time_batch(
     t_min: float,
     t_max: float,
     coarse,
+    band=None,
 ):
+    """(t*, f*, refined) per point from the coarse scan and candidate
+    refinement; refined marks the points that were refined.
+
+    band is None, which refines every point, or (level, vmax, wmax) with the
+    coarse intervals' rate bounds: then a point whose deepest coarse sample
+    and certified lower bound on min g both exceed level keeps that sample
+    and its time, unrefined.
+    """
     m = points.shape[0]
+    refined = np.ones(m, dtype=bool)
     if coarse is None:
         ts = np.full(m, t_min)
-        return ts, _g_values(path, veh, points, ts)
+        return ts, _g_values(path, veh, points, ts), refined
     grid_ts, xs, ys, cs, ss = coarse
     k = grid_ts.shape[0]
     px, py = points[:, 0], points[:, 1]
@@ -245,15 +272,23 @@ def _min_time_batch(
     counts = np.bincount(cell, minlength=m)
     rank = np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    step0 = (t_max - t_min) / (k - 1)
     first = rank == 0
     start = np.zeros(m, dtype=np.intp)
     start[cell[first]] = j[first]
-    best_t, best_f = _refine_times(
-        points, grid_ts[start], vals[start, np.arange(m)], path, veh, t_min, t_max, step0
+    best_t = grid_ts[start]
+    best_f = vals[start, np.arange(m)]
+    if band is not None:
+        level, vmax, wmax = band
+        # Only cells whose deepest coarse sample clears the band can be certified beyond it.
+        far = np.flatnonzero(best_f > level)
+        refined[far[_coarse_bound(points, vals, far, coarse, vmax, wmax) > level + CERT_MARGIN]] = False
+    near = np.flatnonzero(refined)
+    step0 = (t_max - t_min) / (k - 1)
+    best_t[near], best_f[near] = _refine_times(
+        points[near], best_t[near], best_f[near], path, veh, t_min, t_max, step0
     )
     for r in range(1, min(4, k)):
-        nth = rank == r
+        nth = (rank == r) & refined[cell]
         if not nth.any():
             break
         sub, start = cell[nth], j[nth]
@@ -261,7 +296,33 @@ def _min_time_batch(
         better = fr < best_f[sub]
         best_f[sub[better]] = fr[better]
         best_t[sub[better]] = tr[better]
-    return best_t, best_f
+    return best_t, best_f, refined
+
+
+def _interval_bound(g_prev, g, dist_prev, vmax: float, wmax: float, h: float):
+    """Lower bound on g over a coarse interval h long, from its end values
+    g_prev and g, the point's distance dist_prev from the first sample's pose
+    center, and the interval's rate bounds; never above g."""
+    lip = vmax + wmax * (dist_prev + vmax * h)
+    return np.minimum(0.5 * (g_prev + g) - 0.5 * lip * h, g)
+
+
+def _coarse_bound(points, vals, cols, coarse, vmax, wmax):
+    """Certified lower bound on min g of points[cols], from their coarse
+    values vals[:, cols] and the intervals' rate bounds vmax and wmax."""
+    ts, xs, ys, _, _ = coarse
+    h = np.diff(ts)
+    px, py = points[cols, 0], points[cols, 1]
+    g_prev = vals[0, cols]
+    dist_prev = np.hypot(px - xs[0], py - ys[0])
+    bound = g_prev.copy()
+    for j in range(1, ts.size):
+        g = vals[j, cols]
+        i = j - 1
+        np.minimum(bound, _interval_bound(g_prev, g, dist_prev, vmax[i], wmax[i], h[i]), out=bound)
+        g_prev = g
+        dist_prev = np.hypot(px - xs[j], py - ys[j])
+    return bound
 
 
 def _refine_times(
@@ -355,15 +416,19 @@ def auto_region(path, veh: VehicleParams, margin: float = 0.3, footprint=None):
 
 
 def _resolve_threads(threads: int | None) -> int:
+    """Worker count: `threads`, else SWEPTPLAN_THREADS; 0 or unset means one
+    per CPU. A malformed or negative environment value raises ValueError."""
     if threads is None:
         raw = os.environ.get(THREADS_ENV, "0")
         try:
             threads = int(raw)
         except ValueError:
-            threads = 0
+            threads = -1
+        if threads < 0:
+            raise ValueError(f"{THREADS_ENV} must be a non-negative integer, got {raw!r}")
     if threads <= 0:
         threads = os.cpu_count() or 1
-    return max(1, threads)
+    return threads
 
 
 def _region_grid(path, veh: VehicleParams, region, resolution: float, footprint=None):
@@ -397,7 +462,10 @@ def compute_swept_field(
     threads: int | None = None,
     footprint=None,
 ) -> SweptField:
-    """Evaluate f* and t* on a uniform grid covering `region`.
+    """Evaluate f* and t* on a uniform grid covering `region`, exactly in the
+    band: a cell is refined unless its coarse bound certifies f* > B =
+    `field_band(resolution)`, and otherwise keeps its deepest coarse sample
+    and that sample's time, a value >= the refined f* and > B.
 
     region is (xmin, ymin, xmax, ymax) or None for an auto-sized box. The
     region must hold footprint, `footprint_bounds(path, veh)`, which a caller
@@ -409,9 +477,11 @@ def compute_swept_field(
     origin, width, height, cx, cy = _region_grid(path, veh, region, resolution, footprint)
     f_star = np.empty((width, height))
     t_star = np.empty((width, height))
+    refined = np.empty((width, height), dtype=bool)
 
     # Sampled once per call, not per chunk, so the work done is the same at any thread count.
     coarse = _coarse_poses(path, 0.0, path.total_time)
+    band = None if coarse is None else (field_band(resolution), *path.rate_bounds(coarse[0]))
     n_threads = _resolve_threads(threads)
     chunk = max(1, math.ceil(width / (n_threads * 4)))
 
@@ -421,9 +491,10 @@ def compute_swept_field(
         pts = np.empty((nx * height, 2))
         pts[:, 0] = np.repeat(cx[ix0:ix1], height)
         pts[:, 1] = np.tile(cy, nx)
-        t, f = _min_time_batch(pts, path, veh, 0.0, path.total_time, coarse)
+        t, f, r = _min_time_batch(pts, path, veh, 0.0, path.total_time, coarse, band)
         f_star[ix0:ix1] = f.reshape(nx, height)
         t_star[ix0:ix1] = t.reshape(nx, height)
+        refined[ix0:ix1] = r.reshape(nx, height)
 
     starts = list(range(0, width, chunk))
     if n_threads == 1 or len(starts) == 1:
@@ -439,6 +510,7 @@ def compute_swept_field(
         height=height,
         f_star=f_star,
         t_star=t_star,
+        refined=refined,
     )
 
 
@@ -473,9 +545,8 @@ def _certify(path, veh: VehicleParams, cx: np.ndarray, cy: np.ndarray, coarse) -
             bound = g.copy()
         else:
             i = j - 1  # the interval from sample j-1 to sample j
-            lip = vmax[i] + wmax[i] * (dist_prev + vmax[i] * h[i])
             np.minimum(g_min, g, out=g_min)
-            np.minimum(bound, np.minimum(0.5 * (g_prev + g) - 0.5 * lip * h[i], g), out=bound)
+            np.minimum(bound, _interval_bound(g_prev, g, dist_prev, vmax[i], wmax[i], h[i]), out=bound)
         g_prev = g
         dist_prev = np.hypot(dx, dy)
 
@@ -484,15 +555,15 @@ def _certify(path, veh: VehicleParams, cx: np.ndarray, cy: np.ndarray, coarse) -
     return cls
 
 
-def count_swept_cells(path: LinearPosePath, veh: VehicleParams, region, resolution: float) -> SweepCount:
+def count_swept_cells(path, veh: VehicleParams, region, resolution: float) -> SweepCount:
     """Number of f* <= 0 cells of `compute_swept_field(path, veh, region,
     resolution)`, without computing the field.
 
     Cells are certified from the coarse scan (see the module docstring) and
     only the undecided ones are refined, by the same code and coarse poses as
     the field; their results do not depend on how cells are batched, so the
-    count is exact. The bound needs exact rate maxima, so `path` must provide
-    `rate_bounds`, as a LinearPosePath does.
+    count is exact. The bound needs rate bounds, so `path` must provide
+    `rate_bounds`.
     """
     _, width, height, cx, cy = _region_grid(path, veh, region, resolution)
     coarse = _coarse_poses(path, 0.0, path.total_time)
@@ -501,7 +572,7 @@ def count_swept_cells(path: LinearPosePath, veh: VehicleParams, region, resoluti
     else:
         cls = _certify(path, veh, cx, cy, coarse)
     ix, iy = np.nonzero(cls == REFINED)
-    _, f = _min_time_batch(np.column_stack([cx[ix], cy[iy]]), path, veh, 0.0, path.total_time, coarse)
+    _, f, _ = _min_time_batch(np.column_stack([cx[ix], cy[iy]]), path, veh, 0.0, path.total_time, coarse)
     n = np.bincount(cls.ravel(), minlength=4)
     return SweepCount(
         cells=width * height,

@@ -379,6 +379,14 @@ def test_turn90_metrics_count_on_the_sweep_grid(turn90_run):
         assert sweep["cells"] == rows, label
 
 
+def test_turn90_sweep_refines_only_the_band(turn90_run):
+    """The planned field refines the cells near the swept body, not the grid."""
+    area = json.loads((turn90_run / "sv_on" / "area.json").read_text())
+    sweep = json.loads((turn90_run / "sv_on" / "metrics_sweep.json").read_text())
+    assert area["field_cells"] == sweep["cells"]
+    assert 0 < area["field_refined"] <= 0.15 * area["field_cells"]
+
+
 def test_acceptance_8_determinism(tmp_path):
     """Identical inputs give byte-identical artifacts at any parallelism."""
     outs = []

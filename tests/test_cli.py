@@ -546,6 +546,18 @@ def test_sweep_stage_rejects_a_region_too_small(tmp_path, straight_all):
     assert "footprint leaves the requested region" in err["message"]
 
 
+@pytest.mark.parametrize("raw", ["abc", "-3"])
+def test_sweep_stage_reports_a_malformed_thread_count(tmp_path, straight_all, monkeypatch, raw):
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(straight_all / "trajectory.json", out)
+    monkeypatch.setenv("SWEPTPLAN_THREADS", raw)
+    assert run_pipeline(parse_scenario(STRAIGHT), ["sweep"], str(out)) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["stage"] == "sweep" and err["error"] == "ValueError"
+    assert "SWEPTPLAN_THREADS" in err["message"] and repr(raw) in err["message"]
+
+
 def _readme_scenario_keys():
     """{(block, key)} named in README.md's scenario table; block None is the top level."""
     readme = os.path.join(os.path.dirname(__file__), "..", "README.md")

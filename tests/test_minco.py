@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import random_instance, straight_traj
+from helpers import curved_traj, random_instance, rotation_traj, straight_traj
 from oracles import (
     GatheredMinco,
     energy_direct_T,
@@ -353,3 +353,57 @@ def test_sample_equals_frozen_gathered_horner(kind, order):
         ref_one = horner_six_gathers(traj.coeffs, j, tau, order)
         assert one.shape == (3,)
         assert np.array_equal(one, ref_one) and np.array_equal(np.signbit(one), np.signbit(ref_one))
+
+
+def _rising_traj(T: float = 2.0) -> MincoTrajectory:
+    """One segment whose x and heading have only positive monomial
+    coefficients, so on every interval each rate peaks at the interval's end
+    and the Taylor bound is attained there."""
+    c = np.zeros((6, 3))
+    c[:, 0] = [0.0, 1.0, 0.5, 0.3, 0.2, 0.1]
+    c[:, 2] = [0.0, 0.2, 0.1, 0.05, 0.04, 0.02]
+    end = [sum(math.perm(i, k) * c[i] * T ** (i - k) for i in range(k, 6)) for k in range(3)]
+    start = [math.factorial(k) * c[k] for k in range(3)]
+    traj = build_minco(np.zeros((0, 3)), np.array([T]), Boundary(start=start, end=end))
+    assert np.all(traj.coeffs[0, 1:, 0] > 0.0) and np.all(traj.coeffs[0, 1:, 2] > 0.0)
+    return traj
+
+
+RATE_TRAJS = {
+    **{f"curved{seed}": (lambda seed=seed: curved_traj(seed=seed, n_interior=5)) for seed in (0, 3, 11)},
+    "rotation": rotation_traj,
+    "one_segment": _rising_traj,
+}
+
+
+def _interval_sets(traj):
+    """Coarse sample times, the knots themselves, and a mix of both."""
+    total = traj.total_time
+    coarse = np.linspace(0.0, total, 64)
+    mixed = np.union1d(np.linspace(0.0, total, 7), traj.knot_times[::2])
+    mixed = np.union1d(mixed, [total])
+    yield coarse
+    yield traj.knot_times if traj.n_segments > 1 else np.linspace(0.0, total, 3)
+    yield mixed
+
+
+@pytest.mark.parametrize("kind", list(RATE_TRAJS))
+def test_rate_bounds_hold_on_dense_samples(kind):
+    traj = RATE_TRAJS[kind]()
+    for ts in _interval_sets(traj):
+        vmax, wmax = traj.rate_bounds(ts)
+        assert vmax.shape == wmax.shape == (ts.size - 1,)
+        dense = np.union1d(np.linspace(0.0, traj.total_time, 200_001), ts)
+        rates = traj.sample(dense, 1)
+        speed = np.hypot(rates[:, 0], rates[:, 1])
+        turn = np.abs(rates[:, 2])
+        # A time on an interval's end belongs to both intervals it bounds.
+        for side in ("left", "right"):
+            j = np.clip(np.searchsorted(ts, dense, side=side) - 1, 0, ts.size - 2)
+            assert np.all(speed <= vmax[j])
+            assert np.all(turn <= wmax[j])
+        if kind == "one_segment":
+            # the bound is attained at each interval's end, up to the margin
+            ends = np.searchsorted(dense, ts[1:])
+            npt.assert_allclose(speed[ends], vmax, rtol=1e-8)
+            npt.assert_allclose(turn[ends], wmax, rtol=1e-8)

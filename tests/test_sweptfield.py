@@ -21,12 +21,14 @@ from sweptplan import sweptfield
 from sweptplan.cli import load_trace_csv, parse_scenario, run_pipeline
 from sweptplan.geometry import Pose2, to_body_frame, world_sdf_with_grad
 from sweptplan.minco import Boundary, MincoTrajectory, build_minco
+from sweptplan.render import render_scene
 from sweptplan.sim import driven_path
 from sweptplan.sweptfield import (
     COARSE_SAMPLES,
     AreaReport,
     LinearPosePath,
     RegionTooSmall,
+    SweptField,
     auto_region,
     compute_swept_field,
     count_swept_cells,
@@ -95,8 +97,6 @@ def test_resolution_refinement_converges(veh, line_traj):
 
 
 def test_swept_area_all_positive_field():
-    from sweptplan.sweptfield import SweptField
-
     field = SweptField(
         origin=np.zeros(2),
         resolution=0.1,
@@ -214,7 +214,7 @@ def _query_points(path, veh, n: int) -> np.ndarray:
 
 def _batch(points, path, veh, t_min, t_max):
     coarse = sweptfield._coarse_poses(path, t_min, t_max)
-    return sweptfield._min_time_batch(points, path, veh, t_min, t_max, coarse)
+    return sweptfield._min_time_batch(points, path, veh, t_min, t_max, coarse)[:2]
 
 
 @pytest.mark.parametrize("n", [1, 7, 20_000])
@@ -252,11 +252,28 @@ def test_empty_interval_equals_oracle(veh, bend_traj, n):
     assert min_time_distance(pts[0], bend_traj, veh, t_min=3.0, t_max=1.0) == (t_ref[0], f_ref[0])
 
 
+def _assert_band_contract(field, path, veh, t_ref, f_ref, oracle_path=None):
+    """Every cell pinned bit for bit to the exact oracle (t_ref, f_ref): a
+    refined cell holds the oracle's refined values; any other holds the
+    oracle's deepest coarse sample and that sample's time, with the oracle's
+    refined f* above the band."""
+    grid_ts, vals = coarse_values(field.cell_centers(), oracle_path or path, veh, 0.0, path.total_time)
+    deep = vals.argmin(axis=0)
+    refined = field.refined.ravel()
+    out = np.flatnonzero(~refined)
+    f, t = field.f_star.ravel(), field.t_star.ravel()
+    _assert_same_bits(f[refined], f_ref[refined])
+    _assert_same_bits(t[refined], t_ref[refined])
+    _assert_same_bits(f[out], vals[deep[out], out])
+    _assert_same_bits(t[out], grid_ts[deep[out]])
+    assert np.all(f_ref[out] > sweptfield.field_band(field.resolution))
+    assert refined.any() and out.size
+
+
 def test_field_equals_per_point_oracle(veh, bend_traj):
     field = compute_swept_field(bend_traj, veh, resolution=0.25, threads=2)
     t_ref, f_ref = min_time_per_point_poses(field.cell_centers(), bend_traj, veh, 0.0, bend_traj.total_time)
-    assert np.array_equal(field.f_star.ravel(), f_ref)
-    assert np.array_equal(field.t_star.ravel(), t_ref)
+    _assert_band_contract(field, bend_traj, veh, t_ref, f_ref)
 
 
 class _CountingPath:
@@ -270,6 +287,9 @@ class _CountingPath:
     def sample(self, ts, order=0):
         self.points += np.size(ts)
         return self.path.sample(ts, order)
+
+    def rate_bounds(self, ts):
+        return self.path.rate_bounds(ts)
 
 
 def test_sampled_points_do_not_depend_on_threads(veh, bend_traj):
@@ -363,13 +383,15 @@ COUNT_CASES = {
         0.25,
     ),
     "one_sample": lambda: (_line([0.0], [[1.0, 2.0, 0.4]]), (-2.0, -1.0, 4.0, 5.0), 0.05),
+    "minco": lambda: _auto(curved_traj(seed=11, n_interior=5)),
+    "minco_spin": lambda: _auto(rotation_traj()),
 }
 
 
 @pytest.mark.parametrize("scenario", ["straight", "turn90"])
 def test_count_swept_cells_equals_full_field_on_scenarios(tmp_path, scenario):
     sc = parse_scenario(os.path.join(os.path.dirname(__file__), "..", "scenarios", f"{scenario}.json"))
-    assert run_pipeline(sc, ["plan", "track"], str(tmp_path)) == 0
+    assert run_pipeline(sc, ["plan", "sweep", "track"], str(tmp_path)) == 0
     traj = MincoTrajectory.from_dict(json.loads((tmp_path / "trajectory.json").read_text()))
     path = driven_path(load_trace_csv(str(tmp_path / "trace.csv")))
     region = auto_region(traj, sc.veh, margin=sc.sweep_margin)
@@ -377,6 +399,11 @@ def test_count_swept_cells_equals_full_field_on_scenarios(tmp_path, scenario):
     count = count_swept_cells(path, sc.veh, region, sc.sweep_resolution)
     assert count.swept == np.count_nonzero(field.f_star <= 0.0)
     assert count.refined < 0.05 * count.cells
+    # The same engine on the planned trajectory gives the sweep stage's swept cells.
+    area = json.loads((tmp_path / "area.json").read_text())
+    planned = count_swept_cells(traj, sc.veh, area["region"], area["resolution"])
+    assert planned.cells == area["field_cells"]
+    assert planned.swept * area["resolution"] ** 2 == area["swept_area"]
 
 
 @pytest.mark.parametrize("name", list(COUNT_CASES))
@@ -403,7 +430,7 @@ def _classes(path, veh, region, res):
     return cls.ravel(), np.column_stack([cx[ix.ravel()], cy[iy.ravel()]])
 
 
-@pytest.mark.parametrize("name", ["bend", "dash", "jab", "edge_line", "touch_and_retreat"])
+@pytest.mark.parametrize("name", ["bend", "dash", "jab", "edge_line", "touch_and_retreat", "minco"])
 def test_certificates_hold_on_dense_samples(veh, name):
     path, region, res = COUNT_CASES[name]()
     cls, pts = _classes(path, veh, region, res)
@@ -479,8 +506,73 @@ def test_field_equals_frozen_engine(veh, kind, threads):
     path = FROZEN_PATHS[kind]()
     field = compute_swept_field(path, veh, resolution=0.25, threads=threads)
     t_ref, f_ref = min_time_batch_argsort(field.cell_centers(), _frozen(path), veh, 0.0, path.total_time)
-    _assert_same_bits(field.f_star.ravel(), f_ref)
-    _assert_same_bits(field.t_star.ravel(), t_ref)
+    _assert_band_contract(field, path, veh, t_ref, f_ref, oracle_path=_frozen(path))
+
+
+# The band holds the zero contour: f* is 1-Lipschitz in p, so every corner of
+# a grid square that the contour crosses has f* <= sqrt(2) * resolution < B.
+
+
+@pytest.mark.parametrize("res", [0.1, 0.4])
+@pytest.mark.parametrize("kind", list(FROZEN_PATHS))
+def test_contour_squares_are_refined(veh, kind, res):
+    field = compute_swept_field(FROZEN_PATHS[kind](), veh, resolution=res)
+    inside = field.f_star <= 0.0
+    corners = (inside[:-1, :-1], inside[1:, :-1], inside[:-1, 1:], inside[1:, 1:])
+    mixed = np.logical_or.reduce(corners) & ~np.logical_and.reduce(corners)
+    touched = np.zeros_like(inside)
+    for dx in (0, 1):
+        for dy in (0, 1):
+            touched[dx : dx + mixed.shape[0], dy : dy + mixed.shape[1]] |= mixed
+    assert mixed.any()
+    assert field.refined[touched].all()
+    assert not field.refined.all()
+
+
+def test_scene_from_banded_field_equals_exact(tmp_path, veh, bend_traj):
+    field = compute_swept_field(bend_traj, veh, resolution=0.1)
+    t_ref, f_ref = min_time_batch_argsort(field.cell_centers(), GatheredMinco(bend_traj), veh, 0.0, bend_traj.total_time)
+    shape = (field.width, field.height)
+    exact = SweptField(field.origin, field.resolution, *shape, f_ref.reshape(shape), t_ref.reshape(shape))
+    assert not np.array_equal(field.f_star, exact.f_star)
+    render_scene(str(tmp_path / "band.svg"), veh, traj=bend_traj, field=field)
+    render_scene(str(tmp_path / "exact.svg"), veh, traj=bend_traj, field=exact)
+    assert (tmp_path / "band.svg").read_bytes() == (tmp_path / "exact.svg").read_bytes()
+
+
+def _spin_dash():
+    # Five turns while creeping 2 m: coarse samples half a radian of heading
+    # apart miss corner passes, so only the bound's heading-rate term keeps
+    # the cells those corners pass near inside the band.
+    ts = np.linspace(0.0, 10.0, 200)
+    return LinearPosePath(ts, np.column_stack([0.2 * ts, np.zeros(200), math.pi * ts]))
+
+
+@pytest.mark.parametrize("kind", ["minco", "linear", "spin_dash"])
+def test_band_certificate_holds_on_dense_samples(veh, kind):
+    path = _spin_dash() if kind == "spin_dash" else FROZEN_PATHS[kind]()
+    field = compute_swept_field(path, veh, resolution=0.25)
+    out = field.cell_centers()[~field.refined.ravel()]
+    assert out.size
+    _, g_min = min_time_scan(out, path, veh.length, veh.width, t_step=path.total_time / 19_999)
+    assert g_min.min() > sweptfield.field_band(field.resolution)
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3", "1.5", ""])
+def test_malformed_thread_count_is_rejected(raw, monkeypatch):
+    monkeypatch.setenv(sweptfield.THREADS_ENV, raw)
+    with pytest.raises(ValueError, match=sweptfield.THREADS_ENV):
+        sweptfield._resolve_threads(None)
+
+
+def test_thread_count_from_environment(monkeypatch):
+    monkeypatch.setenv(sweptfield.THREADS_ENV, "3")
+    assert sweptfield._resolve_threads(None) == 3
+    monkeypatch.setenv(sweptfield.THREADS_ENV, "0")
+    assert sweptfield._resolve_threads(None) == (os.cpu_count() or 1)
+    monkeypatch.delenv(sweptfield.THREADS_ENV)
+    assert sweptfield._resolve_threads(None) == (os.cpu_count() or 1)
+    assert sweptfield._resolve_threads(2) == 2
 
 
 # Equal bits alone do not show that no work is repeated: a selection that
