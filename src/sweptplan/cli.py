@@ -33,7 +33,7 @@ from .mpc import MpcConfig
 from .planner import TRACE_COLUMNS, PlanOptions, PlannerWeights, optimize_stage1, optimize_stage2
 from .render import render_scene
 from .sim import SimConfig, SimTrace, compute_metrics, run_closed_loop
-from .sweptfield import SweptField, auto_region, compute_swept_field, excess_area, footprint_bounds
+from .sweptfield import SweptField, auto_region, compute_swept_field, excess_area
 from .worldmodel import (
     Box,
     Disc,
@@ -211,7 +211,7 @@ SCENARIO_SCHEMA = (
     ("mpc", "u_max", _vector(3), lambda r, path: _speed_caps(r), None),
     ("mpc", "du_max", _rate_cap, None, None),  # null: unbounded
     ("sim", "settle_time", _as_number, SimConfig.settle_time, _nonnegative),
-    ("sim", "input_lag_tau", _as_number, SimConfig.input_lag_tau, None),
+    ("sim", "input_lag_tau", _as_number, SimConfig.input_lag_tau, _nonnegative),
     ("sweep", "resolution", _as_number, 0.05, _positive),
     ("sweep", "margin", _as_number, 0.3, None),
     (None, "name", _string, lambda r, path: os.path.splitext(os.path.basename(path))[0], None),
@@ -357,15 +357,11 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-_CSV_BLOCK_ROWS = 256  # rows formatted per writelines call; bounds the memory the text takes
-
-
 def _write_csv(path: str, header: list, rows) -> None:
     data = np.asarray(rows, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(0, len(data), _CSV_BLOCK_ROWS):
-            fh.writelines([",".join(map(repr, r)) + "\n" for r in data[i : i + _CSV_BLOCK_ROWS].tolist()])
+        fh.writelines(",".join(map(repr, r)) + "\n" for r in data.tolist())
 
 
 def write_field_csv(path: str, field: SweptField) -> None:
@@ -560,11 +556,8 @@ def _stage_sweep(sc: Scenario, out_dir: str, traj, grid) -> dict:
     """Swept field of the plan; returns the area.json dict, which carries the
     field's region and resolution for the metrics stage."""
     t0 = time.perf_counter()
-    footprint = footprint_bounds(traj, sc.veh)
-    region = list(auto_region(traj, sc.veh, margin=sc.sweep_margin, footprint=footprint))
-    field = compute_swept_field(
-        traj, sc.veh, region=region, resolution=sc.sweep_resolution, footprint=footprint
-    )
+    region = list(auto_region(traj, sc.veh, margin=sc.sweep_margin))
+    field = compute_swept_field(traj, sc.veh, region=region, resolution=sc.sweep_resolution)
     sweep_time = time.perf_counter() - t0
     t0 = time.perf_counter()
     write_field_csv(os.path.join(out_dir, "field.csv"), field)

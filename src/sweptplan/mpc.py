@@ -61,6 +61,8 @@ class MpcConfig:
                 raise ValueError(f"{name} must be positive semidefinite")
         if np.any(self.u_min >= self.u_max):
             raise ValueError("u_min must be below u_max componentwise")
+        if np.any(self.du_min > self.du_max):
+            raise ValueError("du_min must not exceed du_max componentwise")
 
 
 @dataclass

@@ -284,7 +284,8 @@ def _sigmoid(tau: np.ndarray) -> np.ndarray:
 
 
 def _wolfe_search(fg, x, f, g, d, c1=1e-4, c2=0.9, max_evals=25):
-    """Strong Wolfe line search (bracket + zoom).
+    """Strong Wolfe line search: double the step until it brackets an
+    acceptable one, then bisect the bracket [lo, hi] (hi may lie below lo).
 
     Returns (alpha, f, g, terms, evals) of the accepted step, which is always
     the last point evaluated, or None.
@@ -292,50 +293,41 @@ def _wolfe_search(fg, x, f, g, d, c1=1e-4, c2=0.9, max_evals=25):
     g0 = float(g @ d)
     if g0 >= 0.0:
         return None
-    alpha_prev, f_prev = 0.0, f
+    lo, f_lo = 0.0, f
     alpha = 1.0
     alpha_max = 1e4
-    evals = 0
-
-    def phi(a):
-        nonlocal evals
-        evals += 1
-        return fg(x + a * d)
-
-    def zoom(lo, f_lo, hi, f_hi):
-        res = _zoom(phi, f, g0, lo, f_lo, hi, f_hi, c1, c2, d, max_evals - evals)
-        return res and (*res, evals)
-
-    f_a, g_vec, terms = phi(alpha)
-    while evals < max_evals:
+    f_a, g_vec, terms = fg(x + alpha * d)
+    evals = 1
+    while True:
+        if evals >= max_evals:
+            return None
         g_a = float(g_vec @ d)
-        if f_a > f + c1 * alpha * g0 or (evals > 1 and f_a >= f_prev):
-            return zoom(alpha_prev, f_prev, alpha, f_a)
+        if f_a > f + c1 * alpha * g0 or (evals > 1 and f_a >= f_lo):
+            hi = alpha
+            break
         if abs(g_a) <= -c2 * g0:
             return alpha, f_a, g_vec, terms, evals
         if g_a >= 0.0:
-            return zoom(alpha, f_a, alpha_prev, f_prev)
-        alpha_prev, f_prev = alpha, f_a
+            lo, f_lo, hi = alpha, f_a, lo
+            break
+        lo, f_lo = alpha, f_a
         alpha = min(2.0 * alpha, alpha_max)
         if alpha >= alpha_max:
             return None
-        f_a, g_vec, terms = phi(alpha)
-    return None
-
-
-def _zoom(phi, f0, g0, lo, f_lo, hi, f_hi, c1, c2, d, budget):
-    """Bisect the bracket [lo, hi]; returns (alpha, f, g, terms) or None."""
-    for _ in range(max(budget, 1)):
+        f_a, g_vec, terms = fg(x + alpha * d)
+        evals += 1
+    for _ in range(max(max_evals - evals, 1)):
         alpha = 0.5 * (lo + hi)
-        f_a, g_vec, terms = phi(alpha)
+        f_a, g_vec, terms = fg(x + alpha * d)
+        evals += 1
         g_a = float(g_vec @ d)
-        if f_a > f0 + c1 * alpha * g0 or f_a >= f_lo:
-            hi, f_hi = alpha, f_a
+        if f_a > f + c1 * alpha * g0 or f_a >= f_lo:
+            hi = alpha
         else:
             if abs(g_a) <= -c2 * g0:
-                return alpha, f_a, g_vec, terms
+                return alpha, f_a, g_vec, terms, evals
             if g_a * (hi - lo) >= 0.0:
-                hi, f_hi = lo, f_lo
+                hi = lo
             lo, f_lo = alpha, f_a
         if abs(hi - lo) < 1e-14:
             break

@@ -6,7 +6,7 @@ f*(p) = min_t g(t), is negative exactly where the vehicle body passes, so the
 f* <= 0 sublevel set is the swept area. Each grid cell runs an independent
 K-sample coarse scan, over K poses sampled once per field, whose local minima
 seed Armijo-backtracked gradient descent on g; cells are pure functions of the
-inputs, so chunks may execute in parallel without changing the output.
+inputs, so how they are batched does not change the output.
 
 A cell refines up to four candidates, its sampled local minima ranked by
 value with ties to the lower sample index, each once. They are selected from
@@ -38,15 +38,11 @@ One helper computes this interval bound for both of its users:
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import VehicleParams, footprint_sdf_batch, footprint_sdf_values, to_body_frame
-
-THREADS_ENV = "SWEPTPLAN_THREADS"
 
 # 64 samples keep basins narrower than the between-sample spacing from
 # hiding: at vehicle-scale speeds a body passage spans several samples
@@ -404,46 +400,23 @@ def footprint_bounds(path, veh: VehicleParams):
     )
 
 
-def auto_region(path, veh: VehicleParams, margin: float = 0.3, footprint=None):
-    """Trajectory footprint bounding box inflated by vehicle length + margin.
-
-    footprint is `footprint_bounds(path, veh)`, computed here unless the
-    caller already has it.
-    """
-    xmin, ymin, xmax, ymax = footprint_bounds(path, veh) if footprint is None else footprint
+def auto_region(path, veh: VehicleParams, margin: float = 0.3):
+    """Trajectory footprint bounding box inflated by vehicle length + margin."""
+    xmin, ymin, xmax, ymax = footprint_bounds(path, veh)
     pad = veh.length + margin
     return (xmin - pad, ymin - pad, xmax + pad, ymax + pad)
 
 
-def _resolve_threads(threads: int | None) -> int:
-    """Worker count: `threads`, else SWEPTPLAN_THREADS; 0 or unset means one
-    per CPU. A malformed or negative environment value raises ValueError."""
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV, "0")
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = -1
-        if threads < 0:
-            raise ValueError(f"{THREADS_ENV} must be a non-negative integer, got {raw!r}")
-    if threads <= 0:
-        threads = os.cpu_count() or 1
-    return threads
-
-
-def _region_grid(path, veh: VehicleParams, region, resolution: float, footprint=None):
+def _region_grid(path, veh: VehicleParams, region, resolution: float):
     """(origin, width, height, cx, cy) of the grid over `region`, None for an
     auto-sized box; cx and cy are the cell-center coordinates along x and y.
-    Raises RegionTooSmall unless the region holds the path's footprint, which
-    is `footprint_bounds(path, veh)`, sampled here unless given."""
-    if footprint is None:
-        footprint = footprint_bounds(path, veh)
+    Raises RegionTooSmall unless the region holds `footprint_bounds(path, veh)`."""
     if region is None:
-        region = auto_region(path, veh, footprint=footprint)
+        region = auto_region(path, veh)
     xmin, ymin, xmax, ymax = (float(v) for v in region)
     if not (xmax > xmin and ymax > ymin):
         raise RegionTooSmall(f"degenerate region {region!r}")
-    fx0, fy0, fx1, fy1 = footprint
+    fx0, fy0, fx1, fy1 = footprint_bounds(path, veh)
     if fx0 < xmin or fy0 < ymin or fx1 > xmax or fy1 > ymax:
         raise RegionTooSmall("trajectory footprint leaves the requested region")
     width = int(math.ceil((xmax - xmin) / resolution))
@@ -454,38 +427,26 @@ def _region_grid(path, veh: VehicleParams, region, resolution: float, footprint=
     return origin, width, height, cx, cy
 
 
-def compute_swept_field(
-    path,
-    veh: VehicleParams,
-    region=None,
-    resolution: float = 0.05,
-    threads: int | None = None,
-    footprint=None,
-) -> SweptField:
+def compute_swept_field(path, veh: VehicleParams, region=None, resolution: float = 0.05) -> SweptField:
     """Evaluate f* and t* on a uniform grid covering `region`, exactly in the
     band: a cell is refined unless its coarse bound certifies f* > B =
     `field_band(resolution)`, and otherwise keeps its deepest coarse sample
     and that sample's time, a value >= the refined f* and > B.
 
-    region is (xmin, ymin, xmax, ymax) or None for an auto-sized box. The
-    region must hold footprint, `footprint_bounds(path, veh)`, which a caller
-    that sized the region from it passes in to skip sampling it again. Cells
-    are distributed over worker threads in fixed row chunks writing disjoint
-    output slices, so the result is bit-identical at any parallelism level
-    (set via the `threads` argument or the SWEPTPLAN_THREADS env var, 0 = auto).
+    region is (xmin, ymin, xmax, ymax) or None for an auto-sized box, and
+    must hold `footprint_bounds(path, veh)`.
     """
-    origin, width, height, cx, cy = _region_grid(path, veh, region, resolution, footprint)
+    origin, width, height, cx, cy = _region_grid(path, veh, region, resolution)
     f_star = np.empty((width, height))
     t_star = np.empty((width, height))
     refined = np.empty((width, height), dtype=bool)
 
-    # Sampled once per call, not per chunk, so the work done is the same at any thread count.
     coarse = _coarse_poses(path, 0.0, path.total_time)
     band = None if coarse is None else (field_band(resolution), *path.rate_bounds(coarse[0]))
-    n_threads = _resolve_threads(threads)
-    chunk = max(1, math.ceil(width / (n_threads * 4)))
-
-    def work(ix0: int) -> None:
+    # Four column chunks only bound the coarse scan's (64, cells) table; a
+    # cell's result does not depend on the chunk it is in.
+    chunk = math.ceil(width / 4)
+    for ix0 in range(0, width, chunk):
         ix1 = min(ix0 + chunk, width)
         nx = ix1 - ix0
         pts = np.empty((nx * height, 2))
@@ -495,14 +456,6 @@ def compute_swept_field(
         f_star[ix0:ix1] = f.reshape(nx, height)
         t_star[ix0:ix1] = t.reshape(nx, height)
         refined[ix0:ix1] = r.reshape(nx, height)
-
-    starts = list(range(0, width, chunk))
-    if n_threads == 1 or len(starts) == 1:
-        for s in starts:
-            work(s)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(work, starts))
     return SweptField(
         origin=origin,
         resolution=resolution,

@@ -145,14 +145,6 @@ def test_field_mirror_symmetry(veh, bend_traj):
     npt.assert_allclose(m_field.f_star, direct.f_star[:, ::-1], atol=1e-9)
 
 
-def test_thread_count_does_not_change_field(veh, bend_traj):
-    region = auto_region(bend_traj, veh)
-    f1 = compute_swept_field(bend_traj, veh, region=region, resolution=0.2, threads=1)
-    f4 = compute_swept_field(bend_traj, veh, region=region, resolution=0.2, threads=4)
-    npt.assert_array_equal(f1.f_star, f4.f_star)
-    npt.assert_array_equal(f1.t_star, f4.t_star)
-
-
 def test_t_star_within_domain(veh, bend_traj):
     field = compute_swept_field(bend_traj, veh, resolution=0.3)
     assert field.t_star.min() >= 0.0
@@ -271,7 +263,7 @@ def _assert_band_contract(field, path, veh, t_ref, f_ref, oracle_path=None):
 
 
 def test_field_equals_per_point_oracle(veh, bend_traj):
-    field = compute_swept_field(bend_traj, veh, resolution=0.25, threads=2)
+    field = compute_swept_field(bend_traj, veh, resolution=0.25)
     t_ref, f_ref = min_time_per_point_poses(field.cell_centers(), bend_traj, veh, 0.0, bend_traj.total_time)
     _assert_band_contract(field, bend_traj, veh, t_ref, f_ref)
 
@@ -292,16 +284,11 @@ class _CountingPath:
         return self.path.rate_bounds(ts)
 
 
-def test_sampled_points_do_not_depend_on_threads(veh, bend_traj):
-    region = auto_region(bend_traj, veh)
-    counts = []
-    for threads in (1, 3):
-        path = _CountingPath(bend_traj)
-        field = compute_swept_field(path, veh, region=region, resolution=0.25, threads=threads)
-        counts.append(path.points)
-    assert counts[0] == counts[1]
+def test_coarse_poses_are_not_sampled_per_cell(veh, bend_traj):
+    path = _CountingPath(bend_traj)
+    field = compute_swept_field(path, veh, region=auto_region(bend_traj, veh), resolution=0.25)
     # Sampling the coarse poses once per cell alone would take this many.
-    assert counts[0] < COARSE_SAMPLES * field.width * field.height
+    assert path.points < COARSE_SAMPLES * field.width * field.height
 
 
 def test_coarse_scan_rotates_by_one_cos_sin_per_time(veh, bend_traj, monkeypatch):
@@ -416,6 +403,15 @@ def test_count_swept_cells_equals_full_field(veh, name):
     assert count.skipped_far + count.certified_inside + count.certified_outside + count.refined == count.cells
 
 
+@pytest.mark.xfail(strict=True, reason="refinement starts only from sampled minima, so a basin between samples is missed")
+def test_field_finds_a_basin_between_coarse_samples(veh):
+    # jab's 1 m sideways excursion lies strictly between two coarse samples.
+    path, region, res = COUNT_CASES["jab"]()
+    field = compute_swept_field(path, veh, region=region, resolution=res)
+    _, f_scan = min_time_scan(field.cell_centers(), path, veh.length, veh.width, t_step=path.total_time / 19_999)
+    assert np.count_nonzero(field.f_star <= 0.0) == np.count_nonzero(f_scan <= 0.0)
+
+
 def test_count_edge_cases_hit_zero(veh):
     # The edge rows and the touched row really sit at f* = 0.
     for path, region, res in (COUNT_CASES["edge_line"](), COUNT_CASES["touch_and_retreat"]()):
@@ -500,11 +496,10 @@ def test_min_time_batch_equals_frozen_engine(veh, kind, n):
         _assert_same_bits(t, t_ref)
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("kind", list(FROZEN_PATHS))
-def test_field_equals_frozen_engine(veh, kind, threads):
+def test_field_equals_frozen_engine(veh, kind):
     path = FROZEN_PATHS[kind]()
-    field = compute_swept_field(path, veh, resolution=0.25, threads=threads)
+    field = compute_swept_field(path, veh, resolution=0.25)
     t_ref, f_ref = min_time_batch_argsort(field.cell_centers(), _frozen(path), veh, 0.0, path.total_time)
     _assert_band_contract(field, path, veh, t_ref, f_ref, oracle_path=_frozen(path))
 
@@ -556,23 +551,6 @@ def test_band_certificate_holds_on_dense_samples(veh, kind):
     assert out.size
     _, g_min = min_time_scan(out, path, veh.length, veh.width, t_step=path.total_time / 19_999)
     assert g_min.min() > sweptfield.field_band(field.resolution)
-
-
-@pytest.mark.parametrize("raw", ["abc", "-3", "1.5", ""])
-def test_malformed_thread_count_is_rejected(raw, monkeypatch):
-    monkeypatch.setenv(sweptfield.THREADS_ENV, raw)
-    with pytest.raises(ValueError, match=sweptfield.THREADS_ENV):
-        sweptfield._resolve_threads(None)
-
-
-def test_thread_count_from_environment(monkeypatch):
-    monkeypatch.setenv(sweptfield.THREADS_ENV, "3")
-    assert sweptfield._resolve_threads(None) == 3
-    monkeypatch.setenv(sweptfield.THREADS_ENV, "0")
-    assert sweptfield._resolve_threads(None) == (os.cpu_count() or 1)
-    monkeypatch.delenv(sweptfield.THREADS_ENV)
-    assert sweptfield._resolve_threads(None) == (os.cpu_count() or 1)
-    assert sweptfield._resolve_threads(2) == 2
 
 
 # Equal bits alone do not show that no work is repeated: a selection that
