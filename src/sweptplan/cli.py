@@ -197,10 +197,10 @@ SCENARIO_SCHEMA = (
     ("planner", "obstacle", _as_number, PlannerWeights.obstacle, _nonnegative),
     ("planner", "sweep", _as_number, PlannerWeights.sweep, _nonnegative),
     ("planner", "safety_margin", _as_number, PlannerWeights.safety_margin, _positive),
-    ("planner", "max_iterations", _as_int, PlanOptions.max_iterations, None),
+    ("planner", "max_iterations", _as_int, PlanOptions.max_iterations, _positive),
     ("planner", "grad_tol", _as_number, PlanOptions.grad_tol, None),
     ("planner", "cost_tol", _as_number, PlanOptions.cost_tol, None),
-    ("planner", "init_speed", _as_number, PlanOptions.init_speed, None),
+    ("planner", "init_speed", _as_number, PlanOptions.init_speed, _positive),
     ("planner", "waypoint_spacing", _as_number, 1.0, _positive),
     ("mpc", "dt", _as_number, MpcConfig.dt, None),
     ("mpc", "horizon", _as_int, MpcConfig.horizon, None),

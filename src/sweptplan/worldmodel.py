@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import wrap_angle
 
@@ -130,12 +129,33 @@ def rasterize_obstacles(shapes, bounds, resolution: float) -> GridMap:
 
 
 def inflate_occupancy(grid: GridMap, clearance: float) -> np.ndarray:
-    """Occupancy after blocking every cell within `clearance` of an occupied cell center."""
-    if clearance <= 0.0 or not grid.occupancy.any():
-        return grid.occupancy.copy()
-    # Distance (cell units) from each free cell to the nearest occupied cell.
-    dist = ndimage.distance_transform_edt(~grid.occupancy)
-    return dist * grid.resolution <= clearance
+    """Occupancy after blocking every cell within `clearance` of an occupied cell center.
+
+    An OR over the integer cell offsets (dx, dy) with
+    sqrt(dx*dx + dy*dy) * resolution <= clearance. For each dy the admitted
+    dx form one run |dx| <= r, applied as a window count along x.
+    """
+    occ = grid.occupancy
+    if clearance <= 0.0 or not occ.any():
+        return occ.copy()
+    w, h = occ.shape
+    # below[i]: occupied cells with x index < i, per y
+    below = np.zeros((w + 1, h), dtype=np.intp)
+    np.cumsum(occ, axis=0, out=below[1:])
+    ix = np.arange(w)
+    blocked = np.zeros_like(occ)
+    n = int(clearance / grid.resolution) + 1  # no admitted offset is longer
+    r = min(n, w)
+    for dy in range(min(n, h - 1) + 1):
+        # r only shrinks as |dy| grows
+        while r >= 0 and math.sqrt(r * r + dy * dy) * grid.resolution > clearance:
+            r -= 1
+        if r < 0:
+            break
+        near = below[np.minimum(ix + r + 1, w)] > below[np.maximum(ix - r, 0)]
+        for s in {dy, -dy}:
+            blocked[:, max(s, 0) : h + min(s, 0)] |= near[:, max(-s, 0) : h + min(-s, 0)]
+    return blocked
 
 
 _NEIGHBORS = (

@@ -162,6 +162,8 @@ SINGLE_FAULTS = [
     (('planner', 'sweep'), -0.5, ValidationError, 'planner.sweep must be nonnegative'),
     (('planner', 'safety_margin'), 0.0, ValidationError, 'planner.safety_margin must be positive'),
     (('planner', 'max_iterations'), 1.5, ValidationError, 'planner.max_iterations must be an integer, got float'),
+    (('planner', 'max_iterations'), -5, ValidationError, 'planner.max_iterations must be positive', 'nonpositive'),
+    (('planner', 'init_speed'), -1.0, ValidationError, 'planner.init_speed must be positive', 'nonpositive'),
     (('planner', 'grad_tol'), 'tiny', ValidationError, 'planner.grad_tol must be a number, got str'),
     (('planner', 'waypoint_spacing'), 0.0, ValidationError, 'planner.waypoint_spacing must be positive'),
     (('mpc', 'input_hold_beyond_nc'), True, ParseError, "unknown key 'input_hold_beyond_nc' in mpc"),
@@ -515,7 +517,7 @@ def test_field_csv_bytes_equal_per_value_writer(tmp_path, shape, origin):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_sweep_and_metrics_stages_sample_footprint_poses_once(tmp_path, straight_all, monkeypatch):
+def test_metrics_stage_samples_the_driven_footprint_once(tmp_path, straight_all, monkeypatch):
     # The metrics stage takes one 512-pose footprint sample, of the driven path.
     out = tmp_path / "out"
     shutil.copytree(straight_all, out)

@@ -206,7 +206,7 @@ def _query_points(path, veh, n: int) -> np.ndarray:
 
 def _batch(points, path, veh, t_min, t_max):
     coarse = sweptfield._coarse_poses(path, t_min, t_max)
-    return sweptfield._min_time_batch(points, path, veh, t_min, t_max, coarse)[:2]
+    return sweptfield._min_time_batch(points, path, veh, t_min, t_max, coarse)
 
 
 @pytest.mark.parametrize("n", [1, 7, 20_000])
@@ -266,6 +266,16 @@ def test_field_equals_per_point_oracle(veh, bend_traj):
     field = compute_swept_field(bend_traj, veh, resolution=0.25)
     t_ref, f_ref = min_time_per_point_poses(field.cell_centers(), bend_traj, veh, 0.0, bend_traj.total_time)
     _assert_band_contract(field, bend_traj, veh, t_ref, f_ref)
+
+
+def test_field_does_not_depend_on_the_scan_block(veh, bend_traj, monkeypatch):
+    field = compute_swept_field(bend_traj, veh, resolution=0.25)
+    monkeypatch.setattr(sweptfield, "SCAN_BLOCK", 97)
+    blocked = compute_swept_field(bend_traj, veh, resolution=0.25)
+    assert field.width * field.height > 10 * 97
+    _assert_same_bits(blocked.f_star, field.f_star)
+    _assert_same_bits(blocked.t_star, field.t_star)
+    assert np.array_equal(blocked.refined, field.refined)
 
 
 class _CountingPath:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import ndimage
 
 from oracles import dijkstra_cost, disc_cell_count
 from sweptplan.worldmodel import (
@@ -11,6 +12,7 @@ from sweptplan.worldmodel import (
     Disc,
     EmptyRegion,
     GoalOccupied,
+    GridMap,
     NoPath,
     StartOccupied,
     astar_plan,
@@ -104,6 +106,36 @@ def test_astar_respects_clearance():
     for p in path:
         ix, iy = g.world_to_cell(p)
         assert not free[ix, iy]
+
+
+def _edt_inflation(occupancy, resolution, clearance):
+    # The exact Euclidean distance transform, in cells, thresholded in meters.
+    return ndimage.distance_transform_edt(~occupancy) * resolution <= clearance
+
+
+def _grid(occupancy, resolution):
+    w, h = occupancy.shape
+    return GridMap(np.zeros(2), resolution, w, h, occupancy, np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("res", [0.1, 0.2, 0.25, 0.3])
+def test_inflation_equals_distance_transform(res):
+    rng = np.random.default_rng(5)
+    cases = 0
+    for trial in range(40):
+        w, h = rng.integers(1, 40, 2)
+        occ = rng.random((w, h)) < rng.choice([0.002, 0.02, 0.2])
+        if not occ.any():
+            continue
+        # random radii, radii exactly on a lattice distance sqrt(k) * res or
+        # just below one, and one reaching far past the grid
+        k = int(rng.integers(0, 200))
+        tie = math.sqrt(k) * res
+        for clearance in (rng.uniform(0.0, 12.0) * res, tie, math.nextafter(tie, 0.0), 1e3 * res):
+            got = inflate_occupancy(_grid(occ, res), clearance)
+            assert np.array_equal(got, _edt_inflation(occ, res, clearance)), (trial, clearance)
+            cases += 1
+    assert cases > 80
 
 
 def test_astar_cost_matches_dijkstra_seeded():
