@@ -187,7 +187,7 @@ SCENARIO_SCHEMA = (
     ("vehicle", "omega_max", _as_number, VehicleParams.omega_max, None),
     ("world", "bounds", _vector(4), REQUIRED, _ordered_bounds),
     ("world", "resolution", _as_number, 0.1, _positive),
-    ("world", "clearance", _as_number, lambda r, path: r["vehicle"]["width"] / 2.0, None),
+    ("world", "clearance", _as_number, lambda r, path: r["vehicle"]["width"] / 2.0, _nonnegative),
     ("world", "obstacles", _obstacles, lambda r, path: [], None),
     (None, "start", _vector(3), REQUIRED, _inside_world),
     (None, "goal", _vector(3), REQUIRED, _inside_world),
@@ -198,8 +198,8 @@ SCENARIO_SCHEMA = (
     ("planner", "sweep", _as_number, PlannerWeights.sweep, _nonnegative),
     ("planner", "safety_margin", _as_number, PlannerWeights.safety_margin, _positive),
     ("planner", "max_iterations", _as_int, PlanOptions.max_iterations, _positive),
-    ("planner", "grad_tol", _as_number, PlanOptions.grad_tol, None),
-    ("planner", "cost_tol", _as_number, PlanOptions.cost_tol, None),
+    ("planner", "grad_tol", _as_number, PlanOptions.grad_tol, _nonnegative),
+    ("planner", "cost_tol", _as_number, PlanOptions.cost_tol, _nonnegative),
     ("planner", "init_speed", _as_number, PlanOptions.init_speed, _positive),
     ("planner", "waypoint_spacing", _as_number, 1.0, _positive),
     ("mpc", "dt", _as_number, MpcConfig.dt, None),

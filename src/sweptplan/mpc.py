@@ -5,10 +5,18 @@ times the commanded twist. Stacking Np predicted states over an Nc-step
 input sequence gives a dense least-squares tracking objective; bounds on the
 inputs and their first differences make it a box/rate-constrained strictly
 convex QP, solved by a primal active-set method with deterministic
-tie-breaking and optional warm starts.
+tie-breaking.
 
-Psi, H and Theta^T Qbar depend only on the config, so they are built once per
-distinct config and each step forms only the gradient and the bounds.
+Psi, H and Theta^T Qbar depend only on the config, and the constraint matrix
+only on the control horizon and on which bounds are finite, so they are built
+once per distinct config; each step forms only the gradient and the bounds.
+
+A closed loop hot-starts each solve after the first from the previous
+solution shifted one control step, x0 = (x[3:], x[-3:]), with its active
+rows shifted to match (`_shift_start`; Ferreau, Bock and Diehl, IJRNC 2008).
+The previous optimum is then feasible up to rounding and mostly tight where
+the new optimum is, so a step takes a few active-set iterations instead of
+rebuilding its working set one row per iteration from `_feasible_start`.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import numpy as np
 from .geometry import Pose2, wrap_angle
 
 NU = 3  # inputs per step: Vx, Vy, omega
+ITERATIONS_PER_VARIABLE = 50  # solve_qp's cap is this times the number of inputs
 
 
 class Infeasible(Exception):
@@ -180,24 +189,79 @@ def _feasible_start(prob: MpcProblem) -> np.ndarray:
     return u0
 
 
+@functools.lru_cache(maxsize=16)
+def _row_layout(nc: int, box_ub: bytes, box_lb: bytes, du_ub: bytes, du_lb: bytes):
+    """Read-only rows of a^T u <= b and the shift map, for one pattern of finite bounds.
+
+    Rows run box upper, box lower, rate upper, rate lower, each in input
+    order; zeros are +0.0. shift[r] lists the rows that row r becomes one
+    control step later, under the start x0 = (x[NU:], x[-NU:]):
+    - a box or rate row on input j becomes the same kind of row on j - NU;
+    - the last block's box rows also stay where they are;
+    - rows of block 0, and the rate rows of block 1, are dropped. With u_prev
+      fixed, a block-1 rate row becomes a one-variable row on u_0 that can
+      repeat or chain with box rows and make the KKT system singular.
+    A target whose bound is infinite has no row and is dropped too.
+    """
+    n = NU * nc
+    masks = [np.frombuffer(box_ub, dtype=bool), np.frombuffer(box_lb, dtype=bool)]
+    masks += [np.tile(np.frombuffer(m, dtype=bool), nc) for m in (du_ub, du_lb)]
+    eye = np.eye(n)
+    lag = np.eye(n, k=-NU)  # row i picks u[i - NU]
+    a_mat = np.concatenate([eye[masks[0]], (0.0 - eye)[masks[1]], (eye - lag)[masks[2]], (lag - eye)[masks[3]]])
+    a_mat.flags.writeable = False
+    keys = [(kind, j) for kind, mask in enumerate(masks) for j in np.flatnonzero(mask).tolist()]
+    row_of = {key: r for r, key in enumerate(keys)}
+    shift = []
+    for kind, j in keys:
+        block = j // NU
+        targets = []
+        if block >= (1 if kind < 2 else 2):
+            targets.append((kind, j - NU))
+        if kind < 2 and block == nc - 1:
+            targets.append((kind, j))
+        shift.append(tuple(row_of[t] for t in targets if t in row_of))
+    return a_mat, tuple(masks), tuple(shift)
+
+
+def _layout(prob: MpcProblem):
+    finite = (np.isfinite(v).tobytes() for v in (prob.ub, prob.lb, prob.du_ub, prob.du_lb))
+    return _row_layout(prob.nc, *finite)
+
+
 def _constraint_rows(prob: MpcProblem):
-    """Rows of a^T u <= b: box upper, box lower, rate upper, rate lower; zeros are +0.0."""
-    nc = prob.nc
-    eye = np.eye(NU * nc)
-    shift = np.eye(NU * nc, k=-NU)  # row i picks u[i - NU]
-    rate_ub = np.tile(prob.du_ub, nc)
+    """Rows of a^T u <= b: box upper, box lower, rate upper, rate lower; zeros are +0.0.
+
+    The matrix is the cached, read-only one of the problem's layout; only b is built here.
+    """
+    a_mat, (box_ub, box_lb, du_ub, du_lb), _ = _layout(prob)
+    rate_ub = np.tile(prob.du_ub, prob.nc)
     rate_ub[:NU] = prob.du_ub + prob.u_prev
-    rate_lb = np.tile(-prob.du_lb, nc)
+    rate_lb = np.tile(-prob.du_lb, prob.nc)
     rate_lb[:NU] = (-prob.du_lb) - prob.u_prev
-    box_ub, box_lb = np.isfinite(prob.ub), np.isfinite(prob.lb)
-    du_ub, du_lb = np.tile(np.isfinite(prob.du_ub), nc), np.tile(np.isfinite(prob.du_lb), nc)
-    a_mat = np.concatenate([eye[box_ub], (0.0 - eye)[box_lb], (eye - shift)[du_ub], (shift - eye)[du_lb]])
     b_vec = np.concatenate([prob.ub[box_ub], -prob.lb[box_lb], rate_ub[du_ub], rate_lb[du_lb]])
     return a_mat, b_vec
 
 
-def solve_qp(prob: MpcProblem, initial_active=None, full_output: bool = False):
+def _shift_start(prob: MpcProblem, x: np.ndarray, active_set) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The start for the next step's problem of the same config: x one control step later, and its rows.
+
+    x0 = (x[NU:], x[-NU:]), with the active rows mapped by the layout's shift
+    map (see `_row_layout`). The next step's u_prev is x[:NU].
+    """
+    shift = _layout(prob)[2]
+    rows = sorted({t for r in active_set for t in shift[r]})
+    return np.concatenate([x[NU:], x[-NU:]]), tuple(rows)
+
+
+def solve_qp(prob: MpcProblem, start=None, full_output: bool = False):
     """Primal active-set solve of min 1/2 u^T H u + g^T u under box/rate constraints.
+
+    start is (x0, rows): a point and the constraint rows to start the working
+    set from, such as `_shift_start` of the previous step's solution. It is
+    taken when every row holds at x0 within 1e-10, and then keeps the given
+    rows that are tight within 1e-10. Otherwise, and when start is None, the
+    solve starts cold: from `_feasible_start` with an empty working set.
 
     Returns the stacked input vector; with full_output=True also a dict with
     iterations, the final active set, KKT residual, and a status of "optimal"
@@ -207,13 +271,15 @@ def solve_qp(prob: MpcProblem, initial_active=None, full_output: bool = False):
     n = NU * prob.nc
     a_mat, b_vec = _constraint_rows(prob)
     m = a_mat.shape[0]
-    x = _feasible_start(prob)
     work: list[int] = []
-    if initial_active:
-        for idx in initial_active:
+    if start is not None and np.all(a_mat @ start[0] - b_vec < 1e-10):
+        x = start[0]
+        for idx in start[1]:
             if 0 <= idx < m and abs(a_mat[idx] @ x - b_vec[idx]) < 1e-10:
                 work.append(idx)
-    max_iter = 50 * max(n, 1)
+    else:
+        x = _feasible_start(prob)
+    max_iter = ITERATIONS_PER_VARIABLE * max(n, 1)
     # A zero step on the working set, relative to the gradient's scale.
     step_tol = 1e-11 * max(1.0, float(np.abs(prob.g).max(initial=0.0)))
     status = "max_iterations"
@@ -280,14 +346,17 @@ def mpc_step(
     t_now: float,
     u_prev: np.ndarray,
     cfg: MpcConfig,
-    initial_active=None,
+    start=None,
     full_output: bool = False,
 ):
     """One receding-horizon update: returns the first commanded twist (world frame).
 
     The reference is the trajectory sampled at the next Np steps (clamped to
     its final pose past the end) with headings unwrapped relative to the
-    current state so the QP never sees a branch jump.
+    current state so the QP never sees a branch jump. start is passed to
+    `solve_qp`; with full_output=True the info dict also holds "next_start",
+    this solution shifted one control step for the next update, which must
+    use the same config and take the returned twist as its u_prev.
     """
     np_ = cfg.horizon
     ts = t_now + cfg.dt * np.arange(1, np_ + 1)
@@ -298,7 +367,8 @@ def mpc_step(
         prev_phi = ref[i, 2]
     prob = build_qp(state, ref.ravel(), u_prev, cfg)
     if full_output:
-        u, info = solve_qp(prob, initial_active=initial_active, full_output=True)
+        u, info = solve_qp(prob, start=start, full_output=True)
+        info["next_start"] = _shift_start(prob, u, info["active_set"])
         return u[:NU], info
-    u = solve_qp(prob, initial_active=initial_active)
+    u = solve_qp(prob, start=start)
     return u[:NU]

@@ -2,11 +2,11 @@
 
 The plant integrates the commanded world-frame twist exactly (x += dt*Vx and
 so on, heading wrapped). Each control step samples the reference, runs the
-tracking QP, optionally low-passes the command to emulate actuation lag,
-allocates wheel states for the log, and advances the plant. Metrics compare
-the driven path's swept area, a certified count of its f* <= 0 cells on a
-given grid (the sweep stage's), against the ribbon baseline and summarize
-tracking errors.
+tracking QP from the previous step's solution shifted one step, optionally
+low-passes the command to emulate actuation lag, allocates wheel states for
+the log, and advances the plant. Metrics compare the driven path's swept
+area, a certified count of its f* <= 0 cells on a given grid (the sweep
+stage's), against the ribbon baseline and summarize tracking errors.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def run_closed_loop(
         pose = start_pose
     u_prev = np.zeros(3)
     u_applied = np.zeros(3)
-    warm = None
+    start = None  # the previous solution shifted one step; opaque here
     if sim_cfg.input_lag_tau > 0.0:
         lag_alpha = 1.0 - math.exp(-dt / sim_cfg.input_lag_tau)
     else:
@@ -153,9 +153,9 @@ def run_closed_loop(
         out_ephi[k] = wrap_angle(pose.phi - ref[2])
         t0 = time.perf_counter()
         try:
-            u, info = mpc_step(pose, traj, t, u_prev, mpc_cfg, initial_active=warm, full_output=True)
-            warm = info["active_set"]
-            qp_log.append((int(info["status"] == "optimal"), info["iterations"], len(warm)))
+            u, info = mpc_step(pose, traj, t, u_prev, mpc_cfg, start=start, full_output=True)
+            start = info["next_start"]
+            qp_log.append((int(info["status"] == "optimal"), info["iterations"], len(info["active_set"])))
         except Exception as exc:  # noqa: BLE001 - the trace records the failure mode
             aborted = f"{type(exc).__name__}: {exc}"
             m = k + 1

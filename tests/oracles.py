@@ -10,8 +10,8 @@ The scalar MINCO and obstacle-prefilter forms at the end are the planner's
 hot paths written one entry and one pair at a time. The vectorized library
 code performs the same floating-point operations in the same order, so the
 tests compare the two with exact equality. The loop forms of the MPC (per-step
-QP assembly, row-by-row constraints, scalar ratio test) share only the data
-containers and the feasible-start routine with the library.
+QP assembly, row-by-row constraints and start shift, scalar ratio test) share
+only the data containers and the feasible-start routine with the library.
 """
 
 from __future__ import annotations
@@ -600,17 +600,50 @@ def constraint_rows_loop(prob: MpcProblem):
     return np.zeros((0, n)), np.zeros(0)
 
 
-def solve_qp_scalar(prob: MpcProblem, initial_active=None, full_output: bool = False):
+def shift_start_loop(prob: MpcProblem, x, active_set):
+    """The next step's start, one entry and one row at a time.
+
+    x0 repeats x one control step later, its last block held. A row of the
+    next step's problem is in the shifted set when a row it continues is in
+    active_set: the same kind of row one block later (for a rate row only
+    when that block is not the first of the next problem), or, for a box row
+    of the last block, the same row.
+    """
+    n = NU * prob.nc
+    keys = []  # (kind, input index) of each row, in constraint_rows_loop order
+    for kind, bound in ((0, prob.ub), (1, prob.lb)):
+        keys += [(kind, i) for i in range(n) if np.isfinite(bound[i])]
+    for kind, bound in ((2, prob.du_ub), (3, prob.du_lb)):
+        keys += [(kind, i) for i in range(n) if np.isfinite(bound[i % NU])]
+    active = {keys[r] for r in active_set}
+    x0 = np.empty(n)
+    for i in range(n):
+        x0[i] = x[i + NU] if i + NU < n else x[i]
+    rows = []
+    for r, (kind, i) in enumerate(keys):
+        sources = []
+        if i + NU < n and (kind < 2 or i >= NU):
+            sources.append((kind, i + NU))
+        if kind < 2 and i // NU == prob.nc - 1:
+            sources.append((kind, i))
+        if any(src in active for src in sources):
+            rows.append(r)
+    return x0, tuple(rows)
+
+
+def solve_qp_scalar(prob: MpcProblem, start=None, full_output: bool = False):
     """Primal active-set solve whose ratio test visits one row at a time."""
     n = NU * prob.nc
     a_mat, b_vec = constraint_rows_loop(prob)
     m = a_mat.shape[0]
-    x = _feasible_start(prob)
     work = []
-    if initial_active:
-        for idx in initial_active:
+    if start is not None and all(float(a_mat[i] @ start[0]) - b_vec[i] < 1e-10 for i in range(m)):
+        x = start[0]
+        for idx in start[1]:
             if 0 <= idx < m and abs(a_mat[idx] @ x - b_vec[idx]) < 1e-10:
                 work.append(idx)
+    else:
+        x = _feasible_start(prob)
     max_iter = 50 * max(n, 1)
     # A zero step on the working set, relative to the gradient's scale.
     step_tol = 1e-11 * max(1.0, float(np.abs(prob.g).max(initial=0.0)))
@@ -662,8 +695,8 @@ def solve_qp_scalar(prob: MpcProblem, initial_active=None, full_output: bool = F
     return (x, info) if full_output else x
 
 
-def mpc_step_per_step(state, traj, t_now, u_prev, cfg, initial_active=None, full_output: bool = False):
-    """One MPC update through build_qp_per_step and solve_qp_scalar."""
+def mpc_step_per_step(state, traj, t_now, u_prev, cfg, start=None, full_output: bool = False):
+    """One MPC update through build_qp_per_step, solve_qp_scalar and shift_start_loop."""
     np_ = cfg.horizon
     ts = t_now + cfg.dt * np.arange(1, np_ + 1)
     ref = traj.sample(np.clip(ts, 0.0, traj.total_time), 0).copy()
@@ -672,7 +705,8 @@ def mpc_step_per_step(state, traj, t_now, u_prev, cfg, initial_active=None, full
         ref[i, 2] = prev_phi + wrap_angle(ref[i, 2] - prev_phi)
         prev_phi = ref[i, 2]
     prob = build_qp_per_step(state, ref.ravel(), u_prev, cfg)
-    u, info = solve_qp_scalar(prob, initial_active=initial_active, full_output=True)
+    u, info = solve_qp_scalar(prob, start=start, full_output=True)
+    info["next_start"] = shift_start_loop(prob, u, info["active_set"])
     return (u[:NU], info) if full_output else u[:NU]
 
 

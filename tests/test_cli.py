@@ -143,6 +143,7 @@ SINGLE_FAULTS = [
     (('world', 'bounds'), [-2.0, 'a', 14.0, 3.0], ValidationError, 'world.bounds[1] must be a number, got str'),
     (('world', 'resolution'), 0.0, ValidationError, 'world.resolution must be positive'),
     (('world', 'clearance'), 'x', ValidationError, 'world.clearance must be a number, got str'),
+    (('world', 'clearance'), -5.0, ValidationError, 'world.clearance must be nonnegative', 'negative'),
     (('world', 'obstacles'), {}, ValidationError, 'world.obstacles must be a list'),
     (('world', 'obstacles'), [{'min': [0, 0]}], ValidationError, "world.obstacles[0] must be an object with a 'type' key"),
     (('world', 'obstacles'), [{'type': 'triangle'}], ValidationError, "world.obstacles[0]: unknown obstacle type 'triangle'"),
@@ -165,6 +166,8 @@ SINGLE_FAULTS = [
     (('planner', 'max_iterations'), -5, ValidationError, 'planner.max_iterations must be positive', 'nonpositive'),
     (('planner', 'init_speed'), -1.0, ValidationError, 'planner.init_speed must be positive', 'nonpositive'),
     (('planner', 'grad_tol'), 'tiny', ValidationError, 'planner.grad_tol must be a number, got str'),
+    (('planner', 'grad_tol'), -1.0, ValidationError, 'planner.grad_tol must be nonnegative', 'negative'),
+    (('planner', 'cost_tol'), -1.0, ValidationError, 'planner.cost_tol must be nonnegative', 'negative'),
     (('planner', 'waypoint_spacing'), 0.0, ValidationError, 'planner.waypoint_spacing must be positive'),
     (('mpc', 'input_hold_beyond_nc'), True, ParseError, "unknown key 'input_hold_beyond_nc' in mpc"),
     (('mpc', 'dt'), 'x', ValidationError, 'mpc.dt must be a number, got str'),

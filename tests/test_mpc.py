@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,15 @@ import numpy.testing as npt
 import pytest
 
 from helpers import straight_traj
-from oracles import build_qp_per_step, constraint_rows_loop, prediction_loop, qp_enumerate, solve_qp_scalar
+from oracles import (
+    build_qp_per_step,
+    constraint_rows_loop,
+    prediction_loop,
+    qp_enumerate,
+    shift_start_loop,
+    solve_qp_scalar,
+)
+from sweptplan import mpc
 from sweptplan.geometry import Pose2
 from sweptplan.mpc import (
     HeadingWrapMismatch,
@@ -13,6 +22,8 @@ from sweptplan.mpc import (
     MpcConfig,
     MpcProblem,
     _constraint_rows,
+    _feasible_start,
+    _shift_start,
     build_prediction,
     build_qp,
     mpc_step,
@@ -213,7 +224,7 @@ def test_solve_qp_warm_start_same_answer():
         u_prev=np.zeros(3), nc=2,
     )
     cold, info = solve_qp(prob, full_output=True)
-    warm = solve_qp(prob, initial_active=info["active_set"])
+    warm = solve_qp(prob, start=(_feasible_start(prob), info["active_set"]))
     npt.assert_allclose(cold, warm, atol=1e-12)
 
 
@@ -342,13 +353,13 @@ def test_constraint_rows_match_loop(nc):
         assert _same_bits(got, ref)
 
 
-def _assert_same_solve(prob, initial_active=None):
-    x, info = solve_qp(prob, initial_active=initial_active, full_output=True)
-    x_ref, info_ref = solve_qp_scalar(prob, initial_active=initial_active, full_output=True)
+def _assert_same_solve(prob, start=None):
+    x, info = solve_qp(prob, start=start, full_output=True)
+    x_ref, info_ref = solve_qp_scalar(prob, start=start, full_output=True)
     assert _same_bits(x, x_ref)
     for key in ("status", "iterations", "active_set", "kkt_residual"):
         assert info[key] == info_ref[key], key
-    return info
+    return x, info
 
 
 @pytest.mark.parametrize("nc,g_scale", [(1, 3.0), (2, 3.0), (10, 3.0), (1, 1e4), (2, 1e4), (10, 1e3)])
@@ -358,10 +369,15 @@ def test_solve_qp_matches_scalar_ratio_test(nc, g_scale):
     rng = np.random.default_rng(100 * nc + int(math.log10(g_scale)))
     for _ in range(12):
         prob = _random_problem(rng, nc, g_scale)
-        info = _assert_same_solve(prob)
-        _assert_same_solve(prob, initial_active=info["active_set"])
+        x, info = _assert_same_solve(prob)
+        cold = _feasible_start(prob)
+        _assert_same_solve(prob, start=(cold, info["active_set"]))
         m = _constraint_rows(prob)[0].shape[0]
-        _assert_same_solve(prob, initial_active=sorted(rng.choice(max(m, 1), size=min(m, 4), replace=False).tolist()))
+        _assert_same_solve(prob, start=(cold, sorted(rng.choice(max(m, 1), size=min(m, 4), replace=False).tolist())))
+        # the closed loop's hot start: the next step's problem from this solution shifted
+        _assert_same_solve(prob, start=(x, info["active_set"]))
+        nxt = dataclasses.replace(prob, g=g_scale * rng.standard_normal(3 * nc), u_prev=x[:3])
+        _assert_same_solve(nxt, start=_shift_start(prob, x, info["active_set"]))
 
 
 def test_ratio_near_tie_keeps_lowest_index():
@@ -379,27 +395,163 @@ def test_ratio_near_tie_keeps_lowest_index():
     _assert_same_solve(prob)
 
 
+def _assert_kkt_optimal(prob, x, info, tol):
+    """Independent KKT check: feasible, tight on its active rows, stationary with nonnegative multipliers."""
+    assert info["status"] == "optimal"
+    a_mat, b_vec = _constraint_rows(prob)
+    assert np.all(a_mat @ x <= b_vec + tol)
+    work = list(info["active_set"])
+    aw = a_mat[work]
+    assert np.all(np.abs(aw @ x - b_vec[work]) <= tol)
+    grad = prob.H @ x + prob.g
+    lam = np.linalg.lstsq(aw.T, -grad, rcond=None)[0] if work else np.zeros(0)
+    assert np.all(lam >= -tol)
+    assert np.abs(grad + aw.T @ lam).max() <= tol
+
+
 @pytest.mark.parametrize("nc,g_scale", [(10, 1e4), (2, 1e6)])
 def test_solve_qp_stop_rule_scales_with_gradient(nc, g_scale):
     # With |g| large the iterates are large too, so the working-set step
     # carries rounding far above an absolute 1e-11 and a fixed threshold never
-    # stops. Each solve must end optimal and pass an independent KKT check:
-    # feasible, tight on its active rows, stationary with nonnegative multipliers.
+    # stops. Each solve must end optimal and pass an independent KKT check.
     rng = np.random.default_rng(100 * nc + int(math.log10(g_scale)))
-    tol = 1e-9 * g_scale
     for _ in range(12):
         prob = _random_problem(rng, nc, g_scale)
         x, info = solve_qp(prob, full_output=True)
-        assert info["status"] == "optimal"
-        a_mat, b_vec = _constraint_rows(prob)
-        assert np.all(a_mat @ x <= b_vec + tol)
-        work = list(info["active_set"])
-        aw = a_mat[work]
-        assert np.all(np.abs(aw @ x - b_vec[work]) <= tol)
-        grad = prob.H @ x + prob.g
-        lam = np.linalg.lstsq(aw.T, -grad, rcond=None)[0] if work else np.zeros(0)
-        assert np.all(lam >= -tol)
-        assert np.abs(grad + aw.T @ lam).max() <= tol
+        _assert_kkt_optimal(prob, x, info, 1e-9 * g_scale)
+
+
+@pytest.mark.parametrize("nc", [1, 2, 10])
+def test_shift_start_matches_row_loop(nc):
+    rng = np.random.default_rng(40 + nc)
+    for _ in range(20):
+        prob = _random_problem(rng, nc)
+        m = _constraint_rows(prob)[0].shape[0]
+        x = rng.standard_normal(3 * nc)
+        subsets = [range(m), sorted(rng.choice(max(m, 1), size=min(m, 6), replace=False).tolist())]
+        for active in subsets:
+            got, want = _shift_start(prob, x, active), shift_start_loop(prob, x, active)
+            assert _same_bits(got[0], want[0])
+            assert got[1] == want[1]
+
+
+def _counting_feasible_start(monkeypatch):
+    calls = []
+
+    def counted(prob):
+        calls.append(prob)
+        return _feasible_start(prob)
+
+    monkeypatch.setattr(mpc, "_feasible_start", counted)
+    return calls
+
+
+def _ramp_problem():
+    # a reference faster than the box, from rest under rate caps: every
+    # rate row of the horizon binds, and a cold solve takes 31 iterations
+    du = np.array([0.1, 0.1, 0.05])
+    cfg = MpcConfig(du_min=-du, du_max=du)
+    ts = cfg.dt * np.arange(1, cfg.horizon + 1)
+    return build_qp(Pose2(0.0, 0.0, 0.0), np.outer(ts, [3.0, -1.0, 0.8]).ravel(), np.zeros(3), cfg)
+
+
+def test_shifted_start_drops_the_degenerate_rate_row(monkeypatch):
+    # minimize (u0 - 0.3)^2 + (u1 - 5)^2 on one component with u <= 1 and
+    # steps <= 0.5: the optimum u = (0.5, 1) holds the box row of u1 and the
+    # rate row u1 - u0 <= 0.5, both with positive multipliers
+    prob = MpcProblem(
+        H=2.0 * np.eye(6), g=-2.0 * np.array([0.3, 0.0, 0.0, 5.0, 0.0, 0.0]),
+        lb=np.full(6, -1.0), ub=np.full(6, 1.0),
+        du_lb=np.full(3, -0.5), du_ub=np.full(3, 0.5),
+        u_prev=np.array([0.4, 0.0, 0.0]), nc=2,
+    )
+    x, info = solve_qp(prob, full_output=True)
+    npt.assert_allclose(x[[0, 3]], [0.5, 1.0], atol=1e-12)
+    box_u1, rate_u1 = 3, 12 + 3  # ub rows 0-5, lb rows 6-11, then rate-upper rows
+    assert {box_u1, rate_u1} <= set(info["active_set"])
+    # One step later u_prev = 0.5, and the old rate row turns into u0 <= 0.5 + 0.5:
+    # parallel to the shifted box row u0 <= 1 and tight with it.
+    nxt = dataclasses.replace(prob, u_prev=x[:3])
+    start = _shift_start(prob, x, info["active_set"])
+    a_next, b_next = _constraint_rows(nxt)
+    rate_u0 = 12
+    assert abs(a_next[0] @ start[0] - b_next[0]) < 1e-12
+    assert abs(a_next[rate_u0] @ start[0] - b_next[rate_u0]) < 1e-12
+    assert rate_u0 not in start[1] and 0 in start[1]
+    calls = _counting_feasible_start(monkeypatch)
+    got, got_info = solve_qp(nxt, start=start, full_output=True)
+    assert not calls  # the shifted start was taken
+    cold, cold_info = solve_qp(nxt, full_output=True)
+    assert got_info["status"] == cold_info["status"] == "optimal"
+    assert got_info["active_set"] == cold_info["active_set"]
+    npt.assert_allclose(got, cold, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_warm_and_cold_solves_agree_along_rate_limited_sequences(seed, monkeypatch):
+    # A closed loop in miniature: the reference runs faster than the input box
+    # and reverses halfway, so box and rate rows enter and leave the active set.
+    rng = np.random.default_rng(seed)
+    du = rng.uniform(0.02, 0.3, 3)
+    cfg = MpcConfig(dt=0.05, horizon=20, control_horizon=10, du_min=-du, du_max=du, **_weights(rng))
+    ts = cfg.dt * np.arange(1, cfg.horizon + 1)
+    v = rng.uniform(-3.0, 3.0, 3)
+    state, u_prev, start = Pose2(*rng.uniform(-0.5, 0.5, 3)), np.zeros(3), None
+    calls = _counting_feasible_start(monkeypatch)
+    warm_iterations = cold_iterations = 0
+    for k in range(40):
+        if k == 20:
+            v = -v
+        ref = (state.as_array() + np.outer(ts, v)).ravel()
+        prob = build_qp(state, ref, u_prev, cfg)
+        tol = 1e-9 * max(1.0, float(np.abs(prob.g).max()))
+        cold, cold_info = solve_qp(prob, full_output=True)
+        del calls[:]
+        warm, warm_info = solve_qp(prob, start=start, full_output=True)
+        assert len(calls) == (k == 0)  # every shifted start is taken
+        _assert_kkt_optimal(prob, cold, cold_info, tol)
+        _assert_kkt_optimal(prob, warm, warm_info, tol)
+        assert warm_info["active_set"] == cold_info["active_set"]
+        warm_iterations += warm_info["iterations"]
+        cold_iterations += cold_info["iterations"]
+        start = _shift_start(prob, warm, warm_info["active_set"])
+        u_prev = warm[:3]
+        state = Pose2(*(state.as_array() + cfg.dt * u_prev))
+    assert warm_iterations < cold_iterations
+
+
+def test_start_off_by_more_than_tolerance_falls_back_cold(monkeypatch):
+    prob = _ramp_problem()
+    x, info = solve_qp(prob, full_output=True)
+    start = _shift_start(prob, x, info["active_set"])
+    calls = _counting_feasible_start(monkeypatch)
+    # tighten the rate caps under the ramp: by 0.5e-10 the start holds, by 2e-10 it does not
+    for excess, taken in ((0.5e-10, True), (2e-10, False)):
+        nxt = dataclasses.replace(prob, u_prev=x[:3], du_ub=prob.du_ub - excess)
+        a_mat, b_vec = _constraint_rows(nxt)
+        assert (a_mat @ start[0] - b_vec).max() == pytest.approx(excess, rel=1e-3)
+        cold, cold_info = solve_qp(nxt, full_output=True)
+        del calls[:]
+        got, got_info = solve_qp(nxt, start=start, full_output=True)
+        assert len(calls) == (not taken)
+        assert got_info["status"] == "optimal" and got_info["active_set"] == cold_info["active_set"]
+        if not taken:
+            assert _same_bits(got, cold) and got_info == cold_info
+
+
+def test_capped_iterate_is_a_start_the_next_step_takes(monkeypatch):
+    monkeypatch.setattr(mpc, "ITERATIONS_PER_VARIABLE", 1)
+    prob = _ramp_problem()
+    x, info = solve_qp(prob, full_output=True)
+    assert info["status"] == "max_iterations" and info["iterations"] == 30
+    monkeypatch.undo()
+    nxt = dataclasses.replace(prob, u_prev=x[:3])
+    calls = _counting_feasible_start(monkeypatch)
+    got, got_info = solve_qp(nxt, start=_shift_start(prob, x, info["active_set"]), full_output=True)
+    assert not calls
+    cold, cold_info = solve_qp(nxt, full_output=True)
+    _assert_kkt_optimal(nxt, got, got_info, 1e-9 * max(1.0, float(np.abs(nxt.g).max())))
+    assert got_info["active_set"] == cold_info["active_set"]
 
 
 def _weights(rng):
