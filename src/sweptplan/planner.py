@@ -11,14 +11,13 @@ accepted point is traced with its gradient norm, step, the evaluations its
 line search made and the weighted cost terms.
 
 Stage 2 finds the obstacle points near each knot through a neighbour list
-with a skin: one KD-tree query serves every evaluation until a knot drifts
-farther than the skin from where it was queried.
+with a skin: one exhaustive offset test over the obstacle points serves every
+evaluation until a knot drifts farther than the skin from where it was built.
 """
 
 from __future__ import annotations
 
 import array
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -45,7 +44,7 @@ from .minco import (
 from .worldmodel import GridMap, InitialTrajectory
 
 T_MIN = 0.01  # duration floor under the softplus map, seconds
-_QUERY_SLACK = 1e-6  # meters added to the obstacle KD-tree query radius
+_QUERY_SLACK = 1e-6  # meters added to the neighbour-list rebuild radius
 _SKIN = 0.5  # meters a knot may drift from where the neighbour list was queried
 LBFGS_MEMORY = 8  # curvature pairs kept by the quasi-Newton loop
 
@@ -134,8 +133,8 @@ def obstacle_cost_with_grads(
     Contribution per (knot, obstacle point): (margin - F)^3 where F is the
     world-frame footprint distance, active only when F < margin. Knot poses
     are the decision variables themselves, so gradients land directly on q.
-    neighbours, a list over `grid` kept across calls, saves the KD-tree
-    query; the result is the same with or without it.
+    neighbours, a list over `grid` kept across calls, saves the exhaustive
+    rebuild; the result is the same with or without it.
     """
     n_seg = traj.n_segments
     q = traj.waypoints
@@ -181,13 +180,13 @@ def obstacle_cost_with_grads(
 class _NeighbourList:
     """(knot, point) pairs within reach of the knot centers, from reused candidates.
 
-    A Verlet list: the grid's KD-tree is queried at reach + _SKIN around
-    anchor positions of the knots, and those candidates serve every later
-    call while each knot stays within _SKIN of its anchor, since a point
-    within reach of the knot is then within reach + _SKIN of the anchor. A
-    larger drift, another reach or another knot count queries again. The
-    exact offset test decides, so rounding in the tree's distances cannot
-    change the pairs.
+    A Verlet list: every obstacle point within reach + _SKIN of anchor
+    positions of the knots is found by one exhaustive test, and those
+    candidates serve every later call while each knot stays within _SKIN of
+    its anchor, since a point within reach of the knot is then within
+    reach + _SKIN of the anchor. A larger drift, another reach or another
+    knot count rebuilds. The exact offset test decides, so rounding in the
+    rebuild's distances cannot change the pairs.
     """
 
     def __init__(self, grid: GridMap):
@@ -198,13 +197,11 @@ class _NeighbourList:
     def _query(self, q: np.ndarray, reach: float) -> None:
         self.anchors = q[:, :2].copy()
         self.reach = reach
-        near = self.grid.obstacle_tree.query_ball_point(
-            self.anchors, reach + _SKIN + _QUERY_SLACK, return_sorted=True
-        )
-        counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
-        self.k_idx = np.repeat(np.arange(len(near)), counts)
-        self.m_idx = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=int(counts.sum()))
         pts = self.grid.obstacle_points
+        dx = pts[None, :, 0] - self.anchors[:, None, 0]
+        dy = pts[None, :, 1] - self.anchors[:, None, 1]
+        r = reach + _SKIN + _QUERY_SLACK
+        self.k_idx, self.m_idx = np.nonzero(dx * dx + dy * dy <= r * r)
         self.px = pts[self.m_idx, 0]
         self.py = pts[self.m_idx, 1]
 

@@ -16,6 +16,8 @@ from .geometry import VehicleParams
 from .sweptfield import SweptField
 from .worldmodel import GridMap
 
+N_FOOTPRINTS = 10  # footprint outlines drawn at evenly spaced trajectory times
+
 
 def _fmt(v: float) -> str:
     s = f"{v:.4f}"
@@ -120,46 +122,16 @@ def _footprint_points(pose: np.ndarray, veh: VehicleParams) -> str:
 def render_scene(
     out_path: str,
     veh: VehicleParams,
-    traj=None,
-    grid: GridMap | None = None,
-    field: SweptField | None = None,
-    n_footprints: int = 10,
-    bounds=None,
+    traj,
+    grid: GridMap,
+    field: SweptField,
+    bounds,
 ) -> None:
-    """Write an SVG of whatever layers are available.
+    """Write an SVG of the scene inside the view box bounds (xmin, ymin, xmax, ymax).
 
     Layers, back to front: occupied cells, swept-field zero contour, vehicle
-    footprints at n_footprints evenly spaced trajectory times, center path.
-    bounds (xmin, ymin, xmax, ymax) sets the view box; defaults to the grid,
-    then the field, then the trajectory extent.
+    footprints at N_FOOTPRINTS evenly spaced trajectory times, center path.
     """
-    if bounds is None:
-        if grid is not None:
-            bounds = (
-                grid.origin[0],
-                grid.origin[1],
-                grid.origin[0] + grid.width * grid.resolution,
-                grid.origin[1] + grid.height * grid.resolution,
-            )
-        elif field is not None:
-            bounds = (
-                field.origin[0],
-                field.origin[1],
-                field.origin[0] + field.width * field.resolution,
-                field.origin[1] + field.height * field.resolution,
-            )
-        elif traj is not None:
-            ts = np.linspace(0.0, traj.total_time, 256)
-            ps = traj.sample(ts, 0)
-            r = veh.half_diagonal + 0.5
-            bounds = (
-                ps[:, 0].min() - r,
-                ps[:, 1].min() - r,
-                ps[:, 0].max() + r,
-                ps[:, 1].max() + r,
-            )
-        else:
-            bounds = (0.0, 0.0, 1.0, 1.0)
     xmin, ymin, xmax, ymax = (float(b) for b in bounds)
     w, h = xmax - xmin, ymax - ymin
 
@@ -175,45 +147,41 @@ def render_scene(
     )
     parts.append(f'<rect x="0" y="0" width="{_fmt(w)}" height="{_fmt(h)}" fill="#ffffff"/>')
 
-    if grid is not None:
-        for rx, ry, rw, rh in _occupancy_rects(grid):
-            tx, ty = T(rx, ry + rh)
-            parts.append(
-                f'<rect x="{_fmt(tx)}" y="{_fmt(ty)}" width="{_fmt(rw)}" '
-                f'height="{_fmt(rh)}" fill="#555555"/>'
-            )
-
-    if field is not None:
-        segs = _contour_segments(field)
-        if segs:
-            d = []
-            for (ax, ay), (bx, by) in segs:
-                a = T(ax, ay)
-                b = T(bx, by)
-                d.append(f"M{_fmt(a[0])} {_fmt(a[1])}L{_fmt(b[0])} {_fmt(b[1])}")
-            parts.append(
-                f'<path d="{"".join(d)}" stroke="#2060c0" stroke-width="0.04" fill="none"/>'
-            )
-
-    if traj is not None:
-        ts = np.linspace(0.0, traj.total_time, max(2, n_footprints))
-        for pose in traj.sample(ts, 0):
-            pts = _footprint_points(pose, veh)
-            # reproject into view coordinates
-            vp = []
-            for pair in pts.split(" "):
-                sx, sy = pair.split(",")
-                tx, ty = T(float(sx), float(sy))
-                vp.append(f"{_fmt(tx)},{_fmt(ty)}")
-            parts.append(
-                f'<polygon points="{" ".join(vp)}" stroke="#999999" '
-                f'stroke-width="0.03" fill="none"/>'
-            )
-        dense = traj.sample(np.linspace(0.0, traj.total_time, 400), 0)
-        path_pts = " ".join(f"{_fmt(T(p[0], p[1])[0])},{_fmt(T(p[0], p[1])[1])}" for p in dense)
+    for rx, ry, rw, rh in _occupancy_rects(grid):
+        tx, ty = T(rx, ry + rh)
         parts.append(
-            f'<polyline points="{path_pts}" stroke="#c03030" stroke-width="0.05" fill="none"/>'
+            f'<rect x="{_fmt(tx)}" y="{_fmt(ty)}" width="{_fmt(rw)}" '
+            f'height="{_fmt(rh)}" fill="#555555"/>'
         )
+
+    segs = _contour_segments(field)
+    if segs:
+        d = []
+        for (ax, ay), (bx, by) in segs:
+            a = T(ax, ay)
+            b = T(bx, by)
+            d.append(f"M{_fmt(a[0])} {_fmt(a[1])}L{_fmt(b[0])} {_fmt(b[1])}")
+        parts.append(
+            f'<path d="{"".join(d)}" stroke="#2060c0" stroke-width="0.04" fill="none"/>'
+        )
+
+    for pose in traj.sample(np.linspace(0.0, traj.total_time, N_FOOTPRINTS), 0):
+        pts = _footprint_points(pose, veh)
+        # reproject into view coordinates
+        vp = []
+        for pair in pts.split(" "):
+            sx, sy = pair.split(",")
+            tx, ty = T(float(sx), float(sy))
+            vp.append(f"{_fmt(tx)},{_fmt(ty)}")
+        parts.append(
+            f'<polygon points="{" ".join(vp)}" stroke="#999999" '
+            f'stroke-width="0.03" fill="none"/>'
+        )
+    dense = traj.sample(np.linspace(0.0, traj.total_time, 400), 0)
+    path_pts = " ".join(f"{_fmt(T(p[0], p[1])[0])},{_fmt(T(p[0], p[1])[1])}" for p in dense)
+    parts.append(
+        f'<polyline points="{path_pts}" stroke="#c03030" stroke-width="0.05" fill="none"/>'
+    )
 
     parts.append("</svg>")
     with open(out_path, "w", encoding="utf-8") as fh:

@@ -34,7 +34,7 @@ from oracles import (
 )
 from sweptplan.cli import parse_scenario
 from sweptplan.drivetrain import allocate, reconstruct_twist
-from sweptplan.geometry import Pose2, footprint_sdf_with_grad
+from sweptplan.geometry import Pose2, footprint_sdf_batch, footprint_sdf_values, footprint_sdf_with_grad
 from sweptplan.minco import (
     MincoTrajectory,
     build_minco,
@@ -100,27 +100,30 @@ def test_acceptance_1_gradient_fidelity():
 
 
 def test_acceptance_2_sdf_oracle():
-    """Footprint distance agrees with dense boundary sampling; interior exact."""
+    """Footprint distance agrees with dense boundary sampling; interior exact.
+
+    Checked for the scalar SDF and for the two vectorized ones the pipeline
+    calls (values of footprint_sdf_batch, and footprint_sdf_values).
+    """
     veh = small_vehicle()
     rng = np.random.default_rng(2024)
     bpts = rect_boundary_points(veh.length, veh.width, 40000)
-    worst = 0.0
-    for _ in range(1000):
-        p = rng.uniform([-4.0, -4.0], [4.0, 4.0])
-        d = boundary_distance(p, bpts)
-        v = footprint_sdf_with_grad(p, veh).value
-        worst = max(worst, abs(abs(v) - d))
-    interior_exact = True
+
+    def all_values(pts):
+        scalar = np.array([footprint_sdf_with_grad(p, veh).value for p in pts])
+        batch, _ = footprint_sdf_batch(pts, veh.length, veh.width)
+        return scalar, batch, footprint_sdf_values(pts, veh.length, veh.width)
+
+    outer = np.array([rng.uniform([-4.0, -4.0], [4.0, 4.0]) for _ in range(1000)])
+    d = np.array([boundary_distance(p, bpts) for p in outer])
+    worst = max(float(np.max(np.abs(np.abs(v) - d))) for v in all_values(outer))
     hl, hw = veh.length / 2.0, veh.width / 2.0
-    for _ in range(1000):
-        p = rng.uniform([-hl, -hw], [hl, hw])
-        v = footprint_sdf_with_grad(p, veh).value
-        if v != -min(hl - abs(p[0]), hw - abs(p[1])):
-            interior_exact = False
-            break
+    inner = np.array([rng.uniform([-hl, -hw], [hl, hw]) for _ in range(1000)])
+    expect = np.array([-min(hl - abs(p[0]), hw - abs(p[1])) for p in inner])
+    interior_exact = all(np.array_equal(v, expect) for v in all_values(inner))
     _report(
         2,
-        f"distance field vs 40000-sample boundary oracle on 1000 seeded points: "
+        f"distance field (scalar, batch, values) vs 40000-sample boundary oracle on 1000 seeded points: "
         f"worst |diff| {worst:.2e} <= 1e-3 m; interior identity exact: {interior_exact}",
         worst <= 1e-3 and interior_exact,
     )
@@ -414,11 +417,22 @@ def test_acceptance_8_determinism(tmp_path):
         outs.append(out)
     same = {
         name: (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        for name in ("trace.csv", "field.csv", "area.json", "metrics.json", "metrics_sweep.json")
+        for name in (
+            "trajectory.json",
+            "plan_report.json",
+            "cost_trace.csv",
+            "field.csv",
+            "area.json",
+            "scene.svg",
+            "trace.csv",
+            "qp_log.csv",
+            "metrics.json",
+            "metrics_sweep.json",
+        )
     }
     _report(
         8,
-        "two pipeline runs, sweep threads 1 vs 4: trace/field/area/metrics byte-identical: "
+        "two pipeline runs, sweep threads 1 vs 4: artifacts byte-identical: "
         + ", ".join(f"{k}={v}" for k, v in same.items()),
         all(same.values()),
     )

@@ -1,5 +1,8 @@
+import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -213,7 +216,9 @@ def test_obstacle_cost_equals_exhaustive_prefilter(veh, n_seg):
     assert active > 0 or n_seg == 1
 
 
-def test_obstacle_cost_early_returns_build_no_tree(veh):
+def test_obstacle_cost_early_returns_build_no_tree(veh, monkeypatch):
+    calls = []
+    monkeypatch.setattr(_NeighbourList, "_query", lambda *a: calls.append(1))
     traj = straight_traj()
     empty = _point_grid(np.zeros((0, 2)))
     c = obstacle_cost_with_grads(traj, empty, veh)
@@ -223,9 +228,38 @@ def test_obstacle_cost_early_returns_build_no_tree(veh):
     crowded = _point_grid([(1.0, 0.0), (1.2, 0.1)])
     c = obstacle_cost_with_grads(one_segment, crowded, veh)
     assert c.value == 0.0 and c.grad_q.shape == (0, 3)
-    # Neither early return may build the KD-tree (and so import scipy.spatial).
-    assert "obstacle_tree" not in vars(empty) and "obstacle_tree" not in vars(crowded)
-    assert crowded.obstacle_tree is crowded.obstacle_tree
+    # Neither early return may build a neighbour list.
+    assert calls == []
+
+
+_STAGE2_IMPORTS = """
+import json, sys
+import numpy as np
+from sweptplan.planner import PlanOptions, PlannerWeights, _NeighbourList, optimize_stage1, optimize_stage2
+from sweptplan.worldmodel import Box, estimate_headings, rasterize_obstacles
+sys.path.insert(0, sys.argv[1])
+from helpers import small_vehicle
+calls = []
+query = _NeighbourList._query
+_NeighbourList._query = lambda *a: calls.append(1) or query(*a)
+init = estimate_headings(np.column_stack([np.linspace(0.0, 8.0, 8), np.zeros(8)]), spacing=1.0)
+r1 = optimize_stage1(init, PlannerWeights(), PlanOptions(max_iterations=30))
+grid = rasterize_obstacles([Box(3.8, -0.4, 4.2, 0.0)], (-2.0, -4.0, 12.0, 4.0), 0.2)
+optimize_stage2(r1.trajectory, grid, small_vehicle(), PlannerWeights(), PlanOptions(max_iterations=30))
+print(json.dumps({"rebuilds": len(calls), "scipy_spatial": "scipy.spatial" in sys.modules}))
+"""
+
+
+def test_stage2_with_obstacles_imports_no_scipy_spatial():
+    # A fresh interpreter: the test suite itself imports scipy.spatial.
+    here = os.path.dirname(os.path.abspath(__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STAGE2_IMPORTS, here], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["rebuilds"] > 0
+    assert not seen["scipy_spatial"]
 
 
 def test_sweep_zero_when_aligned():
@@ -460,7 +494,7 @@ def test_trace_rows_account_for_every_evaluation(name, monkeypatch):
             assert total == row["cost"]  # bit for bit, left to right
             assert all(row[term] == 0.0 for term in absent[report.stage])
     # straight has no obstacles; on turn90 the neighbour list serves most
-    # stage-2 evaluations without a KD-tree query.
+    # stage-2 evaluations without a rebuild.
     assert (len(queries) == 0) if name == "straight" else (0 < len(queries) <= n2 // 10)
 
 

@@ -9,11 +9,23 @@ from sweptplan.sweptfield import SweptField, compute_swept_field
 from sweptplan.worldmodel import Box, rasterize_obstacles
 
 
-def test_render_full_scene(tmp_path, veh, line_traj):
-    grid = rasterize_obstacles([Box(4.0, 3.0, 6.0, 4.0)], (-2.0, -4.0, 14.0, 6.0), 0.2)
-    field = compute_swept_field(line_traj, veh, resolution=0.1)
+VIEW = (-2.0, -4.0, 14.0, 6.0)
+
+
+@pytest.fixture(scope="module")
+def line_field(veh, line_traj):
+    return compute_swept_field(line_traj, veh, resolution=0.1)
+
+
+@pytest.fixture(scope="module")
+def empty_grid():
+    return rasterize_obstacles([], VIEW, 0.2)
+
+
+def test_render_full_scene(tmp_path, veh, line_traj, line_field):
+    grid = rasterize_obstacles([Box(4.0, 3.0, 6.0, 4.0)], VIEW, 0.2)
     out = tmp_path / "scene.svg"
-    render_scene(str(out), veh, traj=line_traj, grid=grid, field=field)
+    render_scene(str(out), veh, line_traj, grid, line_field, VIEW)
     text = out.read_text()
     assert text.startswith("<svg")
     assert text.rstrip().endswith("</svg>")
@@ -24,33 +36,19 @@ def test_render_full_scene(tmp_path, veh, line_traj):
     assert "<path" in text  # zero contour
 
 
-def test_render_trajectory_only(tmp_path, veh, line_traj):
-    out = tmp_path / "traj.svg"
-    render_scene(str(out), veh, traj=line_traj)
-    text = out.read_text()
-    assert "<polyline" in text
-    assert "<path" not in text
-
-
-def test_render_deterministic(tmp_path, veh, line_traj):
+def test_render_deterministic(tmp_path, veh, line_traj, line_field, empty_grid):
     a = tmp_path / "a.svg"
     b = tmp_path / "b.svg"
-    render_scene(str(a), veh, traj=line_traj)
-    render_scene(str(b), veh, traj=line_traj)
+    render_scene(str(a), veh, line_traj, empty_grid, line_field, VIEW)
+    render_scene(str(b), veh, line_traj, empty_grid, line_field, VIEW)
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_render_bounds_override(tmp_path, veh, line_traj):
+def test_render_bounds_override(tmp_path, veh, line_traj, line_field, empty_grid):
     out = tmp_path / "bounded.svg"
-    render_scene(str(out), veh, traj=line_traj, bounds=(-5.0, -5.0, 20.0, 5.0))
+    render_scene(str(out), veh, line_traj, empty_grid, line_field, (-5.0, -5.0, 20.0, 5.0))
     text = out.read_text()
     assert 'width="900"' in text
-
-
-def test_render_footprint_count(tmp_path, veh, line_traj):
-    out = tmp_path / "fp.svg"
-    render_scene(str(out), veh, traj=line_traj, n_footprints=4)
-    assert out.read_text().count("<polygon") == 4
 
 
 def _corner_field(values, origin=(0.25, -1.0), resolution=0.5):

@@ -36,6 +36,7 @@ from sweptplan.sweptfield import (
     min_time_distance,
     swept_area,
 )
+from sweptplan.worldmodel import rasterize_obstacles
 
 
 def test_min_time_straight_passage(veh, line_traj):
@@ -540,8 +541,10 @@ def test_scene_from_banded_field_equals_exact(tmp_path, veh, bend_traj):
     shape = (field.width, field.height)
     exact = SweptField(field.origin, field.resolution, *shape, f_ref.reshape(shape), t_ref.reshape(shape))
     assert not np.array_equal(field.f_star, exact.f_star)
-    render_scene(str(tmp_path / "band.svg"), veh, traj=bend_traj, field=field)
-    render_scene(str(tmp_path / "exact.svg"), veh, traj=bend_traj, field=exact)
+    bounds = (*field.origin, *(field.origin + field.resolution * np.array(shape)))
+    grid = rasterize_obstacles([], bounds, field.resolution)
+    render_scene(str(tmp_path / "band.svg"), veh, bend_traj, grid, field, bounds)
+    render_scene(str(tmp_path / "exact.svg"), veh, bend_traj, grid, exact, bounds)
     assert (tmp_path / "band.svg").read_bytes() == (tmp_path / "exact.svg").read_bytes()
 
 
