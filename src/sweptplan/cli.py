@@ -486,6 +486,20 @@ def _plan_init(sc: Scenario, grid: GridMap):
     return init
 
 
+def _report_entry(report) -> dict:
+    """One stage's plan_report.json entry; a checked stage adds its feasibility."""
+    entry = {
+        "converged": report.converged,
+        "reason": report.reason,
+        "iterations": report.iterations,
+        "final_cost": report.cost_trace[-1],
+    }
+    if report.feasible is not None:
+        entry["feasible"] = report.feasible
+        entry["min_clearance"] = report.min_clearance if math.isfinite(report.min_clearance) else None
+    return entry
+
+
 def _stage_plan(sc: Scenario, out_dir: str, seed) -> tuple:
     grid = _build_grid(sc)
     t0 = time.perf_counter()
@@ -501,24 +515,8 @@ def _stage_plan(sc: Scenario, out_dir: str, seed) -> tuple:
         "schema": SCHEMA_VERSION,
         "scenario": sc.echo,
         "seed": seed,
-        "stage1": {
-            "converged": report1.converged,
-            "reason": report1.reason,
-            "iterations": report1.iterations,
-            "final_cost": report1.cost_trace[-1],
-        },
-        "stage2": {
-            "converged": report2.converged,
-            "reason": report2.reason,
-            "iterations": report2.iterations,
-            "final_cost": report2.cost_trace[-1],
-            "feasible": report2.feasible,
-            "min_clearance": (
-                report2.min_clearance
-                if report2.min_clearance is not None and math.isfinite(report2.min_clearance)
-                else None
-            ),
-        },
+        "stage1": _report_entry(report1),
+        "stage2": _report_entry(report2),
         "total_time_s": traj.total_time,
     }
     _write_json(os.path.join(out_dir, "plan_report.json"), doc)
@@ -653,12 +651,14 @@ def run_pipeline(sc: Scenario, stages, out_dir: str, seed: int | None = None) ->
 
     Missing dependencies are loaded from previous artifacts in out_dir.
     Returns 0 on success; on failure writes error.json naming the stage, the
-    exception and the innermost traceback frame, and returns 1.
+    exception and the innermost traceback frame, and returns 1. An empty list or
+    an unknown stage name raises ValueError before anything runs.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    unknown = [s for s in stages if s not in _STAGE_ORDER]
+    if unknown or not stages:
+        raise ValueError(f"unknown stages {unknown}" if unknown else "no stages requested")
     todo = [s for s in _STAGE_ORDER if s in stages]
-    if not todo:
-        raise ValueError("no stages requested")
+    os.makedirs(out_dir, exist_ok=True)
 
     traj = None
     grid = None

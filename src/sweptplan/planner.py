@@ -3,12 +3,13 @@
 Stage 1 fits a smooth, time-regularized spline to the grid route (energy +
 total time + anchor deviation). Stage 2 drops the anchors and adds the
 collision hinge and the sweep-alignment penalty, then verifies the result
-against the obstacle set by dense sampling. Durations are optimized through
-a softplus reparameterization so they stay above a floor; both stages run a
-limited-memory quasi-Newton loop, with a strong Wolfe line search for the
-smooth stage and descent-only Armijo backtracking for the hinged stage. Each
-accepted point is traced with its gradient norm, step, the evaluations its
-line search made and the weighted cost terms.
+against the obstacle set by dense sampling. Each stage is a table of weighted
+cost terms handed to one driver, `_optimize`: a limited-memory quasi-Newton
+loop over the knots and softplus-mapped durations, which stay above a floor,
+with a strong Wolfe line search for the smooth stage and descent-only Armijo
+backtracking for the hinged stage. Each accepted point is traced with its
+gradient norm, step, the evaluations its line search made and the weighted
+cost terms.
 
 Stage 2 finds the obstacle points near each knot through a neighbour list
 with a skin: one exhaustive offset test over the obstacle points serves every
@@ -18,7 +19,9 @@ evaluation until a knot drifts farther than the skin from where it was built.
 from __future__ import annotations
 
 import array
+import functools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -418,20 +421,40 @@ def _lbfgs(fg, x0, opts: PlanOptions, search):
 # stage drivers
 
 
-def _pack(q, tau):
-    return np.concatenate([q.ravel(), tau])
+def _optimize(stage, q0, T0, boundary, terms, opts, search) -> PlanReport:
+    """One stage's L-BFGS over knots q and durations T = softplus(tau) >= T_MIN.
 
+    terms lists (TRACE_COLUMNS name, weight, cost(traj)) in column order; the
+    cost and both gradients sum the weighted terms left to right, and a term
+    not listed traces as 0.0. Callers build terms per call, not at import, so
+    each row calls the module binding current then (a wrapper included).
+    """
+    opts = opts or PlanOptions()
+    t0 = time.perf_counter()
+    n_q = q0.size
 
-def _unpack(z, n_interior):
-    q = z[: 3 * n_interior].reshape(n_interior, 3)
-    tau = z[3 * n_interior :]
-    return q, tau
+    def fg(z):
+        tau = z[n_q:]
+        traj = build_minco(z[:n_q].reshape(-1, 3), softplus(tau), boundary)
+        traced = dict.fromkeys(TRACE_COLUMNS[4:], 0.0)
+        weighted = []
+        for name, w, cost in terms:
+            c = cost(traj)
+            traced[name] = w * c.value
+            weighted.append((traced[name], w * c.grad_q, w * c.grad_T))
+        val, gq, gT = (functools.reduce(operator.add, part) for part in zip(*weighted))
+        return val, np.concatenate([gq.ravel(), gT * _sigmoid(tau)]), tuple(traced.values())
 
-
-def _seed_durations(poses: np.ndarray, speed: float) -> np.ndarray:
-    d = np.diff(poses[:, :2], axis=0)
-    chord = np.hypot(d[:, 0], d[:, 1])
-    return np.maximum(chord / max(speed, 1e-6), 0.1)
+    z0 = np.concatenate([q0.ravel(), softplus_inverse(np.maximum(T0, T_MIN * 1.001))])
+    z, trace, converged, reason = _lbfgs(fg, z0, opts, search)
+    return PlanReport(
+        trajectory=build_minco(z[:n_q].reshape(-1, 3), softplus(z[n_q:]), boundary),
+        trace=trace,
+        wall_time_s=time.perf_counter() - t0,
+        converged=converged,
+        reason=reason,
+        stage=stage,
+    )
 
 
 def optimize_stage1(
@@ -441,41 +464,18 @@ def optimize_stage1(
 ) -> PlanReport:
     """Smooth fit to the grid route: energy + time + anchor deviation."""
     weights = weights or PlannerWeights()
-    opts = opts or PlanOptions()
     if init.count < 3:
         raise SizeMismatch("need at least 3 poses (one interior knot) to optimize")
-    t0 = time.perf_counter()
     poses = init.poses
+    chord = np.diff(poses[:, :2], axis=0)
+    T0 = np.maximum(np.hypot(chord[:, 0], chord[:, 1]) / max(opts.init_speed, 1e-6), 0.1)
+    terms = [
+        ("energy", weights.energy, energy_cost_with_grads),
+        ("time", weights.time, lambda traj: time_cost_with_grads(traj.durations)),
+        ("deviation", weights.deviation, lambda traj: deviation_cost_with_grads(traj, init)),
+    ]
     boundary = Boundary.rest_to_rest(poses[0], poses[-1])
-    q0 = poses[1:-1].copy()
-    T0 = _seed_durations(poses, opts.init_speed)
-    n_int = q0.shape[0]
-
-    def fg(z):
-        q, tau = _unpack(z, n_int)
-        T = softplus(tau)
-        traj = build_minco(q, T, boundary)
-        e = energy_cost_with_grads(traj)
-        tc = time_cost_with_grads(T)
-        dev = deviation_cost_with_grads(traj, init)
-        terms = (weights.energy * e.value, weights.time * tc.value, weights.deviation * dev.value, 0.0, 0.0)
-        val = terms[0] + terms[1] + terms[2]
-        gq = weights.energy * e.grad_q + weights.time * tc.grad_q + weights.deviation * dev.grad_q
-        gT = weights.energy * e.grad_T + weights.time * tc.grad_T + weights.deviation * dev.grad_T
-        return val, _pack(gq, gT * _sigmoid(tau)), terms
-
-    z0 = _pack(q0, softplus_inverse(T0))
-    z, trace, converged, reason = _lbfgs(fg, z0, opts, _wolfe_search)
-    q, tau = _unpack(z, n_int)
-    traj = build_minco(q, softplus(tau), boundary)
-    return PlanReport(
-        trajectory=traj,
-        trace=trace,
-        wall_time_s=time.perf_counter() - t0,
-        converged=converged,
-        reason=reason,
-        stage="stage1",
-    )
+    return _optimize("stage1", poses[1:-1], T0, boundary, terms, opts, _wolfe_search)
 
 
 def check_feasibility(
@@ -510,52 +510,17 @@ def optimize_stage2(
 ) -> PlanReport:
     """Collision- and sweep-aware refinement starting from the stage-1 spline."""
     weights = weights or PlannerWeights()
-    opts = opts or PlanOptions()
     t0 = time.perf_counter()
-    boundary = traj.boundary
-    n_int = traj.waypoints.shape[0]
     neighbours = _NeighbourList(grid)
-
-    def fg(z):
-        q, tau = _unpack(z, n_int)
-        T = softplus(tau)
-        tr = build_minco(q, T, boundary)
-        e = energy_cost_with_grads(tr)
-        tc = time_cost_with_grads(T)
-        ob = obstacle_cost_with_grads(tr, grid, veh, weights.safety_margin, neighbours)
-        sv = sweep_cost_with_grads(tr)
-        terms = (
-            weights.energy * e.value, weights.time * tc.value, 0.0, weights.obstacle * ob.value, weights.sweep * sv.value
-        )
-        val = terms[0] + terms[1] + terms[3] + terms[4]
-        gq = (
-            weights.energy * e.grad_q
-            + weights.time * tc.grad_q
-            + weights.obstacle * ob.grad_q
-            + weights.sweep * sv.grad_q
-        )
-        gT = (
-            weights.energy * e.grad_T
-            + weights.time * tc.grad_T
-            + weights.obstacle * ob.grad_T
-            + weights.sweep * sv.grad_T
-        )
-        return val, _pack(gq, gT * _sigmoid(tau)), terms
-
-    z0 = _pack(traj.waypoints.copy(), softplus_inverse(np.maximum(traj.durations, T_MIN * 1.001)))
-    z, trace, converged, reason = _lbfgs(fg, z0, opts, _armijo_search)
-    q, tau = _unpack(z, n_int)
-    out = build_minco(q, softplus(tau), boundary)
-    feasible, min_clear = check_feasibility(out, grid, veh)
-    if not feasible:
-        reason += "; infeasible_result"
-    return PlanReport(
-        trajectory=out,
-        trace=trace,
-        wall_time_s=time.perf_counter() - t0,
-        converged=converged,
-        reason=reason,
-        stage="stage2",
-        feasible=feasible,
-        min_clearance=min_clear,
-    )
+    terms = [
+        ("energy", weights.energy, energy_cost_with_grads),
+        ("time", weights.time, lambda tr: time_cost_with_grads(tr.durations)),
+        ("obstacle", weights.obstacle, lambda tr: obstacle_cost_with_grads(tr, grid, veh, weights.safety_margin, neighbours)),
+        ("sweep", weights.sweep, sweep_cost_with_grads),
+    ]
+    report = _optimize("stage2", traj.waypoints, traj.durations, traj.boundary, terms, opts, _armijo_search)
+    report.feasible, report.min_clearance = check_feasibility(report.trajectory, grid, veh)
+    if not report.feasible:
+        report.reason += "; infeasible_result"
+    report.wall_time_s = time.perf_counter() - t0
+    return report

@@ -291,6 +291,16 @@ def test_cost_trace_columns_explain_convergence(straight_all):
         assert total == row[2]
 
 
+@pytest.mark.parametrize(
+    "stages, message", [(["plan", "metircs"], r"unknown stages \['metircs'\]"), ([], "no stages requested")]
+)
+def test_pipeline_rejects_bad_stage_lists_before_running(tmp_path, stages, message):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=message):
+        run_pipeline(parse_scenario(STRAIGHT), stages, str(out))
+    assert not out.exists()
+
+
 def test_plan_report_counts_steps_not_points(tmp_path):
     out = tmp_path / "out"
     sc = parse_scenario(_write(tmp_path, _minimal(planner={"max_iterations": 5})))

@@ -498,6 +498,42 @@ def test_trace_rows_account_for_every_evaluation(name, monkeypatch):
     assert (len(queries) == 0) if name == "straight" else (0 < len(queries) <= n2 // 10)
 
 
+def test_stage_terms_call_the_module_bindings(veh, monkeypatch):
+    """Each stage calls its cost terms through sweptplan.planner's bindings,
+    once per evaluation, so a wrapper installed after import sees every call;
+    a stage never calls a term it lacks."""
+    bindings = {
+        "energy": "energy_cost_with_grads",
+        "time": "time_cost_with_grads",
+        "deviation": "deviation_cost_with_grads",
+        "obstacle": "obstacle_cost_with_grads",
+        "sweep": "sweep_cost_with_grads",
+    }
+    calls = dict.fromkeys(bindings, 0)
+
+    def counted(term, fn):
+        def wrapper(*args, **kwargs):
+            calls[term] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for term, attr in bindings.items():
+        monkeypatch.setattr(planner, attr, counted(term, getattr(planner, attr)))
+    grid = rasterize_obstacles([Box(3.8, -0.4, 4.2, 0.0)], (-2.0, -4.0, 12.0, 4.0), 0.2)
+    opts = PlanOptions(max_iterations=30)
+    r1 = optimize_stage1(_line_init(), PlannerWeights(), opts)
+    seen1 = dict(calls)
+    r2 = optimize_stage2(r1.trajectory, grid, veh, PlannerWeights(), opts)
+    seen2 = {term: calls[term] - seen1[term] for term in bindings}
+    assert r2.trace[:, TRACE_COLUMNS.index("obstacle")].max() > 0.0  # the hinge is active
+    present = {"stage1": ("energy", "time", "deviation"), "stage2": ("energy", "time", "obstacle", "sweep")}
+    for report, seen in ((r1, seen1), (r2, seen2)):
+        evals = int(report.trace[:, TRACE_COLUMNS.index("evals")].sum())
+        assert evals > 1
+        assert seen == {term: evals if term in present[report.stage] else 0 for term in bindings}
+
+
 def test_capped_run_reports_the_cap(veh):
     init = _line_init()
     grid = rasterize_obstacles([Box(3.8, -0.4, 4.2, 0.0)], (-2.0, -4.0, 12.0, 4.0), 0.2)
