@@ -487,17 +487,13 @@ def _plan_init(sc: Scenario, grid: GridMap):
 
 
 def _report_entry(report) -> dict:
-    """One stage's plan_report.json entry; a checked stage adds its feasibility."""
-    entry = {
+    """The plan_report.json keys every stage has."""
+    return {
         "converged": report.converged,
         "reason": report.reason,
         "iterations": report.iterations,
         "final_cost": report.cost_trace[-1],
     }
-    if report.feasible is not None:
-        entry["feasible"] = report.feasible
-        entry["min_clearance"] = report.min_clearance if math.isfinite(report.min_clearance) else None
-    return entry
 
 
 def _stage_plan(sc: Scenario, out_dir: str, seed) -> tuple:
@@ -516,7 +512,11 @@ def _stage_plan(sc: Scenario, out_dir: str, seed) -> tuple:
         "scenario": sc.echo,
         "seed": seed,
         "stage1": _report_entry(report1),
-        "stage2": _report_entry(report2),
+        "stage2": {
+            **_report_entry(report2),
+            "feasible": report2.feasible,
+            "min_clearance": report2.min_clearance if math.isfinite(report2.min_clearance) else None,
+        },
         "total_time_s": traj.total_time,
     }
     _write_json(os.path.join(out_dir, "plan_report.json"), doc)

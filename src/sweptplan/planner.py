@@ -421,16 +421,16 @@ def _lbfgs(fg, x0, opts: PlanOptions, search):
 # stage drivers
 
 
-def _optimize(stage, q0, T0, boundary, terms, opts, search) -> PlanReport:
+def _optimize(stage, t0, q0, T0, boundary, terms, opts, search, check=None) -> PlanReport:
     """One stage's L-BFGS over knots q and durations T = softplus(tau) >= T_MIN.
 
     terms lists (TRACE_COLUMNS name, weight, cost(traj)) in column order; the
     cost and both gradients sum the weighted terms left to right, and a term
     not listed traces as 0.0. Callers build terms per call, not at import, so
     each row calls the module binding current then (a wrapper included).
+    wall_time_s runs from the caller's t0 to the end of check(traj), which, if
+    given, returns the result's (feasible, min_clearance).
     """
-    opts = opts or PlanOptions()
-    t0 = time.perf_counter()
     n_q = q0.size
 
     def fg(z):
@@ -447,13 +447,19 @@ def _optimize(stage, q0, T0, boundary, terms, opts, search) -> PlanReport:
 
     z0 = np.concatenate([q0.ravel(), softplus_inverse(np.maximum(T0, T_MIN * 1.001))])
     z, trace, converged, reason = _lbfgs(fg, z0, opts, search)
+    out = build_minco(z[:n_q].reshape(-1, 3), softplus(z[n_q:]), boundary)
+    feasible, min_clear = check(out) if check else (None, None)
+    if feasible is False:
+        reason += "; infeasible_result"
     return PlanReport(
-        trajectory=build_minco(z[:n_q].reshape(-1, 3), softplus(z[n_q:]), boundary),
+        trajectory=out,
         trace=trace,
         wall_time_s=time.perf_counter() - t0,
         converged=converged,
         reason=reason,
         stage=stage,
+        feasible=feasible,
+        min_clearance=min_clear,
     )
 
 
@@ -464,8 +470,10 @@ def optimize_stage1(
 ) -> PlanReport:
     """Smooth fit to the grid route: energy + time + anchor deviation."""
     weights = weights or PlannerWeights()
+    opts = opts or PlanOptions()
     if init.count < 3:
         raise SizeMismatch("need at least 3 poses (one interior knot) to optimize")
+    t0 = time.perf_counter()
     poses = init.poses
     chord = np.diff(poses[:, :2], axis=0)
     T0 = np.maximum(np.hypot(chord[:, 0], chord[:, 1]) / max(opts.init_speed, 1e-6), 0.1)
@@ -475,7 +483,7 @@ def optimize_stage1(
         ("deviation", weights.deviation, lambda traj: deviation_cost_with_grads(traj, init)),
     ]
     boundary = Boundary.rest_to_rest(poses[0], poses[-1])
-    return _optimize("stage1", poses[1:-1], T0, boundary, terms, opts, _wolfe_search)
+    return _optimize("stage1", t0, poses[1:-1], T0, boundary, terms, opts, _wolfe_search)
 
 
 def check_feasibility(
@@ -510,6 +518,7 @@ def optimize_stage2(
 ) -> PlanReport:
     """Collision- and sweep-aware refinement starting from the stage-1 spline."""
     weights = weights or PlannerWeights()
+    opts = opts or PlanOptions()
     t0 = time.perf_counter()
     neighbours = _NeighbourList(grid)
     terms = [
@@ -518,9 +527,7 @@ def optimize_stage2(
         ("obstacle", weights.obstacle, lambda tr: obstacle_cost_with_grads(tr, grid, veh, weights.safety_margin, neighbours)),
         ("sweep", weights.sweep, sweep_cost_with_grads),
     ]
-    report = _optimize("stage2", traj.waypoints, traj.durations, traj.boundary, terms, opts, _armijo_search)
-    report.feasible, report.min_clearance = check_feasibility(report.trajectory, grid, veh)
-    if not report.feasible:
-        report.reason += "; infeasible_result"
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+    return _optimize(
+        "stage2", t0, traj.waypoints, traj.durations, traj.boundary, terms, opts, _armijo_search,
+        lambda out: check_feasibility(out, grid, veh),
+    )

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -532,6 +533,34 @@ def test_stage_terms_call_the_module_bindings(veh, monkeypatch):
         evals = int(report.trace[:, TRACE_COLUMNS.index("evals")].sum())
         assert evals > 1
         assert seen == {term: evals if term in present[report.stage] else 0 for term in bindings}
+
+
+def test_stages_run_with_default_weights_and_options(veh):
+    """Weights and options may be omitted; each stage then uses the defaults."""
+    grid = rasterize_obstacles([Box(3.8, -0.4, 4.2, 0.0)], (-2.0, -4.0, 12.0, 4.0), 0.2)
+    r1 = optimize_stage1(_line_init())
+    r2 = optimize_stage2(r1.trajectory, grid, veh)
+    assert (r1.stage, r2.stage) == ("stage1", "stage2")
+    assert 0 < r1.iterations <= PlanOptions().max_iterations
+    assert 0 < r2.iterations <= PlanOptions().max_iterations
+    assert r2.feasible is not None and r2.min_clearance is not None
+
+
+def test_stage2_wall_time_covers_the_feasibility_check(veh, monkeypatch):
+    """Stage 2's one clock runs from its setup through check_feasibility."""
+    check = planner.check_feasibility
+
+    def slow_check(*args):
+        time.sleep(0.2)
+        return check(*args)
+
+    monkeypatch.setattr(planner, "check_feasibility", slow_check)
+    grid = rasterize_obstacles([Box(3.8, -0.4, 4.2, 0.0)], (-2.0, -4.0, 12.0, 4.0), 0.2)
+    opts = PlanOptions(max_iterations=5)
+    r1 = optimize_stage1(_line_init(), PlannerWeights(), opts)
+    r2 = optimize_stage2(r1.trajectory, grid, veh, PlannerWeights(), opts)
+    assert r2.wall_time_s >= 0.2
+    assert r1.feasible is None and r2.feasible is not None
 
 
 def test_capped_run_reports_the_cap(veh):
