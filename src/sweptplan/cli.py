@@ -367,20 +367,24 @@ def _write_csv(path: str, header: list, rows) -> None:
 def write_field_csv(path: str, field: SweptField) -> None:
     """Rows in fixed (ix outer, iy inner) order so files compare bytewise.
 
-    Each distinct x and y is formatted once. Rows are built one grid column
-    at a time, so the text held in memory stays one column long.
+    Each distinct x, y and t* is formatted once; t* is told apart by its
+    bits, so -0.0 and 0.0 keep their own text. Unrefined cells hold one of
+    the coarse sample times, so few t* are distinct. Rows are built one grid
+    column at a time, so the text held in memory stays one column long.
     """
     cx = field.origin[0] + (np.arange(field.width) + 0.5) * field.resolution
     cy = field.origin[1] + (np.arange(field.height) + 0.5) * field.resolution
     ys = [f"{y!r}," for y in cy.tolist()]
     f_star = np.asarray(field.f_star, dtype=float)
-    t_star = np.asarray(field.t_star, dtype=float)
+    t_bits, t_index = np.unique(np.ascontiguousarray(field.t_star, dtype=float).view(np.int64), return_inverse=True)
+    t_text = [f",{t!r}\n" for t in t_bits.view(np.float64).tolist()]
+    t_index = t_index.reshape(f_star.shape)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,f_star,t_star\n")
         for ix, x in enumerate(cx.tolist()):
             xr = f"{x!r},"
-            column = zip(ys, f_star[ix].tolist(), t_star[ix].tolist())
-            fh.write("".join([f"{xr}{y}{f!r},{t!r}\n" for y, f, t in column]))
+            column = zip(ys, f_star[ix].tolist(), [t_text[i] for i in t_index[ix].tolist()])
+            fh.write("".join([f"{xr}{y}{f!r}{t}" for y, f, t in column]))
 
 
 def load_field_csv(path: str) -> SweptField:

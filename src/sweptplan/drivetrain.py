@@ -4,6 +4,8 @@ Each wheel's linear velocity follows from the body twist by rigid-body
 kinematics; the steering angle is folded into (-pi/2, pi/2] with a signed
 wheel speed so modules never swing more than a quarter turn. The inverse map
 (least squares over all wheels) reconstructs the body twist for verification.
+A wheel slower than STEER_HOLD_SPEED keeps its previous steering angle, since
+the direction of its velocity is then rounding noise.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+STEER_HOLD_SPEED = 1e-6  # m/s; a slower wheel keeps its previous steering angle
 
 
 class RankDeficient(Exception):
@@ -40,12 +44,17 @@ def wheel_velocity(u_body: np.ndarray, wheel_xy: np.ndarray, paper_matrix: bool 
     return np.array([vx - w * yw, vy + w * xw])
 
 
-def fold_steering(v: np.ndarray) -> WheelCommand:
-    """Fold a wheel velocity vector into a (-pi/2, pi/2] steering angle and signed speed."""
-    speed = math.hypot(float(v[0]), float(v[1]))
-    if speed == 0.0:
-        return WheelCommand(gamma=0.0, speed=0.0)
-    gamma = math.atan2(float(v[1]), float(v[0]))
+def fold_steering(v: np.ndarray, prev_gamma: float = 0.0) -> WheelCommand:
+    """Fold a wheel velocity vector into a (-pi/2, pi/2] steering angle and signed speed.
+
+    Below STEER_HOLD_SPEED the wheel keeps prev_gamma and drives at v's
+    component along it, instead of steering to the atan2 of rounding noise.
+    """
+    vx, vy = float(v[0]), float(v[1])
+    speed = math.hypot(vx, vy)
+    if speed < STEER_HOLD_SPEED:
+        return WheelCommand(gamma=prev_gamma, speed=vx * math.cos(prev_gamma) + vy * math.sin(prev_gamma))
+    gamma = math.atan2(vy, vx)
     if gamma > math.pi / 2.0:
         return WheelCommand(gamma=gamma - math.pi, speed=-speed)
     if gamma <= -math.pi / 2.0:
@@ -53,11 +62,17 @@ def fold_steering(v: np.ndarray) -> WheelCommand:
     return WheelCommand(gamma=gamma, speed=speed)
 
 
-def allocate(u_body: np.ndarray, veh, paper_matrix: bool = False) -> list[WheelCommand]:
-    """Steering/speed commands for every wheel under the body twist."""
+def allocate(u_body: np.ndarray, veh, paper_matrix: bool = False, prev_gamma=None) -> list[WheelCommand]:
+    """Steering/speed commands for every wheel under the body twist.
+
+    prev_gamma holds each wheel's previous steering angle (zeros when None),
+    kept by the wheels slower than STEER_HOLD_SPEED.
+    """
+    wheels = np.atleast_2d(np.asarray(veh.wheel_positions, dtype=float))
+    held = [0.0] * wheels.shape[0] if prev_gamma is None else [float(g) for g in prev_gamma]
     return [
-        fold_steering(wheel_velocity(u_body, w, paper_matrix=paper_matrix))
-        for w in np.atleast_2d(np.asarray(veh.wheel_positions, dtype=float))
+        fold_steering(wheel_velocity(u_body, w, paper_matrix=paper_matrix), g)
+        for w, g in zip(wheels, held, strict=True)
     ]
 
 

@@ -17,6 +17,11 @@ rows shifted to match (`_shift_start`; Ferreau, Bock and Diehl, IJRNC 2008).
 The previous optimum is then feasible up to rounding and mostly tight where
 the new optimum is, so a step takes a few active-set iterations instead of
 rebuilding its working set one row per iteration from `_feasible_start`.
+
+Each active-set step is taken in the range space of H (Nocedal and Wright,
+Numerical Optimization, section 16.5). H^-1 is formed once per distinct H
+and cached, and H^-1 g once per solve; an iteration then solves only the
+k x k system A_w H^-1 A_w^T for the working set's multipliers, by Cholesky.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .geometry import Pose2, wrap_angle
 
@@ -254,6 +260,34 @@ def _shift_start(prob: MpcProblem, x: np.ndarray, active_set) -> tuple[np.ndarra
     return np.concatenate([x[NU:], x[-NU:]]), tuple(rows)
 
 
+@functools.lru_cache(maxsize=16)
+def _hessian_inverse(n: int, h: bytes) -> np.ndarray:
+    """Read-only H^-1 = L^-T L^-1 from the Cholesky factor of the (n, n) H with these bytes.
+
+    A Hessian that is not positive definite raises np.linalg.LinAlgError.
+    """
+    l_inv = np.linalg.inv(np.linalg.cholesky(np.frombuffer(h).reshape(n, n)))
+    h_inv = l_inv.T @ l_inv
+    h_inv.flags.writeable = False
+    return h_inv
+
+
+def _range_space_step(h_inv: np.ndarray, y: np.ndarray, aw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Step p and multipliers lam of the working-set KKT system, with y = x + H^-1 g.
+
+    [H aw^T; aw 0] [p; lam] = [-(H x + g); 0] gives aw H^-1 aw^T lam = -aw y
+    and p = -y - H^-1 aw^T lam. A working-set matrix that Cholesky cannot
+    factor (dependent rows) raises np.linalg.LinAlgError.
+    """
+    if not aw.shape[0]:
+        return -y, np.zeros(0)
+    w = aw @ h_inv
+    _, lam, info = dposv(w @ aw.T, -(aw @ y))
+    if info:
+        raise np.linalg.LinAlgError(f"working-set matrix is not positive definite (dposv info {info})")
+    return -y - w.T @ lam, lam
+
+
 def solve_qp(prob: MpcProblem, start=None, full_output: bool = False):
     """Primal active-set solve of min 1/2 u^T H u + g^T u under box/rate constraints.
 
@@ -263,12 +297,19 @@ def solve_qp(prob: MpcProblem, start=None, full_output: bool = False):
     rows that are tight within 1e-10. Otherwise, and when start is None, the
     solve starts cold: from `_feasible_start` with an empty working set.
 
+    Each step comes from `_range_space_step` on H^-1, which is cached per
+    distinct H, so a closed loop inverts its Hessian once; H^-1 g is formed
+    once per solve. An H that is not positive definite, or a working set
+    with dependent rows, raises np.linalg.LinAlgError.
+
     Returns the stacked input vector; with full_output=True also a dict with
     iterations, the final active set, KKT residual, and a status of "optimal"
     or "max_iterations" (best feasible iterate). Ties break on the lowest
     constraint index so identical problems reproduce identical paths.
     """
     n = NU * prob.nc
+    h_inv = _hessian_inverse(n, np.asarray(prob.H, dtype=float).tobytes())
+    h_inv_g = h_inv @ prob.g
     a_mat, b_vec = _constraint_rows(prob)
     m = a_mat.shape[0]
     work: list[int] = []
@@ -286,20 +327,9 @@ def solve_qp(prob: MpcProblem, start=None, full_output: bool = False):
     lam_full = np.zeros(m)
     for it in range(max_iter):
         # Equality-constrained step on the working set.
-        k = len(work)
-        kkt = np.zeros((n + k, n + k))
-        kkt[:n, :n] = prob.H
-        rhs = np.zeros(n + k)
-        rhs[:n] = -(prob.H @ x + prob.g)
-        if k:
-            aw = a_mat[work]
-            kkt[:n, n:] = aw.T
-            kkt[n:, :n] = aw
-        sol = np.linalg.solve(kkt, rhs)
-        p = sol[:n]
-        lam = sol[n:]
+        p, lam = _range_space_step(h_inv, x + h_inv_g, a_mat[work])
         if float(np.abs(p).max(initial=0.0)) <= step_tol:
-            if k == 0 or lam.min() >= -1e-9:
+            if not work or lam.min() >= -1e-9:
                 status = "optimal"
                 lam_full = np.zeros(m)
                 lam_full[work] = lam
@@ -340,10 +370,20 @@ def solve_qp(prob: MpcProblem, start=None, full_output: bool = False):
     return x
 
 
+def reference_windows(traj, ts: np.ndarray, cfg: MpcConfig) -> np.ndarray:
+    """(len(ts), Np, 3) references at the Np control steps after each time in ts, in one sample call.
+
+    Each window is t + dt * (1..Np), clipped to [0, total_time], so past the
+    end it holds the trajectory's final pose.
+    """
+    ts = np.asarray(ts, dtype=float)
+    ahead = np.clip(ts[:, None] + cfg.dt * np.arange(1, cfg.horizon + 1), 0.0, traj.total_time)
+    return traj.sample(ahead.ravel(), 0).reshape(ts.shape[0], cfg.horizon, NU)
+
+
 def mpc_step(
     state: Pose2,
-    traj,
-    t_now: float,
+    ref: np.ndarray,
     u_prev: np.ndarray,
     cfg: MpcConfig,
     start=None,
@@ -351,16 +391,17 @@ def mpc_step(
 ):
     """One receding-horizon update: returns the first commanded twist (world frame).
 
-    The reference is the trajectory sampled at the next Np steps (clamped to
-    its final pose past the end) with headings unwrapped relative to the
-    current state so the QP never sees a branch jump. start is passed to
-    `solve_qp`; with full_output=True the info dict also holds "next_start",
-    this solution shifted one control step for the next update, which must
-    use the same config and take the returned twist as its u_prev.
+    ref is the (Np, 3) reference sampled at the next Np steps, clamped to the
+    trajectory's final pose past its end (`reference_windows` samples a
+    whole run's windows at once). Its headings are unwrapped here relative
+    to the current state so the QP never sees a branch jump. start is passed
+    to `solve_qp`; with full_output=True the info dict also holds
+    "next_start", this solution shifted one control step for the next
+    update, which must use the same config and take the returned twist as
+    its u_prev.
     """
     np_ = cfg.horizon
-    ts = t_now + cfg.dt * np.arange(1, np_ + 1)
-    ref = traj.sample(np.clip(ts, 0.0, traj.total_time), 0).copy()
+    ref = np.array(ref, dtype=float).reshape(np_, NU)
     prev_phi = state.phi
     for i in range(np_):
         ref[i, 2] = prev_phi + wrap_angle(ref[i, 2] - prev_phi)

@@ -1,12 +1,15 @@
 """Deterministic kinematic closed-loop simulation and tracking metrics.
 
 The plant integrates the commanded world-frame twist exactly (x += dt*Vx and
-so on, heading wrapped). Each control step samples the reference, runs the
-tracking QP from the previous step's solution shifted one step, optionally
+so on, heading wrapped). The references of a whole run, the current pose at
+each control step and every step's horizon window, are sampled once before
+the loop, one sample call each. Each control step then runs the tracking QP
+on its window from the previous step's solution shifted one step, optionally
 low-passes the command to emulate actuation lag, allocates wheel states for
-the log, and advances the plant. Metrics compare the driven path's swept
-area, a certified count of its f* <= 0 cells on a given grid (the sweep
-stage's), against the ribbon baseline and summarize tracking errors.
+the log (a wheel too slow to have a direction keeps its previous angle), and
+advances the plant. Metrics compare the driven path's swept area, a
+certified count of its f* <= 0 cells on a given grid (the sweep stage's),
+against the ribbon baseline and summarize tracking errors.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .drivetrain import allocate
 from .geometry import Pose2, VehicleParams, to_body_frame, wrap_angle
-from .mpc import MpcConfig, mpc_step
+from .mpc import MpcConfig, mpc_step, reference_windows
 from .sweptfield import LinearPosePath, SweepCount, count_swept_cells, ribbon_report
 
 
@@ -117,7 +120,7 @@ def run_closed_loop(
     knots = np.vstack([traj.boundary.start[0][:2], traj.waypoints[:, :2], traj.boundary.end[0][:2]])
 
     m = steps + 1
-    out_t = np.empty(m)
+    out_t = np.arange(m) * dt
     out_pose = np.empty((m, 3))
     out_ref = np.empty((m, 3))
     # The step where mpc_step raises keeps NaN commands and wheel states.
@@ -129,11 +132,9 @@ def run_closed_loop(
     qp_log = []
     aborted = None
 
-    if start_pose is None:
-        start = traj.sample(np.array([0.0]), 0)[0]
-        pose = Pose2(start[0], start[1], start[2])
-    else:
-        pose = start_pose
+    refs = traj.sample(np.minimum(out_t, traj.total_time), 0)
+    windows = reference_windows(traj, out_t, mpc_cfg)
+    pose = Pose2(*refs[0]) if start_pose is None else start_pose
     u_prev = np.zeros(3)
     u_applied = np.zeros(3)
     start = None  # the previous solution shifted one step; opaque here
@@ -143,17 +144,16 @@ def run_closed_loop(
         lag_alpha = 1.0
 
     mpc_s = alloc_s = 0.0
+    gamma = [0.0] * n_w  # each wheel's last steering angle, kept while it stands still
     for k in range(m):
-        t = k * dt
-        ref = traj.sample(np.array([min(t, traj.total_time)]), 0)[0]
-        out_t[k] = t
+        ref = refs[k]
         out_pose[k] = pose.as_array()
         out_ref[k] = [ref[0], ref[1], wrap_angle(ref[2])]
         out_ey[k] = signed_lateral_error(pose.position, knots)
         out_ephi[k] = wrap_angle(pose.phi - ref[2])
         t0 = time.perf_counter()
         try:
-            u, info = mpc_step(pose, traj, t, u_prev, mpc_cfg, start=start, full_output=True)
+            u, info = mpc_step(pose, windows[k], u_prev, mpc_cfg, start=start, full_output=True)
             start = info["next_start"]
             qp_log.append((int(info["status"] == "optimal"), info["iterations"], len(info["active_set"])))
         except Exception as exc:  # noqa: BLE001 - the trace records the failure mode
@@ -168,9 +168,9 @@ def run_closed_loop(
         v_body = to_body_frame(u_applied[0], u_applied[1], math.cos(pose.phi), math.sin(pose.phi))
         u_body = np.array([v_body[0], v_body[1], u_applied[2]])
         t0 = time.perf_counter()
-        cmds = allocate(u_body, veh, paper_matrix=sim_cfg.paper_wheel_matrix)
+        cmds = allocate(u_body, veh, paper_matrix=sim_cfg.paper_wheel_matrix, prev_gamma=gamma)
         alloc_s += time.perf_counter() - t0
-        out_g[k] = [cmd.gamma for cmd in cmds]
+        out_g[k] = gamma = [cmd.gamma for cmd in cmds]
         out_s[k] = [cmd.speed for cmd in cmds]
         if k < steps:
             pose = plant_step(pose, u_applied, dt)

@@ -11,7 +11,8 @@ hot paths written one entry and one pair at a time. The vectorized library
 code performs the same floating-point operations in the same order, so the
 tests compare the two with exact equality. The loop forms of the MPC (per-step
 QP assembly, row-by-row constraints and start shift, scalar ratio test) share
-only the data containers and the feasible-start routine with the library.
+only the data containers, the feasible-start routine and the range-space step
+with the library; `kkt_step_dense` is the independent check of that step.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from sweptplan.geometry import footprint_sdf_batch, footprint_sdf_values, to_body_frame, wrap_angle
-from sweptplan.mpc import NU, MpcProblem, _feasible_start
+from sweptplan.mpc import NU, MpcProblem, _feasible_start, _hessian_inverse, _range_space_step
 
 
 def rect_boundary_points(length: float, width: float, n: int) -> np.ndarray:
@@ -631,11 +632,32 @@ def shift_start_loop(prob: MpcProblem, x, active_set):
     return x0, tuple(rows)
 
 
-def solve_qp_scalar(prob: MpcProblem, start=None, full_output: bool = False):
-    """Primal active-set solve whose ratio test visits one row at a time."""
+def kkt_step_dense(prob: MpcProblem, x, aw):
+    """Step and multipliers from one dense LU solve of the working-set KKT system."""
+    n, k = NU * prob.nc, aw.shape[0]
+    kkt = np.zeros((n + k, n + k))
+    kkt[:n, :n] = prob.H
+    rhs = np.zeros(n + k)
+    rhs[:n] = -(prob.H @ x + prob.g)
+    if k:
+        kkt[:n, n:] = aw.T
+        kkt[n:, :n] = aw
+    sol = np.linalg.solve(kkt, rhs)
+    return sol[:n], sol[n:]
+
+
+def solve_qp_scalar(prob: MpcProblem, start=None, full_output: bool = False, dense_kkt: bool = False):
+    """Primal active-set solve whose ratio test visits one row at a time.
+
+    Steps come from the library's range-space step on its cached H^-1, or
+    with dense_kkt=True from `kkt_step_dense`.
+    """
     n = NU * prob.nc
     a_mat, b_vec = constraint_rows_loop(prob)
     m = a_mat.shape[0]
+    if not dense_kkt:
+        h_inv = _hessian_inverse(n, np.asarray(prob.H, dtype=float).tobytes())
+        h_inv_g = h_inv @ prob.g
     work = []
     if start is not None and all(float(a_mat[i] @ start[0]) - b_vec[i] < 1e-10 for i in range(m)):
         x = start[0]
@@ -651,17 +673,10 @@ def solve_qp_scalar(prob: MpcProblem, start=None, full_output: bool = False):
     lam_full = np.zeros(m)
     for it in range(max_iter):
         k = len(work)
-        kkt = np.zeros((n + k, n + k))
-        kkt[:n, :n] = prob.H
-        rhs = np.zeros(n + k)
-        rhs[:n] = -(prob.H @ x + prob.g)
-        if k:
-            aw = a_mat[work]
-            kkt[:n, n:] = aw.T
-            kkt[n:, :n] = aw
-        sol = np.linalg.solve(kkt, rhs)
-        p = sol[:n]
-        lam = sol[n:]
+        if dense_kkt:
+            p, lam = kkt_step_dense(prob, x, a_mat[work])
+        else:
+            p, lam = _range_space_step(h_inv, x + h_inv_g, a_mat[work])
         if float(np.abs(p).max(initial=0.0)) <= step_tol:
             if k == 0 or lam.min() >= -1e-9:
                 status = "optimal"
@@ -695,11 +710,10 @@ def solve_qp_scalar(prob: MpcProblem, start=None, full_output: bool = False):
     return (x, info) if full_output else x
 
 
-def mpc_step_per_step(state, traj, t_now, u_prev, cfg, start=None, full_output: bool = False):
-    """One MPC update through build_qp_per_step, solve_qp_scalar and shift_start_loop."""
+def mpc_step_per_step(state, ref, u_prev, cfg, start=None, full_output: bool = False):
+    """One MPC update on a sampled (Np, 3) window through build_qp_per_step, solve_qp_scalar and shift_start_loop."""
     np_ = cfg.horizon
-    ts = t_now + cfg.dt * np.arange(1, np_ + 1)
-    ref = traj.sample(np.clip(ts, 0.0, traj.total_time), 0).copy()
+    ref = np.array(ref, dtype=float)
     prev_phi = state.phi
     for i in range(np_):
         ref[i, 2] = prev_phi + wrap_angle(ref[i, 2] - prev_phi)

@@ -530,6 +530,17 @@ def test_field_csv_bytes_equal_per_value_writer(tmp_path, shape, origin):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_field_csv_formats_signed_zero_and_nan_times_apart(tmp_path):
+    # t* is formatted once per distinct value, told apart by bits: -0.0 and
+    # 0.0 compare equal but print differently
+    t_star = np.array([[0.0, -0.0, 0.0, math.nan], [-0.0, 2.5, math.nan, 2.5]])
+    field = _field(np.zeros_like(t_star), t_star)
+    write_field_csv(str(tmp_path / "a.csv"), field)
+    _write_field_per_value(str(tmp_path / "b.csv"), field)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert [row.rsplit(",", 1)[1] for row in (tmp_path / "a.csv").read_text().splitlines()[1:4]] == ["0.0", "-0.0", "0.0"]
+
+
 def test_metrics_stage_samples_the_driven_footprint_once(tmp_path, straight_all, monkeypatch):
     # The metrics stage takes one 512-pose footprint sample, of the driven path.
     out = tmp_path / "out"

@@ -5,9 +5,11 @@ import numpy.testing as npt
 import pytest
 
 from sweptplan.drivetrain import (
+    STEER_HOLD_SPEED,
     RankDeficient,
     WheelCommand,
     allocate,
+    fold_steering,
     reconstruct_twist,
     wheel_velocity,
 )
@@ -50,6 +52,31 @@ def test_zero_twist(veh):
     for c in allocate(np.zeros(3), veh):
         assert c.gamma == 0.0
         assert c.speed == 0.0
+
+
+def test_slow_wheel_keeps_its_previous_angle():
+    # below the threshold the direction is noise: keep the angle, drive along it
+    v = np.array([-3e-9, 4e-9])
+    cmd = fold_steering(v, prev_gamma=0.3)
+    assert cmd.gamma == 0.3
+    npt.assert_allclose(cmd.speed, v @ [math.cos(0.3), math.sin(0.3)], rtol=1e-15)
+    assert fold_steering(np.zeros(2), prev_gamma=-1.2) == WheelCommand(gamma=-1.2, speed=0.0)
+    # at the threshold the wheel steers again, whatever it held
+    at = np.array([0.0, -STEER_HOLD_SPEED])
+    assert fold_steering(at, prev_gamma=0.3) == fold_steering(at) == WheelCommand(math.pi / 2.0, -STEER_HOLD_SPEED)
+
+
+def test_allocate_holds_per_wheel(veh):
+    # a pure rotation about the first wheel stops only that wheel
+    xw, yw = veh.wheel_positions[0]
+    u = np.array([yw, -xw, 1.0]) * 0.5
+    prev = np.linspace(-1.0, 1.0, len(veh.wheel_positions))
+    cmds = allocate(u, veh, prev_gamma=prev)
+    assert cmds[0] == WheelCommand(gamma=prev[0], speed=0.0)
+    for got, free in zip(cmds[1:], allocate(u, veh)[1:]):
+        assert got == free
+    with pytest.raises(ValueError):
+        allocate(u, veh, prev_gamma=prev[:-1])
 
 
 def test_gamma_range(veh, rng):

@@ -27,6 +27,7 @@ from sweptplan.mpc import (
     build_prediction,
     build_qp,
     mpc_step,
+    reference_windows,
     solve_qp,
 )
 
@@ -246,13 +247,30 @@ def test_heading_wrap_mismatch_rejected():
         build_qp(Pose2(0.0, 0.0, 0.0), ref, np.zeros(3), cfg)
 
 
+def _window(traj, t_now, cfg):
+    return reference_windows(traj, np.array([t_now]), cfg)[0]
+
+
+def test_reference_windows_match_per_step_sampling(line_traj):
+    # the expressions the loop used to evaluate once per step, past the end too
+    cfg = _cfg(dt=0.05, horizon=20)
+    ts = np.arange(int(round((line_traj.total_time + 1.5) / cfg.dt)) + 1) * cfg.dt
+    windows = reference_windows(line_traj, ts, cfg)
+    assert windows.shape == (ts.size, 20, 3)
+    for k in range(ts.size):
+        t_now = k * cfg.dt
+        ahead = t_now + cfg.dt * np.arange(1, cfg.horizon + 1)
+        assert _same_bits(windows[k], line_traj.sample(np.clip(ahead, 0.0, line_traj.total_time), 0))
+    npt.assert_array_equal(windows[-1], np.tile(line_traj.eval(line_traj.total_time, 0), (20, 1)))
+
+
 def test_mpc_step_zero_on_reference(veh):
     pose = (3.0, 1.0, 0.4)
     from sweptplan.minco import Boundary, build_minco
 
     traj = build_minco(np.zeros((0, 3)), np.array([4.0]), Boundary.rest_to_rest(pose, pose))
     cfg = _cfg()
-    u = mpc_step(Pose2(*pose), traj, 0.5, np.zeros(3), cfg)
+    u = mpc_step(Pose2(*pose), _window(traj, 0.5, cfg), np.zeros(3), cfg)
     npt.assert_allclose(u, 0.0, atol=1e-8)
 
 
@@ -261,8 +279,9 @@ def test_mpc_step_lag_speeds_up(line_traj):
     t_now = 3.0
     on_ref = Pose2(*line_traj.eval(t_now, 0))
     lagging = Pose2(on_ref.x - 0.1, on_ref.y, on_ref.phi)
-    u_ref = mpc_step(on_ref, line_traj, t_now, np.array([1.0, 0.0, 0.0]), cfg)
-    u_lag = mpc_step(lagging, line_traj, t_now, np.array([1.0, 0.0, 0.0]), cfg)
+    window = _window(line_traj, t_now, cfg)
+    u_ref = mpc_step(on_ref, window, np.array([1.0, 0.0, 0.0]), cfg)
+    u_lag = mpc_step(lagging, window, np.array([1.0, 0.0, 0.0]), cfg)
     assert u_lag[0] > u_ref[0] + 0.1
 
 
@@ -274,7 +293,7 @@ def test_mpc_step_respects_zero_bounds(line_traj):
         u_min=np.full(3, -1e-12),
         u_max=np.full(3, 1e-12),
     )
-    u = mpc_step(Pose2(0.0, 0.0, 0.0), line_traj, 2.0, np.zeros(3), cfg)
+    u = mpc_step(Pose2(0.0, 0.0, 0.0), _window(line_traj, 2.0, cfg), np.zeros(3), cfg)
     npt.assert_allclose(u, 0.0, atol=1e-11)
 
 
@@ -285,15 +304,15 @@ def test_mpc_step_stationary_on_constant_reference():
     traj = build_minco(np.zeros((0, 3)), np.array([6.0]), Boundary.rest_to_rest(pose, pose))
     cfg = _cfg()
     state = Pose2(1.3, -2.2, 0.1)
-    u1 = mpc_step(state, traj, 1.0, np.zeros(3), cfg)
-    u2 = mpc_step(state, traj, 2.5, np.zeros(3), cfg)
+    u1 = mpc_step(state, _window(traj, 1.0, cfg), np.zeros(3), cfg)
+    u2 = mpc_step(state, _window(traj, 2.5, cfg), np.zeros(3), cfg)
     npt.assert_allclose(u1, u2, atol=1e-8)
 
 
 def test_mpc_step_reference_past_end_clamps(line_traj):
     cfg = _cfg()
     end = line_traj.eval(line_traj.total_time, 0)
-    u = mpc_step(Pose2(*end), line_traj, line_traj.total_time + 5.0, np.zeros(3), cfg)
+    u = mpc_step(Pose2(*end), _window(line_traj, line_traj.total_time + 5.0, cfg), np.zeros(3), cfg)
     npt.assert_allclose(u, 0.0, atol=1e-8)
 
 
@@ -378,6 +397,83 @@ def test_solve_qp_matches_scalar_ratio_test(nc, g_scale):
         _assert_same_solve(prob, start=(x, info["active_set"]))
         nxt = dataclasses.replace(prob, g=g_scale * rng.standard_normal(3 * nc), u_prev=x[:3])
         _assert_same_solve(nxt, start=_shift_start(prob, x, info["active_set"]))
+
+
+def _range_space_and_dense_agree(prob, start=None):
+    """solve_qp against the dense-KKT oracle: same path, x within a hundredth of the zero-step tolerance."""
+    x, info = solve_qp(prob, start=start, full_output=True)
+    x_ref, info_ref = solve_qp_scalar(prob, start=start, full_output=True, dense_kkt=True)
+    for key in ("status", "iterations", "active_set"):
+        assert info[key] == info_ref[key], key
+    # both stop once a step is below step_tol = 1e-11 max(1, |g|); measured worst 7e-4 step_tol
+    assert np.abs(x - x_ref).max() <= 1e-13 * max(1.0, float(np.abs(prob.g).max()))
+    _assert_kkt_optimal(prob, x, info, 1e-9 * max(1.0, float(np.abs(prob.g).max())))
+    return x, info
+
+
+@pytest.mark.parametrize("nc,g_scale", [(1, 3.0), (2, 3.0), (10, 3.0), (2, 1e4), (10, 1e4)])
+def test_range_space_step_matches_dense_kkt(nc, g_scale):
+    rng = np.random.default_rng(200 + 10 * nc + int(math.log10(g_scale)))
+    for _ in range(12):
+        prob = _random_problem(rng, nc, g_scale)
+        x, info = _range_space_and_dense_agree(prob)
+        cold = _feasible_start(prob)
+        _range_space_and_dense_agree(prob, start=(cold, info["active_set"]))
+        _range_space_and_dense_agree(prob, start=(x, info["active_set"]))
+        # a shifted sequence, as the closed loop runs it
+        for _ in range(4):
+            nxt = dataclasses.replace(prob, g=g_scale * rng.standard_normal(3 * nc), u_prev=x[:3])
+            start = _shift_start(prob, x, info["active_set"])
+            prob = nxt
+            x, info = _range_space_and_dense_agree(prob, start=start)
+
+
+def test_solve_qp_makes_no_dense_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    mpc._hessian_inverse.cache_clear()
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    rng = np.random.default_rng(9)
+    for nc in (1, 10):
+        prob = _random_problem(rng, nc)
+        x, info = solve_qp(prob, full_output=True)
+        assert info["status"] == "optimal" and info["iterations"] > 1
+        solve_qp(prob, start=(x, info["active_set"]))
+    prob = _ramp_problem()
+    assert len(solve_qp(prob, full_output=True)[1]["active_set"]) > 0
+
+
+def test_indefinite_hessian_raises_linalg_error():
+    prob = MpcProblem(
+        H=np.diag([1.0, -1.0, 1.0]), g=np.ones(3),
+        lb=np.full(3, -1.0), ub=np.full(3, 1.0),
+        du_lb=np.full(3, -np.inf), du_ub=np.full(3, np.inf),
+        u_prev=np.zeros(3), nc=1,
+    )
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_qp(prob)
+
+
+def test_dependent_working_set_raises_linalg_error():
+    # with u_prev = 0.5 the rate row u0 <= 0.5 + 0.5 repeats the box row u0 <= 1;
+    # a start holding both makes A_w H^-1 A_w^T = [[1, 1], [1, 1]], which Cholesky rejects
+    prob = MpcProblem(
+        H=np.eye(3), g=-np.array([4.0, 0.0, 0.0]),
+        lb=np.full(3, -1.0), ub=np.full(3, 1.0),
+        du_lb=np.full(3, -0.5), du_ub=np.full(3, 0.5),
+        u_prev=np.array([0.5, 0.0, 0.0]), nc=1,
+    )
+    a_mat, b_vec = _constraint_rows(prob)
+    x0 = np.array([1.0, 0.0, 0.0])
+    box_u0, rate_u0 = 0, 6
+    npt.assert_array_equal(a_mat[box_u0], a_mat[rate_u0])
+    assert a_mat[box_u0] @ x0 == b_vec[box_u0] and a_mat[rate_u0] @ x0 == b_vec[rate_u0]
+    with pytest.raises(np.linalg.LinAlgError, match="working-set matrix"):
+        solve_qp(prob, start=(x0, (box_u0, rate_u0)))
+    # each row alone is a valid start
+    for row in (box_u0, rate_u0):
+        npt.assert_allclose(solve_qp(prob, start=(x0, (row,))), solve_qp(prob), atol=1e-12)
 
 
 def test_ratio_near_tie_keeps_lowest_index():

@@ -4,9 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import sweptplan.drivetrain as drivetrain
+import sweptplan.mpc as mpc
 import sweptplan.sim as sim
 from helpers import rotation_traj, straight_traj
 from oracles import mpc_step_per_step
+from sweptplan.drivetrain import STEER_HOLD_SPEED
 from sweptplan.geometry import Pose2
 from sweptplan.minco import Boundary, build_minco
 from sweptplan.mpc import MpcConfig
@@ -186,3 +189,52 @@ def test_closed_loop_matches_per_step_mpc(veh, bend_traj, monkeypatch):
     assert (got.qp[:, 2] > 0).any()  # constraints bind, so ratio tests and warm starts do work
     for name in ("t", "pose", "ref", "u", "e_y", "e_phi", "wheel_gamma", "wheel_speed", "qp"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_closed_loop_inverts_each_hessian_once(veh, bend_traj):
+    sim_cfg = SimConfig(settle_time=0.5)
+    mpc._hessian_inverse.cache_clear()
+    solves = 0
+    for k, weight in enumerate((0.05, 0.2)):
+        cfg = MpcConfig(input_weight=np.diag([weight] * 3))
+        trace = run_closed_loop(bend_traj, veh, mpc_cfg=cfg, sim_cfg=sim_cfg)
+        assert trace.aborted is None
+        solves += trace.qp.shape[0]
+        info = mpc._hessian_inverse.cache_info()
+        assert (info.misses, info.hits) == (k + 1, solves - k - 1)
+
+
+def test_closed_loop_records_a_linalg_error_as_abort(veh, line_traj, monkeypatch):
+    real = mpc.build_qp
+    calls = []
+
+    def zero_hessian_on_fourth(*args):
+        prob = real(*args)
+        calls.append(1)
+        if len(calls) == 4:
+            prob.H = np.zeros_like(prob.H)
+        return prob
+
+    monkeypatch.setattr(mpc, "build_qp", zero_hessian_on_fourth)
+    trace = run_closed_loop(line_traj, veh)
+    assert trace.aborted.startswith("LinAlgError: ")
+    assert trace.t.shape[0] == 4 and trace.qp.shape[0] == 3
+    assert np.isnan(trace.u[-1]).all() and not np.isnan(trace.u[:-1]).any()
+
+
+def test_stopped_wheels_keep_their_steering_angle(veh, bend_traj, monkeypatch):
+    # Against a run without the hold, only the wheels slower than the threshold
+    # change, and each keeps the angle of its previous row.
+    sim_cfg = SimConfig(settle_time=3.0)
+    held = run_closed_loop(bend_traj, veh, sim_cfg=sim_cfg)
+    monkeypatch.setattr(drivetrain, "STEER_HOLD_SPEED", 0.0)
+    free = run_closed_loop(bend_traj, veh, sim_cfg=sim_cfg)
+    slow = np.abs(free.wheel_speed) < STEER_HOLD_SPEED
+    assert slow.any() and not slow.all()
+    for name in ("t", "pose", "ref", "u", "e_y", "e_phi", "qp"):
+        assert np.array_equal(getattr(held, name), getattr(free, name)), name
+    assert np.array_equal(held.wheel_gamma[~slow], free.wheel_gamma[~slow])
+    assert np.array_equal(held.wheel_speed[~slow], free.wheel_speed[~slow])
+    previous = np.vstack([np.zeros((1, slow.shape[1])), held.wheel_gamma[:-1]])
+    assert np.array_equal(held.wheel_gamma[slow], previous[slow])
+    assert np.abs(held.wheel_speed[slow]).max() < STEER_HOLD_SPEED
