@@ -23,7 +23,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -706,11 +706,7 @@ def run_pipeline(sc: Scenario, stages, out_dir: str, seed: int | None = None) ->
 def _run_ablation(sc: Scenario, stages, out_dir: str, seed) -> int:
     """Run the pipeline twice: as configured, and with the sweep weight zeroed."""
     os.makedirs(out_dir, exist_ok=True)
-    sv_off = replace(
-        sc,
-        weights=replace(sc.weights, sweep=0.0),
-        echo=dict(sc.echo, planner=dict(sc.echo["planner"], sweep=0.0)),
-    )
+    sv_off = _build_scenario(dict(sc.echo, planner=dict(sc.echo["planner"], sweep=0.0)))
     results = {}
     for label, run_sc in (("sv_on", sc), ("sv_off", sv_off)):
         sub = os.path.join(out_dir, label)
@@ -752,11 +748,6 @@ def main(argv=None) -> int:
         help="run twice (sv_on/, sv_off/ subdirectories) and compare excess swept areas",
     )
     parser.add_argument("--seed", type=int, default=None, help="echoed into reports; the pipeline is deterministic")
-    parser.add_argument(
-        "--compat-paper-wheel-matrix",
-        action="store_true",
-        help="use the legacy wheel-velocity matrix (+omega*Y_w) in the tracking log",
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -767,8 +758,6 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    if args.compat_paper_wheel_matrix:
-        sc.sim.paper_wheel_matrix = True
     stages = list(_STAGE_ORDER) if args.stages == "all" else [args.stages]
     if args.ablate_sv:
         return _run_ablation(sc, stages, args.out, args.seed)

@@ -30,17 +30,14 @@ class WheelCommand:
     speed: float
 
 
-def wheel_velocity(u_body: np.ndarray, wheel_xy: np.ndarray, paper_matrix: bool = False) -> np.ndarray:
+def wheel_velocity(u_body: np.ndarray, wheel_xy: np.ndarray) -> np.ndarray:
     """Linear velocity of a wheel mount point under body twist (Vx, Vy, omega).
 
-    The rigid-body form is (Vx - omega*Yw, Vy + omega*Xw); paper_matrix=True
-    selects the published sign variant (Vx + omega*Yw, Vy + omega*Xw) for
-    comparison runs.
+    This is the rigid-body form (Vx - omega*Yw, Vy + omega*Xw); the paper
+    prints +omega*Yw in the x row, which is not a rigid-body velocity.
     """
     vx, vy, w = (float(v) for v in u_body)
     xw, yw = float(wheel_xy[0]), float(wheel_xy[1])
-    if paper_matrix:
-        return np.array([vx + w * yw, vy + w * xw])
     return np.array([vx - w * yw, vy + w * xw])
 
 
@@ -62,7 +59,7 @@ def fold_steering(v: np.ndarray, prev_gamma: float = 0.0) -> WheelCommand:
     return WheelCommand(gamma=gamma, speed=speed)
 
 
-def allocate(u_body: np.ndarray, veh, paper_matrix: bool = False, prev_gamma=None) -> list[WheelCommand]:
+def allocate(u_body: np.ndarray, veh, prev_gamma=None) -> list[WheelCommand]:
     """Steering/speed commands for every wheel under the body twist.
 
     prev_gamma holds each wheel's previous steering angle (zeros when None),
@@ -70,18 +67,10 @@ def allocate(u_body: np.ndarray, veh, paper_matrix: bool = False, prev_gamma=Non
     """
     wheels = np.atleast_2d(np.asarray(veh.wheel_positions, dtype=float))
     held = [0.0] * wheels.shape[0] if prev_gamma is None else [float(g) for g in prev_gamma]
-    return [
-        fold_steering(wheel_velocity(u_body, w, paper_matrix=paper_matrix), g)
-        for w, g in zip(wheels, held, strict=True)
-    ]
+    return [fold_steering(wheel_velocity(u_body, w), g) for w, g in zip(wheels, held, strict=True)]
 
 
-def reconstruct_twist(
-    commands: list[WheelCommand],
-    veh,
-    paper_matrix: bool = False,
-    return_residual: bool = False,
-):
+def reconstruct_twist(commands: list[WheelCommand], veh, return_residual: bool = False):
     """Least-squares body twist from wheel commands; inverse of allocate.
 
     Raises RankDeficient when the stacked wheel jacobian has rank below 3
@@ -97,7 +86,7 @@ def reconstruct_twist(
     b = np.zeros(2 * n)
     for i, (cmd, (xw, yw)) in enumerate(zip(commands, wheels)):
         a[2 * i, 0] = 1.0
-        a[2 * i, 2] = yw if paper_matrix else -yw
+        a[2 * i, 2] = -yw
         a[2 * i + 1, 1] = 1.0
         a[2 * i + 1, 2] = xw
         b[2 * i] = cmd.speed * math.cos(cmd.gamma)

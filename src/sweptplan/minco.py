@@ -15,11 +15,12 @@ goes to LAPACK's banded solver directly (`dgbsv`, the routine behind
 per trajectory (`dgbtrf`), so each adjoint is one `dgbtrs`. `dgbsv` is
 `dgbtrf` followed by `dgbtrs`, so both give the same bits as `solve_banded`.
 
-Every evaluation (eval, sample, and the derivative rows of the adjoint and
-the energy gradient) goes through one Horner evaluator. It reads a
-component-major table of the coefficients, each already multiplied by its
-derivative factor, built once per trajectory on first use. A Horner step is
-then one `np.take` gather and one in-place multiply-add on (3, m) arrays.
+Every evaluation (`MincoTrajectory.sample`, the one public evaluator, and
+the derivative rows of the adjoint and the energy gradient) goes through one
+Horner evaluator. It reads a component-major table of the coefficients, each
+already multiplied by its derivative factor, built once per trajectory on
+first use. A Horner step is then one `np.take` gather and one in-place
+multiply-add on (3, m) arrays.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ class NonPositiveDuration(Exception):
 
 
 class SingularSystem(Exception):
-    pass
-
-
-class OutOfDomain(Exception):
     pass
 
 
@@ -226,28 +223,15 @@ class MincoTrajectory:
     def junction_times(self) -> np.ndarray:
         return self.knot_times[1:-1]
 
-    def _segment_of(self, t: float) -> tuple[int, float]:
-        total = self.total_time
-        if t < -1e-9 or t > total + 1e-9:
-            raise OutOfDomain(f"t={t} outside [0, {total}]")
-        t = min(max(t, 0.0), total)
-        j = int(np.searchsorted(self.knot_times, t, side="right")) - 1
-        j = min(max(j, 0), self.n_segments - 1)
-        return j, t - self.knot_times[j]
+    def sample(self, ts: np.ndarray, order: int = 0) -> np.ndarray:
+        """Derivative of the given order (0..5) at the times ts, shape ts.shape + (3,).
 
-    def eval(self, t: float, order: int = 0) -> np.ndarray:
-        """Trajectory derivative of the given order at time t, shape (3,)."""
+        Times are clamped to [0, total_time]; a time on a junction takes the
+        later segment. The result is the transpose of a component-major
+        array, so each component is contiguous.
+        """
         if not 0 <= order <= 5:
             raise ValueError("order must be in 0..5")
-        j, tau = self._segment_of(t)
-        return _horner(self, j, tau, order)
-
-    def sample(self, ts: np.ndarray, order: int = 0) -> np.ndarray:
-        """Vectorized eval over an array of times, shape (m, 3). Times are clamped to the domain.
-
-        The result is the transpose of a component-major (3, m) array, so each
-        component column is contiguous.
-        """
         ts = np.asarray(ts, dtype=float)
         # Junctions at or before t: the segment index, already in 0..N-2.
         j = np.searchsorted(self.junction_times, ts, side="right")

@@ -288,7 +288,7 @@ def _range_space_step(h_inv: np.ndarray, y: np.ndarray, aw: np.ndarray) -> tuple
     return -y - w.T @ lam, lam
 
 
-def solve_qp(prob: MpcProblem, start=None, full_output: bool = False):
+def solve_qp(prob: MpcProblem, start=None):
     """Primal active-set solve of min 1/2 u^T H u + g^T u under box/rate constraints.
 
     start is (x0, rows): a point and the constraint rows to start the working
@@ -302,9 +302,9 @@ def solve_qp(prob: MpcProblem, start=None, full_output: bool = False):
     once per solve. An H that is not positive definite, or a working set
     with dependent rows, raises np.linalg.LinAlgError.
 
-    Returns the stacked input vector; with full_output=True also a dict with
-    iterations, the final active set, KKT residual, and a status of "optimal"
-    or "max_iterations" (best feasible iterate). Ties break on the lowest
+    Returns (x, info): the stacked input vector and a dict with iterations,
+    the final active set, KKT residual, and a status of "optimal" or
+    "max_iterations" (best feasible iterate). Ties break on the lowest
     constraint index so identical problems reproduce identical paths.
     """
     n = NU * prob.nc
@@ -359,15 +359,13 @@ def solve_qp(prob: MpcProblem, start=None, full_output: bool = False):
     else:
         it = max_iter
     kkt_residual = float(np.abs(prob.H @ x + prob.g + a_mat.T @ lam_full).max(initial=0.0)) if status == "optimal" else math.inf
-    if full_output:
-        info = {
-            "status": status,
-            "iterations": it + 1 if status == "optimal" else max_iter,
-            "active_set": tuple(sorted(work)),
-            "kkt_residual": kkt_residual,
-        }
-        return x, info
-    return x
+    info = {
+        "status": status,
+        "iterations": it + 1 if status == "optimal" else max_iter,
+        "active_set": tuple(sorted(work)),
+        "kkt_residual": kkt_residual,
+    }
+    return x, info
 
 
 def reference_windows(traj, ts: np.ndarray, cfg: MpcConfig) -> np.ndarray:
@@ -381,24 +379,17 @@ def reference_windows(traj, ts: np.ndarray, cfg: MpcConfig) -> np.ndarray:
     return traj.sample(ahead.ravel(), 0).reshape(ts.shape[0], cfg.horizon, NU)
 
 
-def mpc_step(
-    state: Pose2,
-    ref: np.ndarray,
-    u_prev: np.ndarray,
-    cfg: MpcConfig,
-    start=None,
-    full_output: bool = False,
-):
-    """One receding-horizon update: returns the first commanded twist (world frame).
+def mpc_step(state: Pose2, ref: np.ndarray, u_prev: np.ndarray, cfg: MpcConfig, start=None):
+    """One receding-horizon update: returns (u, info), the first commanded
+    twist (world frame) and the solve's info dict.
 
     ref is the (Np, 3) reference sampled at the next Np steps, clamped to the
     trajectory's final pose past its end (`reference_windows` samples a
     whole run's windows at once). Its headings are unwrapped here relative
     to the current state so the QP never sees a branch jump. start is passed
-    to `solve_qp`; with full_output=True the info dict also holds
-    "next_start", this solution shifted one control step for the next
-    update, which must use the same config and take the returned twist as
-    its u_prev.
+    to `solve_qp`, whose info dict this returns with "next_start" added:
+    this solution shifted one control step for the next update, which must
+    use the same config and take the returned twist as its u_prev.
     """
     np_ = cfg.horizon
     ref = np.array(ref, dtype=float).reshape(np_, NU)
@@ -407,9 +398,6 @@ def mpc_step(
         ref[i, 2] = prev_phi + wrap_angle(ref[i, 2] - prev_phi)
         prev_phi = ref[i, 2]
     prob = build_qp(state, ref.ravel(), u_prev, cfg)
-    if full_output:
-        u, info = solve_qp(prob, start=start, full_output=True)
-        info["next_start"] = _shift_start(prob, u, info["active_set"])
-        return u[:NU], info
-    u = solve_qp(prob, start=start)
-    return u[:NU]
+    u, info = solve_qp(prob, start=start)
+    info["next_start"] = _shift_start(prob, u, info["active_set"])
+    return u[:NU], info

@@ -7,9 +7,11 @@ the loop, one sample call each. Each control step then runs the tracking QP
 on its window from the previous step's solution shifted one step, optionally
 low-passes the command to emulate actuation lag, allocates wheel states for
 the log (a wheel too slow to have a direction keeps its previous angle), and
-advances the plant. Metrics compare the driven path's swept area, a
-certified count of its f* <= 0 cells on a given grid (the sweep stage's),
-against the ribbon baseline and summarize tracking errors.
+advances the plant. The lateral error e_y is each driven pose's offset from
+the reference pose of the same time, along that reference's left normal;
+e_phi is the wrapped heading difference. Metrics compare the driven path's
+swept area, a certified count of its f* <= 0 cells on a given grid (the
+sweep stage's), against the ribbon baseline and summarize tracking errors.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .sweptfield import LinearPosePath, SweepCount, count_swept_cells, ribbon_re
 class SimConfig:
     settle_time: float = 2.0  # extra tracking time past the trajectory end, seconds
     input_lag_tau: float = 0.0  # first-order command lag time constant; 0 disables
-    paper_wheel_matrix: bool = False
 
 
 @dataclass
@@ -41,8 +42,8 @@ class SimTrace:
     pose: np.ndarray  # (m, 3) driven pose, heading wrapped
     ref: np.ndarray  # (m, 3) sampled reference pose
     u: np.ndarray  # (m, 3) commanded world-frame twist
-    e_y: np.ndarray
-    e_phi: np.ndarray
+    e_y: np.ndarray  # signed_lateral_error(pose, ref)
+    e_phi: np.ndarray  # pose heading minus reference heading, wrapped
     wheel_gamma: np.ndarray  # (m, n_wheels)
     wheel_speed: np.ndarray
     dt: float
@@ -73,29 +74,15 @@ def plant_step(pose: Pose2, u_world: np.ndarray, dt: float) -> Pose2:
     return Pose2(pose.x + dt * u[0], pose.y + dt * u[1], pose.phi + dt * u[2])
 
 
-def signed_lateral_error(p: np.ndarray, polyline: np.ndarray) -> float:
-    """Distance from p to the polyline, signed by the left normal of the local tangent."""
-    best_d2 = math.inf
-    best_sign = 1.0
-    px, py = float(p[0]), float(p[1])
-    for i in range(polyline.shape[0] - 1):
-        ax, ay = polyline[i]
-        bx, by = polyline[i + 1]
-        dx, dy = bx - ax, by - ay
-        L2 = dx * dx + dy * dy
-        if L2 < 1e-18:
-            continue
-        s = ((px - ax) * dx + (py - ay) * dy) / L2
-        s = min(max(s, 0.0), 1.0)
-        cx, cy = ax + s * dx, ay + s * dy
-        d2 = (px - cx) ** 2 + (py - cy) ** 2
-        if d2 < best_d2 - 1e-15:
-            best_d2 = d2
-            cross = dx * (py - cy) - dy * (px - cx)
-            best_sign = 1.0 if cross >= 0.0 else -1.0
-    if not math.isfinite(best_d2):
-        return 0.0
-    return best_sign * math.sqrt(best_d2)
+def signed_lateral_error(pose: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Lateral offset of each pose from its reference pose, in the reference's frame (left positive).
+
+    pose and ref are (m, 3) rows (x, y, phi); row i is
+    cos(phi_r) (y - y_r) - sin(phi_r) (x - x_r), so a pose on its reference
+    scores exactly 0.
+    """
+    phi = ref[:, 2]
+    return np.cos(phi) * (pose[:, 1] - ref[:, 1]) - np.sin(phi) * (pose[:, 0] - ref[:, 0])
 
 
 def run_closed_loop(
@@ -117,15 +104,12 @@ def run_closed_loop(
     steps = max(1, int(round(duration / dt)))
     n_w = np.atleast_2d(veh.wheel_positions).shape[0]
 
-    knots = np.vstack([traj.boundary.start[0][:2], traj.waypoints[:, :2], traj.boundary.end[0][:2]])
-
     m = steps + 1
     out_t = np.arange(m) * dt
     out_pose = np.empty((m, 3))
     out_ref = np.empty((m, 3))
     # The step where mpc_step raises keeps NaN commands and wheel states.
     out_u = np.full((m, 3), np.nan)
-    out_ey = np.empty(m)
     out_ephi = np.empty(m)
     out_g = np.full((m, n_w), np.nan)
     out_s = np.full((m, n_w), np.nan)
@@ -149,11 +133,10 @@ def run_closed_loop(
         ref = refs[k]
         out_pose[k] = pose.as_array()
         out_ref[k] = [ref[0], ref[1], wrap_angle(ref[2])]
-        out_ey[k] = signed_lateral_error(pose.position, knots)
         out_ephi[k] = wrap_angle(pose.phi - ref[2])
         t0 = time.perf_counter()
         try:
-            u, info = mpc_step(pose, windows[k], u_prev, mpc_cfg, start=start, full_output=True)
+            u, info = mpc_step(pose, windows[k], u_prev, mpc_cfg, start=start)
             start = info["next_start"]
             qp_log.append((int(info["status"] == "optimal"), info["iterations"], len(info["active_set"])))
         except Exception as exc:  # noqa: BLE001 - the trace records the failure mode
@@ -168,7 +151,7 @@ def run_closed_loop(
         v_body = to_body_frame(u_applied[0], u_applied[1], math.cos(pose.phi), math.sin(pose.phi))
         u_body = np.array([v_body[0], v_body[1], u_applied[2]])
         t0 = time.perf_counter()
-        cmds = allocate(u_body, veh, paper_matrix=sim_cfg.paper_wheel_matrix, prev_gamma=gamma)
+        cmds = allocate(u_body, veh, prev_gamma=gamma)
         alloc_s += time.perf_counter() - t0
         out_g[k] = gamma = [cmd.gamma for cmd in cmds]
         out_s[k] = [cmd.speed for cmd in cmds]
@@ -180,7 +163,7 @@ def run_closed_loop(
         pose=out_pose[:m],
         ref=out_ref[:m],
         u=out_u[:m],
-        e_y=out_ey[:m],
+        e_y=signed_lateral_error(out_pose[:m], out_ref[:m]),
         e_phi=out_ephi[:m],
         wheel_gamma=out_g[:m],
         wheel_speed=out_s[:m],

@@ -117,9 +117,9 @@ def kink_margin(q: np.ndarray, T: np.ndarray, boundary, veh, obstacle_points, d_
             margins.append(np.abs(dx - dy).min())
             margins.append(np.abs(f - d_th).min())
     for t in traj.junction_times:
-        v = traj.eval(t, 1)
+        v = traj.sample(t, 1)
         margins.append(math.hypot(v[0], v[1]) ** 2 - 1e-8)
-        p = traj.eval(t, 0)
+        p = traj.sample(t, 0)
         dphi = wrap_angle(p[2] - math.atan2(v[1], v[0]))
         margins.append(math.pi - abs(dphi))
     return float(min(margins))

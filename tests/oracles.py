@@ -646,7 +646,7 @@ def kkt_step_dense(prob: MpcProblem, x, aw):
     return sol[:n], sol[n:]
 
 
-def solve_qp_scalar(prob: MpcProblem, start=None, full_output: bool = False, dense_kkt: bool = False):
+def solve_qp_scalar(prob: MpcProblem, start=None, dense_kkt: bool = False):
     """Primal active-set solve whose ratio test visits one row at a time.
 
     Steps come from the library's range-space step on its cached H^-1, or
@@ -707,10 +707,10 @@ def solve_qp_scalar(prob: MpcProblem, start=None, full_output: bool = False, den
         "active_set": tuple(sorted(work)),
         "kkt_residual": kkt_residual,
     }
-    return (x, info) if full_output else x
+    return x, info
 
 
-def mpc_step_per_step(state, ref, u_prev, cfg, start=None, full_output: bool = False):
+def mpc_step_per_step(state, ref, u_prev, cfg, start=None):
     """One MPC update on a sampled (Np, 3) window through build_qp_per_step, solve_qp_scalar and shift_start_loop."""
     np_ = cfg.horizon
     ref = np.array(ref, dtype=float)
@@ -719,9 +719,9 @@ def mpc_step_per_step(state, ref, u_prev, cfg, start=None, full_output: bool = F
         ref[i, 2] = prev_phi + wrap_angle(ref[i, 2] - prev_phi)
         prev_phi = ref[i, 2]
     prob = build_qp_per_step(state, ref.ravel(), u_prev, cfg)
-    u, info = solve_qp_scalar(prob, start=start, full_output=True)
+    u, info = solve_qp_scalar(prob, start=start)
     info["next_start"] = shift_start_loop(prob, u, info["active_set"])
-    return (u[:NU], info) if full_output else u[:NU]
+    return u[:NU], info
 
 
 # The swept-field engine as it was before the coefficient table, the sparse

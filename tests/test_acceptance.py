@@ -197,7 +197,7 @@ def test_acceptance_5_qp_oracle():
         du_hi = rng.uniform(0.3, 1.0, 3)
         du_lo = -rng.uniform(0.3, 1.0, 3)
         prob = MpcProblem(H=h, g=g, lb=lo, ub=hi, du_lb=du_lo, du_ub=du_hi, u_prev=u_prev, nc=1)
-        got = solve_qp(prob)
+        got, _ = solve_qp(prob)
         oracle, _ = qp_enumerate(h, g, lo, hi, u_prev, du_lo, du_hi, nu=3)
         worst = max(worst, float(np.abs(got - oracle).max()))
         solved += 1
@@ -214,7 +214,7 @@ def test_acceptance_5_qp_oracle():
         du_hi = np.full(3, 10.0)
         du_lo = np.full(3, -10.0)
         prob = MpcProblem(H=h, g=g, lb=lo, ub=hi, du_lb=du_lo, du_ub=du_hi, u_prev=u_prev, nc=2)
-        got = solve_qp(prob)
+        got, _ = solve_qp(prob)
         oracle, _ = qp_enumerate(
             h, g, lo, hi, u_prev, du_lo, du_hi, nu=3, box_only_subsets=True
         )
@@ -244,7 +244,7 @@ def test_acceptance_5_qp_oracle():
         du_hi = rng.uniform(0.25, 0.8, 3)
         du_lo = -rng.uniform(0.25, 0.8, 3)
         prob = MpcProblem(H=H, g=g, lb=lo, ub=hi, du_lb=du_lo, du_ub=du_hi, u_prev=u_prev, nc=nc)
-        got = solve_qp(prob)
+        got, _ = solve_qp(prob)
         for c in range(3):
             xc, _ = qp_enumerate(
                 chains[c],
@@ -273,7 +273,7 @@ def test_acceptance_5_qp_oracle():
     for _ in range(20):
         state = Pose2(*rng.uniform(-1.0, 1.0, 3))
         target = rng.uniform(-1.0, 1.0, 3)
-        u = solve_qp(build_qp(state, target, np.zeros(3), cfg))
+        u, _ = solve_qp(build_qp(state, target, np.zeros(3), cfg))
         db_worst = max(db_worst, float(np.abs(u - (target - state.as_array()) / cfg.dt).max()))
     _report(
         5,

@@ -662,6 +662,17 @@ def test_readme_artifact_table_names_every_file(straight_all):
     assert keys == set(json.loads((straight_all / "timings.json").read_text()))
 
 
+def test_readme_flags_list_every_cli_option(capsys):
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, "r", encoding="utf-8") as fh:
+        flags = fh.read().split("\nFlags:\n\n", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"^- `(--[a-z-]+)", flags, flags=re.MULTILINE)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    options = set(re.findall(r"(--[a-z][a-z-]*)", capsys.readouterr().out)) - {"--help"}
+    assert sorted(documented) == sorted(options)
+
+
 def test_track_substage_timings(tmp_path):
     cli._stage_track(parse_scenario(STRAIGHT), str(tmp_path), straight_traj(distance=2.0, n_interior=1))
     timings = json.loads((tmp_path / "timings.json").read_text())

@@ -21,7 +21,6 @@ from sweptplan.minco import (
     Boundary,
     MincoTrajectory,
     NonPositiveDuration,
-    OutOfDomain,
     build_minco,
     energy_cost_with_grads,
     propagate_gradient,
@@ -60,11 +59,11 @@ def test_junctions_and_continuity_seeded():
         traj = build_minco(q, T, boundary)
         t_cum = np.cumsum(T)[:-1]
         for j, t in enumerate(t_cum):
-            npt.assert_allclose(traj.eval(t, 0), q[j], atol=1e-9)
+            npt.assert_allclose(traj.sample(t, 0), q[j], atol=1e-9)
             # derivative continuity through order 4 across the junction
             for order in range(1, 5):
-                left = traj.eval(t - 1e-12, order)
-                right = traj.eval(t + 1e-12, order)
+                left = traj.sample(t - 1e-12, order)
+                right = traj.sample(t + 1e-12, order)
                 scale = max(1.0, np.abs(left).max())
                 assert np.abs(left - right).max() / scale < 1e-6
 
@@ -73,29 +72,35 @@ def test_boundary_conditions_seeded():
     q, T, boundary = random_instance(3)
     traj = build_minco(q, T, boundary)
     total = T.sum()
-    npt.assert_allclose(traj.eval(0.0, 0), boundary.start[0], atol=1e-9)
-    npt.assert_allclose(traj.eval(0.0, 1), boundary.start[1], atol=1e-9)
-    npt.assert_allclose(traj.eval(0.0, 2), boundary.start[2], atol=1e-9)
-    npt.assert_allclose(traj.eval(total, 0), boundary.end[0], atol=1e-9)
-    npt.assert_allclose(traj.eval(total, 1), boundary.end[1], atol=1e-9)
-    npt.assert_allclose(traj.eval(total, 2), boundary.end[2], atol=1e-9)
+    npt.assert_allclose(traj.sample(0.0, 0), boundary.start[0], atol=1e-9)
+    npt.assert_allclose(traj.sample(0.0, 1), boundary.start[1], atol=1e-9)
+    npt.assert_allclose(traj.sample(0.0, 2), boundary.start[2], atol=1e-9)
+    npt.assert_allclose(traj.sample(total, 0), boundary.end[0], atol=1e-9)
+    npt.assert_allclose(traj.sample(total, 1), boundary.end[1], atol=1e-9)
+    npt.assert_allclose(traj.sample(total, 2), boundary.end[2], atol=1e-9)
 
 
-def test_eval_domain_and_order5():
+def test_sample_clamps_domain_and_order5():
     q, T, boundary = random_instance(5)
     traj = build_minco(q, T, boundary)
-    with pytest.raises(OutOfDomain):
-        traj.eval(-0.1, 0)
-    with pytest.raises(OutOfDomain):
-        traj.eval(T.sum() + 0.1, 0)
+    # times outside [0, total] take the end values
+    assert np.array_equal(traj.sample(-0.1, 0), traj.sample(0.0, 0))
+    assert np.array_equal(traj.sample(T.sum() + 0.1, 0), traj.sample(T.sum(), 0))
     # order-5 derivative is constant inside each segment
     t_cum = np.concatenate([[0.0], np.cumsum(T)])
     for j in range(traj.n_segments):
         lo, hi = t_cum[j], t_cum[j + 1]
-        a = traj.eval(lo + 0.1 * (hi - lo), 5)
-        b = traj.eval(lo + 0.9 * (hi - lo), 5)
+        a = traj.sample(lo + 0.1 * (hi - lo), 5)
+        b = traj.sample(lo + 0.9 * (hi - lo), 5)
         npt.assert_allclose(a, b, atol=1e-6)
         npt.assert_allclose(a, 120.0 * traj.coeffs[j][5], atol=1e-6)
+
+
+@pytest.mark.parametrize("order", [-1, 6])
+def test_sample_rejects_order_outside_0_to_5(order):
+    traj = build_minco(*random_instance(1, n_interior=1))
+    with pytest.raises(ValueError, match="order must be in 0..5"):
+        traj.sample(np.array([0.5]), order)
 
 
 def test_mapping_linear_in_waypoints():
@@ -110,15 +115,6 @@ def test_mapping_linear_in_waypoints():
     t3 = build_minco(alpha * q1 + (1.0 - alpha) * q2, T, boundary)
     for c1, c2, c3 in zip(t1.coeffs, t2.coeffs, t3.coeffs):
         npt.assert_allclose(c3, alpha * c1 + (1.0 - alpha) * c2, atol=1e-9)
-
-
-def test_sample_matches_eval():
-    q, T, boundary = random_instance(1)
-    traj = build_minco(q, T, boundary)
-    ts = np.linspace(0.0, T.sum(), 37)
-    block = traj.sample(ts, 1)
-    for i, t in enumerate(ts):
-        npt.assert_allclose(block[i], traj.eval(t, 1), atol=1e-12)
 
 
 def test_energy_zero_for_constant():
@@ -303,7 +299,7 @@ def test_adjoint_rejects_non_finite_gradient():
         propagate_gradient(traj, grad_C)
 
 
-def test_eval_and_sample_equal_scalar_horner():
+def test_sample_equals_scalar_horner():
     q, T, boundary = random_instance(2)
     traj = build_minco(q, T, boundary)
     ts = np.linspace(0.0, T.sum(), 41)
@@ -313,7 +309,7 @@ def test_eval_and_sample_equal_scalar_horner():
             j = min(int(np.searchsorted(traj.knot_times, t, side="right")) - 1, traj.n_segments - 1)
             ref = segment_derivative(traj.coeffs[j], t - traj.knot_times[j], order)
             assert np.array_equal(block[i], ref)
-            assert np.array_equal(traj.eval(t, order), ref)
+            assert np.array_equal(traj.sample(t, order), ref)
 
 
 @pytest.mark.parametrize("order", range(6))
@@ -348,8 +344,9 @@ def test_sample_equals_frozen_gathered_horner(kind, order):
     assert got.shape == (ts.size, 3)
     assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
     for t in inside:
-        j, tau = traj._segment_of(t)
-        one = traj.eval(t, order)
+        j = min(int(np.searchsorted(traj.knot_times, t, side="right")) - 1, traj.n_segments - 1)
+        tau = min(t, total) - traj.knot_times[j]
+        one = traj.sample(t, order)
         ref_one = horner_six_gathers(traj.coeffs, j, tau, order)
         assert one.shape == (3,)
         assert np.array_equal(one, ref_one) and np.array_equal(np.signbit(one), np.signbit(ref_one))

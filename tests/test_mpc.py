@@ -89,7 +89,7 @@ def test_qp_dead_beat_unconstrained():
     state = Pose2(0.2, -0.1, 0.05)
     target = np.array([0.5, 0.3, -0.2])
     prob = build_qp(state, target, np.zeros(3), cfg)
-    u = solve_qp(prob)
+    u, _ = solve_qp(prob)
     npt.assert_allclose(u, (target - state.as_array()) / cfg.dt, atol=1e-9)
 
 
@@ -123,7 +123,7 @@ def test_solve_qp_unconstrained_interior():
         u_prev=np.zeros(3),
         nc=1,
     )
-    npt.assert_allclose(solve_qp(prob), np.linalg.solve(h, -g), atol=1e-9)
+    npt.assert_allclose(solve_qp(prob)[0], np.linalg.solve(h, -g), atol=1e-9)
 
 
 def test_solve_qp_clamps_single_bound():
@@ -138,7 +138,7 @@ def test_solve_qp_clamps_single_bound():
         u_prev=np.zeros(3),
         nc=1,
     )
-    npt.assert_allclose(solve_qp(prob), np.ones(3), atol=1e-12)
+    npt.assert_allclose(solve_qp(prob)[0], np.ones(3), atol=1e-12)
 
 
 def test_solve_qp_rate_constraint_active():
@@ -153,7 +153,7 @@ def test_solve_qp_rate_constraint_active():
         u_prev=np.zeros(3),
         nc=1,
     )
-    npt.assert_allclose(solve_qp(prob), np.full(3, 0.5), atol=1e-12)
+    npt.assert_allclose(solve_qp(prob)[0], np.full(3, 0.5), atol=1e-12)
 
 
 def test_solve_qp_matches_enumeration_seeded():
@@ -173,7 +173,7 @@ def test_solve_qp_matches_enumeration_seeded():
         du_hi = np.full(3, 1.5)
         du_lo = np.full(3, -1.5)
         prob = MpcProblem(H=h, g=g, lb=lo, ub=hi, du_lb=du_lo, du_ub=du_hi, u_prev=u_prev, nc=nc)
-        got = solve_qp(prob)
+        got, _ = solve_qp(prob)
         oracle, _ = qp_enumerate(h, g, lo, hi, u_prev, du_lo, du_hi, nu=3)
         npt.assert_allclose(got, oracle, atol=1e-6)
 
@@ -190,7 +190,7 @@ def test_solve_qp_objective_beats_random_feasible_points():
         du_lb=np.full(3, -np.inf), du_ub=np.full(3, np.inf),
         u_prev=np.zeros(3), nc=2,
     )
-    u = solve_qp(prob)
+    u, _ = solve_qp(prob)
     obj = 0.5 * u @ h @ u + g @ u
     for _ in range(1000):
         x = rng.uniform(lo, hi)
@@ -224,8 +224,8 @@ def test_solve_qp_warm_start_same_answer():
         du_lb=np.full(3, -0.4), du_ub=np.full(3, 0.4),
         u_prev=np.zeros(3), nc=2,
     )
-    cold, info = solve_qp(prob, full_output=True)
-    warm = solve_qp(prob, start=(_feasible_start(prob), info["active_set"]))
+    cold, info = solve_qp(prob)
+    warm, _ = solve_qp(prob, start=(_feasible_start(prob), info["active_set"]))
     npt.assert_allclose(cold, warm, atol=1e-12)
 
 
@@ -261,7 +261,7 @@ def test_reference_windows_match_per_step_sampling(line_traj):
         t_now = k * cfg.dt
         ahead = t_now + cfg.dt * np.arange(1, cfg.horizon + 1)
         assert _same_bits(windows[k], line_traj.sample(np.clip(ahead, 0.0, line_traj.total_time), 0))
-    npt.assert_array_equal(windows[-1], np.tile(line_traj.eval(line_traj.total_time, 0), (20, 1)))
+    npt.assert_array_equal(windows[-1], np.tile(line_traj.sample(line_traj.total_time, 0), (20, 1)))
 
 
 def test_mpc_step_zero_on_reference(veh):
@@ -270,18 +270,18 @@ def test_mpc_step_zero_on_reference(veh):
 
     traj = build_minco(np.zeros((0, 3)), np.array([4.0]), Boundary.rest_to_rest(pose, pose))
     cfg = _cfg()
-    u = mpc_step(Pose2(*pose), _window(traj, 0.5, cfg), np.zeros(3), cfg)
+    u, _ = mpc_step(Pose2(*pose), _window(traj, 0.5, cfg), np.zeros(3), cfg)
     npt.assert_allclose(u, 0.0, atol=1e-8)
 
 
 def test_mpc_step_lag_speeds_up(line_traj):
     cfg = MpcConfig(dt=0.1, horizon=5, control_horizon=3, u_max=np.array([5.0, 5.0, 2.0]), u_min=np.array([-5.0, -5.0, -2.0]))
     t_now = 3.0
-    on_ref = Pose2(*line_traj.eval(t_now, 0))
+    on_ref = Pose2(*line_traj.sample(t_now, 0))
     lagging = Pose2(on_ref.x - 0.1, on_ref.y, on_ref.phi)
     window = _window(line_traj, t_now, cfg)
-    u_ref = mpc_step(on_ref, window, np.array([1.0, 0.0, 0.0]), cfg)
-    u_lag = mpc_step(lagging, window, np.array([1.0, 0.0, 0.0]), cfg)
+    u_ref, _ = mpc_step(on_ref, window, np.array([1.0, 0.0, 0.0]), cfg)
+    u_lag, _ = mpc_step(lagging, window, np.array([1.0, 0.0, 0.0]), cfg)
     assert u_lag[0] > u_ref[0] + 0.1
 
 
@@ -293,7 +293,7 @@ def test_mpc_step_respects_zero_bounds(line_traj):
         u_min=np.full(3, -1e-12),
         u_max=np.full(3, 1e-12),
     )
-    u = mpc_step(Pose2(0.0, 0.0, 0.0), _window(line_traj, 2.0, cfg), np.zeros(3), cfg)
+    u, _ = mpc_step(Pose2(0.0, 0.0, 0.0), _window(line_traj, 2.0, cfg), np.zeros(3), cfg)
     npt.assert_allclose(u, 0.0, atol=1e-11)
 
 
@@ -304,15 +304,15 @@ def test_mpc_step_stationary_on_constant_reference():
     traj = build_minco(np.zeros((0, 3)), np.array([6.0]), Boundary.rest_to_rest(pose, pose))
     cfg = _cfg()
     state = Pose2(1.3, -2.2, 0.1)
-    u1 = mpc_step(state, _window(traj, 1.0, cfg), np.zeros(3), cfg)
-    u2 = mpc_step(state, _window(traj, 2.5, cfg), np.zeros(3), cfg)
+    u1, _ = mpc_step(state, _window(traj, 1.0, cfg), np.zeros(3), cfg)
+    u2, _ = mpc_step(state, _window(traj, 2.5, cfg), np.zeros(3), cfg)
     npt.assert_allclose(u1, u2, atol=1e-8)
 
 
 def test_mpc_step_reference_past_end_clamps(line_traj):
     cfg = _cfg()
-    end = line_traj.eval(line_traj.total_time, 0)
-    u = mpc_step(Pose2(*end), _window(line_traj, line_traj.total_time + 5.0, cfg), np.zeros(3), cfg)
+    end = line_traj.sample(line_traj.total_time, 0)
+    u, _ = mpc_step(Pose2(*end), _window(line_traj, line_traj.total_time + 5.0, cfg), np.zeros(3), cfg)
     npt.assert_allclose(u, 0.0, atol=1e-8)
 
 
@@ -373,8 +373,8 @@ def test_constraint_rows_match_loop(nc):
 
 
 def _assert_same_solve(prob, start=None):
-    x, info = solve_qp(prob, start=start, full_output=True)
-    x_ref, info_ref = solve_qp_scalar(prob, start=start, full_output=True)
+    x, info = solve_qp(prob, start=start)
+    x_ref, info_ref = solve_qp_scalar(prob, start=start)
     assert _same_bits(x, x_ref)
     for key in ("status", "iterations", "active_set", "kkt_residual"):
         assert info[key] == info_ref[key], key
@@ -401,8 +401,8 @@ def test_solve_qp_matches_scalar_ratio_test(nc, g_scale):
 
 def _range_space_and_dense_agree(prob, start=None):
     """solve_qp against the dense-KKT oracle: same path, x within a hundredth of the zero-step tolerance."""
-    x, info = solve_qp(prob, start=start, full_output=True)
-    x_ref, info_ref = solve_qp_scalar(prob, start=start, full_output=True, dense_kkt=True)
+    x, info = solve_qp(prob, start=start)
+    x_ref, info_ref = solve_qp_scalar(prob, start=start, dense_kkt=True)
     for key in ("status", "iterations", "active_set"):
         assert info[key] == info_ref[key], key
     # both stop once a step is below step_tol = 1e-11 max(1, |g|); measured worst 7e-4 step_tol
@@ -437,11 +437,11 @@ def test_solve_qp_makes_no_dense_solve(monkeypatch):
     rng = np.random.default_rng(9)
     for nc in (1, 10):
         prob = _random_problem(rng, nc)
-        x, info = solve_qp(prob, full_output=True)
+        x, info = solve_qp(prob)
         assert info["status"] == "optimal" and info["iterations"] > 1
         solve_qp(prob, start=(x, info["active_set"]))
     prob = _ramp_problem()
-    assert len(solve_qp(prob, full_output=True)[1]["active_set"]) > 0
+    assert len(solve_qp(prob)[1]["active_set"]) > 0
 
 
 def test_indefinite_hessian_raises_linalg_error():
@@ -473,7 +473,7 @@ def test_dependent_working_set_raises_linalg_error():
         solve_qp(prob, start=(x0, (box_u0, rate_u0)))
     # each row alone is a valid start
     for row in (box_u0, rate_u0):
-        npt.assert_allclose(solve_qp(prob, start=(x0, (row,))), solve_qp(prob), atol=1e-12)
+        npt.assert_allclose(solve_qp(prob, start=(x0, (row,)))[0], solve_qp(prob)[0], atol=1e-12)
 
 
 def test_ratio_near_tie_keeps_lowest_index():
@@ -485,7 +485,7 @@ def test_ratio_near_tie_keeps_lowest_index():
         du_lb=np.full(3, -np.inf), du_ub=np.full(3, np.inf),
         u_prev=np.zeros(3), nc=1,
     )
-    x, info = solve_qp(prob, full_output=True)
+    x, info = solve_qp(prob)
     assert _same_bits(x, [1.0, 1.0, 0.0])
     assert info["active_set"] == (0, 1)
     _assert_same_solve(prob)
@@ -513,7 +513,7 @@ def test_solve_qp_stop_rule_scales_with_gradient(nc, g_scale):
     rng = np.random.default_rng(100 * nc + int(math.log10(g_scale)))
     for _ in range(12):
         prob = _random_problem(rng, nc, g_scale)
-        x, info = solve_qp(prob, full_output=True)
+        x, info = solve_qp(prob)
         _assert_kkt_optimal(prob, x, info, 1e-9 * g_scale)
 
 
@@ -561,7 +561,7 @@ def test_shifted_start_drops_the_degenerate_rate_row(monkeypatch):
         du_lb=np.full(3, -0.5), du_ub=np.full(3, 0.5),
         u_prev=np.array([0.4, 0.0, 0.0]), nc=2,
     )
-    x, info = solve_qp(prob, full_output=True)
+    x, info = solve_qp(prob)
     npt.assert_allclose(x[[0, 3]], [0.5, 1.0], atol=1e-12)
     box_u1, rate_u1 = 3, 12 + 3  # ub rows 0-5, lb rows 6-11, then rate-upper rows
     assert {box_u1, rate_u1} <= set(info["active_set"])
@@ -575,9 +575,9 @@ def test_shifted_start_drops_the_degenerate_rate_row(monkeypatch):
     assert abs(a_next[rate_u0] @ start[0] - b_next[rate_u0]) < 1e-12
     assert rate_u0 not in start[1] and 0 in start[1]
     calls = _counting_feasible_start(monkeypatch)
-    got, got_info = solve_qp(nxt, start=start, full_output=True)
+    got, got_info = solve_qp(nxt, start=start)
     assert not calls  # the shifted start was taken
-    cold, cold_info = solve_qp(nxt, full_output=True)
+    cold, cold_info = solve_qp(nxt)
     assert got_info["status"] == cold_info["status"] == "optimal"
     assert got_info["active_set"] == cold_info["active_set"]
     npt.assert_allclose(got, cold, atol=1e-12)
@@ -601,9 +601,9 @@ def test_warm_and_cold_solves_agree_along_rate_limited_sequences(seed, monkeypat
         ref = (state.as_array() + np.outer(ts, v)).ravel()
         prob = build_qp(state, ref, u_prev, cfg)
         tol = 1e-9 * max(1.0, float(np.abs(prob.g).max()))
-        cold, cold_info = solve_qp(prob, full_output=True)
+        cold, cold_info = solve_qp(prob)
         del calls[:]
-        warm, warm_info = solve_qp(prob, start=start, full_output=True)
+        warm, warm_info = solve_qp(prob, start=start)
         assert len(calls) == (k == 0)  # every shifted start is taken
         _assert_kkt_optimal(prob, cold, cold_info, tol)
         _assert_kkt_optimal(prob, warm, warm_info, tol)
@@ -618,7 +618,7 @@ def test_warm_and_cold_solves_agree_along_rate_limited_sequences(seed, monkeypat
 
 def test_start_off_by_more_than_tolerance_falls_back_cold(monkeypatch):
     prob = _ramp_problem()
-    x, info = solve_qp(prob, full_output=True)
+    x, info = solve_qp(prob)
     start = _shift_start(prob, x, info["active_set"])
     calls = _counting_feasible_start(monkeypatch)
     # tighten the rate caps under the ramp: by 0.5e-10 the start holds, by 2e-10 it does not
@@ -626,9 +626,9 @@ def test_start_off_by_more_than_tolerance_falls_back_cold(monkeypatch):
         nxt = dataclasses.replace(prob, u_prev=x[:3], du_ub=prob.du_ub - excess)
         a_mat, b_vec = _constraint_rows(nxt)
         assert (a_mat @ start[0] - b_vec).max() == pytest.approx(excess, rel=1e-3)
-        cold, cold_info = solve_qp(nxt, full_output=True)
+        cold, cold_info = solve_qp(nxt)
         del calls[:]
-        got, got_info = solve_qp(nxt, start=start, full_output=True)
+        got, got_info = solve_qp(nxt, start=start)
         assert len(calls) == (not taken)
         assert got_info["status"] == "optimal" and got_info["active_set"] == cold_info["active_set"]
         if not taken:
@@ -638,14 +638,14 @@ def test_start_off_by_more_than_tolerance_falls_back_cold(monkeypatch):
 def test_capped_iterate_is_a_start_the_next_step_takes(monkeypatch):
     monkeypatch.setattr(mpc, "ITERATIONS_PER_VARIABLE", 1)
     prob = _ramp_problem()
-    x, info = solve_qp(prob, full_output=True)
+    x, info = solve_qp(prob)
     assert info["status"] == "max_iterations" and info["iterations"] == 30
     monkeypatch.undo()
     nxt = dataclasses.replace(prob, u_prev=x[:3])
     calls = _counting_feasible_start(monkeypatch)
-    got, got_info = solve_qp(nxt, start=_shift_start(prob, x, info["active_set"]), full_output=True)
+    got, got_info = solve_qp(nxt, start=_shift_start(prob, x, info["active_set"]))
     assert not calls
-    cold, cold_info = solve_qp(nxt, full_output=True)
+    cold, cold_info = solve_qp(nxt)
     _assert_kkt_optimal(nxt, got, got_info, 1e-9 * max(1.0, float(np.abs(nxt.g).max())))
     assert got_info["active_set"] == cold_info["active_set"]
 

@@ -290,7 +290,7 @@ def test_sweep_skips_degenerate_velocity():
     boundary = Boundary.rest_to_rest((0.0, 0.0, 0.0), (4.0, 0.0, 0.3))
     q = np.array([[2.0, 0.0, 0.15]])
     traj = build_minco(q, np.array([2.0, 2.0]), boundary)
-    v = traj.eval(2.0, 1)
+    v = traj.sample(2.0, 1)
     c = sweep_cost_with_grads(traj)
     assert np.isfinite(c.value)
     assert np.all(np.isfinite(c.grad_q))

@@ -63,11 +63,22 @@ def test_plant_exact_for_piecewise_constant_inputs(rng):
 
 
 def test_signed_lateral_error_sign_convention():
-    line = np.array([[0.0, 0.0], [10.0, 0.0]])
-    assert signed_lateral_error(np.array([5.0, 2.0]), line) > 0.0
-    assert signed_lateral_error(np.array([5.0, -2.0]), line) < 0.0
-    npt.assert_allclose(signed_lateral_error(np.array([5.0, 0.0]), line), 0.0)
-    npt.assert_allclose(abs(signed_lateral_error(np.array([5.0, 1.5]), line)), 1.5)
+    # reference at (1, 2) heading 2 rad: offsets along its left normal and its heading
+    phi = 2.0
+    ref = np.tile([1.0, 2.0, phi], (4, 1))
+    left, ahead = np.array([-math.sin(phi), math.cos(phi)]), np.array([math.cos(phi), math.sin(phi)])
+    pose = ref.copy()
+    pose[:, :2] += [2.0 * left, -2.0 * left, 3.0 * ahead, 1.5 * left - 0.7 * ahead]
+    pose[:, 2] += [0.3, -1.0, 2.5, 0.0]  # the pose's own heading plays no part
+    e_y = signed_lateral_error(pose, ref)
+    assert e_y[0] > 0.0 and e_y[1] < 0.0
+    npt.assert_allclose(e_y, [2.0, -2.0, 0.0, 1.5], atol=1e-12)
+
+
+def test_replayed_reference_has_zero_lateral_error(veh, bend_traj):
+    trace = run_closed_loop(bend_traj, veh, sim_cfg=SimConfig(settle_time=0.5))
+    assert np.array_equal(trace.e_y, signed_lateral_error(trace.pose, trace.ref))
+    assert np.all(signed_lateral_error(trace.ref, trace.ref) == 0.0)
 
 
 def test_constant_pose_hold(veh):
