@@ -342,6 +342,8 @@ def parse_scenario(path: str) -> Scenario:
             doc = json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"scenario file is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
     return _build_scenario(_resolve(doc, path))
@@ -686,6 +688,8 @@ def run_pipeline(sc: Scenario, stages, out_dir: str, seed: int | None = None) ->
                     if not os.path.exists(trace_path):
                         raise MissingArtifact("metrics needs trace.csv; run the track stage first")
                     trace = load_trace_csv(trace_path)
+                    if np.isnan(trace.u[-1]).any():
+                        raise MissingArtifact("trace.csv ends in an aborted controller step; rerun the track stage")
                 area = area if area is not None else _load_area(out_dir)
                 _stage_metrics(sc, out_dir, trace, area)
     except Exception as exc:  # noqa: BLE001 - every failure becomes a machine-readable report
@@ -757,6 +761,9 @@ def main(argv=None) -> int:
         return 2
     except (ParseError, ValidationError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot read scenario file {args.config}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     stages = list(_STAGE_ORDER) if args.stages == "all" else [args.stages]
     if args.ablate_sv:

@@ -27,29 +27,35 @@ def _fmt(v: float) -> str:
     return s
 
 
+def _pair(p, sep: str = ",") -> str:
+    return f"{_fmt(p[0])}{sep}{_fmt(p[1])}"
+
+
 def _occupancy_rects(grid: GridMap) -> list[tuple[float, float, float, float]]:
     """Merge occupied cells into per-row run rectangles (x, y, w, h)."""
     rects = []
     res = grid.resolution
     ox, oy = grid.origin
-    occ = grid.occupancy
     for iy in range(grid.height):
-        ix = 0
-        while ix < grid.width:
-            if not occ[ix, iy]:
-                ix += 1
-                continue
-            run = ix
-            while run < grid.width and occ[run, iy]:
-                run += 1
-            rects.append((ox + ix * res, oy + iy * res, (run - ix) * res, res))
-            ix = run
+        row = np.concatenate([[False], grid.occupancy[:, iy], [False]])
+        ends = np.flatnonzero(row[1:] != row[:-1]).tolist()  # run starts and stops, alternating
+        rects += [(ox + a * res, oy + iy * res, (b - a) * res, res) for a, b in zip(ends[::2], ends[1::2])]
     return rects
 
 
 def _interp(pa, va, pb, vb):
     t = va / (va - vb)
     return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+
+
+# Saddle cells split by the cell-center average: (case, center inside) -> the
+# two segments, as pairs of indices into the edges (bottom, right, top, left).
+_SADDLE_SEGMENTS = {
+    (5, True): ((3, 0), (2, 1)),
+    (5, False): ((3, 2), (0, 1)),
+    (10, True): ((0, 1), (2, 3)),
+    (10, False): ((0, 3), (2, 1)),
+}
 
 
 def _contour_segments(field: SweptField, level: float = 0.0):
@@ -86,37 +92,13 @@ def _contour_segments(field: SweptField, level: float = 0.0):
         right = _interp(p10, v10, p11, v11) if (case >> 1 & 1) != (case >> 2 & 1) else None
         top = _interp(p01, v01, p11, v11) if (case >> 3 & 1) != (case >> 2 & 1) else None
         left = _interp(p00, v00, p01, v01) if (case & 1) != (case >> 3 & 1) else None
+        edges = (bottom, right, top, left)
         if case in (5, 10):
-            # saddle: split by the cell-center average
-            center_inside = (v00 + v10 + v11 + v01) <= 0.0
-            if case == 5:
-                if center_inside:
-                    segs.append((left, bottom))
-                    segs.append((top, right))
-                else:
-                    segs.append((left, top))
-                    segs.append((bottom, right))
-            else:
-                if center_inside:
-                    segs.append((bottom, right))
-                    segs.append((top, left))
-                else:
-                    segs.append((bottom, left))
-                    segs.append((top, right))
-            continue
-        pts = [p for p in (bottom, right, top, left) if p is not None]
-        if len(pts) == 2:
-            segs.append((pts[0], pts[1]))
+            center_inside = bool((v00 + v10 + v11 + v01) <= 0.0)
+            segs.extend((edges[a], edges[b]) for a, b in _SADDLE_SEGMENTS[case, center_inside])
+        else:
+            segs.append(tuple(p for p in edges if p is not None))
     return segs
-
-
-def _footprint_points(pose: np.ndarray, veh: VehicleParams) -> str:
-    hl, hw = veh.length / 2.0, veh.width / 2.0
-    c, s = math.cos(pose[2]), math.sin(pose[2])
-    pts = []
-    for bx, by in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)):
-        pts.append((pose[0] + c * bx - s * by, pose[1] + s * bx + c * by))
-    return " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)
 
 
 def render_scene(
@@ -156,29 +138,22 @@ def render_scene(
 
     segs = _contour_segments(field)
     if segs:
-        d = []
-        for (ax, ay), (bx, by) in segs:
-            a = T(ax, ay)
-            b = T(bx, by)
-            d.append(f"M{_fmt(a[0])} {_fmt(a[1])}L{_fmt(b[0])} {_fmt(b[1])}")
+        d = "".join(f"M{_pair(T(*a), ' ')}L{_pair(T(*b), ' ')}" for a, b in segs)
         parts.append(
-            f'<path d="{"".join(d)}" stroke="#2060c0" stroke-width="0.04" fill="none"/>'
+            f'<path d="{d}" stroke="#2060c0" stroke-width="0.04" fill="none"/>'
         )
 
-    for pose in traj.sample(np.linspace(0.0, traj.total_time, N_FOOTPRINTS), 0):
-        pts = _footprint_points(pose, veh)
-        # reproject into view coordinates
-        vp = []
-        for pair in pts.split(" "):
-            sx, sy = pair.split(",")
-            tx, ty = T(float(sx), float(sy))
-            vp.append(f"{_fmt(tx)},{_fmt(ty)}")
+    hl, hw = veh.length / 2.0, veh.width / 2.0
+    corners = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
+    for x, y, phi in traj.sample(np.linspace(0.0, traj.total_time, N_FOOTPRINTS), 0).tolist():
+        c, s = math.cos(phi), math.sin(phi)
+        vp = " ".join(_pair(T(x + c * bx - s * by, y + s * bx + c * by)) for bx, by in corners)
         parts.append(
-            f'<polygon points="{" ".join(vp)}" stroke="#999999" '
+            f'<polygon points="{vp}" stroke="#999999" '
             f'stroke-width="0.03" fill="none"/>'
         )
     dense = traj.sample(np.linspace(0.0, traj.total_time, 400), 0)
-    path_pts = " ".join(f"{_fmt(T(p[0], p[1])[0])},{_fmt(T(p[0], p[1])[1])}" for p in dense)
+    path_pts = " ".join(_pair(T(p[0], p[1])) for p in dense)
     parts.append(
         f'<polyline points="{path_pts}" stroke="#c03030" stroke-width="0.05" fill="none"/>'
     )

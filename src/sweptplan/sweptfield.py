@@ -28,14 +28,13 @@ certified bound, the least over the intervals. Both consumers use it:
   coarse center skip the SDF. The rest are refined exactly as in
   `compute_swept_field`, so the count equals that field's count.
 
-Refinement (`_min_time_batch`) seeds Armijo-backtracked gradient descent on g
-from up to four candidates per point, its sampled local minima ranked by
-value with ties to the lower sample index, each once. They are selected from
-the sparse list of minima, sorted by (cell, value, sample index). The first
-index of the deepest sample is itself a sampled local minimum, so the
-rank-0 start is the scan's (g_min, j_min). Each descent step's backtracking
-passes carry a compacted set of only the points still trying a step, so a
-pass costs in proportion to the points it evaluates.
+Refinement (`_min_time_batch`) runs Armijo-backtracked gradient descent on g
+over [0, T] from one table of starts: per point its sampled local minima
+ranked by value, ties to the lower sample index, at most four, or sample 0
+when it has none. The first index of the deepest sample is itself a sampled
+local minimum, so the rank-0 start is the scan's (g_min, j_min). The table
+descends in one call; a point keeps its deepest result, ties to the lower
+rank. Each backtracking pass evaluates only the points still trying a step.
 """
 
 from __future__ import annotations
@@ -200,41 +199,35 @@ def _g_and_slope(path, veh: VehicleParams, points: np.ndarray, ts: np.ndarray):
     return val, slope
 
 
-def min_time_distance(
-    p: np.ndarray,
-    path,
-    veh: VehicleParams,
-    t_min: float = 0.0,
-    t_max: float | None = None,
-) -> tuple[float, float]:
-    """Globalized search for min_t F_SDF(p, t) over [t_min, t_max].
+def min_time_distance(p: np.ndarray, path, veh: VehicleParams) -> tuple[float, float]:
+    """Globalized search for min_t F_SDF(p, t) over [0, path.total_time].
 
     Returns (t_star, f_star). A K-sample coarse scan collects candidate
     basins (its local minima), Armijo-backtracked descent on g(t) refines
-    the best few of them, and the deepest refined minimizer wins; interval
+    the best few of them, and the deepest refined minimizer wins; the
     endpoints are admissible.
     """
     pts = np.asarray(p, dtype=float).reshape(1, 2)
-    t_hi = path.total_time if t_max is None else float(t_max)
-    t, f = _min_time_batch(pts, path, veh, float(t_min), t_hi, _coarse_poses(path, float(t_min), t_hi))
+    t, f = _min_time_batch(pts, path, veh, _coarse_poses(path))
     return float(t[0]), float(f[0])
 
 
-def _coarse_poses(path, t_min: float, t_max: float):
-    """The coarse scan's times with their poses as (ts, x, y, cos, sin), sampled
-    once and shared by every point; None for an empty interval."""
-    if t_max <= t_min:
+def _coarse_poses(path):
+    """The coarse scan's times over [0, path.total_time] with their poses as
+    (ts, x, y, cos, sin), sampled once and shared by every point; None for a
+    path of zero duration."""
+    if path.total_time <= 0.0:
         return None
-    ts = np.linspace(t_min, t_max, COARSE_SAMPLES)
+    ts = np.linspace(0.0, path.total_time, COARSE_SAMPLES)
     poses = path.sample(ts, 0)
     return ts, poses[:, 0], poses[:, 1], np.cos(poses[:, 2]), np.sin(poses[:, 2])
 
 
-def _min_time_batch(points: np.ndarray, path, veh: VehicleParams, t_min: float, t_max: float, coarse):
+def _min_time_batch(points: np.ndarray, path, veh: VehicleParams, coarse):
     """(t*, f*) per point from the coarse scan and candidate refinement."""
     m = points.shape[0]
     if coarse is None:
-        ts = np.full(m, t_min)
+        ts = np.zeros(m)
         return ts, _g_values(path, veh, points, ts)
     grid_ts, xs, ys, cs, ss = coarse
     k = grid_ts.shape[0]
@@ -246,9 +239,8 @@ def _min_time_batch(points: np.ndarray, path, veh: VehicleParams, t_min: float, 
 
     # Every sampled local minimum is a candidate basin; the sample ordering by
     # value can differ from the ordering of the true basin depths, so the best
-    # few candidates are refined independently per point and the deepest wins.
-    # Candidates are ranked per cell by value, ties to the lower sample index;
-    # a cell with no finite local minimum starts from sample 0.
+    # four per point, in rank order, and sample 0 for a point with none, form
+    # one table of starts, each refined independently.
     is_min = np.ones((k, m), dtype=bool)
     is_min[1:] &= vals[1:] <= vals[:-1]
     is_min[:-1] &= vals[:-1] <= vals[1:]
@@ -258,24 +250,17 @@ def _min_time_batch(points: np.ndarray, path, veh: VehicleParams, t_min: float, 
     j, cell, v = j[finite], cell[finite], v[finite]
     order = np.lexsort((j, v, cell))
     j, cell = j[order], cell[order]
-    counts = np.bincount(cell, minlength=m)
-    rank = np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
-
-    first = rank == 0
-    start = np.zeros(m, dtype=np.intp)
-    start[cell[first]] = j[first]
-    step0 = (t_max - t_min) / (k - 1)
-    best_t, best_f = _refine_times(points, grid_ts[start], vals[start, np.arange(m)], path, veh, t_min, t_max, step0)
-    for r in range(1, min(4, k)):
-        nth = rank == r
-        if not nth.any():
-            break
-        sub, start = cell[nth], j[nth]
-        tr, fr = _refine_times(points[sub], grid_ts[start], vals[start, sub], path, veh, t_min, t_max, step0)
-        better = fr < best_f[sub]
-        best_f[sub[better]] = fr[better]
-        best_t[sub[better]] = tr[better]
-    return best_t, best_f
+    top = np.arange(cell.size) - np.searchsorted(cell, cell) < 4  # rank < 4
+    none = np.setdiff1d(np.arange(m), cell)
+    j = np.concatenate([j[top], np.zeros_like(none)])
+    cell = np.concatenate([cell[top], none])
+    f = vals[j, cell]
+    del vals  # the (64, m) table would otherwise stay resident through the descent
+    t, f = _refine_times(points[cell], grid_ts[j], f, path, veh)
+    # The stable sort keeps a point's equal results in rank order.
+    order = np.lexsort((f, cell))
+    best = order[np.searchsorted(cell[order], np.arange(m))]
+    return t[best], f[best]
 
 
 def _interval_bound(g_prev, g, dist_prev, vmax: float, wmax: float, h: float):
@@ -327,12 +312,10 @@ def _refine_times(
     f: np.ndarray,
     path,
     veh: VehicleParams,
-    t_min: float,
-    t_max: float,
-    step0: float,
 ):
-    """Armijo-backtracked descent on g(t) from per-point starts t with values
-    f = g(t); mutates and returns both.
+    """Armijo-backtracked descent on g(t) over [0, path.total_time] from
+    per-point starts t with values f = g(t), first step one coarse interval;
+    mutates and returns both.
 
     All points iterate in lockstep, each touching only its own state, so
     results do not depend on how points are batched. Every update of t comes
@@ -340,7 +323,8 @@ def _refine_times(
     passes carry a compacted set of only the points still trying a step.
     """
     m = points.shape[0]
-    alpha = np.full(m, step0)
+    t_end = path.total_time
+    alpha = np.full(m, t_end / (COARSE_SAMPLES - 1))
     idx = np.arange(m)  # the points still descending
     for _ in range(MAX_REFINE_ITERS):
         if idx.size == 0:
@@ -352,8 +336,8 @@ def _refine_times(
         d = np.where(slope > 0.0, -1.0, 1.0)
         # Stationary or pressed against the boundary: done.
         flat = np.abs(slope) < 1e-12
-        at_lo = (t0 <= t_min + 1e-15) & (d < 0.0)
-        at_hi = (t0 >= t_max - 1e-15) & (d > 0.0)
+        at_lo = (t0 <= 1e-15) & (d < 0.0)
+        at_hi = (t0 >= t_end - 1e-15) & (d > 0.0)
         go = np.flatnonzero(~(flat | at_lo | at_hi))
         idx, t0, pts, g_val, slope, d = (x.take(go, axis=0) for x in (idx, t0, pts, g_val, slope, d))
         a = alpha.take(idx)
@@ -367,7 +351,7 @@ def _refine_times(
         for _ in range(40):
             if live.size == 0:
                 break
-            tt = np.clip(lt + la * ld, t_min, t_max)
+            tt = np.clip(lt + la * ld, 0.0, t_end)
             ft = _g_values(path, veh, lp, tt)
             ok = ft <= lg - ARMIJO_C * la * ls
             hit = np.flatnonzero(ok)
@@ -438,7 +422,7 @@ def compute_swept_field(path, veh: VehicleParams, region=None, resolution: float
     """
     origin, width, height, cx, cy = _region_grid(path, veh, region, resolution)
     pts = np.column_stack([np.repeat(cx, height), np.tile(cy, width)])
-    coarse = _coarse_poses(path, 0.0, path.total_time)
+    coarse = _coarse_poses(path)
     if coarse is None:
         f, t = np.empty(pts.shape[0]), np.empty(pts.shape[0])
         refined = np.ones(pts.shape[0], dtype=bool)
@@ -447,7 +431,7 @@ def compute_swept_field(path, veh: VehicleParams, region=None, resolution: float
         t = coarse[0][j_min]
         refined = bound <= field_band(resolution) + CERT_MARGIN
     near = np.flatnonzero(refined)
-    t[near], f[near] = _min_time_batch(pts[near], path, veh, 0.0, path.total_time, coarse)
+    t[near], f[near] = _min_time_batch(pts[near], path, veh, coarse)
     return SweptField(
         origin=origin,
         resolution=resolution,
@@ -494,13 +478,13 @@ def count_swept_cells(path, veh: VehicleParams, region, resolution: float) -> Sw
     `rate_bounds`.
     """
     _, width, height, cx, cy = _region_grid(path, veh, region, resolution)
-    coarse = _coarse_poses(path, 0.0, path.total_time)
+    coarse = _coarse_poses(path)
     if coarse is None:
         cls = np.full((width, height), REFINED, dtype=np.int8)
     else:
         cls = _certify(path, veh, cx, cy, coarse)
     ix, iy = np.nonzero(cls == REFINED)
-    _, f = _min_time_batch(np.column_stack([cx[ix], cy[iy]]), path, veh, 0.0, path.total_time, coarse)
+    _, f = _min_time_batch(np.column_stack([cx[ix], cy[iy]]), path, veh, coarse)
     n = np.bincount(cls.ravel(), minlength=4)
     return SweepCount(
         cells=width * height,

@@ -905,3 +905,48 @@ def contour_segments_loop(field, level: float = 0.0):
             if len(pts) == 2:
                 segs.append((pts[0], pts[1]))
     return segs
+
+
+# The SVG's footprint outlines and obstacle runs drawn the slow way: each
+# corner is formatted to 4 decimals, parsed back, moved into view coordinates
+# (x - xmin, ymax - y) and formatted again, and runs are found by walking
+# every cell of a row.
+
+
+def _fmt4(v: float) -> str:
+    s = f"{v:.4f}"
+    return "0.0000" if s == "-0.0000" else s
+
+
+def footprint_polygon_text(pose, veh, bounds) -> str:
+    """The `points` attribute of one footprint outline, formatted twice."""
+    xmin, _, _, ymax = (float(b) for b in bounds)
+    hl, hw = veh.length / 2.0, veh.width / 2.0
+    c, s = math.cos(pose[2]), math.sin(pose[2])
+    world = []
+    for bx, by in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)):
+        world.append(f"{_fmt4(pose[0] + c * bx - s * by)},{_fmt4(pose[1] + s * bx + c * by)}")
+    view = []
+    for pair in world:
+        sx, sy = pair.split(",")
+        view.append(f"{_fmt4(float(sx) - xmin)},{_fmt4(ymax - float(sy))}")
+    return " ".join(view)
+
+
+def occupancy_rects_loop(grid) -> list:
+    """Per-row runs of occupied cells as (x, y, w, h), one cell at a time."""
+    rects = []
+    res = grid.resolution
+    ox, oy = grid.origin
+    for iy in range(grid.height):
+        ix = 0
+        while ix < grid.width:
+            if not grid.occupancy[ix, iy]:
+                ix += 1
+                continue
+            run = ix
+            while run < grid.width and grid.occupancy[run, iy]:
+                run += 1
+            rects.append((ox + ix * res, oy + iy * res, (run - ix) * res, res))
+            ix = run
+    return rects

@@ -705,3 +705,44 @@ def test_aborted_trace_csv_is_deterministic(tmp_path, monkeypatch):
     assert len(first.decode().splitlines()) == 5
     assert all(v != "nan" for v in last[:7] + last[10:12])
     assert all(v == "nan" for v in last[7:10] + last[12:])
+
+
+def test_metrics_refuses_an_aborted_trace(tmp_path, straight_all, monkeypatch):
+    real = sim.mpc_step
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 11:
+            raise RuntimeError("stubbed failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "mpc_step", stub)
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("trajectory.json", "area.json"):
+        shutil.copy(straight_all / name, out)
+    sc = parse_scenario(STRAIGHT)
+    assert run_pipeline(sc, ["track"], str(out)) == 1
+    assert len((out / "trace.csv").read_text().splitlines()) == 12
+    # A separate metrics call must not score the aborted run.
+    assert run_pipeline(sc, ["metrics"], str(out)) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["stage"] == "metrics"
+    assert err["error"] == "MissingArtifact"
+    assert "aborted" in err["message"]
+    assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_main_unreadable_scenario_exit_code(tmp_path, kind, capsys):
+    if kind == "directory":
+        path = tmp_path / "dir.json"
+        path.mkdir()
+    else:
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(_minimal(name="café"), ensure_ascii=False).encode("latin-1"))
+    assert main(["plan", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "x").exists()

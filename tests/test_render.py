@@ -1,12 +1,14 @@
+import re
+
 import numpy as np
 
 import pytest
 
 from helpers import small_vehicle, straight_traj
-from oracles import contour_segments_loop
-from sweptplan.render import _contour_segments, render_scene
-from sweptplan.sweptfield import SweptField, compute_swept_field
-from sweptplan.worldmodel import Box, rasterize_obstacles
+from oracles import contour_segments_loop, footprint_polygon_text, occupancy_rects_loop
+from sweptplan.render import N_FOOTPRINTS, _contour_segments, _occupancy_rects, render_scene
+from sweptplan.sweptfield import LinearPosePath, SweptField, compute_swept_field
+from sweptplan.worldmodel import Box, Disc, GridMap, rasterize_obstacles
 
 
 VIEW = (-2.0, -4.0, 14.0, 6.0)
@@ -91,3 +93,38 @@ def test_contour_segments_equal_cell_loop_on_fields(veh, line_traj):
     for field in (_corner_field(noisy), compute_swept_field(line_traj, veh, resolution=0.1)):
         assert repr(_contour_segments(field)) == repr(contour_segments_loop(field))
         assert repr(_contour_segments(field, level=0.5)) == repr(contour_segments_loop(field, level=0.5))
+
+
+# View bounds with at most four decimals, as the shipped scenarios have: there
+# the direct transform and the oracle's format-parse-format give the same text.
+@pytest.mark.parametrize("bounds", [VIEW, (-3.0, -2.0, 1.7, 4.1234), (0.0, 0.0, 9.5, 7.25)])
+def test_footprint_polygons_equal_twice_formatted_corners(tmp_path, veh, bounds):
+    rng = np.random.default_rng(7)
+    xmin, ymin, xmax, ymax = bounds
+    field = _corner_field(np.ones((3, 3)))
+    grid = rasterize_obstacles([], bounds, 0.5)
+    for trial in range(50):
+        poses = np.column_stack(
+            [
+                rng.uniform(xmin, xmax, N_FOOTPRINTS),
+                rng.uniform(ymin, ymax, N_FOOTPRINTS),
+                rng.uniform(-4.0, 4.0, N_FOOTPRINTS),
+            ]
+        )
+        path = LinearPosePath(np.arange(N_FOOTPRINTS, dtype=float), poses)
+        out = tmp_path / f"{trial}.svg"
+        render_scene(str(out), veh, path, grid, field, bounds)
+        drawn = re.findall(r'<polygon points="([^"]*)"', out.read_text())
+        sampled = path.sample(np.linspace(0.0, path.total_time, N_FOOTPRINTS), 0)
+        assert drawn == [footprint_polygon_text(p, veh, bounds) for p in sampled]
+
+
+def test_occupancy_rects_equal_cell_walk():
+    rng = np.random.default_rng(3)
+    shapes = [Box(1.0, 1.0, 3.0, 2.5), Disc(6.0, 4.0, 1.5), Box(-2.0, -4.0, 14.0, -3.5)]
+    grids = [rasterize_obstacles(shapes, VIEW, 0.2)]
+    for density in (0.0, 0.3, 1.0):
+        occ = rng.random((23, 17)) < density
+        grids.append(GridMap(np.array([-1.5, 2.25]), 0.25, 23, 17, occ, np.zeros((0, 2))))
+    for grid in grids:
+        assert repr(_occupancy_rects(grid)) == repr(occupancy_rects_loop(grid))

@@ -205,9 +205,8 @@ def _query_points(path, veh, n: int) -> np.ndarray:
     return np.random.default_rng(n).uniform([xmin, ymin], [xmax, ymax], size=(n, 2))
 
 
-def _batch(points, path, veh, t_min, t_max):
-    coarse = sweptfield._coarse_poses(path, t_min, t_max)
-    return sweptfield._min_time_batch(points, path, veh, t_min, t_max, coarse)
+def _batch(points, path, veh):
+    return sweptfield._min_time_batch(points, path, veh, sweptfield._coarse_poses(path))
 
 
 @pytest.mark.parametrize("n", [1, 7, 20_000])
@@ -215,34 +214,24 @@ def _batch(points, path, veh, t_min, t_max):
 def test_min_time_batch_equals_per_point_oracle(veh, bend_traj, kind, n):
     path = _exact_path(kind, bend_traj)
     pts = _query_points(path, veh, n)
-    t, f = _batch(pts, path, veh, 0.0, path.total_time)
+    t, f = _batch(pts, path, veh)
     t_ref, f_ref = min_time_per_point_poses(pts, path, veh, 0.0, path.total_time)
     assert np.array_equal(f, f_ref)
     assert np.array_equal(t, t_ref)
 
 
-@pytest.mark.parametrize("kind", ["minco", "linear"])
-def test_min_time_batch_subinterval_equals_oracle(veh, bend_traj, kind):
-    path = _exact_path(kind, bend_traj)
-    pts = _query_points(path, veh, 500)
-    t_min, t_max = 0.7, 0.6 * path.total_time
-    t, f = _batch(pts, path, veh, t_min, t_max)
-    t_ref, f_ref = min_time_per_point_poses(pts, path, veh, t_min, t_max)
-    assert np.array_equal(f, f_ref)
-    assert np.array_equal(t, t_ref)
-    assert t.min() >= t_min and t.max() <= t_max
-
-
 @pytest.mark.parametrize("n", [1, 7, 20_000])
-def test_empty_interval_equals_oracle(veh, bend_traj, n):
-    pts = _query_points(bend_traj, veh, n)
-    for t_min, t_max in ((2.0, 2.0), (3.0, 1.0)):
-        t, f = _batch(pts, bend_traj, veh, t_min, t_max)
-        t_ref, f_ref = min_time_per_point_poses(pts, bend_traj, veh, t_min, t_max)
-        assert np.array_equal(f, f_ref)
-        assert np.array_equal(t, t_ref)
-        assert np.all(t == t_min)
-    assert min_time_distance(pts[0], bend_traj, veh, t_min=3.0, t_max=1.0) == (t_ref[0], f_ref[0])
+def test_empty_interval_equals_oracle(veh, n):
+    # A one-sample path has the empty interval [0, 0] and no coarse scan.
+    path = LinearPosePath(np.array([0.0]), np.array([[1.0, 2.0, 0.4]]))
+    pts = np.random.default_rng(n).uniform([-3.0, -2.0], [5.0, 6.0], size=(n, 2))
+    assert sweptfield._coarse_poses(path) is None
+    t, f = _batch(pts, path, veh)
+    t_ref, f_ref = min_time_per_point_poses(pts, path, veh, 0.0, 0.0)
+    _assert_same_bits(f, f_ref)
+    _assert_same_bits(t, t_ref)
+    assert np.all(t == 0.0)
+    assert min_time_distance(pts[0], path, veh) == (t_ref[0], f_ref[0])
 
 
 def _assert_band_contract(field, path, veh, t_ref, f_ref, oracle_path=None):
@@ -312,7 +301,7 @@ def test_coarse_scan_rotates_by_one_cos_sin_per_time(veh, bend_traj, monkeypatch
 
     monkeypatch.setattr(sweptfield, "to_body_frame", spy)
     pts = _query_points(bend_traj, veh, 7)
-    _batch(pts, bend_traj, veh, 0.0, bend_traj.total_time)
+    _batch(pts, bend_traj, veh)
     assert len(scalar_calls) == COARSE_SAMPLES
 
 
@@ -432,7 +421,7 @@ def test_count_edge_cases_hit_zero(veh):
 
 def _classes(path, veh, region, res):
     _, _, _, cx, cy = sweptfield._region_grid(path, veh, region, res)
-    cls = sweptfield._certify(path, veh, cx, cy, sweptfield._coarse_poses(path, 0.0, path.total_time))
+    cls = sweptfield._certify(path, veh, cx, cy, sweptfield._coarse_poses(path))
     ix, iy = np.meshgrid(np.arange(cx.size), np.arange(cy.size), indexing="ij")
     return cls.ravel(), np.column_stack([cx[ix.ravel()], cy[iy.ravel()]])
 
@@ -499,12 +488,10 @@ def test_line_x_has_signed_zero_coefficients():
 def test_min_time_batch_equals_frozen_engine(veh, kind, n):
     path = FROZEN_PATHS[kind]()
     pts = _query_points(path, veh, n)
-    intervals = [(0.0, path.total_time), (0.7, 0.6 * path.total_time), (2.0, 2.0), (3.0, 1.0)]
-    for t_min, t_max in intervals:
-        t, f = _batch(pts, path, veh, t_min, t_max)
-        t_ref, f_ref = min_time_batch_argsort(pts, _frozen(path), veh, t_min, t_max)
-        _assert_same_bits(f, f_ref)
-        _assert_same_bits(t, t_ref)
+    t, f = _batch(pts, path, veh)
+    t_ref, f_ref = min_time_batch_argsort(pts, _frozen(path), veh, 0.0, path.total_time)
+    _assert_same_bits(f, f_ref)
+    _assert_same_bits(t, t_ref)
 
 
 @pytest.mark.parametrize("kind", list(FROZEN_PATHS))
@@ -591,8 +578,10 @@ def test_refinement_work_equals_frozen_engine(veh, bend_traj, kind, monkeypatch)
         return wrapper
 
     refine = sweptfield._refine_times
+    refine_calls = []
 
     def counting_refine(p, *args):
+        refine_calls.append(p.shape[0])
         np.add.at(starts, [cell_of[q] for q in map(tuple, p.tolist())], 1)
         return refine(p, *args)
 
@@ -600,7 +589,9 @@ def test_refinement_work_equals_frozen_engine(veh, bend_traj, kind, monkeypatch)
     for module, prefix in ((sweptfield, ""), (oracles, "ref")):
         for name in ("_g_values", "_g_and_slope"):
             monkeypatch.setattr(module, name, counted(prefix + name, getattr(module, name)))
-    t, f = _batch(pts, path, veh, 0.0, path.total_time)
+    t, f = _batch(pts, path, veh)
+    # One descent over the whole table of starts.
+    assert len(refine_calls) == 1
     t_ref, f_ref = min_time_batch_argsort(pts, _frozen(path), veh, 0.0, path.total_time)
     _assert_same_bits(f, f_ref)
     _assert_same_bits(t, t_ref)
