@@ -65,7 +65,13 @@ class MissingArtifact(RuntimeError):
 def _as_number(v, ctx: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValidationError(f"{ctx} must be a number, got {type(v).__name__}")
-    return float(v)
+    try:
+        number = float(v)
+    except OverflowError:  # an integer literal beyond the double range
+        number = math.inf
+    if not math.isfinite(number):  # JSON reads a float literal beyond it as inf
+        raise ValidationError(f"{ctx} must be a finite number")
+    return number
 
 
 def _as_int(v, ctx: str) -> int:
@@ -764,6 +770,11 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: cannot read scenario file {args.config}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     stages = list(_STAGE_ORDER) if args.stages == "all" else [args.stages]
     if args.ablate_sv:

@@ -7,13 +7,13 @@ positions (both sides), derivative continuity of orders 1-4 at every
 junction, and position/velocity/acceleration at both boundaries. Heading is
 treated as an unwrapped real scalar throughout.
 
-Costs evaluated on the spline return gradients with respect to (q, T); the
-dependence of the coefficients on (q, T) is folded in by an adjoint solve
-against the transposed system, so callers get total derivatives. The system
-goes to LAPACK's banded solver directly (`dgbsv`, the routine behind
-`scipy.linalg.solve_banded`), and the transposed system is LU-factored once
-per trajectory (`dgbtrf`), so each adjoint is one `dgbtrs`. `dgbsv` is
-`dgbtrf` followed by `dgbtrs`, so both give the same bits as `solve_banded`.
+Costs on the spline return their partial w.r.t. the coefficients (`grad_C`)
+with their direct (q, T) gradients, and `propagate_gradient` folds every
+`grad_C` of one evaluation onto (q, T) in one adjoint solve against the
+transposed system. The system goes to LAPACK's banded solver (`dgbsv`, the
+routine behind `scipy.linalg.solve_banded`); the transposed system is
+LU-factored once per trajectory (`dgbtrf`), so each adjoint is one `dgbtrs`.
+`dgbsv` is `dgbtrf` then `dgbtrs`, so both give `solve_banded`'s bits.
 
 Every evaluation (`MincoTrajectory.sample`, the one public evaluator, and
 the derivative rows of the adjoint and the energy gradient) goes through one
@@ -43,6 +43,7 @@ _DERIV = [[float(math.perm(i, order)) for i in range(6)] for order in range(6)]
 # Relative slack on rate_bounds: the rounding of its Horner sums and of a
 # sampled rate stays far below it.
 _RATE_MARGIN = 1e-9
+ARC_LENGTH_RATE = 100.0  # samples per second of the polyline arc length
 
 
 class NonPositiveDuration(Exception):
@@ -75,11 +76,12 @@ class Boundary:
 
 @dataclass
 class CostWithGrads:
-    """Scalar cost plus total gradients w.r.t. interior knots and durations."""
+    """Scalar cost plus (q, T) gradients: totals, or only the direct ones beside a grad_C."""
 
     value: float
     grad_q: np.ndarray  # (N-2, 3)
     grad_T: np.ndarray  # (N-1,)
+    grad_C: np.ndarray | None = None  # (N-1, 6, 3), partial w.r.t. coeffs at fixed (q, T)
 
 
 @functools.lru_cache(maxsize=8)
@@ -262,9 +264,9 @@ class MincoTrajectory:
         first = np.searchsorted(cuts, ts[:-1])
         return np.maximum.reduceat(np.hypot(b[:, 0], b[:, 1]), first), np.maximum.reduceat(b[:, 2], first)
 
-    def arc_length(self, samples_per_second: float = 100.0) -> float:
-        """Polyline arc length of the planar center path at a fixed sampling rate."""
-        n = max(2, int(math.ceil(self.total_time * samples_per_second)) + 1)
+    def arc_length(self) -> float:
+        """Polyline arc length of the planar center path, sampled ARC_LENGTH_RATE times a second."""
+        n = max(2, int(math.ceil(self.total_time * ARC_LENGTH_RATE)) + 1)
         ts = np.linspace(0.0, self.total_time, n)
         p = self.sample(ts, 0)[:, :2]
         d = np.diff(p, axis=0)
@@ -320,42 +322,36 @@ def build_minco(q: np.ndarray, T: np.ndarray, boundary: Boundary) -> MincoTrajec
     return MincoTrajectory(durations=T, waypoints=q, boundary=boundary, coeffs=coeffs, adjoint_band=abt)
 
 
-def propagate_gradient(
-    traj: MincoTrajectory,
-    grad_C: np.ndarray,
-    grad_T_direct: np.ndarray | None = None,
-    grad_q_direct: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fold a coefficient-space gradient back onto (q, T) through the linear system.
+def propagate_gradient(traj: MincoTrajectory, costs: list[CostWithGrads]) -> list[CostWithGrads]:
+    """Fold each cost's grad_C onto (q, T): one dgbtrs call, one 3-column block per cost.
 
-    grad_C is (N-1, 6, 3), the partial derivative of a scalar cost w.r.t. the
-    coefficients at fixed (q, T). Returns (grad_q, grad_T) totals: the adjoint
-    solve against the transposed system contributes d(cost)/dq through the
-    right-hand side and -lambda^T (dM/dT) C through the matrix.
+    A cost with grad_C comes back with totals and no grad_C: its direct
+    gradients plus the adjoint's, d(cost)/dq through the right-hand side and
+    -lambda^T (dM/dT) C through the matrix. Others come back unchanged.
     """
-    n_seg = traj.n_segments
-    n = 6 * n_seg
+    out = list(costs)
+    coupled = [i for i, c in enumerate(costs) if c.grad_C is not None]
+    if not coupled:
+        return out
+    n = 6 * traj.n_segments
     lu, piv = traj._adjoint_lu
-    g = np.asarray(grad_C, dtype=float).reshape(n, 3)
+    g = np.concatenate([costs[i].grad_C.reshape(n, 3) for i in coupled], axis=1)
     _check_finite(g)
-    lam, _ = dgbtrs(lu, _BAND, _BAND, g, piv)
-
-    grad_q = np.zeros((max(n_seg - 1, 0), 3))
-    if grad_q_direct is not None:
-        grad_q += grad_q_direct
-    # Knot j (1-based junction) enters the right-hand side in rows 6 j - 3 and 6 j + 2.
-    grad_q += lam[3 : n - 3 : 6] + lam[8 : n - 3 : 6]
-
-    grad_T = np.zeros(n_seg)
-    if grad_T_direct is not None:
-        grad_T += grad_T_direct
-    # Segment j's end rows are 6 j + 3 + k: five continuity rows at a
-    # junction, three boundary rows after the last segment.
-    for k, deriv in enumerate(traj._end_rows):
-        rows = lam[3 + k :: 6]
-        m = rows.shape[0]
-        grad_T[:m] -= np.vecdot(rows, deriv[:m])
-    return grad_q, grad_T
+    lam_all, _ = dgbtrs(lu, _BAND, _BAND, g, piv)
+    for i, lam in zip(coupled, np.split(lam_all, len(coupled), axis=1)):
+        # Direct terms added to zeros first, so a -0.0 among them folds as +0.0.
+        grad_q = costs[i].grad_q + 0.0
+        grad_T = costs[i].grad_T + 0.0
+        # Knot j (1-based junction) enters the right-hand side in rows 6 j - 3 and 6 j + 2.
+        grad_q += lam[3 : n - 3 : 6] + lam[8 : n - 3 : 6]
+        # Segment j's end rows are 6 j + 3 + k: five continuity rows at a
+        # junction, three boundary rows after the last segment.
+        for k, deriv in enumerate(traj._end_rows):
+            rows = lam[3 + k :: 6]
+            m = rows.shape[0]
+            grad_T[:m] -= np.vecdot(rows, deriv[:m])
+        out[i] = CostWithGrads(value=costs[i].value, grad_q=grad_q, grad_T=grad_T)
+    return out
 
 
 def _horner(traj: MincoTrajectory, seg, tau, order: int) -> np.ndarray:
@@ -378,7 +374,7 @@ def _horner(traj: MincoTrajectory, seg, tau, order: int) -> np.ndarray:
 
 
 def energy_cost_with_grads(traj: MincoTrajectory) -> CostWithGrads:
-    """Integrated squared jerk over the trajectory, with total (q, T) gradients.
+    """Integrated squared jerk over the trajectory, with its grad_C and direct grad_T.
 
     Per segment and component, with c3..c5 the cubic..quintic coefficients:
     integral = 36 c3^2 T + 144 c3 c4 T^2 + (192 c4^2 + 240 c3 c5) T^3
@@ -407,9 +403,8 @@ def energy_cost_with_grads(traj: MincoTrajectory) -> CostWithGrads:
     grad_C[:, 5, :] = 240.0 * c3 * t3 + 720.0 * c4 * t4 + 1440.0 * c5 * t5
     # Direct T dependence: the integrand (squared jerk) evaluated at the segment end.
     jerk = traj._end_rows[2]
-    direct_T = np.vecdot(jerk, jerk)
-    grad_q, grad_T = propagate_gradient(traj, grad_C, grad_T_direct=direct_T)
-    return CostWithGrads(value=value, grad_q=grad_q, grad_T=grad_T)
+    grad_q = np.zeros((max(traj.n_segments - 1, 0), 3))
+    return CostWithGrads(value=value, grad_q=grad_q, grad_T=np.vecdot(jerk, jerk), grad_C=grad_C)
 
 
 def time_cost_with_grads(T: np.ndarray) -> CostWithGrads:

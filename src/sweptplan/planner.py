@@ -7,9 +7,10 @@ against the obstacle set by dense sampling. Each stage is a table of weighted
 cost terms handed to one driver, `_optimize`: a limited-memory quasi-Newton
 loop over the knots and softplus-mapped durations, which stay above a floor,
 with a strong Wolfe line search for the smooth stage and descent-only Armijo
-backtracking for the hinged stage. Each accepted point is traced with its
-gradient norm, step, the evaluations its line search made and the weighted
-cost terms.
+backtracking for the hinged stage. Each evaluation folds every term's
+coefficient gradient onto (q, T) in one adjoint solve, then sums the weighted
+terms. Each accepted point is traced with its gradient norm, step, the
+evaluations its line search made and the weighted cost terms.
 
 Stage 2 finds the obstacle points near each knot through a neighbour list
 with a skin: one exhaustive offset test over the obstacle points serves every
@@ -50,6 +51,7 @@ T_MIN = 0.01  # duration floor under the softplus map, seconds
 _QUERY_SLACK = 1e-6  # meters added to the neighbour-list rebuild radius
 _SKIN = 0.5  # meters a knot may drift from where the neighbour list was queried
 LBFGS_MEMORY = 8  # curvature pairs kept by the quasi-Newton loop
+SWEEP_MIN_SPEED_SQ = 1e-8  # (m/s)^2: the sweep term skips knots moving slower
 
 
 class SizeMismatch(Exception):
@@ -225,14 +227,13 @@ class _NeighbourList:
         return k_idx[keep], self.m_idx[keep], dx[keep], dy[keep]
 
 
-def sweep_cost_with_grads(traj: MincoTrajectory, eps: float = 1e-8) -> CostWithGrads:
+def sweep_cost_with_grads(traj: MincoTrajectory) -> CostWithGrads:
     """Squared misalignment between knot heading and travel direction.
 
     delta = wrap(phi_j - atan2(Vy, Vx)) at each interior knot; junctions with
-    degenerate planar speed (Vx^2 + Vy^2 < eps) are skipped. The velocity is
-    read from the right-hand segment at local time zero, so its coefficient
-    gradient is a single basis row and the duration dependence arrives purely
-    through the adjoint.
+    degenerate planar speed (Vx^2 + Vy^2 < SWEEP_MIN_SPEED_SQ) are skipped.
+    The velocity is read from the right-hand segment at local time zero, so
+    its grad_C is a single basis row and it has no direct duration gradient.
     """
     n_seg = traj.n_segments
     grad_q = np.zeros((max(n_seg - 1, 0), 3))
@@ -242,15 +243,14 @@ def sweep_cost_with_grads(traj: MincoTrajectory, eps: float = 1e-8) -> CostWithG
     knots = zip(traj.coeffs[1:, 1, :2].tolist(), traj.waypoints[:, 2].tolist())
     for k, ((vx, vy), phi) in enumerate(knots):
         s2 = vx * vx + vy * vy
-        if s2 < eps:
+        if s2 < SWEEP_MIN_SPEED_SQ:
             continue
         delta = wrap_angle(phi - math.atan2(vy, vx))
         value += delta * delta
         grad_q[k, 2] += 2.0 * delta
         grad_C[k + 1, 1, 0] += 2.0 * delta * (vy / s2)
         grad_C[k + 1, 1, 1] += 2.0 * delta * (-vx / s2)
-    gq, gT = propagate_gradient(traj, grad_C, grad_q_direct=grad_q)
-    return CostWithGrads(value=value, grad_q=gq, grad_T=gT)
+    return CostWithGrads(value=value, grad_q=grad_q, grad_T=np.zeros(n_seg), grad_C=grad_C)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +438,8 @@ def _optimize(stage, t0, q0, T0, boundary, terms, opts, search, check=None) -> P
         traj = build_minco(z[:n_q].reshape(-1, 3), softplus(tau), boundary)
         traced = dict.fromkeys(TRACE_COLUMNS[4:], 0.0)
         weighted = []
-        for name, w, cost in terms:
-            c = cost(traj)
+        costs = propagate_gradient(traj, [cost(traj) for _, _, cost in terms])
+        for (name, w, _), c in zip(terms, costs):
             traced[name] = w * c.value
             weighted.append((traced[name], w * c.grad_q, w * c.grad_T))
         val, gq, gT = (functools.reduce(operator.add, part) for part in zip(*weighted))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from sweptplan.geometry import VehicleParams, footprint_sdf_values, wrap_angle
-from sweptplan.minco import Boundary, build_minco
+from sweptplan.minco import Boundary, build_minco, propagate_gradient
 from sweptplan.worldmodel import Box, rasterize_obstacles
 
 
@@ -18,6 +18,11 @@ def small_vehicle() -> VehicleParams:
         axle_count=2,
         wheel_positions=[(1.0, 0.5), (1.0, -0.5), (-1.0, 0.5), (-1.0, -0.5)],
     )
+
+
+def folded(cost, traj):
+    """cost(traj) with total (q, T) gradients: its grad_C folded in as planner._optimize does."""
+    return propagate_gradient(traj, [cost(traj)])[0]
 
 
 def straight_traj(distance: float = 10.0, speed: float = 1.0, n_interior: int = 3):

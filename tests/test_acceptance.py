@@ -17,6 +17,7 @@ import pytest
 
 from helpers import (
     curved_traj,
+    folded,
     nudge_off_kinks,
     random_instance,
     rotation_traj,
@@ -75,7 +76,7 @@ def test_acceptance_1_gradient_fidelity():
             poses=np.vstack([boundary.start[0], q + 0.25, boundary.end[0]]), spacing=1.0
         )
         costs = {
-            "energy": lambda qq, TT: energy_cost_with_grads(build_minco(qq, TT, boundary)),
+            "energy": lambda qq, TT: folded(energy_cost_with_grads, build_minco(qq, TT, boundary)),
             "time": lambda qq, TT: time_cost_with_grads(TT),
             "deviation": lambda qq, TT: deviation_cost_with_grads(
                 build_minco(qq, TT, boundary), ref
@@ -83,7 +84,7 @@ def test_acceptance_1_gradient_fidelity():
             "obstacle": lambda qq, TT: obstacle_cost_with_grads(
                 build_minco(qq, TT, boundary), grid, veh, d_th
             ),
-            "sweep": lambda qq, TT: sweep_cost_with_grads(build_minco(qq, TT, boundary)),
+            "sweep": lambda qq, TT: folded(sweep_cost_with_grads, build_minco(qq, TT, boundary)),
         }
         for cost in costs.values():
             got = cost(q, T)

@@ -438,6 +438,37 @@ def test_parse_rejects_non_finite_constant(tmp_path, constant, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ('"length": 2.0', '"length": 1e400', "vehicle.length"),
+        ('"goal": [10.0, 0.0, 0.0]', '"goal": [10.0, 0.0, 1e999]', "goal[2]"),
+        ('"length": 2.0', '"length": 1' + "0" * 400, "vehicle.length"),
+    ],
+    ids=["float_overflow", "vector_entry_overflow", "integer_overflow"],
+)
+def test_main_rejects_overflowing_number(tmp_path, old, new, key, capsys):
+    with open(STRAIGHT, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    path = _write(tmp_path, text.replace(old, new))
+    assert main(["all", "--config", path, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: ValidationError: {key} must be a finite number\n", err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("kind", ["file", "below_file"])
+def test_main_out_that_cannot_be_created_exit_code(tmp_path, kind, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    out = blocker if kind == "file" else blocker / "out"
+    assert main(["plan", "--config", STRAIGHT, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {out}: ") and len(err.splitlines()) == 1, err
+    assert blocker.read_text() == "keep"
+
+
 def test_plan_substage_timings(tmp_path):
     out = tmp_path / "out"
     assert run_pipeline(parse_scenario(STRAIGHT), ["plan"], str(out)) == 0

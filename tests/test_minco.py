@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import curved_traj, random_instance, rotation_traj, straight_traj
+from helpers import curved_traj, folded, random_instance, rotation_traj, straight_traj
 from oracles import (
     GatheredMinco,
     energy_direct_T,
@@ -19,6 +19,7 @@ from oracles import (
 from sweptplan import minco
 from sweptplan.minco import (
     Boundary,
+    CostWithGrads,
     MincoTrajectory,
     NonPositiveDuration,
     build_minco,
@@ -121,7 +122,7 @@ def test_energy_zero_for_constant():
     pose = (1.0, 2.0, 0.3)
     boundary = Boundary.rest_to_rest(pose, pose)
     traj = build_minco(np.tile(np.asarray(pose), (2, 1)), np.ones(3), boundary)
-    c = energy_cost_with_grads(traj)
+    c = folded(energy_cost_with_grads, traj)
     assert c.value < 1e-18
     npt.assert_allclose(c.grad_q, 0.0, atol=1e-9)
     npt.assert_allclose(c.grad_T, 0.0, atol=1e-9)
@@ -144,7 +145,7 @@ def test_energy_gradients_match_finite_differences():
     for seed in range(10):
         q, T, boundary = random_instance(seed)
         traj = build_minco(q, T, boundary)
-        c = energy_cost_with_grads(traj)
+        c = folded(energy_cost_with_grads, traj)
 
         def fn(qq, TT):
             return energy_cost_with_grads(build_minco(qq, TT, boundary)).value
@@ -203,34 +204,66 @@ def test_band_assembly_equals_scalar_oracle(n_seg):
         assert not ab[: minco._BAND].any() and not abt[: minco._BAND].any()
 
 
-@pytest.mark.parametrize("n_seg", [1, 2, 15])
+def _fold_cases(traj, rng):
+    """Lists of 1-3 costs with a grad_C, in random order among 0-2 without.
+
+    Each cost's direct gradients are random, +0.0 or -0.0.
+    """
+    n_seg = traj.n_segments
+    for n_coupled in (1, 2, 3):
+        costs = []
+        for k in range(n_coupled + rng.integers(0, 3)):
+            zero = (None, 0.0, -0.0)[rng.integers(0, 3)]
+            if zero is None:
+                grad_q, grad_T = rng.standard_normal((n_seg - 1, 3)), rng.standard_normal(n_seg)
+            else:
+                grad_q, grad_T = np.full((n_seg - 1, 3), zero), np.full(n_seg, zero)
+            grad_C = rng.standard_normal(traj.coeffs.shape) if k < n_coupled else None
+            costs.append(CostWithGrads(float(k), grad_q, grad_T, grad_C))
+        yield [costs[i] for i in rng.permutation(len(costs))]
+
+
+@pytest.mark.parametrize("n_seg", [1, 2, 5, 15])
 def test_adjoint_equals_scalar_oracle(n_seg):
+    """One fold gives each cost with a grad_C the oracle's totals, as if it
+    were folded alone, and returns every other cost as it was."""
     for seed, q, T, boundary in _exact_instances(n_seg):
         traj = build_minco(q, T, boundary)
         rng = np.random.default_rng(seed)
-        grad_C = rng.standard_normal(traj.coeffs.shape)
-        direct_T = rng.standard_normal(n_seg)
-        direct_q = rng.standard_normal(q.shape)
-        for kwargs in ({}, {"grad_T_direct": direct_T, "grad_q_direct": direct_q}):
-            grad_q, grad_T = propagate_gradient(traj, grad_C, **kwargs)
-            ref_q, ref_T = minco_adjoint(traj, grad_C, **kwargs)
-            assert np.array_equal(grad_q, ref_q)
-            assert np.array_equal(grad_T, ref_T)
+        for _ in range(4):
+            for costs in _fold_cases(traj, rng):
+                out = propagate_gradient(traj, costs)
+                assert len(out) == len(costs)
+                for c, got in zip(costs, out):
+                    if c.grad_C is None:
+                        assert got is c
+                        continue
+                    ref_q, ref_T = minco_adjoint(traj, c.grad_C, c.grad_T, c.grad_q)
+                    assert got.value == c.value and got.grad_C is None
+                    for a, b in ((got.grad_q, ref_q), (got.grad_T, ref_T)):
+                        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 @pytest.mark.parametrize("n_seg", [1, 2, 15])
-def test_energy_direct_term_equals_scalar_oracle(n_seg, monkeypatch):
-    seen = []
-
-    def capture(traj, grad_C, grad_T_direct=None, grad_q_direct=None):
-        seen.append(grad_T_direct)
-        return propagate_gradient(traj, grad_C, grad_T_direct, grad_q_direct)
-
-    monkeypatch.setattr(minco, "propagate_gradient", capture)
+def test_energy_direct_term_equals_scalar_oracle(n_seg):
+    """The energy hands the fold its grad_C, the squared jerk at each segment
+    end as its direct grad_T, and a +0.0 direct grad_q."""
+    d3 = np.array(minco._DERIV[3][3:])
     for _, q, T, boundary in _exact_instances(n_seg):
         traj = build_minco(q, T, boundary)
-        energy_cost_with_grads(traj)
-        assert np.array_equal(seen.pop(), energy_direct_T(traj))
+        c = energy_cost_with_grads(traj)
+        assert np.array_equal(c.grad_T, energy_direct_T(traj))
+        assert np.array_equal(c.grad_q, np.zeros_like(q)) and not np.signbit(c.grad_q).any()
+        # grad_C = 2 Q c per segment and component, Q the jerk Gram matrix of
+        # the cubic..quintic powers: Q_ij = d_i d_j T^(i+j-5) / (i+j-5). The
+        # sums cancel, so the bound is relative to the sum of |terms|.
+        assert not c.grad_C[:, :3].any()
+        p = np.add.outer(np.arange(3, 6), np.arange(3, 6)) - 5
+        for j, t in enumerate(T):
+            gram = np.outer(d3, d3) * t**p / p
+            coeffs = traj.coeffs[j, 3:]
+            err = np.abs(c.grad_C[j, 3:] - 2.0 * gram @ coeffs)
+            assert (err <= 1e-13 * (2.0 * np.abs(gram) @ np.abs(coeffs))).all()
 
 
 @pytest.mark.parametrize("n_seg", [1, 2, 15])
@@ -260,16 +293,17 @@ def test_adjoint_factors_once_per_trajectory(monkeypatch):
     traj = build_minco(q, T, boundary)
     assert not calls
     grad_C = np.random.default_rng(4).standard_normal(traj.coeffs.shape)
-    first = propagate_gradient(traj, grad_C)
-    energy_cost_with_grads(traj)
-    again = propagate_gradient(traj, grad_C)
+    cost = CostWithGrads(0.0, np.zeros_like(q), np.zeros_like(T), grad_C)
+    (first,) = propagate_gradient(traj, [cost])
+    propagate_gradient(traj, [energy_cost_with_grads(traj)])
+    (again,) = propagate_gradient(traj, [cost])
     assert len(calls) == 1
-    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert np.array_equal(first.grad_q, again.grad_q) and np.array_equal(first.grad_T, again.grad_T)
     # A trajectory read back from its dict assembles and factors its own system once.
     clone = MincoTrajectory.from_dict(traj.to_dict())
     for _ in range(2):
-        got = propagate_gradient(clone, grad_C)
-        assert all(np.array_equal(a, b) for a, b in zip(got, first))
+        (got,) = propagate_gradient(clone, [cost])
+        assert np.array_equal(got.grad_q, first.grad_q) and np.array_equal(got.grad_T, first.grad_T)
     assert len(calls) == 2
 
 
@@ -295,8 +329,9 @@ def test_adjoint_rejects_non_finite_gradient():
     traj = build_minco(*random_instance(1))
     grad_C = np.zeros(traj.coeffs.shape)
     grad_C[0, 3, 1] = math.nan
+    bad = CostWithGrads(0.0, np.zeros_like(traj.waypoints), np.zeros(traj.n_segments), grad_C)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        propagate_gradient(traj, grad_C)
+        propagate_gradient(traj, [energy_cost_with_grads(traj), bad])
 
 
 def test_sample_equals_scalar_horner():

@@ -9,9 +9,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import nudge_off_kinks, random_instance, scatter_grid, small_vehicle, straight_traj
+from helpers import folded, nudge_off_kinks, random_instance, scatter_grid, small_vehicle, straight_traj
 from oracles import fd_cost_grads, obstacle_cost_all_pairs, obstacle_pairs_all, rel_err, sweep_cost_loop
 import sweptplan.planner as planner
+from sweptplan import minco
 from sweptplan.cli import _build_grid, _plan_init, parse_scenario
 from sweptplan.minco import Boundary, build_minco, energy_cost_with_grads
 from sweptplan.planner import (
@@ -291,7 +292,7 @@ def test_sweep_skips_degenerate_velocity():
     q = np.array([[2.0, 0.0, 0.15]])
     traj = build_minco(q, np.array([2.0, 2.0]), boundary)
     v = traj.sample(2.0, 1)
-    c = sweep_cost_with_grads(traj)
+    c = folded(sweep_cost_with_grads, traj)
     assert np.isfinite(c.value)
     assert np.all(np.isfinite(c.grad_q))
     assert np.all(np.isfinite(c.grad_T))
@@ -312,21 +313,12 @@ def _sweep_cases():
                       Boundary.rest_to_rest((0.0, 0.0, 0.0), (0.0, 0.0, 0.3)))
 
 
-def test_sweep_cost_equals_numpy_scalar_oracle(monkeypatch):
-    seen = []
-
-    def capture(traj, grad_C, grad_T_direct=None, grad_q_direct=None):
-        seen.append((grad_C, grad_q_direct))
-        return propagate(traj, grad_C, grad_T_direct, grad_q_direct)
-
-    propagate = planner.propagate_gradient
-    monkeypatch.setattr(planner, "propagate_gradient", capture)
+def test_sweep_cost_equals_numpy_scalar_oracle():
     for traj in _sweep_cases():
         c = sweep_cost_with_grads(traj)
         value, grad_C, grad_q = sweep_cost_loop(traj)
-        got_C, got_q = seen.pop()
         assert c.value == value
-        for a, b in ((got_C, grad_C), (got_q, grad_q)):
+        for a, b in ((c.grad_C, grad_C), (c.grad_q, grad_q), (c.grad_T, np.zeros(traj.n_segments))):
             assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
@@ -340,7 +332,7 @@ def test_sweep_gradients_match_finite_differences():
         def fn(qq, TT):
             return sweep_cost_with_grads(build_minco(qq, TT, boundary)).value
 
-        c = sweep_cost_with_grads(build_minco(q, T, boundary))
+        c = folded(sweep_cost_with_grads, build_minco(q, T, boundary))
         gq, gT = fd_cost_grads(fn, q, T)
         err = rel_err(
             np.concatenate([c.grad_q.ravel(), c.grad_T]), np.concatenate([gq.ravel(), gT])
@@ -497,6 +489,21 @@ def test_trace_rows_account_for_every_evaluation(name, monkeypatch):
     # straight has no obstacles; on turn90 the neighbour list serves most
     # stage-2 evaluations without a rebuild.
     assert (len(queries) == 0) if name == "straight" else (0 < len(queries) <= n2 // 10)
+
+
+def test_one_adjoint_solve_per_evaluation(veh, monkeypatch):
+    """Each stage makes one dgbtrs call per cost evaluation, however many of
+    its terms have coefficient gradients (stage 2: energy and sweep)."""
+    solves = []
+    dgbtrs = minco.dgbtrs
+    monkeypatch.setattr(minco, "dgbtrs", lambda *a, **k: solves.append(1) or dgbtrs(*a, **k))
+    grid = rasterize_obstacles([Box(3.8, -0.4, 4.2, 0.0)], (-2.0, -4.0, 12.0, 4.0), 0.2)
+    opts = PlanOptions(max_iterations=30)
+    r1 = optimize_stage1(_line_init(), PlannerWeights(), opts)
+    n1 = len(solves)
+    r2 = optimize_stage2(r1.trajectory, grid, veh, PlannerWeights(), opts)
+    for report, n in ((r1, n1), (r2, len(solves) - n1)):
+        assert n == int(report.trace[:, TRACE_COLUMNS.index("evals")].sum()) > 1
 
 
 def test_stage_terms_call_the_module_bindings(veh, monkeypatch):
