@@ -1,7 +1,7 @@
 """Swept-volume-aware trajectory planning and tracking for multi-axle swerve vehicles."""
 
 from .drivetrain import WheelCommand, allocate, reconstruct_twist
-from .geometry import Pose2, SdfResult, VehicleParams, footprint_sdf_with_grad, world_sdf_with_grad
+from .geometry import Pose2, SdfResult, VehicleParams, footprint_sdf_with_grad
 from .minco import Boundary, MincoTrajectory, build_minco
 from .mpc import MpcConfig, MpcProblem, build_qp, mpc_step, solve_qp
 from .planner import PlanOptions, PlannerWeights, PlanReport, optimize_stage1, optimize_stage2
@@ -60,5 +60,4 @@ __all__ = [
     "run_closed_loop",
     "solve_qp",
     "swept_area",
-    "world_sdf_with_grad",
 ]

@@ -532,11 +532,13 @@ def _stage_plan(sc: Scenario, out_dir: str, seed) -> tuple:
         "total_time_s": traj.total_time,
     }
     _write_json(os.path.join(out_dir, "plan_report.json"), doc)
-    rows = np.vstack([
-        np.column_stack([np.full(len(r.trace), float(stage)), np.arange(len(r.trace), dtype=float), r.trace])
-        for stage, r in enumerate((report1, report2))
-    ])
-    _write_csv(os.path.join(out_dir, "cost_trace.csv"), ["stage", "iteration", *TRACE_COLUMNS], rows)
+    evals = TRACE_COLUMNS.index("evals")
+    with open(os.path.join(out_dir, "cost_trace.csv"), "w", encoding="utf-8") as fh:
+        fh.write(",".join(["stage", "iteration", *TRACE_COLUMNS]) + "\n")
+        for stage, r in (("stage1", report1), ("stage2", report2)):
+            for i, row in enumerate(r.trace.tolist()):
+                row[evals] = int(row[evals])
+                fh.write(",".join([stage, str(i), *map(repr, row)]) + "\n")
     _merge_timings(
         out_dir,
         {

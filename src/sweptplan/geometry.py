@@ -32,11 +32,6 @@ def wrap_angles(a: np.ndarray) -> np.ndarray:
     return np.where(w > math.pi, w - TWO_PI, w)
 
 
-def rotation_matrix(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
-
-
 def to_body_frame(dx, dy, c, s) -> np.ndarray:
     """World-frame offsets (dx, dy) rotated into a body frame whose heading
     has cosine c and sine s; returns the stacked (..., 2) body coordinates."""
@@ -55,18 +50,6 @@ class Pose2:
         self.x = float(self.x)
         self.y = float(self.y)
         self.phi = wrap_angle(float(self.phi))
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-    def rotation(self) -> np.ndarray:
-        return rotation_matrix(self.phi)
-
-    def transform_to_body(self, p_world: np.ndarray) -> np.ndarray:
-        """Map a world point into this pose's body frame."""
-        d = np.asarray(p_world, dtype=float) - self.position
-        return self.rotation().T @ d
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.phi])
@@ -194,26 +177,17 @@ def footprint_sdf_batch(points: np.ndarray, length: float, width: float):
     return values, grads
 
 
-def footprint_sdf_values(points: np.ndarray, length: float, width: float) -> np.ndarray:
+def footprint_sdf_values(points: np.ndarray, length: float, width: float, out=None) -> np.ndarray:
     """Values-only variant of footprint_sdf_batch for distance-check hot paths.
 
     Same values as footprint_sdf_batch: the hypotenuse is written over the
-    max(dx, dy) edge distance only at corner points, in place.
+    max(dx, dy) edge distance only at corner points, in place, into `out`
+    when given.
     """
     pts = np.asarray(points, dtype=float)
     dx = np.abs(pts[..., 0]) - length / 2.0
     dy = np.abs(pts[..., 1]) - width / 2.0
-    out = np.maximum(dx, dy, out=np.empty(np.shape(dx)))
+    out = np.maximum(dx, dy, out=np.empty(np.shape(dx)) if out is None else out)
     np.hypot(dx, dy, out=out, where=(dx > 0.0) & (dy > 0.0))
     return out
 
-
-def world_sdf_with_grad(p_world: np.ndarray, pose: Pose2, veh: VehicleParams) -> SdfResult:
-    """Signed distance from a world point to the footprint placed at `pose`.
-
-    The value is rigid-invariant; the gradient is the body-frame gradient
-    rotated back into the world frame.
-    """
-    u = pose.transform_to_body(p_world)
-    res = footprint_sdf_with_grad(u, veh)
-    return SdfResult(value=res.value, gradient=pose.rotation() @ res.gradient)

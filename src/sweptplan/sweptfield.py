@@ -3,38 +3,41 @@
 For a query point p and a pose path P(t), g(t) = F_SDF(p, P(t)) is the
 footprint distance at time t. Its minimum over the trajectory duration,
 f*(p) = min_t g(t), is negative exactly where the vehicle body passes, so the
-f* <= 0 sublevel set is the swept area. Every point is scanned at K coarse
-times, whose poses are sampled once per call; cells are pure functions of the
-inputs, so how they are batched does not change the output.
+f* <= 0 sublevel set is the swept area. One search, `_min_over_time`, serves
+the field, the swept-cell count and `min_time_distance`. Cells are pure
+functions of the inputs, so how they are batched does not change the output.
 
-Between coarse samples j and j+1, h apart, g changes no faster than
-L_j = vmax_j + wmax_j * (|p - c_j| + vmax_j * h), with vmax_j and wmax_j the
-path's `rate_bounds` on speed and |heading rate| over the interval and c_j
-the sampled pose center, so min g >= (g_j + g_{j+1}) / 2 - L_j * h / 2 there.
-`_scan` walks the K samples once and keeps three running minima per point:
-the deepest coarse value, the first sample index that reaches it, and this
-certified bound, the least over the intervals. Both consumers use it:
+The search samples g at K coarse times, their poses sampled once per call,
+into one (K, SCAN_BLOCK) table per block of points. Between samples j and
+j+1, h apart, g changes no faster than L_j = vmax_j + wmax_j * (|p - c_j| +
+vmax_j * h), with vmax_j and wmax_j the path's `rate_bounds` on speed and
+|heading rate| over the interval and c_j the sampled pose center, so min g >=
+(g_j + g_{j+1}) / 2 - L_j * h / 2 there (conservative advancement). From the
+table come the deepest sample g_min, its first index and the bound, the least
+over the intervals; the caller picks the points to refine from them:
 
-- `compute_swept_field` is exact only in a band. A cell is refined when its
-  bound is at most B = `field_band(resolution)`. Any other cell keeps its
-  deepest coarse sample and that sample's time, unrefined: a value >= the
-  refined f* and > B. The zero contour, the swept area and the planner's
-  clearances all lie inside the band.
-- When only the f* <= 0 cell count is needed (the driven path's swept area),
-  `count_swept_cells` decides most cells from the scan alone. A cell whose
-  bound is positive is certified outside; one with a non-positive coarse
-  sample is inside, because refinement only ever accepts decreases from the
-  deepest sample. Cells farther than half_diagonal + vmax_j * h from every
-  coarse center skip the SDF. The rest are refined exactly as in
-  `compute_swept_field`, so the count equals that field's count.
+- `compute_swept_field` refines a cell when its bound is at most B =
+  `field_band(resolution)`. Any other cell keeps its deepest sample and that
+  sample's time: a value >= f* and > B. The zero contour, the swept area and
+  the planner's clearances all lie inside the band.
+- `count_swept_cells` needs only the f* <= 0 count. A cell with a positive
+  bound is outside, one with a non-positive sample inside; only the rest are
+  refined, to the field's values, so the count equals the field's. Cells
+  farther than half_diagonal + vmax_j * h from every coarse center skip the
+  SDF. `min_time_distance` refines its point.
 
-Refinement (`_min_time_batch`) runs Armijo-backtracked gradient descent on g
-over [0, T] from one table of starts: per point its sampled local minima
-ranked by value, ties to the lower sample index, at most four, or sample 0
-when it has none. The first index of the deepest sample is itself a sampled
-local minimum, so the rank-0 start is the scan's (g_min, j_min). The table
-descends in one call; a point keeps its deepest result, ties to the lower
-rank. Each backtracking pass evaluates only the points still trying a step.
+A refined point's starts are its sampled local minima ranked by value, ties
+to the lower sample index, at most four, or sample 0 when it has none. If all
+K samples are positive, every interval whose bound is <= 0 may hide a basin
+and is bisected: each half gets the same bound and is dropped once the bound
+clears it; a midpoint where g <= 0, or whose half is shorter than TIME_TOL
+and not cleared, is one more start. All starts descend at once by
+Armijo-backtracked gradient descent on g over [0, T]. A point keeps its
+deepest ranked result, ties to the lower rank, unless that is positive and a
+bisected start ends deeper. So every cell's sign is certified down to
+TIME_TOL: f* <= 0 comes with a time where g = f*, and f* > 0 means the bound
+clears every interval but pieces shorter than TIME_TOL, whose descents stay
+positive. In-band values are the deepest of the basins searched.
 """
 
 from __future__ import annotations
@@ -46,21 +49,21 @@ import numpy as np
 
 from .geometry import VehicleParams, footprint_sdf_batch, footprint_sdf_values, to_body_frame
 
-# 64 samples keep basins narrower than the between-sample spacing from
-# hiding: at vehicle-scale speeds a body passage spans several samples
+# at vehicle-scale speeds a body passage spans several of 64 samples, so few
+# intervals need bisecting
 COARSE_SAMPLES = 64
 ARMIJO_C = 1e-4
 SHRINK = 0.5
-TIME_TOL = 1e-4  # seconds; refinement stops below this step size
+TIME_TOL = 1e-4  # seconds; refinement stops below this step, bisection below this piece
 MAX_REFINE_ITERS = 60
 # meters; certificates must clear floating-point noise in g and its bound by this much
 CERT_MARGIN = 1e-9
-# points per block of the coarse scan. Each coarse sample allocates and
-# frees about twenty per-point temporaries; at this size they stay in cache
-# and are reused, where whole-grid ones fault in fresh pages every sample
-# (turn90's planned field, one call per fresh process on a 2-CPU Xeon with
-# 4 MiB of L2 per core: 0.72 s of CPU against 1.01 s unblocked).
-SCAN_BLOCK = 16384
+# points per block of the coarse scan. Blocked, the per-sample temporaries
+# stay in cache (turn90's planned field on a 2-CPU Xeon with 4 MiB of L2 per
+# core: 0.72 s of CPU against 1.01 s unblocked). The (64, SCAN_BLOCK) table
+# is 4 MiB; 16,384 points took the same CPU within 1% and 5 MiB more peak
+# RSS on straight's sweep.
+SCAN_BLOCK = 8192
 # cell classes of the certified count
 FAR, INSIDE, OUTSIDE, REFINED = range(4)
 
@@ -89,10 +92,6 @@ class SweptField:
     # (width, height): the cells whose f* and t* were refined; None when unknown,
     # as for a field loaded from field.csv
     refined: np.ndarray | None = None
-
-    def cell_centers(self) -> np.ndarray:
-        ix, iy = np.meshgrid(np.arange(self.width), np.arange(self.height), indexing="ij")
-        return self.origin + (np.stack([ix.ravel(), iy.ravel()], axis=1) + 0.5) * self.resolution
 
 
 @dataclass
@@ -200,15 +199,12 @@ def _g_and_slope(path, veh: VehicleParams, points: np.ndarray, ts: np.ndarray):
 
 
 def min_time_distance(p: np.ndarray, path, veh: VehicleParams) -> tuple[float, float]:
-    """Globalized search for min_t F_SDF(p, t) over [0, path.total_time].
-
-    Returns (t_star, f_star). A K-sample coarse scan collects candidate
-    basins (its local minima), Armijo-backtracked descent on g(t) refines
-    the best few of them, and the deepest refined minimizer wins; the
-    endpoints are admissible.
+    """(t_star, f_star): min_t F_SDF(p, t) over [0, path.total_time], by the
+    search of the module docstring with p always refined. Its sign is
+    certified down to TIME_TOL, and its value is the deepest of the basins
+    searched; the endpoints are admissible. `path` must provide `rate_bounds`.
     """
-    pts = np.asarray(p, dtype=float).reshape(1, 2)
-    t, f = _min_time_batch(pts, path, veh, _coarse_poses(path))
+    t, f, _ = _min_over_time(path, veh, np.asarray(p, dtype=float).reshape(1, 2), _coarse_poses(path))
     return float(t[0]), float(f[0])
 
 
@@ -223,96 +219,108 @@ def _coarse_poses(path):
     return ts, poses[:, 0], poses[:, 1], np.cos(poses[:, 2]), np.sin(poses[:, 2])
 
 
-def _min_time_batch(points: np.ndarray, path, veh: VehicleParams, coarse):
-    """(t*, f*) per point from the coarse scan and candidate refinement."""
-    m = points.shape[0]
-    if coarse is None:
-        ts = np.zeros(m)
-        return ts, _g_values(path, veh, points, ts)
-    grid_ts, xs, ys, cs, ss = coarse
-    k = grid_ts.shape[0]
-    px, py = points[:, 0], points[:, 1]
-    vals = np.empty((k, m))
-    for j in range(k):
-        body = to_body_frame(px - xs[j], py - ys[j], cs[j], ss[j])
-        vals[j] = footprint_sdf_values(body, veh.length, veh.width)
-
-    # Every sampled local minimum is a candidate basin; the sample ordering by
-    # value can differ from the ordering of the true basin depths, so the best
-    # four per point, in rank order, and sample 0 for a point with none, form
-    # one table of starts, each refined independently.
-    is_min = np.ones((k, m), dtype=bool)
-    is_min[1:] &= vals[1:] <= vals[:-1]
-    is_min[:-1] &= vals[:-1] <= vals[1:]
-    j, cell = np.nonzero(is_min)
-    v = vals[j, cell]
-    finite = v < np.inf
-    j, cell, v = j[finite], cell[finite], v[finite]
-    order = np.lexsort((j, v, cell))
-    j, cell = j[order], cell[order]
-    top = np.arange(cell.size) - np.searchsorted(cell, cell) < 4  # rank < 4
-    none = np.setdiff1d(np.arange(m), cell)
-    j = np.concatenate([j[top], np.zeros_like(none)])
-    cell = np.concatenate([cell[top], none])
-    f = vals[j, cell]
-    del vals  # the (64, m) table would otherwise stay resident through the descent
-    t, f = _refine_times(points[cell], grid_ts[j], f, path, veh)
-    # The stable sort keeps a point's equal results in rank order.
-    order = np.lexsort((f, cell))
-    best = order[np.searchsorted(cell[order], np.arange(m))]
-    return t[best], f[best]
-
-
-def _interval_bound(g_prev, g, dist_prev, vmax: float, wmax: float, h: float):
-    """Lower bound on g over a coarse interval h long, from its end values
-    g_prev and g, the point's distance dist_prev from the first sample's pose
-    center, and the interval's rate bounds; never above g."""
+def _interval_bound(g_prev, g, dist_prev, vmax, wmax, h):
+    """Lower bound on g over an interval h long, from its end values g_prev
+    and g, the point's distance dist_prev from the first end's pose center,
+    and the interval's rate bounds; never above g."""
     lip = vmax + wmax * (dist_prev + vmax * h)
     return np.minimum(0.5 * (g_prev + g) - 0.5 * lip * h, g)
 
 
-def _scan(path, veh: VehicleParams, points: np.ndarray, coarse):
-    """(g_min, j_min, bound) per point from one pass over the coarse samples:
-    the deepest coarse value, the first sample index that reaches it, and the
-    certified lower bound on min g over the trajectory, never above g_min.
-
-    Keeps running minima only, so memory stays linear in the number of points
-    whatever the sample count; points are scanned SCAN_BLOCK at a time.
-    `path` must provide `rate_bounds`.
-    """
+def _min_over_time(path, veh: VehicleParams, points: np.ndarray, coarse, select=None):
+    """(t, f, refined) per point: (t*, f*) where `select(g_min, bound)` holds,
+    every point when select is None, and elsewhere the deepest coarse sample
+    and its time. The scan, the start table, the bisection and the descent of
+    the module docstring; `path` must provide `rate_bounds`."""
+    m = points.shape[0]
+    if coarse is None or m == 0:
+        t = np.zeros(m)
+        return t, _g_values(path, veh, points, t), np.ones(m, dtype=bool)
     ts, xs, ys, cs, ss = coarse
     h = np.diff(ts)
     vmax, wmax = path.rate_bounds(ts)
-    m = points.shape[0]
-    g_min, j_min, bound = np.empty(m), np.zeros(m, dtype=np.intp), np.empty(m)
+    t, f, refined = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+    table = np.empty((ts.size, min(m, SCAN_BLOCK)))
+    starts, pieces = [], []  # start rows (point, t, g); intervals to bisect
     for b in range(0, m, SCAN_BLOCK):
-        blk = slice(b, b + SCAN_BLOCK)
-        px, py = points[blk, 0], points[blk, 1]
-        gm, jm, lo = g_min[blk], j_min[blk], bound[blk]
+        px, py = points[b : b + SCAN_BLOCK, 0], points[b : b + SCAN_BLOCK, 1]
+        vals = table[:, : px.size]
+        g_min, j_min = f[b : b + px.size], np.zeros(px.size, dtype=np.intp)
         for j in range(ts.size):
             dx = px - xs[j]
             dy = py - ys[j]
-            g = footprint_sdf_values(to_body_frame(dx, dy, cs[j], ss[j]), veh.length, veh.width)
+            footprint_sdf_values(to_body_frame(dx, dy, cs[j], ss[j]), veh.length, veh.width, out=vals[j])
             if j == 0:
-                gm[:] = g
-                lo[:] = g
+                g_min[:] = vals[0]
+                bound = vals[0].copy()
             else:
                 i = j - 1  # the interval from sample j-1 to sample j
-                np.copyto(jm, j, where=g < gm)
-                np.minimum(gm, g, out=gm)
-                np.minimum(lo, _interval_bound(g_prev, g, dist_prev, vmax[i], wmax[i], h[i]), out=lo)
-            g_prev = g
+                np.copyto(j_min, j, where=vals[j] < g_min)
+                np.minimum(g_min, vals[j], out=g_min)
+                np.minimum(bound, _interval_bound(vals[i], vals[j], dist_prev, vmax[i], wmax[i], h[i]), out=bound)
             dist_prev = np.hypot(dx, dy)
-    return g_min, j_min, bound
+        sel = np.ones(px.size, dtype=bool) if select is None else select(g_min, bound)
+        refined[b : b + px.size], t[b : b + px.size] = sel, ts[j_min]
+
+        # Ranked starts: the selected points' finite sampled local minima by
+        # value, ties to the lower index, at most four; else sample 0.
+        cols = np.flatnonzero(sel)
+        v = vals[:, cols]
+        is_min = v < np.inf
+        is_min[1:] &= v[1:] <= v[:-1]
+        is_min[:-1] &= v[:-1] <= v[1:]
+        j, c = np.nonzero(is_min)
+        order = np.lexsort((j, v[j, c], c))
+        j, c = j[order], c[order]
+        top = np.arange(c.size) - np.searchsorted(c, c) < 4  # rank < 4
+        none = np.setdiff1d(np.arange(cols.size), c)
+        j, c = np.concatenate([j[top], np.zeros_like(none)]), np.concatenate([c[top], none])
+        starts.append((b + cols[c], ts[j], v[j, c]))
+
+        # Intervals that may hide a basin: bound <= 0 where every sample is positive.
+        pos = np.flatnonzero(sel & (g_min > 0.0) & (bound <= 0.0))
+        gp = vals[:, pos]
+        dist = np.hypot(px[pos] - xs[:-1, None], py[pos] - ys[:-1, None])
+        i, c = np.nonzero(_interval_bound(gp[:-1], gp[1:], dist, vmax[:, None], wmax[:, None], h[:, None]) <= 0.0)
+        pieces.append((b + pos[c], ts[i], ts[i + 1], gp[i, c], gp[i + 1, c], dist[i, c], vmax[i], wmax[i]))
+        del v, is_min, gp, dist  # freed before the next block's scan
+    del table, vals  # the table would otherwise stay resident through the descent
+
+    n_ranked = sum(cell.size for cell, _, _ in starts)
+    piece = [np.concatenate(x) for x in zip(*pieces)]
+    while piece[0].size:
+        # Halve every piece at its midpoint; each half gets the interval's bound.
+        pc, ta, tb, ga, gb, da, vm, wm = piece
+        tm = 0.5 * (ta + tb)
+        pose = path.sample(tm, 0)
+        dx, dy = points[pc, 0] - pose[:, 0], points[pc, 1] - pose[:, 1]
+        body = to_body_frame(dx, dy, np.cos(pose[:, 2]), np.sin(pose[:, 2]))
+        gm = footprint_sdf_values(body, veh.length, veh.width)
+        dm = np.hypot(dx, dy)
+        left = _interval_bound(ga, gm, da, vm, wm, tm - ta) <= 0.0
+        right = _interval_bound(gm, gb, dm, vm, wm, tb - tm) <= 0.0
+        hit, short = gm <= 0.0, tm - ta < TIME_TOL
+        start = hit | (short & (left | right))
+        starts.append((pc[start], tm[start], gm[start]))
+        left &= ~(hit | short)
+        right &= ~(hit | short)
+        piece = [np.concatenate([x[left], y[right]]) for x, y in
+                 ((pc, pc), (ta, tm), (tm, tb), (ga, gm), (gm, gb), (da, dm), (vm, vm), (wm, wm))]
+
+    cell, t0, f0 = (np.concatenate(x) for x in zip(*starts))
+    rt, rf = _refine_times(points[cell], t0, f0, path, veh)
+    # A point keeps its deepest ranked result, ties to the lower rank; a
+    # bisected start replaces it only where that is positive and the bisected
+    # one ends deeper. The stable sort keeps a point's equal results in row order.
+    near = np.flatnonzero(refined)
+    order = np.lexsort((rf, cell))
+    best, best_ranked = (o[np.searchsorted(cell.take(o), near)] for o in (order, order[order < n_ranked]))
+    best = np.where(rf[best_ranked] > 0.0, best, best_ranked)
+    t[near], f[near] = rt[best], rf[best]
+    return t, f, refined
 
 
-def _refine_times(
-    points: np.ndarray,
-    t: np.ndarray,
-    f: np.ndarray,
-    path,
-    veh: VehicleParams,
-):
+def _refine_times(points: np.ndarray, t: np.ndarray, f: np.ndarray, path, veh: VehicleParams):
     """Armijo-backtracked descent on g(t) over [0, path.total_time] from
     per-point starts t with values f = g(t), first step one coarse interval;
     mutates and returns both.
@@ -422,16 +430,8 @@ def compute_swept_field(path, veh: VehicleParams, region=None, resolution: float
     """
     origin, width, height, cx, cy = _region_grid(path, veh, region, resolution)
     pts = np.column_stack([np.repeat(cx, height), np.tile(cy, width)])
-    coarse = _coarse_poses(path)
-    if coarse is None:
-        f, t = np.empty(pts.shape[0]), np.empty(pts.shape[0])
-        refined = np.ones(pts.shape[0], dtype=bool)
-    else:
-        f, j_min, bound = _scan(path, veh, pts, coarse)
-        t = coarse[0][j_min]
-        refined = bound <= field_band(resolution) + CERT_MARGIN
-    near = np.flatnonzero(refined)
-    t[near], f[near] = _min_time_batch(pts[near], path, veh, coarse)
+    band = field_band(resolution) + CERT_MARGIN
+    t, f, refined = _min_over_time(path, veh, pts, _coarse_poses(path), lambda g_min, bound: bound <= band)
     return SweptField(
         origin=origin,
         resolution=resolution,
@@ -443,28 +443,35 @@ def compute_swept_field(path, veh: VehicleParams, region=None, resolution: float
     )
 
 
-def _certify(path, veh: VehicleParams, cx: np.ndarray, cy: np.ndarray, coarse) -> np.ndarray:
-    """Class of every cell of the (cx x cy) grid, shape (cx.size, cy.size):
-    FAR, INSIDE, OUTSIDE, or REFINED where the coarse scan cannot decide.
-    Only the cells that are not FAR are scanned."""
-    ts, xs, ys, cs, ss = coarse
-    h = np.diff(ts)
-    vmax, wmax = path.rate_bounds(ts)
-    # Within interval j the body stays inside a disc of this radius around c_j.
-    reach = veh.half_diagonal + vmax * h + CERT_MARGIN
-    near = np.zeros((cx.size, cy.size), dtype=bool)
-    for j in range(h.size):
-        ix0, ix1 = np.searchsorted(cx, [xs[j] - reach[j], xs[j] + reach[j]], side="left")
-        iy0, iy1 = np.searchsorted(cy, [ys[j] - reach[j], ys[j] + reach[j]], side="left")
-        dx = cx[ix0:ix1, None] - xs[j]
-        dy = cy[None, iy0:iy1] - ys[j]
-        near[ix0:ix1, iy0:iy1] |= dx * dx + dy * dy <= reach[j] * reach[j]
+def _certify(path, veh: VehicleParams, cx: np.ndarray, cy: np.ndarray, coarse):
+    """(cls, swept): the class of every cell of the (cx x cy) grid, shape
+    (cx.size, cy.size), FAR, INSIDE, OUTSIDE, or REFINED where the coarse scan
+    cannot decide, and the number of f* <= 0 cells. Only the cells that are
+    not FAR are searched, and only the REFINED ones are refined."""
+    near = np.full((cx.size, cy.size), coarse is None)
+    if coarse is not None:
+        ts, xs, ys, _, _ = coarse
+        h = np.diff(ts)
+        vmax, _ = path.rate_bounds(ts)
+        # Within interval j the body stays inside a disc of this radius around c_j.
+        reach = veh.half_diagonal + vmax * h + CERT_MARGIN
+        for j in range(h.size):
+            ix0, ix1 = np.searchsorted(cx, [xs[j] - reach[j], xs[j] + reach[j]], side="left")
+            iy0, iy1 = np.searchsorted(cy, [ys[j] - reach[j], ys[j] + reach[j]], side="left")
+            dx = cx[ix0:ix1, None] - xs[j]
+            dy = cy[None, iy0:iy1] - ys[j]
+            near[ix0:ix1, iy0:iy1] |= dx * dx + dy * dy <= reach[j] * reach[j]
 
     ix, iy = np.nonzero(near)
-    g_min, _, bound = _scan(path, veh, np.column_stack([cx[ix], cy[iy]]), coarse)
+    _, f, refined = _min_over_time(
+        path, veh, np.column_stack([cx[ix], cy[iy]]), coarse,
+        lambda g_min, bound: (bound <= CERT_MARGIN) & (g_min > -CERT_MARGIN),
+    )
     cls = np.full((cx.size, cy.size), FAR, dtype=np.int8)
-    cls[ix, iy] = np.where(g_min <= -CERT_MARGIN, INSIDE, np.where(bound > CERT_MARGIN, OUTSIDE, REFINED))
-    return cls
+    # An unrefined cell holds its deepest sample: <= -CERT_MARGIN inside, and
+    # otherwise its bound is > CERT_MARGIN.
+    cls[ix, iy] = np.where(refined, REFINED, np.where(f <= -CERT_MARGIN, INSIDE, OUTSIDE))
+    return cls, int(np.count_nonzero(f <= 0.0))
 
 
 def count_swept_cells(path, veh: VehicleParams, region, resolution: float) -> SweepCount:
@@ -472,19 +479,12 @@ def count_swept_cells(path, veh: VehicleParams, region, resolution: float) -> Sw
     resolution)`, without computing the field.
 
     Cells are certified from the coarse scan (see the module docstring) and
-    only the undecided ones are refined, by the same code and coarse poses as
-    the field; their results do not depend on how cells are batched, so the
-    count is exact. The bound needs rate bounds, so `path` must provide
-    `rate_bounds`.
+    only the undecided ones are refined, by the same search and coarse poses
+    as the field; their results do not depend on how cells are batched, so
+    the count is exact. `path` must provide `rate_bounds`.
     """
     _, width, height, cx, cy = _region_grid(path, veh, region, resolution)
-    coarse = _coarse_poses(path)
-    if coarse is None:
-        cls = np.full((width, height), REFINED, dtype=np.int8)
-    else:
-        cls = _certify(path, veh, cx, cy, coarse)
-    ix, iy = np.nonzero(cls == REFINED)
-    _, f = _min_time_batch(np.column_stack([cx[ix], cy[iy]]), path, veh, coarse)
+    cls, swept = _certify(path, veh, cx, cy, _coarse_poses(path))
     n = np.bincount(cls.ravel(), minlength=4)
     return SweepCount(
         cells=width * height,
@@ -492,7 +492,7 @@ def count_swept_cells(path, veh: VehicleParams, region, resolution: float) -> Sw
         certified_inside=int(n[INSIDE]),
         certified_outside=int(n[OUTSIDE]),
         refined=int(n[REFINED]),
-        swept=int(n[INSIDE]) + int(np.count_nonzero(f <= 0.0)),
+        swept=swept,
     )
 
 

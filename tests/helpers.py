@@ -6,7 +6,14 @@ import math
 
 import numpy as np
 
-from sweptplan.geometry import VehicleParams, footprint_sdf_values, wrap_angle
+from sweptplan.geometry import (
+    SdfResult,
+    VehicleParams,
+    footprint_sdf_values,
+    footprint_sdf_with_grad,
+    to_body_frame,
+    wrap_angle,
+)
 from sweptplan.minco import Boundary, build_minco, propagate_gradient
 from sweptplan.worldmodel import Box, rasterize_obstacles
 
@@ -18,6 +25,22 @@ def small_vehicle() -> VehicleParams:
         axle_count=2,
         wheel_positions=[(1.0, 0.5), (1.0, -0.5), (-1.0, 0.5), (-1.0, -0.5)],
     )
+
+
+def world_sdf_with_grad(p_world, pose, veh: VehicleParams) -> SdfResult:
+    """Signed distance from a world point to the footprint placed at `pose`
+    (a Pose2): the body-frame SDF of the rotated offset, with its gradient
+    rotated back into the world frame."""
+    c, s = math.cos(pose.phi), math.sin(pose.phi)
+    res = footprint_sdf_with_grad(to_body_frame(p_world[0] - pose.x, p_world[1] - pose.y, c, s), veh)
+    gx, gy = res.gradient
+    return SdfResult(value=res.value, gradient=np.array([c * gx - s * gy, s * gx + c * gy]))
+
+
+def grid_centers(field) -> np.ndarray:
+    """(width * height, 2) cell centers of a SweptField, in its [ix, iy] raveling order."""
+    ix, iy = np.meshgrid(np.arange(field.width), np.arange(field.height), indexing="ij")
+    return field.origin + (np.stack([ix.ravel(), iy.ravel()], axis=1) + 0.5) * field.resolution
 
 
 def folded(cost, traj):

@@ -276,19 +276,22 @@ def test_pipeline_straight_all_stages(straight_all):
 def test_cost_trace_columns_explain_convergence(straight_all):
     lines = (straight_all / "cost_trace.csv").read_text().splitlines()
     assert lines[0] == "stage,iteration,cost,grad_norm,step,evals,energy,time,deviation,obstacle,sweep"
-    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    fields = [line.split(",") for line in lines[1:]]
     report = json.loads((straight_all / "plan_report.json").read_text())
-    for stage, key in ((0.0, "stage1"), (1.0, "stage2")):
-        part = rows[rows[:, 0] == stage]
-        assert part[:, 1].tolist() == list(range(len(part)))
+    # stage is named as in plan_report.json; iteration and evals are integers.
+    assert {f[0] for f in fields} == {"stage1", "stage2"}
+    assert all(f[5] == str(int(f[5])) for f in fields)
+    for key in ("stage1", "stage2"):
+        part = [f for f in fields if f[0] == key]
+        assert [f[1] for f in part] == [str(i) for i in range(len(part))]
         assert report[key]["iterations"] == len(part) - 1
-        assert report[key]["final_cost"] == part[-1, 2]
-        assert part[0, 4:6].tolist() == [0.0, 1.0]
-    for row in rows.tolist():
-        total = row[6]
-        for term in row[7:]:
+        assert report[key]["final_cost"] == float(part[-1][2])
+        assert part[0][4:6] == ["0.0", "1"]
+    for row in (list(map(float, f[2:])) for f in fields):
+        total = row[4]
+        for term in row[5:]:
             total += term
-        assert total == row[2]
+        assert total == row[0]
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from scipy.spatial import cKDTree
 
-from helpers import curved_traj, rotation_traj, small_vehicle, straight_traj
+from helpers import curved_traj, grid_centers, rotation_traj, small_vehicle, straight_traj, world_sdf_with_grad
 import oracles
 from oracles import (
     GatheredMinco,
@@ -19,7 +19,7 @@ from oracles import (
 )
 from sweptplan import sweptfield
 from sweptplan.cli import load_trace_csv, parse_scenario, run_pipeline
-from sweptplan.geometry import Pose2, to_body_frame, world_sdf_with_grad
+from sweptplan.geometry import Pose2, to_body_frame
 from sweptplan.minco import Boundary, MincoTrajectory, build_minco
 from sweptplan.render import render_scene
 from sweptplan.sim import driven_path
@@ -71,7 +71,7 @@ def test_zero_length_trajectory_field_is_static_sdf(veh):
     boundary = Boundary.rest_to_rest(pose, pose)
     traj = build_minco(np.zeros((0, 3)), np.array([1.0]), boundary)
     field = compute_swept_field(traj, veh, region=(-2.0, -1.0, 4.0, 5.0), resolution=0.1)
-    centers = field.cell_centers()
+    centers = grid_centers(field)
     static = Pose2(*pose)
     for idx in range(0, centers.shape[0], 97):
         expect = world_sdf_with_grad(centers[idx], static, veh).value
@@ -206,7 +206,8 @@ def _query_points(path, veh, n: int) -> np.ndarray:
 
 
 def _batch(points, path, veh):
-    return sweptfield._min_time_batch(points, path, veh, sweptfield._coarse_poses(path))
+    t, f, _ = sweptfield._min_over_time(path, veh, points, sweptfield._coarse_poses(path))
+    return t, f
 
 
 @pytest.mark.parametrize("n", [1, 7, 20_000])
@@ -239,7 +240,7 @@ def _assert_band_contract(field, path, veh, t_ref, f_ref, oracle_path=None):
     refined cell holds the oracle's refined values; any other holds the
     oracle's deepest coarse sample and that sample's time, with the oracle's
     refined f* above the band."""
-    grid_ts, vals = coarse_values(field.cell_centers(), oracle_path or path, veh, 0.0, path.total_time)
+    grid_ts, vals = coarse_values(grid_centers(field), oracle_path or path, veh, 0.0, path.total_time)
     deep = vals.argmin(axis=0)
     refined = field.refined.ravel()
     out = np.flatnonzero(~refined)
@@ -254,7 +255,7 @@ def _assert_band_contract(field, path, veh, t_ref, f_ref, oracle_path=None):
 
 def test_field_equals_per_point_oracle(veh, bend_traj):
     field = compute_swept_field(bend_traj, veh, resolution=0.25)
-    t_ref, f_ref = min_time_per_point_poses(field.cell_centers(), bend_traj, veh, 0.0, bend_traj.total_time)
+    t_ref, f_ref = min_time_per_point_poses(grid_centers(field), bend_traj, veh, 0.0, bend_traj.total_time)
     _assert_band_contract(field, bend_traj, veh, t_ref, f_ref)
 
 
@@ -403,13 +404,45 @@ def test_count_swept_cells_equals_full_field(veh, name):
     assert count.skipped_far + count.certified_inside + count.certified_outside + count.refined == count.cells
 
 
-@pytest.mark.xfail(strict=True, reason="refinement starts only from sampled minima, so a basin between samples is missed")
 def test_field_finds_a_basin_between_coarse_samples(veh):
     # jab's 1 m sideways excursion lies strictly between two coarse samples.
     path, region, res = COUNT_CASES["jab"]()
     field = compute_swept_field(path, veh, region=region, resolution=res)
-    _, f_scan = min_time_scan(field.cell_centers(), path, veh.length, veh.width, t_step=path.total_time / 19_999)
+    _, f_scan = min_time_scan(grid_centers(field), path, veh.length, veh.width, t_step=path.total_time / 19_999)
     assert np.count_nonzero(field.f_star <= 0.0) == np.count_nonzero(f_scan <= 0.0)
+
+
+# The sign contract: a cell reported outside (f* > 0) is outside on a
+# 20,000-time dense scan too, and a cell reported inside has a witness, the
+# body really covers it at its t*. The scan skips the cells farther than
+# half_diagonal from every dense pose center, where the SDF is positive at
+# every dense time. It misses some swept cells that the search proves:
+# touch_and_retreat's touching row meets the body only between two dense
+# times, and random_walk's fastest piece moves 8 cm between them. Where the
+# dense scan sees every passage, the counts are equal.
+
+
+@pytest.mark.parametrize("name", ["jab", "spin_dash", "touch_and_retreat", "random_walk"])
+def test_field_sign_is_certified_against_dense_scan(veh, name):
+    path, region, res = _auto(_spin_dash()) if name == "spin_dash" else COUNT_CASES[name]()
+    field = compute_swept_field(path, veh, region=region, resolution=res)
+    f, t, centers = field.f_star.ravel(), field.t_star.ravel(), grid_centers(field)
+    t_step = path.total_time / 19_999
+    dense = path.sample(np.minimum(np.arange(20_001) * t_step, path.total_time), 0)[:, :2]
+    close = cKDTree(dense).query(centers)[0] <= veh.half_diagonal
+    f_scan = np.full(f.shape, np.inf)
+    _, f_scan[close] = min_time_scan(centers[close], path, veh.length, veh.width, t_step=t_step)
+    assert np.all(f_scan[f > 0.0] > 0.0)
+    inside = np.flatnonzero(f <= 0.0)
+    poses = path.sample(t[inside], 0)
+    d = centers[inside] - poses[:, :2]
+    c, s = np.cos(poses[:, 2]), np.sin(poses[:, 2])
+    body = np.column_stack([c * d[:, 0] + s * d[:, 1], -s * d[:, 0] + c * d[:, 1]])
+    assert np.all(oracles.sdf_values_brute(body, veh.length, veh.width) <= 0.0)
+    swept = count_swept_cells(path, veh, region, res).swept
+    assert swept == inside.size >= np.count_nonzero(f_scan <= 0.0) > 0
+    if name in ("jab", "spin_dash"):
+        assert swept == np.count_nonzero(f_scan <= 0.0)
 
 
 def test_count_edge_cases_hit_zero(veh):
@@ -421,7 +454,7 @@ def test_count_edge_cases_hit_zero(veh):
 
 def _classes(path, veh, region, res):
     _, _, _, cx, cy = sweptfield._region_grid(path, veh, region, res)
-    cls = sweptfield._certify(path, veh, cx, cy, sweptfield._coarse_poses(path))
+    cls, _ = sweptfield._certify(path, veh, cx, cy, sweptfield._coarse_poses(path))
     ix, iy = np.meshgrid(np.arange(cx.size), np.arange(cy.size), indexing="ij")
     return cls.ravel(), np.column_stack([cx[ix.ravel()], cy[iy.ravel()]])
 
@@ -498,7 +531,7 @@ def test_min_time_batch_equals_frozen_engine(veh, kind, n):
 def test_field_equals_frozen_engine(veh, kind):
     path = FROZEN_PATHS[kind]()
     field = compute_swept_field(path, veh, resolution=0.25)
-    t_ref, f_ref = min_time_batch_argsort(field.cell_centers(), _frozen(path), veh, 0.0, path.total_time)
+    t_ref, f_ref = min_time_batch_argsort(grid_centers(field), _frozen(path), veh, 0.0, path.total_time)
     _assert_band_contract(field, path, veh, t_ref, f_ref, oracle_path=_frozen(path))
 
 
@@ -524,7 +557,8 @@ def test_contour_squares_are_refined(veh, kind, res):
 
 def test_scene_from_banded_field_equals_exact(tmp_path, veh, bend_traj):
     field = compute_swept_field(bend_traj, veh, resolution=0.1)
-    t_ref, f_ref = min_time_batch_argsort(field.cell_centers(), GatheredMinco(bend_traj), veh, 0.0, bend_traj.total_time)
+    # Every cell refined: the search with no band.
+    t_ref, f_ref = _batch(grid_centers(field), bend_traj, veh)
     shape = (field.width, field.height)
     exact = SweptField(field.origin, field.resolution, *shape, f_ref.reshape(shape), t_ref.reshape(shape))
     assert not np.array_equal(field.f_star, exact.f_star)
@@ -547,7 +581,7 @@ def _spin_dash():
 def test_band_certificate_holds_on_dense_samples(veh, kind):
     path = _spin_dash() if kind == "spin_dash" else FROZEN_PATHS[kind]()
     field = compute_swept_field(path, veh, resolution=0.25)
-    out = field.cell_centers()[~field.refined.ravel()]
+    out = grid_centers(field)[~field.refined.ravel()]
     assert out.size
     _, g_min = min_time_scan(out, path, veh.length, veh.width, t_step=path.total_time / 19_999)
     assert g_min.min() > sweptfield.field_band(field.resolution)
@@ -557,22 +591,30 @@ def test_band_certificate_holds_on_dense_samples(veh, kind):
 # refines a cell's first candidate again when it has fewer than four minima
 # returns the same f* and t*. So count the work. rotation_traj spins in place:
 # at the origin all 64 coarse samples are bit-equal minima, so ranks 0-3 are
-# decided by the sample index alone.
+# decided by the sample index alone. The table's ranked rows come first; the
+# bisected rows after them are counted on their own, and the ranked rows'
+# descent, rerun alone, must do the frozen engine's work.
 
 
 @pytest.mark.parametrize("kind", ["bend", "rotation"])
 def test_refinement_work_equals_frozen_engine(veh, bend_traj, kind, monkeypatch):
     path = bend_traj if kind == "bend" else rotation_traj()
-    pts = compute_swept_field(path, veh, resolution=0.25).cell_centers()
+    pts = grid_centers(compute_swept_field(path, veh, resolution=0.25))
     if kind == "rotation":
         pts = np.vstack([pts, [0.0, 0.0]])
+    _, vals = coarse_values(pts, path, veh, 0.0, path.total_time)
+    n_min = sampled_minima(vals).sum(axis=0)
+    n_ranked = int(np.minimum(4, n_min).sum())
     cell_of = {p: i for i, p in enumerate(map(tuple, pts.tolist()))}
     starts = np.zeros(len(cell_of), dtype=int)
+    bisected = np.zeros(len(cell_of), dtype=int)
     points = {}
+    counting = [False]
 
-    def counted(name, fn):
+    def counted(name, fn, always):
         def wrapper(path, veh, pts, ts):
-            points[name] = points.get(name, 0) + pts.shape[0]
+            if always or counting[0]:
+                points[name] = points.get(name, 0) + pts.shape[0]
             return fn(path, veh, pts, ts)
 
         return wrapper
@@ -580,15 +622,20 @@ def test_refinement_work_equals_frozen_engine(veh, bend_traj, kind, monkeypatch)
     refine = sweptfield._refine_times
     refine_calls = []
 
-    def counting_refine(p, *args):
+    def counting_refine(p, t, f, *args):
         refine_calls.append(p.shape[0])
-        np.add.at(starts, [cell_of[q] for q in map(tuple, p.tolist())], 1)
-        return refine(p, *args)
+        cells = [cell_of[q] for q in map(tuple, p.tolist())]
+        np.add.at(starts, cells[:n_ranked], 1)
+        np.add.at(bisected, cells[n_ranked:], 1)
+        counting[0] = True
+        refine(p[:n_ranked], t[:n_ranked].copy(), f[:n_ranked].copy(), *args)
+        counting[0] = False
+        return refine(p, t, f, *args)
 
     monkeypatch.setattr(sweptfield, "_refine_times", counting_refine)
     for module, prefix in ((sweptfield, ""), (oracles, "ref")):
         for name in ("_g_values", "_g_and_slope"):
-            monkeypatch.setattr(module, name, counted(prefix + name, getattr(module, name)))
+            monkeypatch.setattr(module, name, counted(prefix + name, getattr(module, name), module is oracles))
     t, f = _batch(pts, path, veh)
     # One descent over the whole table of starts.
     assert len(refine_calls) == 1
@@ -596,10 +643,10 @@ def test_refinement_work_equals_frozen_engine(veh, bend_traj, kind, monkeypatch)
     _assert_same_bits(f, f_ref)
     _assert_same_bits(t, t_ref)
 
-    _, vals = coarse_values(pts, path, veh, 0.0, path.total_time)
-    n_min = sampled_minima(vals).sum(axis=0)
     assert np.array_equal(starts, np.minimum(4, n_min))
     assert (n_min < 4).any() and (n_min > 4).any()
+    # Bisected rows only where every coarse sample is positive.
+    assert np.all(vals[:, bisected > 0] > 0.0)
     assert points["_g_values"] == points["ref_g_values"] > 0
     assert points["_g_and_slope"] == points["ref_g_and_slope"] > 0
     if kind == "rotation":
