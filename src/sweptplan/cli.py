@@ -445,8 +445,8 @@ def write_qp_log(path: str, trace: SimTrace) -> None:
 def load_trace_csv(path: str) -> SimTrace:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)  # a handle, not a path: no gzip import
     n_w = sum(1 for h in header if h.startswith("gamma_"))
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] < 2:
         raise MissingArtifact(f"{path} holds fewer than two samples")
     return SimTrace(

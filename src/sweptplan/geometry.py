@@ -32,10 +32,18 @@ def wrap_angles(a: np.ndarray) -> np.ndarray:
     return np.where(w > math.pi, w - TWO_PI, w)
 
 
-def to_body_frame(dx, dy, c, s) -> np.ndarray:
+def to_body_frame(dx, dy, c, s, out=None) -> np.ndarray:
     """World-frame offsets (dx, dy) rotated into a body frame whose heading
-    has cosine c and sine s; returns the stacked (..., 2) body coordinates."""
-    return np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1)
+    has cosine c and sine s; returns the stacked (..., 2) body coordinates.
+
+    Given `out`, a (2, m) buffer for m offsets, the two coordinates are
+    written into its rows and its transpose is returned: the same (m, 2)
+    values without a stacking copy, each column contiguous."""
+    if out is None:
+        return np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1)
+    np.add(c * dx, s * dy, out=out[0])
+    np.add(-s * dx, c * dy, out=out[1])
+    return out.T
 
 
 @dataclass

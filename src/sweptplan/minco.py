@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
+from ._lapack import dgbsv, dgbtrf, dgbtrs
 
 _BAND = 7  # sub/super-diagonal count of the coefficient system
 # Rows of LAPACK's banded storage: _BAND rows of fill-in space above the
@@ -252,7 +252,8 @@ class MincoTrajectory:
         """
         ts = np.asarray(ts, dtype=float)
         knots = self.junction_times
-        cuts = np.union1d(ts, knots[(knots > ts[0]) & (knots < ts[-1])])
+        cuts = np.sort(np.concatenate([ts, knots[(knots > ts[0]) & (knots < ts[-1])]]))
+        cuts = cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]  # np.union1d without np.unique's numpy.ma import
         a, u = cuts[:-1], np.diff(cuts)[:, None]
         seg = np.searchsorted(knots, a, side="right")
         tau = a - np.take(self.knot_times, seg)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg.lapack import dposv
+from ._lapack import dposv
 
 from .geometry import Pose2, wrap_angle
 

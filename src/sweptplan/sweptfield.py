@@ -241,6 +241,7 @@ def _min_over_time(path, veh: VehicleParams, points: np.ndarray, coarse, select=
     vmax, wmax = path.rate_bounds(ts)
     t, f, refined = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
     table = np.empty((ts.size, min(m, SCAN_BLOCK)))
+    rows = np.empty((2, table.shape[1]))  # the scan's body-frame coordinates
     starts, pieces = [], []  # start rows (point, t, g); intervals to bisect
     for b in range(0, m, SCAN_BLOCK):
         px, py = points[b : b + SCAN_BLOCK, 0], points[b : b + SCAN_BLOCK, 1]
@@ -249,7 +250,8 @@ def _min_over_time(path, veh: VehicleParams, points: np.ndarray, coarse, select=
         for j in range(ts.size):
             dx = px - xs[j]
             dy = py - ys[j]
-            footprint_sdf_values(to_body_frame(dx, dy, cs[j], ss[j]), veh.length, veh.width, out=vals[j])
+            body = to_body_frame(dx, dy, cs[j], ss[j], out=rows[:, : px.size])
+            footprint_sdf_values(body, veh.length, veh.width, out=vals[j])
             if j == 0:
                 g_min[:] = vals[0]
                 bound = vals[0].copy()
@@ -273,7 +275,7 @@ def _min_over_time(path, veh: VehicleParams, points: np.ndarray, coarse, select=
         order = np.lexsort((j, v[j, c], c))
         j, c = j[order], c[order]
         top = np.arange(c.size) - np.searchsorted(c, c) < 4  # rank < 4
-        none = np.setdiff1d(np.arange(cols.size), c)
+        none = np.flatnonzero(np.bincount(c, minlength=cols.size) == 0)
         j, c = np.concatenate([j[top], np.zeros_like(none)]), np.concatenate([c[top], none])
         starts.append((b + cols[c], ts[j], v[j, c]))
 
@@ -294,7 +296,7 @@ def _min_over_time(path, veh: VehicleParams, points: np.ndarray, coarse, select=
         tm = 0.5 * (ta + tb)
         pose = path.sample(tm, 0)
         dx, dy = points[pc, 0] - pose[:, 0], points[pc, 1] - pose[:, 1]
-        body = to_body_frame(dx, dy, np.cos(pose[:, 2]), np.sin(pose[:, 2]))
+        body = to_body_frame(dx, dy, np.cos(pose[:, 2]), np.sin(pose[:, 2]), out=np.empty((2, pc.size)))
         gm = footprint_sdf_values(body, veh.length, veh.width)
         dm = np.hypot(dx, dy)
         left = _interval_bound(ga, gm, da, vm, wm, tm - ta) <= 0.0

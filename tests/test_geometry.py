@@ -38,6 +38,17 @@ def test_rotation_preserves_norm(rng):
         assert abs(np.linalg.norm(w) - np.linalg.norm(v)) < 1e-12
 
 
+@pytest.mark.parametrize("per_point", [False, True])
+def test_body_frame_into_rows_equals_the_stacked_bits(rng, per_point):
+    dx, dy = rng.normal(size=(2, 9)) * 4.0
+    phi = rng.uniform(-math.pi, math.pi, 9) if per_point else rng.uniform(-math.pi, math.pi)
+    c, s = np.cos(phi), np.sin(phi)
+    rows = np.empty((2, 9))
+    body = to_body_frame(dx, dy, c, s, out=rows)
+    assert body.shape == (9, 2) and np.shares_memory(body, rows)
+    assert body.tobytes() == to_body_frame(dx, dy, c, s).tobytes()
+
+
 def test_sdf_center(veh):
     r = footprint_sdf_with_grad(np.array([0.0, 0.0]), veh)
     npt.assert_allclose(r.value, -0.5)

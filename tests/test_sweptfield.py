@@ -295,10 +295,10 @@ def test_coarse_poses_are_not_sampled_per_cell(veh, bend_traj):
 def test_coarse_scan_rotates_by_one_cos_sin_per_time(veh, bend_traj, monkeypatch):
     scalar_calls = []
 
-    def spy(dx, dy, c, s):
+    def spy(dx, dy, c, s, out=None):
         if np.ndim(c) == 0:
             scalar_calls.append(c)
-        return to_body_frame(dx, dy, c, s)
+        return to_body_frame(dx, dy, c, s, out)
 
     monkeypatch.setattr(sweptfield, "to_body_frame", spy)
     pts = _query_points(bend_traj, veh, 7)
