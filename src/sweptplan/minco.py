@@ -374,6 +374,14 @@ def _horner(traj: MincoTrajectory, seg, tau, order: int) -> np.ndarray:
     return out.transpose((*range(1, out.ndim), 0))
 
 
+# Energy coefficients: of the six products c_a c_b (36 c3^2, 144 c3 c4,
+# 240 c3 c5, 720 c4 c5, 720 c5^2, 192 c4^2), and of grad_C row r's term in
+# c_k, multiplied by T^(r + k + 1).
+_ENERGY_K = np.array([36.0, 144.0, 240.0, 720.0, 720.0, 192.0])
+_ENERGY_GRAD_K = np.array([[72.0, 144.0, 240.0], [144.0, 384.0, 720.0], [240.0, 720.0, 1440.0]])[:, :, None, None]
+_ENERGY_GRAD_T = np.add.outer(np.arange(3), np.arange(3))
+
+
 def energy_cost_with_grads(traj: MincoTrajectory) -> CostWithGrads:
     """Integrated squared jerk over the trajectory, with its grad_C and direct grad_T.
 
@@ -383,25 +391,19 @@ def energy_cost_with_grads(traj: MincoTrajectory) -> CostWithGrads:
     """
     T = traj.durations
     C = traj.coeffs
-    c3, c4, c5 = C[:, 3, :], C[:, 4, :], C[:, 5, :]
-    t1 = T[:, None]
-    t2 = t1 * t1
-    t3 = t2 * t1
-    t4 = t3 * t1
-    t5 = t4 * t1
-    value = float(
-        np.sum(
-            36.0 * c3 * c3 * t1
-            + 144.0 * c3 * c4 * t2
-            + (192.0 * c4 * c4 + 240.0 * c3 * c5) * t3
-            + 720.0 * c4 * c5 * t4
-            + 720.0 * c5 * c5 * t5
-        )
-    )
+    # c[k] is the (3 + k)-th coefficient of every segment and tp[i] = T^(i + 1)
+    # by repeated multiplication. The sums run over a leading, non-contiguous
+    # axis, so they add left to right as the written-out terms do; starting
+    # from -0.0, the exact additive identity, keeps a sum of -0.0 terms -0.0.
+    c = C[:, 3:, :].transpose(1, 0, 2)
+    tp = np.cumprod(np.repeat(T[:, None], 5, axis=1), axis=1).T[:, :, None]
+    # The six products K a b, 192 c4^2 last so it adds into 240 c3 c5.
+    prod = (_ENERGY_K[:, None, None] * c[[0, 0, 0, 1, 2, 1]]) * c[[0, 1, 2, 2, 2, 1]]
+    prod[2] += prod[5]
+    value = float(np.sum(np.add.reduce(prod[:5] * tp, axis=0, initial=-0.0)))
     grad_C = np.zeros_like(C)
-    grad_C[:, 3, :] = 72.0 * c3 * t1 + 144.0 * c4 * t2 + 240.0 * c5 * t3
-    grad_C[:, 4, :] = 144.0 * c3 * t2 + 384.0 * c4 * t3 + 720.0 * c5 * t4
-    grad_C[:, 5, :] = 240.0 * c3 * t3 + 720.0 * c4 * t4 + 1440.0 * c5 * t5
+    grad_rows = np.add.reduce((_ENERGY_GRAD_K * c) * tp[_ENERGY_GRAD_T], axis=1, initial=-0.0)
+    grad_C[:, 3:, :] = grad_rows.transpose(1, 0, 2)
     # Direct T dependence: the integrand (squared jerk) evaluated at the segment end.
     jerk = traj._end_rows[2]
     grad_q = np.zeros((max(traj.n_segments - 1, 0), 3))

@@ -15,6 +15,9 @@ evaluations its line search made and the weighted cost terms.
 Stage 2 finds the obstacle points near each knot through a neighbour list
 with a skin: one exhaustive offset test over the obstacle points serves every
 evaluation until a knot drifts farther than the skin from where it was built.
+Each evaluation rotates those candidates into their knot's body frame, and
+only the ones inside the footprint box grown by the hinge margin reach the
+exact SDF: no other point can activate the hinge.
 """
 
 from __future__ import annotations
@@ -138,8 +141,11 @@ def obstacle_cost_with_grads(
     Contribution per (knot, obstacle point): (margin - F)^3 where F is the
     world-frame footprint distance, active only when F < margin. Knot poses
     are the decision variables themselves, so gradients land directly on q.
-    neighbours, a list over `grid` kept across calls, saves the exhaustive
-    rebuild; the result is the same with or without it.
+    Only the points that pass the body-frame box test of `_NeighbourList.pairs`
+    get the exact SDF: F is never below max(|bx| - L/2, |by| - W/2), so no
+    other point can be active. neighbours, a list over `grid` kept across
+    calls, saves the exhaustive rebuild; the result is the same with or
+    without it.
     """
     n_seg = traj.n_segments
     q = traj.waypoints
@@ -148,18 +154,9 @@ def obstacle_cost_with_grads(
     pts = grid.obstacle_points
     if pts.shape[0] == 0 or n_int == 0:
         return CostWithGrads(value=0.0, grad_q=grad_q, grad_T=np.zeros(n_seg))
-    # A point can only activate the hinge if it lies within margin + half
-    # diagonal of the knot center; prefilter keeps the SDF batch small. All
-    # (knot, point) pairs go through one batched evaluation.
-    reach = safety_margin + veh.half_diagonal + 1e-9
-    k_idx, _, dxn, dyn = (neighbours or _NeighbourList(grid)).pairs(q, reach)
+    k_idx, body = (neighbours or _NeighbourList(grid)).pairs(q, veh.length, veh.width, safety_margin)
     if k_idx.size == 0:
         return CostWithGrads(value=0.0, grad_q=grad_q, grad_T=np.zeros(n_seg))
-    c_all = np.cos(q[:, 2])
-    s_all = np.sin(q[:, 2])
-    c = c_all[k_idx]
-    s = s_all[k_idx]
-    body = to_body_frame(dxn, dyn, c, s)
     f, g_body = footprint_sdf_batch(body, veh.length, veh.width)
     act = f < safety_margin
     if not act.any():
@@ -169,7 +166,8 @@ def obstacle_cost_with_grads(
     value = float(np.sum(h**3))
     dJdF = -3.0 * h * h
     gb = g_body[act]
-    c, s = c[act], s[act]
+    c = np.cos(q[:, 2])[k_act]
+    s = np.sin(q[:, 2])[k_act]
     # World gradient w.r.t. the knot position is the negated rotated body gradient.
     gwx = c * gb[:, 0] - s * gb[:, 1]
     gwy = s * gb[:, 0] + c * gb[:, 1]
@@ -183,15 +181,16 @@ def obstacle_cost_with_grads(
 
 
 class _NeighbourList:
-    """(knot, point) pairs within reach of the knot centers, from reused candidates.
+    """(knot, point) pairs whose body-frame offsets lie in the footprint box
+    grown by a margin, from reused candidates.
 
     A Verlet list: every obstacle point within reach + _SKIN of anchor
-    positions of the knots is found by one exhaustive test, and those
-    candidates serve every later call while each knot stays within _SKIN of
-    its anchor, since a point within reach of the knot is then within
-    reach + _SKIN of the anchor. A larger drift, another reach or another
-    knot count rebuilds. The exact offset test decides, so rounding in the
-    rebuild's distances cannot change the pairs.
+    positions of the knots is found by one exhaustive test, reach being the
+    grown box's half diagonal, and those candidates serve every later call
+    while each knot stays within _SKIN of its anchor, since a point in the
+    knot's grown box is then within reach + _SKIN of the anchor. A larger
+    drift, another box or another knot count rebuilds. The exact box test
+    decides, so rounding in the rebuild's distances cannot change the pairs.
     """
 
     def __init__(self, grid: GridMap):
@@ -206,13 +205,15 @@ class _NeighbourList:
         dx = pts[None, :, 0] - self.anchors[:, None, 0]
         dy = pts[None, :, 1] - self.anchors[:, None, 1]
         r = reach + _SKIN + _QUERY_SLACK
-        self.k_idx, self.m_idx = np.nonzero(dx * dx + dy * dy <= r * r)
-        self.px = pts[self.m_idx, 0]
-        self.py = pts[self.m_idx, 1]
+        self.k_idx, m_idx = np.nonzero(dx * dx + dy * dy <= r * r)
+        self.px = pts[m_idx, 0]
+        self.py = pts[m_idx, 1]
 
-    def pairs(self, q: np.ndarray, reach: float):
-        """Knot and point indices, knot-major with points ascending, and the
-        point-minus-knot offsets dx, dy of every pair within reach."""
+    def pairs(self, q: np.ndarray, length: float, width: float, margin: float):
+        """Knot indices, knot-major with points ascending, and the (m, 2)
+        body-frame offsets, rotated as the SDF input is, of every pair with
+        |bx| - length / 2 < margin and |by| - width / 2 < margin."""
+        reach = math.hypot(length / 2.0 + margin, width / 2.0 + margin)
         anchors = self.anchors
         if anchors is None or reach != self.reach or anchors.shape[0] != q.shape[0]:
             self._query(q, reach)
@@ -221,10 +222,11 @@ class _NeighbourList:
             if not (np.vecdot(drift, drift) <= _SKIN * _SKIN).all():
                 self._query(q, reach)
         k_idx = self.k_idx
-        dx = self.px - q[k_idx, 0]
-        dy = self.py - q[k_idx, 1]
-        keep = dx * dx + dy * dy <= reach * reach
-        return k_idx[keep], self.m_idx[keep], dx[keep], dy[keep]
+        body = to_body_frame(self.px - q[k_idx, 0], self.py - q[k_idx, 1],
+                             np.cos(q[:, 2])[k_idx], np.sin(q[:, 2])[k_idx])
+        # The same subtraction as the SDF's, so a dropped point's SDF is >= margin.
+        keep = (np.abs(body[:, 0]) - length / 2.0 < margin) & (np.abs(body[:, 1]) - width / 2.0 < margin)
+        return k_idx[keep], body[keep]
 
 
 def sweep_cost_with_grads(traj: MincoTrajectory) -> CostWithGrads:

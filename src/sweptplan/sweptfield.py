@@ -13,8 +13,9 @@ j+1, h apart, g changes no faster than L_j = vmax_j + wmax_j * (|p - c_j| +
 vmax_j * h), with vmax_j and wmax_j the path's `rate_bounds` on speed and
 |heading rate| over the interval and c_j the sampled pose center, so min g >=
 (g_j + g_{j+1}) / 2 - L_j * h / 2 there (conservative advancement). From the
-table come the deepest sample g_min, its first index and the bound, the least
-over the intervals; the caller picks the points to refine from them:
+table come the deepest sample g_min and its first index; the caller refines
+the points whose g_min lies above a floor and whose bound, the least over
+the intervals, is at most a level:
 
 - `compute_swept_field` refines a cell when its bound is at most B =
   `field_band(resolution)`. Any other cell keeps its deepest sample and that
@@ -25,6 +26,15 @@ over the intervals; the caller picks the points to refine from them:
   refined, to the field's values, so the count equals the field's. Cells
   farther than half_diagonal + vmax_j * h from every coarse center skip the
   SDF. `min_time_distance` refines its point.
+
+The bound is computed only where it can reach the level. The footprint lies
+within R = half_diagonal of its center, so g_j >= |p - c_j| - R, and where
+wmax_j h <= 1 the interval's bound is at least g_min (1 - wmax_j h / 2) -
+kappa_j, kappa_j = (vmax_j + wmax_j (R + vmax_j h)) h / 2. A point whose
+g_min exceeds G = max_j (level + kappa_j) / (1 - wmax_j h / 2), plus
+CERT_MARGIN, has every bound above the level and keeps its deepest sample
+unbounded (`_bound_reach`); every point is bounded when some interval has
+wmax_j h > 1.
 
 A refined point's starts are its sampled local minima ranked by value, ties
 to the lower sample index, at most four, or sample 0 when it has none. If all
@@ -227,42 +237,73 @@ def _interval_bound(g_prev, g, dist_prev, vmax, wmax, h):
     return np.minimum(0.5 * (g_prev + g) - 0.5 * lip * h, g)
 
 
-def _min_over_time(path, veh: VehicleParams, points: np.ndarray, coarse, select=None):
-    """(t, f, refined) per point: (t*, f*) where `select(g_min, bound)` holds,
-    every point when select is None, and elsewhere the deepest coarse sample
-    and its time. The scan, the start table, the bisection and the descent of
-    the module docstring; `path` must provide `rate_bounds`."""
+def _bound_reach(level, vmax, wmax, h, radius):
+    """G of the module docstring: every interval bound of a point whose
+    deepest coarse sample exceeds it lies above `level`, the footprint lying
+    within `radius` of its center; +inf when some interval has wmax h > 1."""
+    wh = wmax * h
+    if not np.all(wh <= 1.0):
+        return math.inf
+    kappa = 0.5 * (vmax + wmax * (radius + vmax * h)) * h
+    return max(level, float(np.max((level + kappa) / (1.0 - 0.5 * wh)))) + CERT_MARGIN
+
+
+def _scan(veh: VehicleParams, px: np.ndarray, py: np.ndarray, coarse, rates, reach: float, floor: float, vals):
+    """One block's coarse scan: g at the K coarse samples into vals, (K,
+    px.size), and (g_min, j_min, bound), the deepest sample, its first index
+    and the least interval bound. rates holds the intervals' (vmax, wmax, h).
+    The bound is computed only where floor < g_min <= reach, one sample's
+    columns at a time so that no temporary outgrows a row, and is +inf
+    elsewhere."""
+    _, xs, ys, cs, ss = coarse
+    vmax, wmax, h = rates
+    rows = np.empty((2, px.size))  # the body-frame coordinates
+    g_min, j_min = np.empty(px.size), np.zeros(px.size, dtype=np.intp)
+    for j in range(xs.size):
+        body = to_body_frame(px - xs[j], py - ys[j], cs[j], ss[j], out=rows)
+        footprint_sdf_values(body, veh.length, veh.width, out=vals[j])
+        if j == 0:
+            g_min[:] = vals[0]
+        else:
+            np.copyto(j_min, j, where=vals[j] < g_min)
+            np.minimum(g_min, vals[j], out=g_min)
+    cand = np.flatnonzero((g_min <= reach) & (g_min > floor))
+    cx, cy = px[cand], py[cand]
+    g_prev = vals[0].take(cand)
+    least = g_prev.copy()
+    for i in range(h.size):
+        g = vals[i + 1].take(cand)
+        dist = np.hypot(cx - xs[i], cy - ys[i])
+        np.minimum(least, _interval_bound(g_prev, g, dist, vmax[i], wmax[i], h[i]), out=least)
+        g_prev = g
+    bound = np.full(px.size, np.inf)
+    bound[cand] = least
+    return g_min, j_min, bound
+
+
+def _min_over_time(path, veh: VehicleParams, points: np.ndarray, coarse, level=math.inf, floor=-math.inf):
+    """(t, f, refined) per point: (t*, f*) where the deepest coarse sample is
+    above `floor` and the coarse bound at most `level`, every point by
+    default, and elsewhere the deepest coarse sample and its time. The scan,
+    the start table, the bisection and the descent of the module docstring;
+    `path` must provide `rate_bounds`."""
     m = points.shape[0]
     if coarse is None or m == 0:
         t = np.zeros(m)
         return t, _g_values(path, veh, points, t), np.ones(m, dtype=bool)
-    ts, xs, ys, cs, ss = coarse
+    ts, xs, ys = coarse[:3]
     h = np.diff(ts)
     vmax, wmax = path.rate_bounds(ts)
+    reach = _bound_reach(level, vmax, wmax, h, veh.half_diagonal)
     t, f, refined = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
     table = np.empty((ts.size, min(m, SCAN_BLOCK)))
-    rows = np.empty((2, table.shape[1]))  # the scan's body-frame coordinates
     starts, pieces = [], []  # start rows (point, t, g); intervals to bisect
     for b in range(0, m, SCAN_BLOCK):
         px, py = points[b : b + SCAN_BLOCK, 0], points[b : b + SCAN_BLOCK, 1]
         vals = table[:, : px.size]
-        g_min, j_min = f[b : b + px.size], np.zeros(px.size, dtype=np.intp)
-        for j in range(ts.size):
-            dx = px - xs[j]
-            dy = py - ys[j]
-            body = to_body_frame(dx, dy, cs[j], ss[j], out=rows[:, : px.size])
-            footprint_sdf_values(body, veh.length, veh.width, out=vals[j])
-            if j == 0:
-                g_min[:] = vals[0]
-                bound = vals[0].copy()
-            else:
-                i = j - 1  # the interval from sample j-1 to sample j
-                np.copyto(j_min, j, where=vals[j] < g_min)
-                np.minimum(g_min, vals[j], out=g_min)
-                np.minimum(bound, _interval_bound(vals[i], vals[j], dist_prev, vmax[i], wmax[i], h[i]), out=bound)
-            dist_prev = np.hypot(dx, dy)
-        sel = np.ones(px.size, dtype=bool) if select is None else select(g_min, bound)
-        refined[b : b + px.size], t[b : b + px.size] = sel, ts[j_min]
+        g_min, j_min, bound = _scan(veh, px, py, coarse, (vmax, wmax, h), reach, floor, vals)
+        sel = (g_min > floor) & (bound <= level)
+        refined[b : b + px.size], t[b : b + px.size], f[b : b + px.size] = sel, ts[j_min], g_min
 
         # Ranked starts: the selected points' finite sampled local minima by
         # value, ties to the lower index, at most four; else sample 0.
@@ -432,8 +473,7 @@ def compute_swept_field(path, veh: VehicleParams, region=None, resolution: float
     """
     origin, width, height, cx, cy = _region_grid(path, veh, region, resolution)
     pts = np.column_stack([np.repeat(cx, height), np.tile(cy, width)])
-    band = field_band(resolution) + CERT_MARGIN
-    t, f, refined = _min_over_time(path, veh, pts, _coarse_poses(path), lambda g_min, bound: bound <= band)
+    t, f, refined = _min_over_time(path, veh, pts, _coarse_poses(path), field_band(resolution) + CERT_MARGIN)
     return SweptField(
         origin=origin,
         resolution=resolution,
@@ -465,10 +505,7 @@ def _certify(path, veh: VehicleParams, cx: np.ndarray, cy: np.ndarray, coarse):
             near[ix0:ix1, iy0:iy1] |= dx * dx + dy * dy <= reach[j] * reach[j]
 
     ix, iy = np.nonzero(near)
-    _, f, refined = _min_over_time(
-        path, veh, np.column_stack([cx[ix], cy[iy]]), coarse,
-        lambda g_min, bound: (bound <= CERT_MARGIN) & (g_min > -CERT_MARGIN),
-    )
+    _, f, refined = _min_over_time(path, veh, np.column_stack([cx[ix], cy[iy]]), coarse, CERT_MARGIN, -CERT_MARGIN)
     cls = np.full((cx.size, cy.size), FAR, dtype=np.int8)
     # An unrefined cell holds its deepest sample: <= -CERT_MARGIN inside, and
     # otherwise its bound is > CERT_MARGIN.

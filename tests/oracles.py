@@ -322,6 +322,34 @@ def energy_direct_T(traj) -> np.ndarray:
     return out
 
 
+def energy_cost_written_out(traj):
+    """The jerk energy's (value, grad_C, grad_T) as written out term by term,
+    on (segments, 3) arrays: the form before it was stacked."""
+    T = traj.durations
+    C = traj.coeffs
+    c3, c4, c5 = C[:, 3, :], C[:, 4, :], C[:, 5, :]
+    t1 = T[:, None]
+    t2 = t1 * t1
+    t3 = t2 * t1
+    t4 = t3 * t1
+    t5 = t4 * t1
+    value = float(
+        np.sum(
+            36.0 * c3 * c3 * t1
+            + 144.0 * c3 * c4 * t2
+            + (192.0 * c4 * c4 + 240.0 * c3 * c5) * t3
+            + 720.0 * c4 * c5 * t4
+            + 720.0 * c5 * c5 * t5
+        )
+    )
+    grad_C = np.zeros_like(C)
+    grad_C[:, 3, :] = 72.0 * c3 * t1 + 144.0 * c4 * t2 + 240.0 * c5 * t3
+    grad_C[:, 4, :] = 144.0 * c3 * t2 + 384.0 * c4 * t3 + 720.0 * c5 * t4
+    grad_C[:, 5, :] = 240.0 * c3 * t3 + 720.0 * c4 * t4 + 1440.0 * c5 * t5
+    jerk = traj._end_rows[2]
+    return value, grad_C, np.vecdot(jerk, jerk)
+
+
 def sweep_cost_loop(traj, eps: float = 1e-8):
     """Sweep misalignment (value, grad_C, direct grad_q) on numpy scalars, one knot at a time."""
     n_seg = traj.n_segments
@@ -759,6 +787,33 @@ def coarse_values(points, path, veh, t_min: float, t_max: float):
         body = to_body_frame(px - poses[j, 0], py - poses[j, 1], cs[j], ss[j])
         vals[j] = footprint_sdf_values(body, veh.length, veh.width)
     return grid_ts, vals
+
+
+def scan_per_sample_bound(veh, px, py, coarse, rates, reach, floor, vals):
+    """sweptfield._scan as it was before the bound was deferred: every
+    point's interval bound folded into the per-sample loop, from the distance
+    to the previous sample's center. The same arguments and results; reach
+    and floor are ignored, every bound is computed."""
+    _, xs, ys, cs, ss = coarse
+    vmax, wmax, h = rates
+    rows = np.empty((2, px.size))
+    g_min, j_min = np.empty(px.size), np.zeros(px.size, dtype=np.intp)
+    for j in range(xs.size):
+        dx = px - xs[j]
+        dy = py - ys[j]
+        body = to_body_frame(dx, dy, cs[j], ss[j], out=rows)
+        footprint_sdf_values(body, veh.length, veh.width, out=vals[j])
+        if j == 0:
+            g_min[:] = vals[0]
+            bound = vals[0].copy()
+        else:
+            i = j - 1
+            np.copyto(j_min, j, where=vals[j] < g_min)
+            np.minimum(g_min, vals[j], out=g_min)
+            lip = vmax[i] + wmax[i] * (dist_prev + vmax[i] * h[i])
+            np.minimum(bound, np.minimum(0.5 * (vals[i] + vals[j]) - 0.5 * lip * h[i], vals[j]), out=bound)
+        dist_prev = np.hypot(dx, dy)
+    return g_min, j_min, bound
 
 
 def sampled_minima(vals: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -7,6 +8,7 @@ import pytest
 from helpers import curved_traj, folded, random_instance, rotation_traj, straight_traj
 from oracles import (
     GatheredMinco,
+    energy_cost_written_out,
     energy_direct_T,
     fd_cost_grads,
     horner_six_gathers,
@@ -242,6 +244,36 @@ def test_adjoint_equals_scalar_oracle(n_seg):
                     assert got.value == c.value and got.grad_C is None
                     for a, b in ((got.grad_q, ref_q), (got.grad_T, ref_T)):
                         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _coefficient_instance(seed: int, n_seg: int):
+    """Stand-in trajectory with the fields the energy reads: coefficients
+    over six decades of both signs, about a fifth of them zeros of either
+    sign, and durations from 0.05 to 5 s."""
+    rng = np.random.default_rng(seed)
+    C = rng.normal(size=(n_seg, 6, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n_seg, 6, 3))
+    zero = rng.random(C.shape) < 0.2
+    C[zero] = np.where(rng.random(C.shape) < 0.5, 0.0, -0.0)[zero]
+    jerk = rng.normal(size=(n_seg, 3))
+    return SimpleNamespace(
+        coeffs=C, durations=rng.uniform(0.05, 5.0, n_seg), n_segments=n_seg, _end_rows=(None, None, jerk)
+    )
+
+
+@pytest.mark.parametrize("n_seg", [1, 2, 15])
+def test_energy_equals_written_out_form(n_seg):
+    """The stacked energy does the written-out form's operations in its
+    order: value, grad_C and grad_T bit for bit, signed zeros included."""
+    instances = [_coefficient_instance(seed, n_seg) for seed in range(40)]
+    instances += [build_minco(q, T, boundary) for _, q, T, boundary in _exact_instances(n_seg)]
+    assert any(np.signbit(x.coeffs[x.coeffs == 0.0]).any() for x in instances)
+    for traj in instances:
+        c = energy_cost_with_grads(traj)
+        value, grad_C, grad_T = energy_cost_written_out(traj)
+        assert c.value == value and np.signbit(c.value) == np.signbit(value)
+        for got, ref in ((c.grad_C, grad_C), (c.grad_T, grad_T)):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 @pytest.mark.parametrize("n_seg", [1, 2, 15])

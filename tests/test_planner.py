@@ -14,6 +14,7 @@ from oracles import fd_cost_grads, obstacle_cost_all_pairs, obstacle_pairs_all, 
 import sweptplan.planner as planner
 from sweptplan import minco
 from sweptplan.cli import _build_grid, _plan_init, parse_scenario
+from sweptplan.geometry import to_body_frame
 from sweptplan.minco import Boundary, build_minco, energy_cost_with_grads
 from sweptplan.planner import (
     TRACE_COLUMNS,
@@ -146,23 +147,119 @@ def _point_grid(points) -> GridMap:
     return GridMap(np.zeros(2), 0.1, 1, 1, np.zeros((1, 1), dtype=bool), pts)
 
 
+def _box_pairs_all(q, pts, veh, margin):
+    """Every (knot, point) pair, tested exhaustively, whose body-frame offset
+    passes the hinge's box test: (knot indices, (m, 2) body offsets)."""
+    k_idx, _, dx, dy = obstacle_pairs_all(q, pts, np.inf)
+    body = to_body_frame(dx, dy, np.cos(q[k_idx, 2]), np.sin(q[k_idx, 2]))
+    keep = (np.abs(body[:, 0]) - veh.length / 2.0 < margin) & (np.abs(body[:, 1]) - veh.width / 2.0 < margin)
+    return k_idx[keep], body[keep]
+
+
+def _at_body(knot, axis, target, other):
+    """A world point whose body-frame offset from `knot`, rotated as the hinge
+    rotates it, has exactly `target` on `axis` and about `other` on the other:
+    the first hit of a search over points a few ulps from the rotated offset."""
+    c, s = np.cos(knot[2]), np.sin(knot[2])
+    b = np.array([target, other] if axis == 0 else [other, target])
+    p = knot[:2] + np.array([c * b[0] - s * b[1], s * b[0] + c * b[1]])
+    k = np.arange(-64, 65)
+    px, py = (g.ravel() for g in np.meshgrid(p[0] + k * np.spacing(p[0]), p[1] + k * np.spacing(p[1])))
+    hit = np.flatnonzero(to_body_frame(px - knot[0], py - knot[1], c, s)[:, axis] == target)
+    assert hit.size, "no point found at the body-frame target"
+    return px[hit[0]], py[hit[0]]
+
+
+# Rotated knots with points on the edges of the box grown by margin: exactly
+# at |bx| - L/2 == margin (dropped, and SDF == margin, inactive), one ulp inside
+# (kept and active), one ulp outside (dropped), on both signs of both axes;
+# plus points in the grown box's corners, kept by the box test although they
+# lie beyond margin + half_diagonal of the knot.
+_EDGE_KNOTS = np.array([[2.6, -0.4, 0.7], [5.2, 0.8, -0.4], [7.3, 1.9, -2.2]])
+_EDGE_MARGIN = 0.25  # L/2 + margin and W/2 + margin are exact for small_vehicle
+
+
+def _edge_points(veh):
+    pts = []
+    for knot in _EDGE_KNOTS:
+        for axis, half, other in ((0, veh.length / 2.0, 0.3), (1, veh.width / 2.0, 0.2)):
+            for sign in (1.0, -1.0):
+                edge = sign * (half + _EDGE_MARGIN)
+                assert abs(edge) - half == _EDGE_MARGIN
+                for target in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0 * edge)):
+                    pts.append(_at_body(knot, axis, target, other))
+        c, s = math.cos(knot[2]), math.sin(knot[2])
+        for bx, by in ((1.24, 0.74), (-1.24, -0.74)):
+            pts.append((knot[0] + c * bx - s * by, knot[1] + s * bx + c * by))
+    return np.array(pts)
+
+
+def _edge_traj():
+    boundary = Boundary.rest_to_rest((0.0, -2.0, 0.2), (9.0, 3.0, -1.0))
+    return build_minco(_EDGE_KNOTS, np.array([2.0, 2.5, 2.0, 2.5]), boundary)
+
+
 def test_obstacle_pairs_equal_exhaustive_prefilter(veh):
-    reach = 0.3 + veh.half_diagonal + 1e-9  # as obstacle_cost_with_grads computes it
     rng = np.random.default_rng(5)
-    q = np.array([[0.0, 0.0, 0.3], [1.5, -0.5, -1.0], [4.0, 4.0, 2.0]])
-    edge = [
-        (reach, 0.0),  # exactly at reach
-        (np.nextafter(reach, 0.0), 0.0),  # just inside
-        (np.nextafter(reach, np.inf), 0.0),  # just outside
-        (0.0, -reach),
-    ]
-    grid = _point_grid(np.vstack([edge, rng.uniform(-3.0, 5.0, size=(400, 2))]))
-    got = _NeighbourList(grid).pairs(q, reach)
-    ref = obstacle_pairs_all(q, grid.obstacle_points, reach)
+    grid = _point_grid(np.vstack([_edge_points(veh), rng.uniform(-3.0, 10.0, size=(400, 2))]))
+    got = _NeighbourList(grid).pairs(_EDGE_KNOTS, veh.length, veh.width, _EDGE_MARGIN)
+    ref = _box_pairs_all(_EDGE_KNOTS, grid.obstacle_points, veh, _EDGE_MARGIN)
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
-    near_origin = set(got[1][got[0] == 0].tolist())
-    assert {0, 1, 3} <= near_origin and 2 not in near_origin
+    # The grid holds every edge point; the box test kept, per knot and side,
+    # the one just inside, and it kept the corner points beyond the reach.
+    body, half = got[1], np.array([veh.length / 2.0, veh.width / 2.0])
+    assert np.all(np.abs(body) - half < _EDGE_MARGIN)
+    for axis in (0, 1):
+        inside = np.abs(body[:, axis]) == np.nextafter(half[axis] + _EDGE_MARGIN, 0.0)
+        assert np.count_nonzero(inside) >= 2 * len(_EDGE_KNOTS)
+    assert np.any(np.hypot(body[:, 0], body[:, 1]) > _EDGE_MARGIN + veh.half_diagonal)
+    # Queried from anchors 0.49 m (just under the skin) behind the knots, away
+    # from the corner point at (1.24, 0.74), the reused list still holds it.
+    c, s = np.cos(_EDGE_KNOTS[:, 2]), np.sin(_EDGE_KNOTS[:, 2])
+    anchors = _EDGE_KNOTS.copy()
+    anchors[:, :2] -= 0.49 / math.hypot(1.24, 0.74) * np.column_stack([c * 1.24 - s * 0.74, s * 1.24 + c * 0.74])
+    drifted = _NeighbourList(grid)
+    drifted.pairs(anchors, veh.length, veh.width, _EDGE_MARGIN)
+    got = drifted.pairs(_EDGE_KNOTS, veh.length, veh.width, _EDGE_MARGIN)
+    assert np.array_equal(drifted.anchors, anchors[:, :2])
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+
+
+def test_edge_points_cost_equals_exhaustive_prefilter(veh):
+    traj = _edge_traj()
+    assert np.array_equal(traj.waypoints, _EDGE_KNOTS)
+    grid = _point_grid(_edge_points(veh))
+    c = obstacle_cost_with_grads(traj, grid, veh, _EDGE_MARGIN)
+    value, grad_q = obstacle_cost_all_pairs(traj, grid.obstacle_points, veh, _EDGE_MARGIN)
+    assert c.value == value > 0.0
+    assert np.array_equal(c.grad_q, grad_q)
+    assert np.array_equal(np.signbit(c.grad_q), np.signbit(grad_q))
+
+
+def test_hinge_sends_only_box_passing_points_to_the_sdf(veh, monkeypatch):
+    received = []
+    sdf = planner.footprint_sdf_batch
+
+    def spy(points, length, width):
+        received.append(np.array(points))
+        return sdf(points, length, width)
+
+    monkeypatch.setattr(planner, "footprint_sdf_batch", spy)
+    margin = 0.4
+    for seed in range(4):
+        traj = build_minco(*random_instance(seed, n_interior=14))
+        grid = scatter_grid(build_minco(*random_instance(seed)), seed, n_points=120)
+        c = obstacle_cost_with_grads(traj, grid, veh, margin)
+        value, grad_q = obstacle_cost_all_pairs(traj, grid.obstacle_points, veh, margin)
+        assert c.value == value and np.array_equal(c.grad_q, grad_q)
+        k_box, body = _box_pairs_all(traj.waypoints, grid.obstacle_points, veh, margin)
+        assert np.array_equal(received.pop(), body)
+        # The reach prefilter alone would have sent more.
+        reach = margin + veh.half_diagonal + 1e-9
+        assert obstacle_pairs_all(traj.waypoints, grid.obstacle_points, reach)[0].size > k_box.size > 0
+    assert received == []
 
 
 def test_neighbour_list_equals_exhaustive_along_random_walk(veh, monkeypatch):
@@ -173,12 +270,12 @@ def test_neighbour_list_equals_exhaustive_along_random_walk(veh, monkeypatch):
     grid = _point_grid(rng.uniform(-4.0, 4.0, size=(800, 2)))
     empty = _NeighbourList(_point_grid(np.zeros((0, 2))))
     nl = _NeighbourList(grid)
-    reach = 0.3 + veh.half_diagonal + 1e-9
+    margin = 0.3
     q = rng.uniform(-2.5, 2.5, size=(5, 3))
     reused = 0
     for step in range(80):
         if step == 30:
-            reach = 0.05 + veh.half_diagonal + 1e-9
+            margin = 0.05
         if step == 55:
             q = rng.uniform(-2.5, 2.5, size=(7, 3))
         # Steps well below the skin add up to drifts across it; every tenth
@@ -188,14 +285,14 @@ def test_neighbour_list_equals_exhaustive_along_random_walk(veh, monkeypatch):
         if jump:
             q[step % q.shape[0], :2] += 1.5 * planner._SKIN
         queries = len(calls)
-        got = nl.pairs(q, reach)
-        ref = obstacle_pairs_all(q, grid.obstacle_points, reach)
+        got = nl.pairs(q, veh.length, veh.width, margin)
+        ref = _box_pairs_all(q, grid.obstacle_points, veh, margin)
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
         assert got[0].size > 0
         if jump or step in (30, 55):
             assert len(calls) == queries + 1
         reused += len(calls) == queries
-        got = empty.pairs(q, reach)
+        got = empty.pairs(q, veh.length, veh.width, margin)
         assert all(a.size == 0 for a in got)
     assert reused > 40
 

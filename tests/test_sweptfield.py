@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -651,3 +652,157 @@ def test_refinement_work_equals_frozen_engine(veh, bend_traj, kind, monkeypatch)
     assert points["_g_and_slope"] == points["ref_g_and_slope"] > 0
     if kind == "rotation":
         assert n_min[-1] == 64 and np.all(vals[:, -1] == vals[0, -1])
+
+
+# The coarse scan bounds only the points whose deepest sample g_min is at
+# most G = sweptfield._bound_reach(level, ...): since g_j >= |p - c_j| -
+# half_diagonal, every interval bound of any other point lies above the
+# level. Pinned against the per-sample loop that bounded every point
+# (oracles.scan_per_sample_bound): the bound is bit-equal wherever it is
+# computed and above the level wherever it is not, and the field, the count
+# and min_time_distance refine the same cells from the same starts and
+# bisect the same pieces. Where some interval has wmax * h > 1 the proof does
+# not hold and every point is bounded: fast_spin turns 1.9 rad between every
+# two coarse samples, random_walk up to 6.3 rad between some.
+
+
+def _fast_spin():
+    ts = np.linspace(0.0, 6.0, 40)
+    return LinearPosePath(ts, np.column_stack([0.5 * ts, np.zeros(40), 20.0 * ts]))
+
+
+BOUND_CASES = {
+    "bend": COUNT_CASES["bend"],
+    "jab": COUNT_CASES["jab"],
+    "spin_dash": lambda: _auto(_spin_dash()),
+    "random_walk": COUNT_CASES["random_walk"],
+    "fast_spin": lambda: _auto(_fast_spin()),
+}
+# caller -> (level, floor) of its selection, given the resolution
+LEVELS = {
+    "field": lambda res: (sweptfield.field_band(res) + sweptfield.CERT_MARGIN, -math.inf),
+    "count": lambda res: (sweptfield.CERT_MARGIN, -sweptfield.CERT_MARGIN),
+    "point": lambda res: (math.inf, -math.inf),
+}
+
+
+@pytest.mark.parametrize("caller", list(LEVELS))
+@pytest.mark.parametrize("name", list(BOUND_CASES))
+def test_deferred_bound_equals_per_sample_loop(veh, name, caller):
+    path, region, res = BOUND_CASES[name]()
+    _, _, _, cx, cy = sweptfield._region_grid(path, veh, region, res)
+    px, py = np.repeat(cx, cy.size), np.tile(cy, cx.size)
+    coarse = sweptfield._coarse_poses(path)
+    rates = (*path.rate_bounds(coarse[0]), np.diff(coarse[0]))
+    level, floor = LEVELS[caller](res)
+    reach = sweptfield._bound_reach(level, *rates, veh.half_diagonal)
+    vals, ref_vals = np.empty((2, COARSE_SAMPLES, px.size))
+    g_min, j_min, bound = sweptfield._scan(veh, px, py, coarse, rates, reach, floor, vals)
+    ref = oracles.scan_per_sample_bound(veh, px, py, coarse, rates, reach, floor, ref_vals)
+    _assert_same_bits(vals, ref_vals)
+    _assert_same_bits(g_min, ref[0])
+    assert np.array_equal(j_min, ref[1])
+    bounded = (g_min <= reach) & (g_min > floor)
+    _assert_same_bits(bound[bounded], ref[2][bounded])
+    assert np.all(bound[~bounded] == np.inf)
+    # The proof on data: an unbounded point's least interval bound clears the level.
+    assert np.all(ref[2][~bounded & (g_min > floor)] > level)
+    select = (g_min > floor) & (bound <= level)
+    assert np.array_equal(select, (g_min > floor) & (ref[2] <= level)) and select.any()
+    wide = name in ("fast_spin", "random_walk")
+    assert np.any(rates[1] * rates[2] > 1.0) == wide
+    if wide or caller == "point":
+        assert reach == math.inf
+    else:
+        assert math.isfinite(reach) and not bounded.all()
+
+
+class _RecordingPath(_CountingPath):
+    """Path proxy recording the order and times of every sample() call."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.calls = []
+
+    def sample(self, ts, order=0):
+        self.calls.append((order, np.array(ts, dtype=float)))
+        return super().sample(ts, order)
+
+
+@pytest.mark.parametrize("name", list(BOUND_CASES))
+def test_refinement_equals_per_sample_loop(veh, name, monkeypatch):
+    path, region, res = BOUND_CASES[name]()
+    points = np.random.default_rng(7).uniform(region[:2], region[2:], size=(6, 2))
+    starts = []  # every descent's (points, start times, start values)
+    refine = sweptfield._refine_times
+    monkeypatch.setattr(
+        sweptfield, "_refine_times", lambda p, t, f, *a: starts.append((p.copy(), t.copy(), f.copy())) or refine(p, t, f, *a)
+    )
+
+    def run():
+        starts.clear()
+        rec = _RecordingPath(path)
+        field = compute_swept_field(rec, veh, region=region, resolution=res)
+        count = count_swept_cells(rec, veh, region, res)
+        near = np.array([min_time_distance(p, rec, veh) for p in points])
+        return (field.f_star, field.t_star, field.refined, near), count, list(starts), rec.calls
+
+    got = run()
+    monkeypatch.setattr(sweptfield, "_scan", oracles.scan_per_sample_bound)
+    ref = run()
+    for a, b in zip(got[0], ref[0]):
+        _assert_same_bits(a, b)
+    assert got[1] == ref[1]
+    # The same starts, ranked and bisected, and the same sampled times: the
+    # bisection's midpoints and every descent step.
+    assert len(got[2]) == len(ref[2]) == 2 + len(points)
+    for a, b in zip(got[2], ref[2]):
+        for x, y in zip(a, b):
+            _assert_same_bits(x, y)
+    assert len(got[3]) == len(ref[3])
+    for (order, ts), (ref_order, ref_ts) in zip(got[3], ref[3]):
+        assert order == ref_order
+        _assert_same_bits(ts, ref_ts)
+
+
+def test_field_bounds_only_cells_that_can_reach_the_band(veh, monkeypatch):
+    # Elements of the scan's per-sample _interval_bound calls (scalar rates):
+    # 63 per cell with g_min <= G, where the per-sample loop took 63 per cell.
+    path, res = FROZEN_PATHS["minco"](), 0.05
+    elements = []
+    interval_bound = sweptfield._interval_bound
+
+    def spy(g_prev, g, dist, vmax, wmax, h):
+        if np.ndim(vmax) == 0:
+            elements.append(np.size(g))
+        return interval_bound(g_prev, g, dist, vmax, wmax, h)
+
+    monkeypatch.setattr(sweptfield, "_interval_bound", spy)
+    field = compute_swept_field(path, veh, resolution=res)
+    ts, vals = coarse_values(grid_centers(field), path, veh, 0.0, path.total_time)
+    h = np.diff(ts)
+    vmax, wmax = path.rate_bounds(ts)
+    level = sweptfield.field_band(res) + sweptfield.CERT_MARGIN
+    kappa = 0.5 * (vmax + wmax * (veh.half_diagonal + vmax * h)) * h
+    assert np.all(wmax * h <= 1.0)
+    G = np.max((level + kappa) / (1.0 - 0.5 * wmax * h))
+    near = np.count_nonzero(vals.min(axis=0) <= G + 1e-6)
+    assert 0 < sum(elements) <= (COARSE_SAMPLES - 1) * near
+    assert near < 0.5 * field.width * field.height
+
+
+def test_field_peak_memory_stays_near_one_scan_table(veh):
+    # numpy reports its buffers to tracemalloc. The bound is the scan's
+    # (64, SCAN_BLOCK) table and one more table's worth for the per-cell
+    # arrays (about 100 B a cell, 0.4 table here) and the scan's row
+    # temporaries. Bounding each block's candidates from gathered (64, k)
+    # copies instead took about 3 tables.
+    path = FROZEN_PATHS["minco"]()
+    tracemalloc.start()
+    try:
+        field = compute_swept_field(path, veh, resolution=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert field.width * field.height > 2 * sweptfield.SCAN_BLOCK
+    assert peak <= 2 * COARSE_SAMPLES * sweptfield.SCAN_BLOCK * 8
