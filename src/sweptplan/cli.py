@@ -33,7 +33,7 @@ from .mpc import MpcConfig
 from .planner import TRACE_COLUMNS, PlanOptions, PlannerWeights, optimize_stage1, optimize_stage2
 from .render import render_scene
 from .sim import SimConfig, SimTrace, compute_metrics, run_closed_loop
-from .sweptfield import SweptField, auto_region, compute_swept_field, excess_area
+from .sweptfield import TIME_TOL, SweptField, auto_region, compute_swept_field, excess_area
 from .worldmodel import (
     Box,
     Disc,
@@ -528,6 +528,7 @@ def _stage_plan(sc: Scenario, out_dir: str, seed) -> tuple:
             **_report_entry(report2),
             "feasible": report2.feasible,
             "min_clearance": report2.min_clearance if math.isfinite(report2.min_clearance) else None,
+            "clearance_time_tol": TIME_TOL,
         },
         "total_time_s": traj.total_time,
     }

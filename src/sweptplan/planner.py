@@ -3,10 +3,11 @@
 Stage 1 fits a smooth, time-regularized spline to the grid route (energy +
 total time + anchor deviation). Stage 2 drops the anchors and adds the
 collision hinge and the sweep-alignment penalty, then verifies the result
-against the obstacle set by dense sampling. Each stage is a table of weighted
-cost terms handed to one driver, `_optimize`: a limited-memory quasi-Newton
-loop over the knots and softplus-mapped durations, which stay above a floor,
-with a strong Wolfe line search for the smooth stage and descent-only Armijo
+against the obstacle points by the swept field's min-over-time search, whose
+sign is certified in continuous time. Each stage is a table of weighted cost
+terms handed to one driver, `_optimize`: a limited-memory quasi-Newton loop
+over the knots and softplus-mapped durations, which stay above a floor, with
+a strong Wolfe line search for the smooth stage and descent-only Armijo
 backtracking for the hinged stage. Each evaluation folds every term's
 coefficient gradient onto (q, T) in one adjoint solve, then sums the weighted
 terms. Each accepted point is traced with its gradient norm, step, the
@@ -34,7 +35,6 @@ import numpy as np
 from .geometry import (
     VehicleParams,
     footprint_sdf_batch,
-    footprint_sdf_values,
     to_body_frame,
     wrap_angle,
     wrap_angles,
@@ -48,6 +48,7 @@ from .minco import (
     propagate_gradient,
     time_cost_with_grads,
 )
+from .sweptfield import min_time_distance
 from .worldmodel import GridMap, InitialTrajectory
 
 T_MIN = 0.01  # duration floor under the softplus map, seconds
@@ -488,26 +489,15 @@ def optimize_stage1(
     return _optimize("stage1", t0, poses[1:-1], T0, boundary, terms, opts, _wolfe_search)
 
 
-def check_feasibility(
-    traj: MincoTrajectory, grid: GridMap, veh: VehicleParams, dt: float = 0.05
-) -> tuple[bool, float]:
-    """Dense hard collision check: footprint distance to every obstacle point at `dt` sampling.
-
-    Returns (feasible, min_distance); feasible means the distance never goes
-    negative, i.e. no obstacle cell center enters the footprint.
-    """
+def check_feasibility(traj, grid: GridMap, veh: VehicleParams) -> tuple[bool, float]:
+    """(feasible, min_distance): the least `min_time_distance` over the
+    obstacle points along `traj`, any path with `rate_bounds`. feasible means
+    no obstacle cell center enters the footprint, certified in continuous
+    time down to `sweptfield.TIME_TOL`."""
     pts = grid.obstacle_points
     if pts.shape[0] == 0:
         return True, math.inf
-    n = max(2, int(math.ceil(traj.total_time / dt)) + 1)
-    ts = np.linspace(0.0, traj.total_time, n)
-    poses = traj.sample(ts, 0)
-    worst = math.inf
-    for x, y, phi in poses:
-        d = pts - (x, y)
-        body = to_body_frame(d[:, 0], d[:, 1], math.cos(phi), math.sin(phi))
-        f = footprint_sdf_values(body, veh.length, veh.width)
-        worst = min(worst, float(f.min()))
+    worst = float(min_time_distance(pts, traj, veh)[1].min())
     return worst >= 0.0, worst
 
 

@@ -4,8 +4,9 @@ For a query point p and a pose path P(t), g(t) = F_SDF(p, P(t)) is the
 footprint distance at time t. Its minimum over the trajectory duration,
 f*(p) = min_t g(t), is negative exactly where the vehicle body passes, so the
 f* <= 0 sublevel set is the swept area. One search, `_min_over_time`, serves
-the field, the swept-cell count and `min_time_distance`. Cells are pure
-functions of the inputs, so how they are batched does not change the output.
+the field, the swept-cell count and `min_time_distance`, which the planner's
+feasibility check runs over the obstacle points. Cells are pure functions of
+the inputs, so how they are batched does not change the output.
 
 The search samples g at K coarse times, their poses sampled once per call,
 into one (K, SCAN_BLOCK) table per block of points. Between samples j and
@@ -38,16 +39,17 @@ wmax_j h > 1.
 
 A refined point's starts are its sampled local minima ranked by value, ties
 to the lower sample index, at most four, or sample 0 when it has none. If all
-K samples are positive, every interval whose bound is <= 0 may hide a basin
-and is bisected: each half gets the same bound and is dropped once the bound
-clears it; a midpoint where g <= 0, or whose half is shorter than TIME_TOL
-and not cleared, is one more start. All starts descend at once by
-Armijo-backtracked gradient descent on g over [0, T]. A point keeps its
-deepest ranked result, ties to the lower rank, unless that is positive and a
-bisected start ends deeper. So every cell's sign is certified down to
-TIME_TOL: f* <= 0 comes with a time where g = f*, and f* > 0 means the bound
-clears every interval but pieces shorter than TIME_TOL, whose descents stay
-positive. In-band values are the deepest of the basins searched.
+K samples are positive, every interval whose bound is <= 0 may hide a basin;
+the scan flags it as it bounds it, and it is bisected: each half gets the
+same bound and is dropped once the bound clears it; a midpoint where g <= 0,
+or whose half is shorter than TIME_TOL and not cleared, is one more start.
+All starts descend at once by Armijo-backtracked gradient descent on g over
+[0, T]. A point keeps its deepest ranked result, ties to the lower rank,
+unless that is positive and a bisected start ends deeper. So every cell's
+sign is certified down to TIME_TOL: f* <= 0 comes with a time where g = f*,
+and f* > 0 means the bound clears every interval but pieces shorter than
+TIME_TOL, whose descents stay positive. In-band values are the deepest of the
+basins searched.
 """
 
 from __future__ import annotations
@@ -208,14 +210,14 @@ def _g_and_slope(path, veh: VehicleParams, points: np.ndarray, ts: np.ndarray):
     return val, slope
 
 
-def min_time_distance(p: np.ndarray, path, veh: VehicleParams) -> tuple[float, float]:
-    """(t_star, f_star): min_t F_SDF(p, t) over [0, path.total_time], by the
-    search of the module docstring with p always refined. Its sign is
-    certified down to TIME_TOL, and its value is the deepest of the basins
-    searched; the endpoints are admissible. `path` must provide `rate_bounds`.
+def min_time_distance(points: np.ndarray, path, veh: VehicleParams) -> tuple[np.ndarray, np.ndarray]:
+    """(t_star, f_star) arrays: min_t F_SDF(p, t) over [0, path.total_time]
+    for each row p of the (m, 2) `points`, by the search of the module
+    docstring with every point refined. Each sign is certified down to
+    TIME_TOL, and each value is the deepest of the basins searched; the
+    endpoints are admissible. `path` must provide `rate_bounds`.
     """
-    t, f, _ = _min_over_time(path, veh, np.asarray(p, dtype=float).reshape(1, 2), _coarse_poses(path))
-    return float(t[0]), float(f[0])
+    return _min_over_time(path, veh, np.asarray(points, dtype=float), _coarse_poses(path))[:2]
 
 
 def _coarse_poses(path):
@@ -250,11 +252,12 @@ def _bound_reach(level, vmax, wmax, h, radius):
 
 def _scan(veh: VehicleParams, px: np.ndarray, py: np.ndarray, coarse, rates, reach: float, floor: float, vals):
     """One block's coarse scan: g at the K coarse samples into vals, (K,
-    px.size), and (g_min, j_min, bound), the deepest sample, its first index
-    and the least interval bound. rates holds the intervals' (vmax, wmax, h).
-    The bound is computed only where floor < g_min <= reach, one sample's
-    columns at a time so that no temporary outgrows a row, and is +inf
-    elsewhere."""
+    px.size), and (g_min, j_min, bound, hidden), the deepest sample, its first
+    index, the least interval bound and the (column, interval, distance from
+    its first center) of every interval bound <= 0 where g_min > 0. rates
+    holds the intervals' (vmax, wmax, h). The bound is computed only where
+    floor < g_min <= reach, one sample's columns at a time so that no
+    temporary outgrows a row, and is +inf elsewhere."""
     _, xs, ys, cs, ss = coarse
     vmax, wmax, h = rates
     rows = np.empty((2, px.size))  # the body-frame coordinates
@@ -269,16 +272,21 @@ def _scan(veh: VehicleParams, px: np.ndarray, py: np.ndarray, coarse, rates, rea
             np.minimum(g_min, vals[j], out=g_min)
     cand = np.flatnonzero((g_min <= reach) & (g_min > floor))
     cx, cy = px[cand], py[cand]
+    positive = g_min.take(cand) > 0.0
     g_prev = vals[0].take(cand)
     least = g_prev.copy()
+    hidden = []
     for i in range(h.size):
         g = vals[i + 1].take(cand)
         dist = np.hypot(cx - xs[i], cy - ys[i])
-        np.minimum(least, _interval_bound(g_prev, g, dist, vmax[i], wmax[i], h[i]), out=least)
+        b = _interval_bound(g_prev, g, dist, vmax[i], wmax[i], h[i])
+        np.minimum(least, b, out=least)
+        k = np.flatnonzero((b <= 0.0) & positive)
+        hidden.append((cand[k], np.full(k.size, i), dist[k]))
         g_prev = g
     bound = np.full(px.size, np.inf)
     bound[cand] = least
-    return g_min, j_min, bound
+    return g_min, j_min, bound, tuple(np.concatenate(x) for x in zip(*hidden))
 
 
 def _min_over_time(path, veh: VehicleParams, points: np.ndarray, coarse, level=math.inf, floor=-math.inf):
@@ -286,12 +294,12 @@ def _min_over_time(path, veh: VehicleParams, points: np.ndarray, coarse, level=m
     above `floor` and the coarse bound at most `level`, every point by
     default, and elsewhere the deepest coarse sample and its time. The scan,
     the start table, the bisection and the descent of the module docstring;
-    `path` must provide `rate_bounds`."""
+    `level` must be >= 0, and `path` must provide `rate_bounds`."""
     m = points.shape[0]
     if coarse is None or m == 0:
         t = np.zeros(m)
         return t, _g_values(path, veh, points, t), np.ones(m, dtype=bool)
-    ts, xs, ys = coarse[:3]
+    ts = coarse[0]
     h = np.diff(ts)
     vmax, wmax = path.rate_bounds(ts)
     reach = _bound_reach(level, vmax, wmax, h, veh.half_diagonal)
@@ -301,7 +309,7 @@ def _min_over_time(path, veh: VehicleParams, points: np.ndarray, coarse, level=m
     for b in range(0, m, SCAN_BLOCK):
         px, py = points[b : b + SCAN_BLOCK, 0], points[b : b + SCAN_BLOCK, 1]
         vals = table[:, : px.size]
-        g_min, j_min, bound = _scan(veh, px, py, coarse, (vmax, wmax, h), reach, floor, vals)
+        g_min, j_min, bound, hidden = _scan(veh, px, py, coarse, (vmax, wmax, h), reach, floor, vals)
         sel = (g_min > floor) & (bound <= level)
         refined[b : b + px.size], t[b : b + px.size], f[b : b + px.size] = sel, ts[j_min], g_min
 
@@ -320,13 +328,10 @@ def _min_over_time(path, veh: VehicleParams, points: np.ndarray, coarse, level=m
         j, c = np.concatenate([j[top], np.zeros_like(none)]), np.concatenate([c[top], none])
         starts.append((b + cols[c], ts[j], v[j, c]))
 
-        # Intervals that may hide a basin: bound <= 0 where every sample is positive.
-        pos = np.flatnonzero(sel & (g_min > 0.0) & (bound <= 0.0))
-        gp = vals[:, pos]
-        dist = np.hypot(px[pos] - xs[:-1, None], py[pos] - ys[:-1, None])
-        i, c = np.nonzero(_interval_bound(gp[:-1], gp[1:], dist, vmax[:, None], wmax[:, None], h[:, None]) <= 0.0)
-        pieces.append((b + pos[c], ts[i], ts[i + 1], gp[i, c], gp[i + 1, c], dist[i, c], vmax[i], wmax[i]))
-        del v, is_min, gp, dist  # freed before the next block's scan
+        # Intervals that may hide a basin, of selected points (bound <= 0 <= level).
+        col, i, dist = hidden
+        pieces.append((b + col, ts[i], ts[i + 1], vals[i, col], vals[i + 1, col], dist, vmax[i], wmax[i]))
+        del v, is_min  # freed before the next block's scan
     del table, vals  # the table would otherwise stay resident through the descent
 
     n_ranked = sum(cell.size for cell, _, _ in starts)

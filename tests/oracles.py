@@ -793,11 +793,13 @@ def scan_per_sample_bound(veh, px, py, coarse, rates, reach, floor, vals):
     """sweptfield._scan as it was before the bound was deferred: every
     point's interval bound folded into the per-sample loop, from the distance
     to the previous sample's center. The same arguments and results; reach
-    and floor are ignored, every bound is computed."""
+    and floor are ignored, every bound is computed, and the hidden intervals
+    are those with bound <= 0 of every point whose samples are all positive."""
     _, xs, ys, cs, ss = coarse
     vmax, wmax, h = rates
     rows = np.empty((2, px.size))
     g_min, j_min = np.empty(px.size), np.zeros(px.size, dtype=np.intp)
+    low = []  # per interval: (i, col, dist) where its bound is <= 0
     for j in range(xs.size):
         dx = px - xs[j]
         dy = py - ys[j]
@@ -811,9 +813,14 @@ def scan_per_sample_bound(veh, px, py, coarse, rates, reach, floor, vals):
             np.copyto(j_min, j, where=vals[j] < g_min)
             np.minimum(g_min, vals[j], out=g_min)
             lip = vmax[i] + wmax[i] * (dist_prev + vmax[i] * h[i])
-            np.minimum(bound, np.minimum(0.5 * (vals[i] + vals[j]) - 0.5 * lip * h[i], vals[j]), out=bound)
+            b = np.minimum(0.5 * (vals[i] + vals[j]) - 0.5 * lip * h[i], vals[j])
+            np.minimum(bound, b, out=bound)
+            col = np.flatnonzero(b <= 0.0)
+            low.append((np.full(col.size, i), col, dist_prev[col]))
         dist_prev = np.hypot(dx, dy)
-    return g_min, j_min, bound
+    i, col, dist = (np.concatenate(x) for x in zip(*low))
+    keep = g_min[col] > 0.0
+    return g_min, j_min, bound, (col[keep], i[keep], dist[keep])
 
 
 def sampled_minima(vals: np.ndarray) -> np.ndarray:

@@ -161,7 +161,7 @@ def test_acceptance_4_min_time_against_brute_force():
     _, f_oracle = min_time_scan(pts, traj, veh.length, veh.width, t_step=1e-3)
     worst = 0.0
     for i in range(pts.shape[0]):
-        _, f = min_time_distance(pts[i], traj, veh)
+        _, (f,) = min_time_distance(pts[i : i + 1], traj, veh)
         worst = max(worst, abs(f - f_oracle[i]))
     _report(
         4,
@@ -346,7 +346,7 @@ def test_acceptance_7_corner_scenario(turn90_run):
     traj = MincoTrajectory.from_dict(
         json.loads((out / "sv_on" / "trajectory.json").read_text())
     )
-    feasible, clearance = check_feasibility(traj, grid, sc.veh, dt=0.05)
+    feasible, clearance = check_feasibility(traj, grid, sc.veh)
 
     rows = (out / "sv_on" / "trace.csv").read_text().strip().splitlines()
     header = rows[0].split(",")
@@ -362,7 +362,7 @@ def test_acceptance_7_corner_scenario(turn90_run):
     _report(
         7,
         f"90-degree corner, 5-axle 8.1x2.7 m vehicle: plan {plan_s:.2f}s < 5s; "
-        f"dense min clearance {clearance:.3f} m >= 0; steady-state |e_y| {ss_ey:.2e} "
+        f"certified min clearance {clearance:.3f} m >= 0; steady-state |e_y| {ss_ey:.2e} "
         f"<= 0.1 m and |e_phi| {ss_ephi:.2e} deg <= 0.5; sweep-term ablation excess "
         f"{ab['sv_on_excess']:.2f} <= {ab['sv_off_excess']:.2f} m^2",
         plan_s < 5.0

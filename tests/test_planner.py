@@ -9,13 +9,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import folded, nudge_off_kinks, random_instance, scatter_grid, small_vehicle, straight_traj
-from oracles import fd_cost_grads, obstacle_cost_all_pairs, obstacle_pairs_all, rel_err, sweep_cost_loop
+from helpers import curved_traj, folded, nudge_off_kinks, random_instance, scatter_grid, small_vehicle, straight_traj
+from oracles import fd_cost_grads, min_time_scan, obstacle_cost_all_pairs, obstacle_pairs_all, rel_err, sweep_cost_loop
 import sweptplan.planner as planner
 from sweptplan import minco
 from sweptplan.cli import _build_grid, _plan_init, parse_scenario
 from sweptplan.geometry import to_body_frame
 from sweptplan.minco import Boundary, build_minco, energy_cost_with_grads
+from sweptplan.sweptfield import COARSE_SAMPLES, LinearPosePath, min_time_distance
 from sweptplan.planner import (
     TRACE_COLUMNS,
     PlanOptions,
@@ -690,6 +691,37 @@ def test_check_feasibility_reports_min_clearance(veh):
     feasible2, clearance2 = check_feasibility(traj, grid2, veh)
     assert not feasible2
     assert clearance2 < 0.0
+
+
+def test_check_feasibility_catches_a_pass_between_samples():
+    # At 50 m/s the 2 m body covers the one cell, centered at (51.25, 0.25),
+    # for 0.04 s: a check sampled every 0.05 s sees it 0.25 m clear.
+    veh = small_vehicle()
+    grid = rasterize_obstacles([Box(51.2, 0.2, 51.3, 0.3)], (-2, -4, 104, 4), 0.1)
+    assert grid.obstacle_points.tolist() == [[51.25, 0.25]]
+    assert check_feasibility(straight_traj(distance=100.0, speed=50.0), grid, veh) == (False, -0.25)
+    line = LinearPosePath(np.array([0.0, 2.0]), np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]]))
+    assert check_feasibility(line, grid, veh) == (False, -0.25)
+    empty = rasterize_obstacles([], (-2, -4, 104, 4), 0.1)
+    assert check_feasibility(line, empty, veh) == (True, math.inf)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_check_feasibility_against_dense_scan(veh, seed):
+    traj = curved_traj(seed=seed)
+    grid = scatter_grid(traj, seed)
+    pts = grid.obstacle_points
+    feasible, clearance = check_feasibility(traj, grid, veh)
+    assert clearance == min_time_distance(pts, traj, veh)[1].min()
+    t_step = 1e-3
+    _, f_scan = min_time_scan(pts, traj, veh.length, veh.width, t_step=t_step)
+    assert feasible == (clearance >= 0.0) == (f_scan.min() >= 0.0)
+    # |dg/dt| <= vmax + wmax |p - c(t)|, and c(t) stays within vmax h of a coarse center.
+    ts = np.linspace(0.0, traj.total_time, COARSE_SAMPLES)
+    vmax, wmax = (float(r.max()) for r in traj.rate_bounds(ts))
+    centers = traj.sample(ts, 0)[:, :2]
+    reach = np.linalg.norm(pts[:, None] - centers[None], axis=2).max() + vmax * ts[1]
+    assert abs(clearance - f_scan.min()) <= (vmax + wmax * reach) * t_step
 
 
 def test_plan_report_wall_time_and_flags():

@@ -41,19 +41,19 @@ from sweptplan.worldmodel import rasterize_obstacles
 
 
 def test_min_time_straight_passage(veh, line_traj):
-    t_star, f_star = min_time_distance(np.array([5.0, 3.0]), line_traj, veh)
+    (t_star,), (f_star,) = min_time_distance(np.array([[5.0, 3.0]]), line_traj, veh)
     npt.assert_allclose(f_star, 2.5, atol=1e-6)
     # the minimum is flat: every t with |x(t) - 5| <= 1 attains 2.5
     assert 3.95 <= t_star <= 6.05
 
 
 def test_min_time_interior_point(veh, line_traj):
-    t_star, f_star = min_time_distance(np.array([5.0, 0.0]), line_traj, veh)
+    (t_star,), (f_star,) = min_time_distance(np.array([[5.0, 0.0]]), line_traj, veh)
     npt.assert_allclose(f_star, -0.5, atol=1e-9)
 
 
 def test_min_time_clamps_to_interval_start(veh, line_traj):
-    t_star, f_star = min_time_distance(np.array([-100.0, 0.0]), line_traj, veh)
+    (t_star,), (f_star,) = min_time_distance(np.array([[-100.0, 0.0]]), line_traj, veh)
     assert t_star == 0.0
     expect = world_sdf_with_grad(np.array([-100.0, 0.0]), Pose2(0.0, 0.0, 0.0), veh).value
     npt.assert_allclose(f_star, expect, atol=1e-9)
@@ -63,7 +63,7 @@ def test_min_time_matches_dense_scan(veh, bend_traj, rng):
     pts = rng.uniform([-1.0, -4.0], [11.0, 6.0], size=(60, 2))
     t_oracle, f_oracle = min_time_scan(pts, bend_traj, veh.length, veh.width)
     for i in range(pts.shape[0]):
-        _, f = min_time_distance(pts[i], bend_traj, veh)
+        _, (f,) = min_time_distance(pts[i : i + 1], bend_traj, veh)
         assert f <= f_oracle[i] + 1e-2
 
 
@@ -233,7 +233,8 @@ def test_empty_interval_equals_oracle(veh, n):
     _assert_same_bits(f, f_ref)
     _assert_same_bits(t, t_ref)
     assert np.all(t == 0.0)
-    assert min_time_distance(pts[0], path, veh) == (t_ref[0], f_ref[0])
+    (t0,), (f0,) = min_time_distance(pts[:1], path, veh)
+    assert (t0, f0) == (t_ref[0], f_ref[0])
 
 
 def _assert_band_contract(field, path, veh, t_ref, f_ref, oracle_path=None):
@@ -697,8 +698,12 @@ def test_deferred_bound_equals_per_sample_loop(veh, name, caller):
     level, floor = LEVELS[caller](res)
     reach = sweptfield._bound_reach(level, *rates, veh.half_diagonal)
     vals, ref_vals = np.empty((2, COARSE_SAMPLES, px.size))
-    g_min, j_min, bound = sweptfield._scan(veh, px, py, coarse, rates, reach, floor, vals)
+    g_min, j_min, bound, hidden = sweptfield._scan(veh, px, py, coarse, rates, reach, floor, vals)
     ref = oracles.scan_per_sample_bound(veh, px, py, coarse, rates, reach, floor, ref_vals)
+    # The same intervals to bisect, in the same order, from the same distances.
+    for x, y in zip(hidden, ref[3]):
+        _assert_same_bits(x, y)
+    assert hidden[0].size > 0
     _assert_same_bits(vals, ref_vals)
     _assert_same_bits(g_min, ref[0])
     assert np.array_equal(j_min, ref[1])
@@ -744,7 +749,7 @@ def test_refinement_equals_per_sample_loop(veh, name, monkeypatch):
         rec = _RecordingPath(path)
         field = compute_swept_field(rec, veh, region=region, resolution=res)
         count = count_swept_cells(rec, veh, region, res)
-        near = np.array([min_time_distance(p, rec, veh) for p in points])
+        near = np.array([np.concatenate(min_time_distance(p[None], rec, veh)) for p in points])
         return (field.f_star, field.t_star, field.refined, near), count, list(starts), rec.calls
 
     got = run()
@@ -789,6 +794,28 @@ def test_field_bounds_only_cells_that_can_reach_the_band(veh, monkeypatch):
     near = np.count_nonzero(vals.min(axis=0) <= G + 1e-6)
     assert 0 < sum(elements) <= (COARSE_SAMPLES - 1) * near
     assert near < 0.5 * field.width * field.height
+
+
+def test_each_interval_bound_is_computed_once(veh, monkeypatch):
+    # The scan bounds each interval with scalar rates, once per block, and
+    # flags there the intervals that may hide a basin; the bisection bounds
+    # the halves of those pieces, with per-piece rates. No pass recomputes
+    # the (63, k) block of bounds of the cells whose samples are all positive.
+    path, res = FROZEN_PATHS["minco"](), 0.05
+    calls = []
+    interval_bound = sweptfield._interval_bound
+
+    def spy(g_prev, g, dist, vmax, wmax, h):
+        scalar, per_piece = np.ndim(vmax) == 0, np.shape(vmax) == np.shape(g) == (np.size(g),)
+        calls.append("scan" if scalar else "piece" if per_piece else "other")
+        return interval_bound(g_prev, g, dist, vmax, wmax, h)
+
+    monkeypatch.setattr(sweptfield, "_interval_bound", spy)
+    field = compute_swept_field(path, veh, resolution=res)
+    blocks = -(-field.width * field.height // sweptfield.SCAN_BLOCK)
+    assert calls.count("scan") == (COARSE_SAMPLES - 1) * blocks
+    assert calls.count("piece") > 0  # pieces were bisected
+    assert calls.count("other") == 0
 
 
 def test_field_peak_memory_stays_near_one_scan_table(veh):
