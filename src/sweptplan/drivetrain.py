@@ -30,7 +30,7 @@ class WheelCommand:
     speed: float
 
 
-def wheel_velocity(u_body: np.ndarray, wheel_xy: np.ndarray) -> np.ndarray:
+def wheel_velocity(u_body: np.ndarray, wheel_xy: np.ndarray) -> tuple[float, float]:
     """Linear velocity of a wheel mount point under body twist (Vx, Vy, omega).
 
     This is the rigid-body form (Vx - omega*Yw, Vy + omega*Xw); the paper
@@ -38,7 +38,7 @@ def wheel_velocity(u_body: np.ndarray, wheel_xy: np.ndarray) -> np.ndarray:
     """
     vx, vy, w = (float(v) for v in u_body)
     xw, yw = float(wheel_xy[0]), float(wheel_xy[1])
-    return np.array([vx - w * yw, vy + w * xw])
+    return vx - w * yw, vy + w * xw
 
 
 def fold_steering(v: np.ndarray, prev_gamma: float = 0.0) -> WheelCommand:
@@ -65,8 +65,8 @@ def allocate(u_body: np.ndarray, veh, prev_gamma=None) -> list[WheelCommand]:
     prev_gamma holds each wheel's previous steering angle (zeros when None),
     kept by the wheels slower than STEER_HOLD_SPEED.
     """
-    wheels = np.atleast_2d(np.asarray(veh.wheel_positions, dtype=float))
-    held = [0.0] * wheels.shape[0] if prev_gamma is None else [float(g) for g in prev_gamma]
+    wheels = np.atleast_2d(np.asarray(veh.wheel_positions, dtype=float)).tolist()
+    held = [0.0] * len(wheels) if prev_gamma is None else [float(g) for g in prev_gamma]
     return [fold_steering(wheel_velocity(u_body, w), g) for w, g in zip(wheels, held, strict=True)]
 
 

@@ -334,24 +334,27 @@ def propagate_gradient(traj: MincoTrajectory, costs: list[CostWithGrads]) -> lis
     coupled = [i for i, c in enumerate(costs) if c.grad_C is not None]
     if not coupled:
         return out
-    n = 6 * traj.n_segments
+    n_seg, k = traj.n_segments, len(coupled)
+    n = 6 * n_seg
     lu, piv = traj._adjoint_lu
-    g = np.concatenate([costs[i].grad_C.reshape(n, 3) for i in coupled], axis=1)
-    _check_finite(g)
-    lam_all, _ = dgbtrs(lu, _BAND, _BAND, g, piv)
-    for i, lam in zip(coupled, np.split(lam_all, len(coupled), axis=1)):
-        # Direct terms added to zeros first, so a -0.0 among them folds as +0.0.
-        grad_q = costs[i].grad_q + 0.0
-        grad_T = costs[i].grad_T + 0.0
-        # Knot j (1-based junction) enters the right-hand side in rows 6 j - 3 and 6 j + 2.
-        grad_q += lam[3 : n - 3 : 6] + lam[8 : n - 3 : 6]
-        # Segment j's end rows are 6 j + 3 + k: five continuity rows at a
-        # junction, three boundary rows after the last segment.
-        for k, deriv in enumerate(traj._end_rows):
-            rows = lam[3 + k :: 6]
-            m = rows.shape[0]
-            grad_T[:m] -= np.vecdot(rows, deriv[:m])
-        out[i] = CostWithGrads(value=costs[i].value, grad_q=grad_q, grad_T=grad_T)
+    # Column-major, with three zero rows after the n rows LAPACK solves.
+    b = np.zeros((k, 3, n + 3))
+    b[:, :, :n] = np.array([costs[i].grad_C for i in coupled]).reshape(k, n, 3).transpose(0, 2, 1)
+    _check_finite(b)
+    lam, _ = dgbtrs(lu, _BAND, _BAND, b.reshape(3 * k, n + 3).T, piv, overwrite_b=1)
+    # rows[c, j, o] is row 6 j + 3 + o of cost c's lambda: knot j + 1 enters rows 6 j + 3
+    # and 6 j + 8, and segment j's end rows of order 1 + o are its junction's or the last three.
+    rows = lam.T[:, 3:].reshape(k, 3, n_seg, 6).transpose(0, 2, 3, 1)
+    # Direct terms added to zeros first, so a -0.0 among them folds as +0.0.
+    grad_q = np.array([costs[i].grad_q for i in coupled]) + 0.0
+    grad_q += rows[:, :-1, 0] + rows[:, :-1, 5]
+    # grad_T minus the end-row products, left to right: a zero row's 0 changes nothing but a -0.0, never held.
+    terms = np.empty((k, n_seg, 6))
+    terms[:, :, 0] = np.array([costs[i].grad_T for i in coupled]) + 0.0
+    np.vecdot(rows[:, :, :5], traj._end_rows.transpose(1, 0, 2), out=terms[:, :, 1:])
+    grad_T = np.subtract.reduce(terms, axis=2)
+    for c, i in enumerate(coupled):
+        out[i] = CostWithGrads(value=costs[i].value, grad_q=grad_q[c], grad_T=grad_T[c])
     return out
 
 

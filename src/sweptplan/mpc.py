@@ -146,8 +146,8 @@ def build_qp(state: Pose2, ref: np.ndarray, u_prev: np.ndarray, cfg: MpcConfig) 
     return MpcProblem(
         H=h.copy(),
         g=g,
-        lb=np.tile(cfg.u_min, nc),
-        ub=np.tile(cfg.u_max, nc),
+        lb=np.concatenate([cfg.u_min] * nc),
+        ub=np.concatenate([cfg.u_max] * nc),
         du_lb=cfg.du_min.copy(),
         du_ub=cfg.du_max.copy(),
         u_prev=u_prev,
@@ -241,9 +241,9 @@ def _constraint_rows(prob: MpcProblem):
     The matrix is the cached, read-only one of the problem's layout; only b is built here.
     """
     a_mat, (box_ub, box_lb, du_ub, du_lb), _ = _layout(prob)
-    rate_ub = np.tile(prob.du_ub, prob.nc)
+    rate_ub = np.concatenate([prob.du_ub] * prob.nc)
     rate_ub[:NU] = prob.du_ub + prob.u_prev
-    rate_lb = np.tile(-prob.du_lb, prob.nc)
+    rate_lb = np.concatenate([-prob.du_lb] * prob.nc)
     rate_lb[:NU] = (-prob.du_lb) - prob.u_prev
     b_vec = np.concatenate([prob.ub[box_ub], -prob.lb[box_lb], rate_ub[du_ub], rate_lb[du_lb]])
     return a_mat, b_vec
@@ -313,11 +313,11 @@ def solve_qp(prob: MpcProblem, start=None):
     a_mat, b_vec = _constraint_rows(prob)
     m = a_mat.shape[0]
     work: list[int] = []
-    if start is not None and np.all(a_mat @ start[0] - b_vec < 1e-10):
+    # Rows hold one or two +-1 entries, so a @ x rounds once, as row by row: resid also picks tight rows.
+    resid = None if start is None else a_mat @ start[0] - b_vec
+    if resid is not None and np.all(resid < 1e-10):
         x = start[0]
-        for idx in start[1]:
-            if 0 <= idx < m and abs(a_mat[idx] @ x - b_vec[idx]) < 1e-10:
-                work.append(idx)
+        work = [idx for idx in start[1] if 0 <= idx < m and abs(resid[idx]) < 1e-10]
     else:
         x = _feasible_start(prob)
     max_iter = ITERATIONS_PER_VARIABLE * max(n, 1)
@@ -346,7 +346,7 @@ def solve_qp(prob: MpcProblem, start=None):
         ap = a_mat @ p
         moving = ap > 1e-12
         moving[work] = False
-        rows = np.flatnonzero(moving)
+        rows = moving.nonzero()[0]
         ratios = (b_vec[rows] - a_mat[rows] @ x) / ap[rows]
         for i, ratio in zip(rows.tolist(), ratios.tolist()):
             if ratio < alpha - 1e-12:
@@ -391,12 +391,12 @@ def mpc_step(state: Pose2, ref: np.ndarray, u_prev: np.ndarray, cfg: MpcConfig, 
     this solution shifted one control step for the next update, which must
     use the same config and take the returned twist as its u_prev.
     """
-    np_ = cfg.horizon
-    ref = np.array(ref, dtype=float).reshape(np_, NU)
-    prev_phi = state.phi
-    for i in range(np_):
-        ref[i, 2] = prev_phi + wrap_angle(ref[i, 2] - prev_phi)
-        prev_phi = ref[i, 2]
+    ref = np.array(ref, dtype=float).reshape(cfg.horizon, NU)
+    prev_phi, phis = state.phi, []
+    for phi in ref[:, 2].tolist():
+        prev_phi += wrap_angle(phi - prev_phi)
+        phis.append(prev_phi)
+    ref[:, 2] = phis
     prob = build_qp(state, ref.ravel(), u_prev, cfg)
     u, info = solve_qp(prob, start=start)
     info["next_start"] = _shift_start(prob, u, info["active_set"])

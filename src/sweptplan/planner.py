@@ -14,19 +14,16 @@ terms. Each accepted point is traced with its gradient norm, step, the
 evaluations its line search made and the weighted cost terms.
 
 Stage 2 finds the obstacle points near each knot through a neighbour list
-with a skin: one exhaustive offset test over the obstacle points serves every
-evaluation until a knot drifts farther than the skin from where it was built.
-Each evaluation rotates those candidates into their knot's body frame, and
-only the ones inside the footprint box grown by the hinge margin reach the
-exact SDF: no other point can activate the hinge.
+with a box-shaped skin, one exhaustive test serving every evaluation until a
+knot moves or turns too far. Each evaluation rotates those candidates into
+their knot's body frame, and only the ones inside the footprint box grown by
+the hinge margin reach the exact SDF: no other point can activate the hinge.
 """
 
 from __future__ import annotations
 
 import array
-import functools
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -48,12 +45,12 @@ from .minco import (
     propagate_gradient,
     time_cost_with_grads,
 )
-from .sweptfield import min_time_distance
+from .sweptfield import least_time_distance
 from .worldmodel import GridMap, InitialTrajectory
 
 T_MIN = 0.01  # duration floor under the softplus map, seconds
-_QUERY_SLACK = 1e-6  # meters added to the neighbour-list rebuild radius
-_SKIN = 0.5  # meters a knot may drift from where the neighbour list was queried
+_QUERY_SLACK = 1e-6  # meters added to the neighbour-list rebuild box's half sides
+_SKIN = 0.5  # meters a knot's box points may move, in body coordinates, before a rebuild
 LBFGS_MEMORY = 8  # curvature pairs kept by the quasi-Newton loop
 SWEEP_MIN_SPEED_SQ = 1e-8  # (m/s)^2: the sweep term skips knots moving slower
 
@@ -185,49 +182,54 @@ class _NeighbourList:
     """(knot, point) pairs whose body-frame offsets lie in the footprint box
     grown by a margin, from reused candidates.
 
-    A Verlet list: every obstacle point within reach + _SKIN of anchor
-    positions of the knots is found by one exhaustive test, reach being the
-    grown box's half diagonal, and those candidates serve every later call
-    while each knot stays within _SKIN of its anchor, since a point in the
-    knot's grown box is then within reach + _SKIN of the anchor. A larger
-    drift, another box or another knot count rebuilds. The exact box test
-    decides, so rounding in the rebuild's distances cannot change the pairs.
+    A Verlet list: one exhaustive test keeps, per knot, the obstacle points in
+    the box grown by margin + _SKIN in its anchor pose's body frame. They
+    serve every later call while each knot's drift d and turn dphi from its
+    anchor keep |d| + |dphi| reach <= _SKIN, reach being the grown box's half
+    diagonal: a point of the knot's grown box then lies within _SKIN of it
+    per coordinate in the anchor's frame. A larger move, another box or knot
+    count rebuilds. The exact box test decides, so rounding cannot change the pairs.
     """
 
     def __init__(self, grid: GridMap):
         self.grid = grid
         self.anchors = None
-        self.reach = None
+        self.box = None
 
-    def _query(self, q: np.ndarray, reach: float) -> None:
-        self.anchors = q[:, :2].copy()
-        self.reach = reach
+    def _query(self, q: np.ndarray, box) -> None:
+        self.anchors = q.copy()
+        self.box = length, width, margin = box
         pts = self.grid.obstacle_points
-        dx = pts[None, :, 0] - self.anchors[:, None, 0]
-        dy = pts[None, :, 1] - self.anchors[:, None, 1]
-        r = reach + _SKIN + _QUERY_SLACK
-        self.k_idx, m_idx = np.nonzero(dx * dx + dy * dy <= r * r)
-        self.px = pts[m_idx, 0]
-        self.py = pts[m_idx, 1]
+        hx = length / 2.0 + margin + _SKIN + _QUERY_SLACK
+        hy = width / 2.0 + margin + _SKIN + _QUERY_SLACK
+        # The square around the box's circumcircle first, so few points rotate.
+        r = math.hypot(hx, hy)
+        ax, ay = pts[None, :, 0] - q[:, None, 0], pts[None, :, 1] - q[:, None, 1]
+        k_idx, m_idx = np.nonzero((np.abs(ax, out=ax) <= r) & (np.abs(ay, out=ay) <= r))
+        body = _body_offsets(q, k_idx, pts[m_idx, 0], pts[m_idx, 1])
+        keep = (np.abs(body[:, 0]) <= hx) & (np.abs(body[:, 1]) <= hy)
+        self.k_idx, m_idx = k_idx[keep], m_idx[keep]
+        self.px, self.py = pts[m_idx, 0], pts[m_idx, 1]
 
     def pairs(self, q: np.ndarray, length: float, width: float, margin: float):
         """Knot indices, knot-major with points ascending, and the (m, 2)
         body-frame offsets, rotated as the SDF input is, of every pair with
         |bx| - length / 2 < margin and |by| - width / 2 < margin."""
+        box, a = (length, width, margin), self.anchors
         reach = math.hypot(length / 2.0 + margin, width / 2.0 + margin)
-        anchors = self.anchors
-        if anchors is None or reach != self.reach or anchors.shape[0] != q.shape[0]:
-            self._query(q, reach)
-        else:
-            drift = q[:, :2] - anchors
-            if not (np.vecdot(drift, drift) <= _SKIN * _SKIN).all():
-                self._query(q, reach)
-        k_idx = self.k_idx
-        body = to_body_frame(self.px - q[k_idx, 0], self.py - q[k_idx, 1],
-                             np.cos(q[:, 2])[k_idx], np.sin(q[:, 2])[k_idx])
+        if (a is None or box != self.box or a.shape[0] != q.shape[0] or not (
+                np.hypot(q[:, 0] - a[:, 0], q[:, 1] - a[:, 1]) + np.abs(q[:, 2] - a[:, 2]) * reach <= _SKIN).all()):
+            self._query(q, box)
+        body = _body_offsets(q, self.k_idx, self.px, self.py)
         # The same subtraction as the SDF's, so a dropped point's SDF is >= margin.
         keep = (np.abs(body[:, 0]) - length / 2.0 < margin) & (np.abs(body[:, 1]) - width / 2.0 < margin)
-        return k_idx[keep], body[keep]
+        return self.k_idx[keep], body[keep]
+
+
+def _body_offsets(q: np.ndarray, k_idx: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """(m, 2) offsets of the points (px, py) in the body frames of their knots q[k_idx]."""
+    c, s = np.cos(q[:, 2])[k_idx], np.sin(q[:, 2])[k_idx]
+    return to_body_frame(px - q[k_idx, 0], py - q[k_idx, 1], c, s, out=np.empty((2, k_idx.size)))
 
 
 def sweep_cost_with_grads(traj: MincoTrajectory) -> CostWithGrads:
@@ -242,17 +244,19 @@ def sweep_cost_with_grads(traj: MincoTrajectory) -> CostWithGrads:
     grad_q = np.zeros((max(n_seg - 1, 0), 3))
     grad_C = np.zeros_like(traj.coeffs)
     value = 0.0
+    rows = []  # per knot: the partials w.r.t. its heading and its velocity's x and y
     # Python floats do the same double arithmetic as numpy scalars, faster.
     knots = zip(traj.coeffs[1:, 1, :2].tolist(), traj.waypoints[:, 2].tolist())
-    for k, ((vx, vy), phi) in enumerate(knots):
+    for (vx, vy), phi in knots:
         s2 = vx * vx + vy * vy
         if s2 < SWEEP_MIN_SPEED_SQ:
+            rows.append((0.0, 0.0, 0.0))
             continue
         delta = wrap_angle(phi - math.atan2(vy, vx))
         value += delta * delta
-        grad_q[k, 2] += 2.0 * delta
-        grad_C[k + 1, 1, 0] += 2.0 * delta * (vy / s2)
-        grad_C[k + 1, 1, 1] += 2.0 * delta * (-vx / s2)
+        rows.append((2.0 * delta, 2.0 * delta * (vy / s2), 2.0 * delta * (-vx / s2)))
+    # + 0.0 stores them as an add into zeros would: a -0.0 as +0.0.
+    grad_q[:, 2], grad_C[1:, 1, 0], grad_C[1:, 1, 1] = (np.array(rows).reshape(-1, 3) + 0.0).T
     return CostWithGrads(value=value, grad_q=grad_q, grad_T=np.zeros(n_seg), grad_C=grad_C)
 
 
@@ -274,12 +278,9 @@ def softplus_inverse(T: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(tau: np.ndarray) -> np.ndarray:
-    out = np.empty_like(tau)
-    pos = tau >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-tau[pos]))
-    e = np.exp(tau[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # 1 / (1 + e^-tau) for tau >= 0 and e^tau / (1 + e^tau) below, neither overflowing.
+    e = np.exp(-np.abs(tau))
+    return np.where(tau >= 0, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +365,7 @@ def _lbfgs(fg, x0, opts: PlanOptions, search):
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g, terms = fg(x)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(float(g @ g))  # np.linalg.norm's bits
     # Flat doubles rather than a list of tuples: a stage-2 trace has ~1,000 rows.
     trace = array.array("d", (f, gnorm, 0.0, 1, *terms))
     s_hist: list[np.ndarray] = []
@@ -382,13 +383,13 @@ def _lbfgs(fg, x0, opts: PlanOptions, search):
         for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
             a = rho * float(s @ d)
             alphas.append(a)
-            d = d - a * y
+            d -= a * y
         if y_hist:
             y_last, s_last = y_hist[-1], s_hist[-1]
-            d = d * (float(s_last @ y_last) / max(float(y_last @ y_last), 1e-300))
+            d *= float(s_last @ y_last) / max(float(y_last @ y_last), 1e-300)
         for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
             b = rho * float(y @ d)
-            d = d + (a - b) * s
+            d += (a - b) * s
         if float(g @ d) >= 0.0:
             # Fall back to steepest descent if curvature info went stale.
             d = -g
@@ -403,7 +404,7 @@ def _lbfgs(fg, x0, opts: PlanOptions, search):
         s = alpha * d
         y = g_new - g
         sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        if sy > 1e-12 * math.sqrt(float(s @ s)) * math.sqrt(float(y @ y)):
             s_hist.append(s)
             y_hist.append(y)
             rho_hist.append(1.0 / sy)
@@ -412,7 +413,7 @@ def _lbfgs(fg, x0, opts: PlanOptions, search):
         x = x + s
         rel = abs(f - f_new) / max(1.0, abs(f))
         f, g = f_new, g_new
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(float(g @ g))
         trace.extend((f, gnorm, alpha, evals, *terms))
         if rel < opts.cost_tol:
             converged, reason = True, "cost_tolerance"
@@ -440,13 +441,16 @@ def _optimize(stage, t0, q0, T0, boundary, terms, opts, search, check=None) -> P
         tau = z[n_q:]
         traj = build_minco(z[:n_q].reshape(-1, 3), softplus(tau), boundary)
         traced = dict.fromkeys(TRACE_COLUMNS[4:], 0.0)
-        weighted = []
+        # Row i: term i's weighted cost and (q, T) gradient, added left to right.
+        rows = np.empty((len(terms), 1 + z.size))
         costs = propagate_gradient(traj, [cost(traj) for _, _, cost in terms])
-        for (name, w, _), c in zip(terms, costs):
-            traced[name] = w * c.value
-            weighted.append((traced[name], w * c.grad_q, w * c.grad_T))
-        val, gq, gT = (functools.reduce(operator.add, part) for part in zip(*weighted))
-        return val, np.concatenate([gq.ravel(), gT * _sigmoid(tau)]), tuple(traced.values())
+        for row, (name, w, _), c in zip(rows, terms, costs):
+            row[0] = traced[name] = w * c.value
+            np.multiply(w, c.grad_q.ravel(), out=row[1 : 1 + n_q])
+            np.multiply(w, c.grad_T, out=row[1 + n_q :])
+        total = np.add.reduce(rows, axis=0)
+        total[1 + n_q :] *= _sigmoid(tau)
+        return float(total[0]), total[1:], tuple(traced.values())
 
     z0 = np.concatenate([q0.ravel(), softplus_inverse(np.maximum(T0, T_MIN * 1.001))])
     z, trace, converged, reason = _lbfgs(fg, z0, opts, search)
@@ -491,13 +495,10 @@ def optimize_stage1(
 
 def check_feasibility(traj, grid: GridMap, veh: VehicleParams) -> tuple[bool, float]:
     """(feasible, min_distance): the least `min_time_distance` over the
-    obstacle points along `traj`, any path with `rate_bounds`. feasible means
-    no obstacle cell center enters the footprint, certified in continuous
-    time down to `sweptfield.TIME_TOL`."""
-    pts = grid.obstacle_points
-    if pts.shape[0] == 0:
-        return True, math.inf
-    worst = float(min_time_distance(pts, traj, veh)[1].min())
+    obstacle points along `traj`, any path with `rate_bounds`, by
+    `least_time_distance`. feasible means no obstacle cell center enters the
+    footprint, certified in continuous time down to `sweptfield.TIME_TOL`."""
+    worst = least_time_distance(grid.obstacle_points, traj, veh)
     return worst >= 0.0, worst
 
 

@@ -70,8 +70,8 @@ class MetricsReport:
 
 def plant_step(pose: Pose2, u_world: np.ndarray, dt: float) -> Pose2:
     """Exact integrator for the kinematic plant; heading wraps to (-pi, pi]."""
-    u = np.asarray(u_world, dtype=float)
-    return Pose2(pose.x + dt * u[0], pose.y + dt * u[1], pose.phi + dt * u[2])
+    ux, uy, w = (float(v) for v in u_world)
+    return Pose2(pose.x + dt * ux, pose.y + dt * uy, pose.phi + dt * w)
 
 
 def signed_lateral_error(pose: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -120,7 +120,7 @@ def run_closed_loop(
     windows = reference_windows(traj, out_t, mpc_cfg)
     pose = Pose2(*refs[0]) if start_pose is None else start_pose
     u_prev = np.zeros(3)
-    u_applied = np.zeros(3)
+    u_applied = [0.0, 0.0, 0.0]
     start = None  # the previous solution shifted one step; opaque here
     if sim_cfg.input_lag_tau > 0.0:
         lag_alpha = 1.0 - math.exp(-dt / sim_cfg.input_lag_tau)
@@ -129,11 +129,10 @@ def run_closed_loop(
 
     mpc_s = alloc_s = 0.0
     gamma = [0.0] * n_w  # each wheel's last steering angle, kept while it stands still
-    for k in range(m):
-        ref = refs[k]
-        out_pose[k] = pose.as_array()
-        out_ref[k] = [ref[0], ref[1], wrap_angle(ref[2])]
-        out_ephi[k] = wrap_angle(pose.phi - ref[2])
+    for k, (rx, ry, rphi) in enumerate(refs.tolist()):
+        out_pose[k] = pose.x, pose.y, pose.phi
+        out_ref[k] = rx, ry, wrap_angle(rphi)
+        out_ephi[k] = wrap_angle(pose.phi - rphi)
         t0 = time.perf_counter()
         try:
             u, info = mpc_step(pose, windows[k], u_prev, mpc_cfg, start=start)
@@ -146,10 +145,10 @@ def run_closed_loop(
         finally:
             mpc_s += time.perf_counter() - t0
         out_u[k] = u
-        u_applied = u_applied + lag_alpha * (u - u_applied)
+        u_applied = [a + lag_alpha * (b - a) for a, b in zip(u_applied, u.tolist())]
         # Wheel states follow the applied twist expressed in the body frame.
         v_body = to_body_frame(u_applied[0], u_applied[1], math.cos(pose.phi), math.sin(pose.phi))
-        u_body = np.array([v_body[0], v_body[1], u_applied[2]])
+        u_body = (*v_body.tolist(), u_applied[2])
         t0 = time.perf_counter()
         cmds = allocate(u_body, veh, prev_gamma=gamma)
         alloc_s += time.perf_counter() - t0

@@ -4,8 +4,9 @@ For a query point p and a pose path P(t), g(t) = F_SDF(p, P(t)) is the
 footprint distance at time t. Its minimum over the trajectory duration,
 f*(p) = min_t g(t), is negative exactly where the vehicle body passes, so the
 f* <= 0 sublevel set is the swept area. One search, `_min_over_time`, serves
-the field, the swept-cell count and `min_time_distance`, which the planner's
-feasibility check runs over the obstacle points. Cells are pure functions of
+the field, the swept-cell count, `min_time_distance` and
+`least_time_distance`, the planner's feasibility check over the obstacle
+points. Cells are pure functions of
 the inputs, so how they are batched does not change the output.
 
 The search samples g at K coarse times, their poses sampled once per call,
@@ -27,6 +28,9 @@ the intervals, is at most a level:
   refined, to the field's values, so the count equals the field's. Cells
   farther than half_diagonal + vmax_j * h from every coarse center skip the
   SDF. `min_time_distance` refines its point.
+- `least_time_distance` needs only the least f*, which the least deepest
+  sample so far bounds from above: a block's level is that, never below 0,
+  plus CERT_MARGIN. Each point refines alone, so the least keeps its bits.
 
 The bound is computed only where it can reach the level. The footprint lies
 within R = half_diagonal of its center, so g_j >= |p - c_j| - R, and where
@@ -220,6 +224,20 @@ def min_time_distance(points: np.ndarray, path, veh: VehicleParams) -> tuple[np.
     return _min_over_time(path, veh, np.asarray(points, dtype=float), _coarse_poses(path))[:2]
 
 
+def least_time_distance(points: np.ndarray, path, veh: VehicleParams) -> float:
+    """The least f* of `min_time_distance` over the (m, 2) `points`, bit for
+    bit, +inf for none, refining only the points that can hold it."""
+    lowest = math.inf
+
+    def level(g_min):  # see the module docstring
+        nonlocal lowest
+        lowest = min(lowest, max(0.0, float(g_min.min()) + CERT_MARGIN))
+        return lowest
+
+    f = _min_over_time(path, veh, np.asarray(points, dtype=float), _coarse_poses(path), level)[1]
+    return float(f.min(initial=math.inf))
+
+
 def _coarse_poses(path):
     """The coarse scan's times over [0, path.total_time] with their poses as
     (ts, x, y, cos, sin), sampled once and shared by every point; None for a
@@ -250,14 +268,15 @@ def _bound_reach(level, vmax, wmax, h, radius):
     return max(level, float(np.max((level + kappa) / (1.0 - 0.5 * wh)))) + CERT_MARGIN
 
 
-def _scan(veh: VehicleParams, px: np.ndarray, py: np.ndarray, coarse, rates, reach: float, floor: float, vals):
+def _scan(veh: VehicleParams, px: np.ndarray, py: np.ndarray, coarse, rates, level, floor: float, vals):
     """One block's coarse scan: g at the K coarse samples into vals, (K,
-    px.size), and (g_min, j_min, bound, hidden), the deepest sample, its first
-    index, the least interval bound and the (column, interval, distance from
-    its first center) of every interval bound <= 0 where g_min > 0. rates
-    holds the intervals' (vmax, wmax, h). The bound is computed only where
-    floor < g_min <= reach, one sample's columns at a time so that no
-    temporary outgrows a row, and is +inf elsewhere."""
+    px.size), and (g_min, j_min, bound, hidden, lvl), the deepest sample, its
+    first index, the least interval bound, the (column, interval, distance
+    from its first center) of every interval bound <= 0 where g_min > 0, and
+    the block's level lvl = level(g_min). rates holds the intervals' (vmax,
+    wmax, h). The bound is computed only where floor < g_min <= G of lvl
+    (`_bound_reach`), one sample's columns at a time so that no temporary
+    outgrows a row, and is +inf elsewhere."""
     _, xs, ys, cs, ss = coarse
     vmax, wmax, h = rates
     rows = np.empty((2, px.size))  # the body-frame coordinates
@@ -270,6 +289,8 @@ def _scan(veh: VehicleParams, px: np.ndarray, py: np.ndarray, coarse, rates, rea
         else:
             np.copyto(j_min, j, where=vals[j] < g_min)
             np.minimum(g_min, vals[j], out=g_min)
+    lvl = level(g_min)
+    reach = _bound_reach(lvl, vmax, wmax, h, veh.half_diagonal)
     cand = np.flatnonzero((g_min <= reach) & (g_min > floor))
     cx, cy = px[cand], py[cand]
     positive = g_min.take(cand) > 0.0
@@ -286,15 +307,16 @@ def _scan(veh: VehicleParams, px: np.ndarray, py: np.ndarray, coarse, rates, rea
         g_prev = g
     bound = np.full(px.size, np.inf)
     bound[cand] = least
-    return g_min, j_min, bound, tuple(np.concatenate(x) for x in zip(*hidden))
+    return g_min, j_min, bound, tuple(np.concatenate(x) for x in zip(*hidden)), lvl
 
 
-def _min_over_time(path, veh: VehicleParams, points: np.ndarray, coarse, level=math.inf, floor=-math.inf):
+def _min_over_time(path, veh: VehicleParams, points: np.ndarray, coarse, level=lambda g_min: math.inf, floor=-math.inf):
     """(t, f, refined) per point: (t*, f*) where the deepest coarse sample is
-    above `floor` and the coarse bound at most `level`, every point by
+    above `floor` and the coarse bound at most the level, every point by
     default, and elsewhere the deepest coarse sample and its time. The scan,
-    the start table, the bisection and the descent of the module docstring;
-    `level` must be >= 0, and `path` must provide `rate_bounds`."""
+    the start table, the bisection and the descent of the module docstring.
+    `level` gives a block's level, >= 0, from its points' deepest coarse
+    samples; `path` must provide `rate_bounds`."""
     m = points.shape[0]
     if coarse is None or m == 0:
         t = np.zeros(m)
@@ -302,15 +324,14 @@ def _min_over_time(path, veh: VehicleParams, points: np.ndarray, coarse, level=m
     ts = coarse[0]
     h = np.diff(ts)
     vmax, wmax = path.rate_bounds(ts)
-    reach = _bound_reach(level, vmax, wmax, h, veh.half_diagonal)
     t, f, refined = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
     table = np.empty((ts.size, min(m, SCAN_BLOCK)))
     starts, pieces = [], []  # start rows (point, t, g); intervals to bisect
     for b in range(0, m, SCAN_BLOCK):
         px, py = points[b : b + SCAN_BLOCK, 0], points[b : b + SCAN_BLOCK, 1]
         vals = table[:, : px.size]
-        g_min, j_min, bound, hidden = _scan(veh, px, py, coarse, (vmax, wmax, h), reach, floor, vals)
-        sel = (g_min > floor) & (bound <= level)
+        g_min, j_min, bound, hidden, lvl = _scan(veh, px, py, coarse, (vmax, wmax, h), level, floor, vals)
+        sel = (g_min > floor) & (bound <= lvl)
         refined[b : b + px.size], t[b : b + px.size], f[b : b + px.size] = sel, ts[j_min], g_min
 
         # Ranked starts: the selected points' finite sampled local minima by
@@ -478,7 +499,7 @@ def compute_swept_field(path, veh: VehicleParams, region=None, resolution: float
     """
     origin, width, height, cx, cy = _region_grid(path, veh, region, resolution)
     pts = np.column_stack([np.repeat(cx, height), np.tile(cy, width)])
-    t, f, refined = _min_over_time(path, veh, pts, _coarse_poses(path), field_band(resolution) + CERT_MARGIN)
+    t, f, refined = _min_over_time(path, veh, pts, _coarse_poses(path), lambda g_min: field_band(resolution) + CERT_MARGIN)
     return SweptField(
         origin=origin,
         resolution=resolution,
@@ -510,7 +531,8 @@ def _certify(path, veh: VehicleParams, cx: np.ndarray, cy: np.ndarray, coarse):
             near[ix0:ix1, iy0:iy1] |= dx * dx + dy * dy <= reach[j] * reach[j]
 
     ix, iy = np.nonzero(near)
-    _, f, refined = _min_over_time(path, veh, np.column_stack([cx[ix], cy[iy]]), coarse, CERT_MARGIN, -CERT_MARGIN)
+    pts = np.column_stack([cx[ix], cy[iy]])
+    _, f, refined = _min_over_time(path, veh, pts, coarse, lambda g_min: CERT_MARGIN, -CERT_MARGIN)
     cls = np.full((cx.size, cy.size), FAR, dtype=np.int8)
     # An unrefined cell holds its deepest sample: <= -CERT_MARGIN inside, and
     # otherwise its bound is > CERT_MARGIN.

@@ -789,12 +789,13 @@ def coarse_values(points, path, veh, t_min: float, t_max: float):
     return grid_ts, vals
 
 
-def scan_per_sample_bound(veh, px, py, coarse, rates, reach, floor, vals):
+def scan_per_sample_bound(veh, px, py, coarse, rates, level, floor, vals):
     """sweptfield._scan as it was before the bound was deferred: every
     point's interval bound folded into the per-sample loop, from the distance
-    to the previous sample's center. The same arguments and results; reach
-    and floor are ignored, every bound is computed, and the hidden intervals
-    are those with bound <= 0 of every point whose samples are all positive."""
+    to the previous sample's center. The same arguments and results; floor
+    is ignored, every bound is computed, the hidden intervals are those with
+    bound <= 0 of every point whose samples are all positive, and the level
+    is level(g_min)."""
     _, xs, ys, cs, ss = coarse
     vmax, wmax, h = rates
     rows = np.empty((2, px.size))
@@ -820,7 +821,7 @@ def scan_per_sample_bound(veh, px, py, coarse, rates, reach, floor, vals):
         dist_prev = np.hypot(dx, dy)
     i, col, dist = (np.concatenate(x) for x in zip(*low))
     keep = g_min[col] > 0.0
-    return g_min, j_min, bound, (col[keep], i[keep], dist[keep])
+    return g_min, j_min, bound, (col[keep], i[keep], dist[keep]), level(g_min)
 
 
 def sampled_minima(vals: np.ndarray) -> np.ndarray:

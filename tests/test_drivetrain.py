@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -77,6 +78,30 @@ def test_allocate_holds_per_wheel(veh):
         assert got == free
     with pytest.raises(ValueError):
         allocate(u, veh, prev_gamma=prev[:-1])
+
+
+def test_allocate_equals_folded_wheel_velocities_bit_for_bit(veh):
+    # allocate gives the bits of folding each wheel's rigid-body velocity,
+    # worked out on arrays, for held (slow) wheels and signed zeros too
+    rng = np.random.default_rng(27)
+    wheels = np.asarray(veh.wheel_positions, dtype=float)
+    xw, yw = wheels[0]
+    twists = [rng.uniform([-2.0, -2.0, -1.0], [2.0, 2.0, 1.0]) for _ in range(200)]
+    twists += [rng.uniform(-1e-7, 1e-7, 3) for _ in range(20)]  # every wheel held
+    twists += [np.array([yw, -xw, 1.0]) * w for w in (0.5, -0.5)]  # the first wheel held
+    twists += [np.array(z) for z in itertools.product((0.0, -0.0), repeat=3)]
+    twists += [np.array([-0.0, 1.0, 0.0]), np.array([1.0, -0.0, -0.0])]
+    held = 0
+    for u in twists:
+        for prev in (None, rng.uniform(-1.5, 1.5, wheels.shape[0])):
+            got = allocate(u, veh, prev_gamma=prev)
+            gammas = np.zeros(wheels.shape[0]) if prev is None else prev
+            v = np.column_stack([u[0] - u[2] * wheels[:, 1], u[1] + u[2] * wheels[:, 0]])
+            want = [fold_steering(vw, g) for vw, g in zip(v, gammas)]
+            assert np.array([(c.gamma, c.speed) for c in got]).tobytes() == \
+                np.array([(c.gamma, c.speed) for c in want]).tobytes()
+            held += sum(math.hypot(*wheel_velocity(u, w)) < STEER_HOLD_SPEED for w in wheels)
+    assert held > 200
 
 
 def test_gamma_range(veh, rng):

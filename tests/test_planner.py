@@ -12,7 +12,7 @@ import pytest
 from helpers import curved_traj, folded, nudge_off_kinks, random_instance, scatter_grid, small_vehicle, straight_traj
 from oracles import fd_cost_grads, min_time_scan, obstacle_cost_all_pairs, obstacle_pairs_all, rel_err, sweep_cost_loop
 import sweptplan.planner as planner
-from sweptplan import minco
+from sweptplan import minco, sweptfield
 from sweptplan.cli import _build_grid, _plan_init, parse_scenario
 from sweptplan.geometry import to_body_frame
 from sweptplan.minco import Boundary, build_minco, energy_cost_with_grads
@@ -157,10 +157,11 @@ def _box_pairs_all(q, pts, veh, margin):
     return k_idx[keep], body[keep]
 
 
-def _at_body(knot, axis, target, other):
+def _at_body(knot, axis, target, other, anchor=None):
     """A world point whose body-frame offset from `knot`, rotated as the hinge
     rotates it, has exactly `target` on `axis` and about `other` on the other:
-    the first hit of a search over points a few ulps from the rotated offset."""
+    the first hit of a search over points a few ulps from the rotated offset,
+    or, given an `anchor` pose, the hit farthest out on `axis` in its frame."""
     c, s = np.cos(knot[2]), np.sin(knot[2])
     b = np.array([target, other] if axis == 0 else [other, target])
     p = knot[:2] + np.array([c * b[0] - s * b[1], s * b[0] + c * b[1]])
@@ -168,6 +169,9 @@ def _at_body(knot, axis, target, other):
     px, py = (g.ravel() for g in np.meshgrid(p[0] + k * np.spacing(p[0]), p[1] + k * np.spacing(p[1])))
     hit = np.flatnonzero(to_body_frame(px - knot[0], py - knot[1], c, s)[:, axis] == target)
     assert hit.size, "no point found at the body-frame target"
+    if anchor is not None:
+        far = to_body_frame(px[hit] - anchor[0], py[hit] - anchor[1], np.cos(anchor[2]), np.sin(anchor[2]))
+        hit = hit[np.argmax(np.abs(far[:, axis])):]
     return px[hit[0]], py[hit[0]]
 
 
@@ -223,7 +227,7 @@ def test_obstacle_pairs_equal_exhaustive_prefilter(veh):
     drifted = _NeighbourList(grid)
     drifted.pairs(anchors, veh.length, veh.width, _EDGE_MARGIN)
     got = drifted.pairs(_EDGE_KNOTS, veh.length, veh.width, _EDGE_MARGIN)
-    assert np.array_equal(drifted.anchors, anchors[:, :2])
+    assert np.array_equal(drifted.anchors, anchors)
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
 
@@ -280,11 +284,17 @@ def test_neighbour_list_equals_exhaustive_along_random_walk(veh, monkeypatch):
         if step == 55:
             q = rng.uniform(-2.5, 2.5, size=(7, 3))
         # Steps well below the skin add up to drifts across it; every tenth
-        # step jumps one knot farther than the skin at once.
+        # step jumps one knot farther than the skin at once, and every tenth
+        # from the fifth turns one, away from its anchor's heading, by more
+        # than _SKIN / reach, so that the turn alone must rebuild.
         q = q + rng.normal(scale=0.03, size=q.shape)
-        jump = step % 10 == 9
-        if jump:
-            q[step % q.shape[0], :2] += 1.5 * planner._SKIN
+        jump = step % 10 in (4, 9)
+        k = step % q.shape[0]
+        if step % 10 == 9:
+            q[k, :2] += 1.5 * planner._SKIN
+        elif jump:
+            reach = math.hypot(veh.length / 2.0 + margin, veh.width / 2.0 + margin)
+            q[k, 2] += math.copysign(1.1 * planner._SKIN / reach, q[k, 2] - nl.anchors[k, 2])
         queries = len(calls)
         got = nl.pairs(q, veh.length, veh.width, margin)
         ref = _box_pairs_all(q, grid.obstacle_points, veh, margin)
@@ -296,6 +306,31 @@ def test_neighbour_list_equals_exhaustive_along_random_walk(veh, monkeypatch):
         got = empty.pairs(q, veh.length, veh.width, margin)
         assert all(a.size == 0 for a in got)
     assert reused > 40
+
+
+def test_neighbour_list_reused_at_the_skin_keeps_box_edge_points(veh, monkeypatch):
+    # Knots moved along their heading by the skin from their anchors reuse the
+    # list. Points one ulp inside the front edge of a knot's grown box lie, in
+    # its anchor's frame, within rounding of the rebuild box's edge; for some
+    # knots the farthest out of them lies beyond it, and only the query slack
+    # keeps it.
+    calls = []
+    query = _NeighbourList._query
+    monkeypatch.setattr(_NeighbourList, "_query", lambda *a: calls.append(1) or query(*a))
+    anchors = np.random.default_rng(3).uniform(-3.0, 3.0, size=(100, 3))
+    q = anchors.copy()
+    q[:, :2] += planner._SKIN * np.column_stack([np.cos(q[:, 2]), np.sin(q[:, 2])])
+    at_skin = np.hypot(q[:, 0] - anchors[:, 0], q[:, 1] - anchors[:, 1]) <= planner._SKIN
+    anchors, q = anchors[at_skin], q[at_skin]
+    edge = np.nextafter(veh.length / 2.0 + _EDGE_MARGIN, 0.0)
+    grid = _point_grid(np.array([_at_body(knot, 0, edge, 0.0, anchor) for knot, anchor in zip(q, anchors)]))
+    nl = _NeighbourList(grid)
+    nl.pairs(anchors, veh.length, veh.width, _EDGE_MARGIN)
+    got = nl.pairs(q, veh.length, veh.width, _EDGE_MARGIN)
+    assert len(calls) == 1 and q.shape[0] > 50
+    ref = _box_pairs_all(q, grid.obstacle_points, veh, _EDGE_MARGIN)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    assert np.count_nonzero(got[1][:, 0] == edge) >= q.shape[0]
 
 
 @pytest.mark.parametrize("n_seg", [1, 2, 15])
@@ -722,6 +757,45 @@ def test_check_feasibility_against_dense_scan(veh, seed):
     centers = traj.sample(ts, 0)[:, :2]
     reach = np.linalg.norm(pts[:, None] - centers[None], axis=2).max() + vmax * ts[1]
     assert abs(clearance - f_scan.min()) <= (vmax + wmax * reach) * t_step
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("block", [None, 7])
+def test_check_feasibility_refines_only_points_that_can_hold_the_least(veh, seed, block, monkeypatch):
+    # The least deepest coarse sample, never below 0, plus CERT_MARGIN is the
+    # level: a point whose coarse bound lies above it cannot hold the least
+    # f*, so it is not refined, and the value keeps its bits. With blocks of
+    # 7 points the level falls block by block, and earlier blocks refine more.
+    # Each seed's scatter runs twice: as drawn, and only the points that every
+    # coarse sample clears by 0.3 m, where the level lies above 0.3 m.
+    traj = curved_traj(seed=seed)
+    coarse = sweptfield._coarse_poses(traj)
+    rates = (*traj.rate_bounds(coarse[0]), np.diff(coarse[0]))
+
+    def scan(pts):
+        vals = np.empty((COARSE_SAMPLES, pts.shape[0]))
+        return sweptfield._scan(veh, pts[:, 0], pts[:, 1], coarse, rates, lambda g_min: math.inf, -math.inf, vals)
+
+    drawn = scatter_grid(traj, seed, n_points=300).obstacle_points
+    levels = []
+    for pts in (drawn, drawn[scan(drawn)[0] > 0.3]):
+        g_min, _, bound, _, _ = scan(pts)
+        levels.append(max(0.0, float(g_min.min()) + sweptfield.CERT_MARGIN))
+        can_hold = {tuple(p) for p in pts[bound <= levels[-1]].tolist()}
+        everything = min_time_distance(pts, traj, veh)[1].min()
+        refined = []
+        with monkeypatch.context() as patch:
+            refine = sweptfield._refine_times
+            patch.setattr(sweptfield, "_refine_times", lambda p, *a: refined.append(p.copy()) or refine(p, *a))
+            if block:
+                patch.setattr(sweptfield, "SCAN_BLOCK", block)
+            feasible, clearance = check_feasibility(traj, _point_grid(pts), veh)
+        assert clearance == everything and feasible == (everything >= 0.0)
+        (points,) = refined
+        got = {tuple(p) for p in points.tolist()}
+        assert 0 < len(can_hold) < pts.shape[0]
+        assert got == can_hold if block is None else got >= can_hold
+    assert levels[1] > 0.3
 
 
 def test_plan_report_wall_time_and_flags():

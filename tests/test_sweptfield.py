@@ -698,8 +698,9 @@ def test_deferred_bound_equals_per_sample_loop(veh, name, caller):
     level, floor = LEVELS[caller](res)
     reach = sweptfield._bound_reach(level, *rates, veh.half_diagonal)
     vals, ref_vals = np.empty((2, COARSE_SAMPLES, px.size))
-    g_min, j_min, bound, hidden = sweptfield._scan(veh, px, py, coarse, rates, reach, floor, vals)
-    ref = oracles.scan_per_sample_bound(veh, px, py, coarse, rates, reach, floor, ref_vals)
+    g_min, j_min, bound, hidden, got_level = sweptfield._scan(veh, px, py, coarse, rates, lambda g: level, floor, vals)
+    ref = oracles.scan_per_sample_bound(veh, px, py, coarse, rates, lambda g: level, floor, ref_vals)
+    assert got_level == ref[4] == level
     # The same intervals to bisect, in the same order, from the same distances.
     for x, y in zip(hidden, ref[3]):
         _assert_same_bits(x, y)
