@@ -2,9 +2,9 @@
 
 Stages: plan (route search + two-stage spline optimization), sweep (swept
 field of the planned trajectory), track (closed-loop MPC simulation), metrics
-(driven-pose sweep + tracking statistics). Later stages load earlier stages'
-artifacts from the output directory when they are not run in the same
-invocation. The sweep stage alone decides the swept-field grid: it records
+(driven-pose sweep + tracking statistics). Every stage loads its inputs from
+the output directory, so an `all` run and four one-stage runs take the same
+code path. The sweep stage alone decides the swept-field grid: it records
 the region and resolution in area.json, and the metrics stage counts the
 driven cells on that grid, reading only trace.csv and area.json.
 
@@ -17,6 +17,7 @@ expected to differ between runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -458,7 +459,6 @@ def load_trace_csv(path: str) -> SimTrace:
         e_phi=data[:, 11],
         wheel_gamma=data[:, 12 : 12 + n_w],
         wheel_speed=data[:, 12 + n_w : 12 + 2 * n_w],
-        dt=float(data[1, 0] - data[0, 0]),
     )
 
 
@@ -508,7 +508,7 @@ def _report_entry(report) -> dict:
     }
 
 
-def _stage_plan(sc: Scenario, out_dir: str, seed) -> tuple:
+def _stage_plan(sc: Scenario, out_dir: str, seed) -> None:
     grid = _build_grid(sc)
     t0 = time.perf_counter()
     init = _plan_init(sc, grid)
@@ -518,7 +518,6 @@ def _stage_plan(sc: Scenario, out_dir: str, seed) -> tuple:
     plan_time = time.perf_counter() - t0
     traj = report2.trajectory
 
-    _write_json(os.path.join(out_dir, "trajectory.json"), traj.to_dict())
     doc = {
         "schema": SCHEMA_VERSION,
         "scenario": sc.echo,
@@ -554,7 +553,7 @@ def _stage_plan(sc: Scenario, out_dir: str, seed) -> tuple:
             "planned trajectory violates the hard clearance check "
             f"(min footprint distance {report2.min_clearance:.4f} m)"
         )
-    return traj, grid
+    _write_json(os.path.join(out_dir, "trajectory.json"), traj.to_dict())
 
 
 def _load_traj(out_dir: str) -> MincoTrajectory:
@@ -565,9 +564,9 @@ def _load_traj(out_dir: str) -> MincoTrajectory:
         return MincoTrajectory.from_dict(json.load(fh))
 
 
-def _stage_sweep(sc: Scenario, out_dir: str, traj, grid) -> dict:
-    """Swept field of the plan; returns the area.json dict, which carries the
-    field's region and resolution for the metrics stage."""
+def _stage_sweep(sc: Scenario, out_dir: str) -> None:
+    """Swept field of the plan; area.json records its region and resolution for the metrics stage."""
+    traj, grid = _load_traj(out_dir), _build_grid(sc)
     t0 = time.perf_counter()
     region = list(auto_region(traj, sc.veh, margin=sc.sweep_margin))
     field = compute_swept_field(traj, sc.veh, region=region, resolution=sc.sweep_resolution)
@@ -597,7 +596,6 @@ def _stage_sweep(sc: Scenario, out_dir: str, traj, grid) -> dict:
     )
     svg_time = time.perf_counter() - t0
     _merge_timings(out_dir, {"sweep_s": sweep_time, "sweep_csv_s": csv_time, "sweep_svg_s": svg_time})
-    return area
 
 
 _AREA_KEYS = ("swept_area", "excess_area", "region", "resolution")
@@ -615,7 +613,8 @@ def _load_area(out_dir: str) -> dict:
     return area
 
 
-def _stage_track(sc: Scenario, out_dir: str, traj) -> SimTrace:
+def _stage_track(sc: Scenario, out_dir: str) -> None:
+    traj = _load_traj(out_dir)
     t0 = time.perf_counter()
     trace = run_closed_loop(traj, sc.veh, sc.mpc, sc.sim)
     track_time = time.perf_counter() - t0
@@ -624,11 +623,21 @@ def _stage_track(sc: Scenario, out_dir: str, traj) -> SimTrace:
     _merge_timings(out_dir, {"track_s": track_time, "track_mpc_s": trace.mpc_s, "track_alloc_s": trace.alloc_s})
     if trace.aborted is not None:
         raise RuntimeError(f"controller aborted mid-run: {trace.aborted}")
+
+
+def _load_trace(out_dir: str) -> SimTrace:
+    path = os.path.join(out_dir, "trace.csv")
+    if not os.path.exists(path):
+        raise MissingArtifact("metrics needs trace.csv; run the track stage first")
+    trace = load_trace_csv(path)
+    if np.isnan(trace.u[-1]).any():
+        raise MissingArtifact("trace.csv ends in an aborted controller step; rerun the track stage")
     return trace
 
 
-def _stage_metrics(sc: Scenario, out_dir: str, trace, area: dict) -> dict:
+def _stage_metrics(sc: Scenario, out_dir: str) -> None:
     """Driven-path metrics on the sweep stage's grid; the planned areas are area.json's."""
+    trace, area = _load_trace(out_dir), _load_area(out_dir)
     t0 = time.perf_counter()
     report = compute_metrics(trace, sc.veh, area["region"], area["resolution"])
     doc = {
@@ -655,52 +664,45 @@ def _stage_metrics(sc: Scenario, out_dir: str, trace, area: dict) -> dict:
         },
     )
     _merge_timings(out_dir, {"metrics_s": time.perf_counter() - t0, "metrics_area_s": report.area_s})
-    return doc
 
 
-_STAGE_ORDER = ("plan", "sweep", "track", "metrics")
+# The stages in run order, name: (run(sc, out_dir), the artifacts it writes besides timings.json,
+# the earlier stages whose artifacts it loads from out_dir). plan's run also takes the seed.
+STAGES = {
+    "plan": (_stage_plan, ("trajectory.json", "plan_report.json", "cost_trace.csv"), ()),
+    "sweep": (_stage_sweep, ("field.csv", "area.json", "scene.svg"), ("plan",)),
+    "track": (_stage_track, ("trace.csv", "qp_log.csv"), ("plan",)),
+    "metrics": (_stage_metrics, ("metrics.json", "metrics_sweep.json"), ("sweep", "track")),
+}
+
+
+def _remove_stale(out_dir: str, stage: str) -> None:
+    """Delete the artifacts of `stage` and of every stage that reads them, directly or not."""
+    stale = {stage}
+    for name, (_, writes, reads) in STAGES.items():
+        if name in stale or stale.intersection(reads):
+            stale.add(name)
+            for artifact in set(writes).intersection(os.listdir(out_dir)):
+                os.remove(os.path.join(out_dir, artifact))
 
 
 def run_pipeline(sc: Scenario, stages, out_dir: str, seed: int | None = None) -> int:
-    """Execute the requested stages, writing artifacts into out_dir.
+    """Execute the requested stages in STAGES order, writing artifacts into out_dir.
 
-    Missing dependencies are loaded from previous artifacts in out_dir.
-    Returns 0 on success; on failure writes error.json naming the stage, the
-    exception and the innermost traceback frame, and returns 1. An empty list or
-    an unknown stage name raises ValueError before anything runs.
+    Each stage loads its inputs from out_dir after deleting its earlier artifacts
+    and those of their readers. Returns 0 on success; on failure writes error.json
+    naming the stage, the exception and the innermost traceback frame, and returns
+    1. An empty list or an unknown stage name raises ValueError before anything runs.
     """
-    unknown = [s for s in stages if s not in _STAGE_ORDER]
+    unknown = [s for s in stages if s not in STAGES]
     if unknown or not stages:
         raise ValueError(f"unknown stages {unknown}" if unknown else "no stages requested")
-    todo = [s for s in _STAGE_ORDER if s in stages]
     os.makedirs(out_dir, exist_ok=True)
-
-    traj = None
-    grid = None
-    area = None
-    trace = None
-    stage = todo[0]
     try:
-        for stage in todo:
-            if stage == "plan":
-                traj, grid = _stage_plan(sc, out_dir, seed)
-            elif stage == "sweep":
-                traj = traj if traj is not None else _load_traj(out_dir)
-                grid = grid if grid is not None else _build_grid(sc)
-                area = _stage_sweep(sc, out_dir, traj, grid)
-            elif stage == "track":
-                traj = traj if traj is not None else _load_traj(out_dir)
-                trace = _stage_track(sc, out_dir, traj)
-            elif stage == "metrics":
-                if trace is None:
-                    trace_path = os.path.join(out_dir, "trace.csv")
-                    if not os.path.exists(trace_path):
-                        raise MissingArtifact("metrics needs trace.csv; run the track stage first")
-                    trace = load_trace_csv(trace_path)
-                    if np.isnan(trace.u[-1]).any():
-                        raise MissingArtifact("trace.csv ends in an aborted controller step; rerun the track stage")
-                area = area if area is not None else _load_area(out_dir)
-                _stage_metrics(sc, out_dir, trace, area)
+        for stage in (s for s in STAGES if s in stages):
+            _remove_stale(out_dir, stage)
+            run = functools.partial(_stage_plan, seed=seed) if stage == "plan" else STAGES[stage][0]
+            run(sc, out_dir)
     except Exception as exc:  # noqa: BLE001 - every failure becomes a machine-readable report
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
@@ -750,7 +752,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "stages",
-        choices=["plan", "sweep", "track", "metrics", "all"],
+        choices=[*STAGES, "all"],
         help="pipeline stage to run ('all' runs plan, sweep, track, metrics in order)",
     )
     parser.add_argument("--config", required=True, help="scenario JSON file (schema 1)")
@@ -779,7 +781,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot create output directory {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
-    stages = list(_STAGE_ORDER) if args.stages == "all" else [args.stages]
+    stages = list(STAGES) if args.stages == "all" else [args.stages]
     if args.ablate_sv:
         return _run_ablation(sc, stages, args.out, args.seed)
     return run_pipeline(sc, stages, args.out, seed=args.seed)

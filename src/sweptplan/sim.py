@@ -46,7 +46,6 @@ class SimTrace:
     e_phi: np.ndarray  # pose heading minus reference heading, wrapped
     wheel_gamma: np.ndarray  # (m, n_wheels)
     wheel_speed: np.ndarray
-    dt: float
     aborted: str | None = None
     # (solved steps, 3) ints per QP solve: optimal (1/0), iterations, active-set size
     qp: np.ndarray | None = None
@@ -166,7 +165,6 @@ def run_closed_loop(
         e_phi=out_ephi[:m],
         wheel_gamma=out_g[:m],
         wheel_speed=out_s[:m],
-        dt=dt,
         aborted=aborted,
         qp=np.array(qp_log, dtype=int).reshape(-1, 3),
         mpc_s=mpc_s,

@@ -224,11 +224,10 @@ class InitialTrajectory:
 
     poses is (m, 3) rows (x, y, phi); headings are unwrapped so consecutive
     differences never exceed pi, which keeps downstream spline fitting free of
-    branch jumps. spacing is the realized arc-length step.
+    branch jumps.
     """
 
     poses: np.ndarray
-    spacing: float
 
     def __post_init__(self) -> None:
         self.poses = np.asarray(self.poses, dtype=float)
@@ -251,7 +250,7 @@ def _arc_resample(path: np.ndarray, spacing: float):
     out = np.empty((n_seg + 1, 2))
     out[:, 0] = np.interp(targets, s, path[:, 0])
     out[:, 1] = np.interp(targets, s, path[:, 1])
-    return out, total / n_seg
+    return out
 
 
 def estimate_headings(path: np.ndarray, spacing: float = 1.0) -> InitialTrajectory:
@@ -263,7 +262,7 @@ def estimate_headings(path: np.ndarray, spacing: float = 1.0) -> InitialTrajecto
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape[1] != 2 or path.shape[0] < 2:
         raise DegeneratePath("need at least two path points")
-    pts, realized = _arc_resample(path, spacing)
+    pts = _arc_resample(path, spacing)
     m = pts.shape[0]
     phi = np.empty(m)
     phi[0] = math.atan2(pts[1, 1] - pts[0, 1], pts[1, 0] - pts[0, 0])
@@ -274,4 +273,4 @@ def estimate_headings(path: np.ndarray, spacing: float = 1.0) -> InitialTrajecto
     for j in range(1, m):
         phi[j] = phi[j - 1] + wrap_angle(phi[j] - phi[j - 1])
     poses = np.column_stack([pts, phi])
-    return InitialTrajectory(poses=poses, spacing=realized)
+    return InitialTrajectory(poses=poses)

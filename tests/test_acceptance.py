@@ -33,7 +33,7 @@ from oracles import (
     rect_boundary_points,
     rel_err,
 )
-from sweptplan.cli import parse_scenario
+from sweptplan.cli import STAGES, parse_scenario
 from sweptplan.drivetrain import allocate, reconstruct_twist
 from sweptplan.geometry import Pose2, footprint_sdf_batch, footprint_sdf_values, footprint_sdf_with_grad
 from sweptplan.minco import (
@@ -72,9 +72,7 @@ def test_acceptance_1_gradient_fidelity():
         q, T, boundary = random_instance(seed)
         grid = scatter_grid(build_minco(q, T, boundary), seed)
         q = nudge_off_kinks(q, T, boundary, veh, grid.obstacle_points, d_th, seed)
-        ref = InitialTrajectory(
-            poses=np.vstack([boundary.start[0], q + 0.25, boundary.end[0]]), spacing=1.0
-        )
+        ref = InitialTrajectory(poses=np.vstack([boundary.start[0], q + 0.25, boundary.end[0]]))
         costs = {
             "energy": lambda qq, TT: folded(energy_cost_with_grads, build_minco(qq, TT, boundary)),
             "time": lambda qq, TT: time_cost_with_grads(TT),
@@ -418,18 +416,8 @@ def test_acceptance_8_determinism(tmp_path):
         outs.append(out)
     same = {
         name: (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        for name in (
-            "trajectory.json",
-            "plan_report.json",
-            "cost_trace.csv",
-            "field.csv",
-            "area.json",
-            "scene.svg",
-            "trace.csv",
-            "qp_log.csv",
-            "metrics.json",
-            "metrics_sweep.json",
-        )
+        for _, writes, _ in STAGES.values()
+        for name in writes
     }
     _report(
         8,

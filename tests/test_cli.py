@@ -29,6 +29,7 @@ from sweptplan.cli import (
 from sweptplan.sweptfield import SweptField
 
 STRAIGHT = os.path.join(os.path.dirname(__file__), "..", "scenarios", "straight.json")
+ARTIFACTS = [name for _, writes, _ in cli.STAGES.values() for name in writes]
 
 
 def _write(tmp_path, body, name="sc.json"):
@@ -242,19 +243,7 @@ def straight_all(tmp_path_factory):
 
 def test_pipeline_straight_all_stages(straight_all):
     out = straight_all
-    for name in (
-        "trajectory.json",
-        "plan_report.json",
-        "cost_trace.csv",
-        "field.csv",
-        "area.json",
-        "scene.svg",
-        "trace.csv",
-        "qp_log.csv",
-        "metrics.json",
-        "metrics_sweep.json",
-        "timings.json",
-    ):
+    for name in (*ARTIFACTS, "timings.json"):
         assert (out / name).exists(), name
     timings = json.loads((out / "timings.json").read_text())
     for key in ("sweep_s", "sweep_csv_s", "sweep_svg_s"):
@@ -314,12 +303,15 @@ def test_plan_report_counts_steps_not_points(tmp_path):
     assert len((out / "cost_trace.csv").read_text().splitlines()) == 1 + 2 * 6
 
 
-@pytest.mark.parametrize("case", ["no_trajectory", "no_area", "stale_area"])
+@pytest.mark.parametrize("case", ["no_trajectory", "no_area", "stale_area", "no_trace"])
 def test_pipeline_stage_dependency_missing(tmp_path, straight_all, case):
     out = tmp_path / "out"
     out.mkdir()
     stage, loader, message = "track", "_load_traj", "trajectory.json"
-    if case != "no_trajectory":
+    if case == "no_trace":
+        stage, loader, message = "metrics", "_load_trace", "trace.csv"
+        shutil.copy(straight_all / "area.json", out)
+    elif case != "no_trajectory":
         stage, loader, message = "metrics", "_load_area", "area.json"
         shutil.copy(straight_all / "trace.csv", out)
     if case == "stale_area":
@@ -368,6 +360,80 @@ def test_pipeline_staged_execution_from_disk(tmp_path, straight_all):
     names = sorted(set(os.listdir(straight_all)) - {"timings.json"})
     assert sorted(set(os.listdir(out)) - {"timings.json"}) == names
     assert [n for n in names if (out / n).read_bytes() != (straight_all / n).read_bytes()] == []
+
+
+def test_all_run_loads_every_input_from_out_dir(tmp_path, straight_all, monkeypatch):
+    # A run of all four stages takes the staged path: each stage reads its inputs through its loader.
+    seen = []
+    for loader in ("_load_traj", "_load_trace", "_load_area"):
+
+        def spy(out_dir, real=getattr(cli, loader), loader=loader):
+            seen.append((sys._getframe(1).f_code.co_name, loader))
+            return real(out_dir)
+
+        monkeypatch.setattr(cli, loader, spy)
+    out = tmp_path / "out"
+    assert run_pipeline(parse_scenario(STRAIGHT), list(cli.STAGES), str(out)) == 0
+    assert seen == [
+        ("_stage_sweep", "_load_traj"),
+        ("_stage_track", "_load_traj"),
+        ("_stage_metrics", "_load_trace"),
+        ("_stage_metrics", "_load_area"),
+    ]
+    assert [n for n in ARTIFACTS if (out / n).read_bytes() != (straight_all / n).read_bytes()] == []
+
+
+@pytest.mark.parametrize(
+    "stage, kept",
+    [("plan", ()), ("sweep", ("plan", "track")), ("track", ("plan", "sweep")), ("metrics", ("plan", "sweep", "track"))],
+)
+def test_a_stage_removes_its_artifacts_and_those_of_their_readers(tmp_path, stage, kept):
+    # metrics reads sweep and track, so a rerun of plan removes it too; sweep keeps the trace.
+    for name in (*ARTIFACTS, "timings.json", "error.json"):
+        (tmp_path / name).write_text("old")
+    cli._remove_stale(str(tmp_path), stage)
+    expect = {n for s in kept for n in cli.STAGES[s][1]} | {"timings.json", "error.json"}
+    assert set(os.listdir(tmp_path)) == expect
+
+
+def _assert_later_stages_fail(sc, out):
+    """sweep, track and metrics each fail on the missing plan, and no artifact of theirs is left."""
+    for stage in ("sweep", "track", "metrics"):
+        assert run_pipeline(sc, [stage], str(out)) == 1, stage
+        err = json.loads((out / "error.json").read_text())
+        assert (err["stage"], err["error"]) == (stage, "MissingArtifact"), err
+    later = {n for s in ("sweep", "track", "metrics") for n in cli.STAGES[s][1]}
+    assert set(os.listdir(out)) & (later | {"trajectory.json"}) == set()
+
+
+def test_plan_failing_the_clearance_check_writes_no_trajectory(tmp_path):
+    raw = json.loads(open(STRAIGHT, encoding="utf-8").read())
+    raw["world"]["clearance"] = 0.0
+    raw["world"]["obstacles"] = [
+        {"type": "box", "min": [4.8, -3.0], "max": [5.2, -0.3]},
+        {"type": "box", "min": [4.8, 0.3], "max": [5.2, 3.0]},
+    ]
+    raw["planner"]["obstacle"] = 0.0
+    sc = parse_scenario(_write(tmp_path, raw))
+    out = tmp_path / "out"
+    assert run_pipeline(sc, ["plan"], str(out)) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["stage"] == "plan" and "hard clearance check" in err["message"], err
+    # the failed plan is still recorded
+    assert json.loads((out / "plan_report.json").read_text())["stage2"]["feasible"] is False
+    assert (out / "cost_trace.csv").exists()
+    _assert_later_stages_fail(sc, out)
+
+
+def test_failed_plan_leaves_no_earlier_run_behind(tmp_path, straight_all):
+    out = tmp_path / "out"
+    shutil.copytree(straight_all, out)
+    raw = json.loads(open(STRAIGHT, encoding="utf-8").read())
+    raw["world"]["obstacles"] = [{"type": "box", "min": [4.8, -3.0], "max": [5.2, 3.0]}]
+    sc = parse_scenario(_write(tmp_path, raw))
+    assert run_pipeline(sc, ["plan"], str(out)) == 1
+    assert json.loads((out / "error.json").read_text())["error"] == "NoPath"
+    _assert_later_stages_fail(sc, out)
 
 
 def test_pipeline_rerun_overwrites_identically(tmp_path):
@@ -665,7 +731,8 @@ def test_qp_log_records_non_optimal_solves(tmp_path, monkeypatch):
 
     monkeypatch.setattr(mpc, "solve_qp", stub)
     sc = parse_scenario(STRAIGHT)
-    cli._stage_track(sc, str(tmp_path), straight_traj(distance=2.0, n_interior=1))
+    cli._write_json(str(tmp_path / "trajectory.json"), straight_traj(distance=2.0, n_interior=1).to_dict())
+    cli._stage_track(sc, str(tmp_path))
     rows = (tmp_path / "qp_log.csv").read_text().splitlines()
     assert len(rows) - 1 == len(calls)
     assert rows[3] == f"2,0,50,{len(calls[2]['active_set'])}"
@@ -708,7 +775,8 @@ def test_readme_flags_list_every_cli_option(capsys):
 
 
 def test_track_substage_timings(tmp_path):
-    cli._stage_track(parse_scenario(STRAIGHT), str(tmp_path), straight_traj(distance=2.0, n_interior=1))
+    cli._write_json(str(tmp_path / "trajectory.json"), straight_traj(distance=2.0, n_interior=1).to_dict())
+    cli._stage_track(parse_scenario(STRAIGHT), str(tmp_path))
     timings = json.loads((tmp_path / "timings.json").read_text())
     parts = [timings[k] for k in ("track_mpc_s", "track_alloc_s")]
     assert all(p >= 0.0 for p in parts)
@@ -731,8 +799,9 @@ def test_aborted_trace_csv_is_deterministic(tmp_path, monkeypatch):
     for run in ("a", "b"):
         calls.clear()
         (tmp_path / run).mkdir()
+        cli._write_json(str(tmp_path / run / "trajectory.json"), traj.to_dict())
         with pytest.raises(RuntimeError, match="controller aborted mid-run: RuntimeError: stubbed failure"):
-            cli._stage_track(sc, str(tmp_path / run), traj)
+            cli._stage_track(sc, str(tmp_path / run))
     first = (tmp_path / "a" / "trace.csv").read_bytes()
     assert first == (tmp_path / "b" / "trace.csv").read_bytes()
     last = first.decode().splitlines()[-1].split(",")

@@ -36,7 +36,7 @@ from sweptplan.worldmodel import Box, GridMap, InitialTrajectory, estimate_headi
 def _ref_from_traj(traj):
     """Anchor sequence equal to the trajectory's own boundary+junction poses."""
     poses = np.vstack([traj.boundary.start[0], traj.waypoints, traj.boundary.end[0]])
-    return InitialTrajectory(poses=poses, spacing=1.0)
+    return InitialTrajectory(poses=poses)
 
 
 def test_deviation_zero_at_anchors():
@@ -72,7 +72,7 @@ def test_deviation_size_mismatch():
     q, T, boundary = random_instance(3)
     traj = build_minco(q, T, boundary)
     with pytest.raises(SizeMismatch):
-        deviation_cost_with_grads(traj, InitialTrajectory(poses=np.zeros((3, 3)), spacing=1.0))
+        deviation_cost_with_grads(traj, InitialTrajectory(poses=np.zeros((3, 3))))
 
 
 def test_deviation_gradients_match_finite_differences():
@@ -520,7 +520,7 @@ def test_stage1_heading_stays_near_reference():
 
 
 def test_stage1_needs_interior_knot():
-    init = InitialTrajectory(poses=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), spacing=1.0)
+    init = InitialTrajectory(poses=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
     with pytest.raises(SizeMismatch):
         optimize_stage1(init)
 
