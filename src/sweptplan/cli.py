@@ -462,7 +462,8 @@ def load_trace_csv(path: str) -> SimTrace:
     )
 
 
-def _merge_timings(out_dir: str, updates: dict) -> None:
+def _merge_timings(out_dir: str, updates: dict, stale=()) -> None:
+    """Add `updates` to timings.json after dropping the keys of the `stale` stages."""
     path = os.path.join(out_dir, "timings.json")
     current = {}
     if os.path.exists(path):
@@ -471,6 +472,7 @@ def _merge_timings(out_dir: str, updates: dict) -> None:
                 current = json.load(fh)
         except (json.JSONDecodeError, OSError):
             current = {}
+    current = {k: v for k, v in current.items() if k.split("_", 1)[0] not in stale}
     current.update(updates)
     _write_json(path, current)
 
@@ -668,6 +670,7 @@ def _stage_metrics(sc: Scenario, out_dir: str) -> None:
 
 # The stages in run order, name: (run(sc, out_dir), the artifacts it writes besides timings.json,
 # the earlier stages whose artifacts it loads from out_dir). plan's run also takes the seed.
+# Each stage's timings.json keys start with its name and "_".
 STAGES = {
     "plan": (_stage_plan, ("trajectory.json", "plan_report.json", "cost_trace.csv"), ()),
     "sweep": (_stage_sweep, ("field.csv", "area.json", "scene.svg"), ("plan",)),
@@ -677,13 +680,16 @@ STAGES = {
 
 
 def _remove_stale(out_dir: str, stage: str) -> None:
-    """Delete the artifacts of `stage` and of every stage that reads them, directly or not."""
+    """Delete the artifacts and timings of `stage` and of every stage reading them, directly or not."""
     stale = {stage}
+    present = set(os.listdir(out_dir))
     for name, (_, writes, reads) in STAGES.items():
         if name in stale or stale.intersection(reads):
             stale.add(name)
-            for artifact in set(writes).intersection(os.listdir(out_dir)):
+            for artifact in present.intersection(writes):
                 os.remove(os.path.join(out_dir, artifact))
+    if "timings.json" in present:
+        _merge_timings(out_dir, {}, stale)
 
 
 def run_pipeline(sc: Scenario, stages, out_dir: str, seed: int | None = None) -> int:
@@ -719,8 +725,13 @@ def run_pipeline(sc: Scenario, stages, out_dir: str, seed: int | None = None) ->
 
 
 def _run_ablation(sc: Scenario, stages, out_dir: str, seed) -> int:
-    """Run the pipeline twice: as configured, and with the sweep weight zeroed."""
+    """Run the pipeline twice: as configured, and with the sweep weight zeroed.
+
+    An old ablation.json is deleted first; a new one is written only when both runs produce metrics."""
     os.makedirs(out_dir, exist_ok=True)
+    ablation = os.path.join(out_dir, "ablation.json")
+    if os.path.exists(ablation):
+        os.remove(ablation)
     sv_off = _build_scenario(dict(sc.echo, planner=dict(sc.echo["planner"], sweep=0.0)))
     results = {}
     for label, run_sc in (("sv_on", sc), ("sv_off", sv_off)):
@@ -734,7 +745,7 @@ def _run_ablation(sc: Scenario, stages, out_dir: str, seed) -> int:
                 results[label] = json.load(fh)
     if "sv_on" in results and "sv_off" in results:
         _write_json(
-            os.path.join(out_dir, "ablation.json"),
+            ablation,
             {
                 "sv_on_excess": results["sv_on"]["excess_swept_area"],
                 "sv_off_excess": results["sv_off"]["excess_swept_area"],

@@ -7,11 +7,11 @@ against the obstacle points by the swept field's min-over-time search, whose
 sign is certified in continuous time. Each stage is a table of weighted cost
 terms handed to one driver, `_optimize`: a limited-memory quasi-Newton loop
 over the knots and softplus-mapped durations, which stay above a floor, with
-a strong Wolfe line search for the smooth stage and descent-only Armijo
-backtracking for the hinged stage. Each evaluation folds every term's
-coefficient gradient onto (q, T) in one adjoint solve, then sums the weighted
-terms. Each accepted point is traced with its gradient norm, step, the
-evaluations its line search made and the weighted cost terms.
+one strong Wolfe line search. The hinged stage switches its curvature test
+off, which leaves backtracking on sufficient decrease. Each evaluation folds
+every term's coefficient gradient onto (q, T) in one adjoint solve, then sums
+the weighted terms. Each accepted point is traced with its gradient norm,
+step, the evaluations its line search made and the weighted cost terms.
 
 Stage 2 finds the obstacle points near each knot through a neighbour list
 with a box-shaped skin, one exhaustive test serving every evaluation until a
@@ -52,6 +52,8 @@ T_MIN = 0.01  # duration floor under the softplus map, seconds
 _QUERY_SLACK = 1e-6  # meters added to the neighbour-list rebuild box's half sides
 _SKIN = 0.5  # meters a knot's box points may move, in body coordinates, before a rebuild
 LBFGS_MEMORY = 8  # curvature pairs kept by the quasi-Newton loop
+LINE_SEARCH_C1 = 1e-4  # sufficient-decrease (Armijo) constant of the line search
+LINE_SEARCH_EVALS = 30  # cost evaluations one line search may make
 SWEEP_MIN_SPEED_SQ = 1e-8  # (m/s)^2: the sweep term skips knots moving slower
 
 
@@ -131,7 +133,7 @@ def obstacle_cost_with_grads(
     traj: MincoTrajectory,
     grid: GridMap,
     veh: VehicleParams,
-    safety_margin: float = 0.3,
+    safety_margin: float,
     neighbours: _NeighbourList | None = None,
 ) -> CostWithGrads:
     """Cubic hinge on footprint distance to obstacle cell centers at each interior knot.
@@ -287,12 +289,16 @@ def _sigmoid(tau: np.ndarray) -> np.ndarray:
 # limited-memory quasi-Newton loop
 
 
-def _wolfe_search(fg, x, f, g, d, c1=1e-4, c2=0.9, max_evals=25):
+def _line_search(fg, x, f, g, d, c2):
     """Strong Wolfe line search: double the step until it brackets an
     acceptable one, then bisect the bracket [lo, hi] (hi may lie below lo).
 
-    Returns (alpha, f, g, terms, evals) of the accepted step, which is always
-    the last point evaluated, or None.
+    c2 = math.inf switches the curvature test off, which leaves Armijo
+    backtracking from the unit step (the bisection from lo = 0 halves hi),
+    except that a trial after the first must lower the cost. The sufficient
+    decrease test is negated so that a NaN cost fails it. Returns (alpha, f,
+    g, terms, evals) of the accepted step, which is always the last point
+    evaluated, or None.
     """
     g0 = float(g @ d)
     if g0 >= 0.0:
@@ -303,10 +309,10 @@ def _wolfe_search(fg, x, f, g, d, c1=1e-4, c2=0.9, max_evals=25):
     f_a, g_vec, terms = fg(x + alpha * d)
     evals = 1
     while True:
-        if evals >= max_evals:
+        if evals >= LINE_SEARCH_EVALS:
             return None
         g_a = float(g_vec @ d)
-        if f_a > f + c1 * alpha * g0 or (evals > 1 and f_a >= f_lo):
+        if not f_a <= f + LINE_SEARCH_C1 * alpha * g0 or (evals > 1 and f_a >= f_lo):
             hi = alpha
             break
         if abs(g_a) <= -c2 * g0:
@@ -320,12 +326,12 @@ def _wolfe_search(fg, x, f, g, d, c1=1e-4, c2=0.9, max_evals=25):
             return None
         f_a, g_vec, terms = fg(x + alpha * d)
         evals += 1
-    for _ in range(max(max_evals - evals, 1)):
+    for _ in range(max(LINE_SEARCH_EVALS - evals, 1)):
         alpha = 0.5 * (lo + hi)
         f_a, g_vec, terms = fg(x + alpha * d)
         evals += 1
         g_a = float(g_vec @ d)
-        if f_a > f + c1 * alpha * g0 or f_a >= f_lo:
+        if not f_a <= f + LINE_SEARCH_C1 * alpha * g0 or f_a >= f_lo:
             hi = alpha
         else:
             if abs(g_a) <= -c2 * g0:
@@ -338,30 +344,12 @@ def _wolfe_search(fg, x, f, g, d, c1=1e-4, c2=0.9, max_evals=25):
     return None
 
 
-def _armijo_search(fg, x, f, g, d, c1=1e-4, shrink=0.5, max_evals=30):
-    """Backtracking with sufficient decrease only; tolerant of kinked objectives.
-
-    Returns (alpha, f, g, terms, evals) of the accepted step, the last point
-    evaluated, or None.
-    """
-    g0 = float(g @ d)
-    if g0 >= 0.0:
-        return None
-    alpha = 1.0
-    for evals in range(1, max_evals + 1):
-        f_a, g_vec, terms = fg(x + alpha * d)
-        if f_a <= f + c1 * alpha * g0:
-            return alpha, f_a, g_vec, terms, evals
-        alpha *= shrink
-    return None
-
-
-def _lbfgs(fg, x0, opts: PlanOptions, search):
+def _lbfgs(fg, x0, opts: PlanOptions, c2):
     """Two-loop recursion quasi-Newton descent.
 
-    fg(x) returns (cost, gradient, weighted cost terms). Returns (x, trace,
-    converged, reason); trace has one TRACE_COLUMNS row per accepted point,
-    the start point first.
+    fg(x) returns (cost, gradient, weighted cost terms) and c2 is the line
+    search's curvature constant. Returns (x, trace, converged, reason); trace
+    has one TRACE_COLUMNS row per accepted point, the start point first.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g, terms = fg(x)
@@ -396,7 +384,7 @@ def _lbfgs(fg, x0, opts: PlanOptions, search):
             s_hist.clear()
             y_hist.clear()
             rho_hist.clear()
-        res = search(fg, x, f, g, d)
+        res = _line_search(fg, x, f, g, d, c2)
         if res is None:
             converged, reason = False, "line_search_failure"
             break
@@ -425,7 +413,7 @@ def _lbfgs(fg, x0, opts: PlanOptions, search):
 # stage drivers
 
 
-def _optimize(stage, t0, q0, T0, boundary, terms, opts, search, check=None) -> PlanReport:
+def _optimize(stage, t0, q0, T0, boundary, terms, opts, c2, check=None) -> PlanReport:
     """One stage's L-BFGS over knots q and durations T = softplus(tau) >= T_MIN.
 
     terms lists (TRACE_COLUMNS name, weight, cost(traj)) in column order; the
@@ -453,7 +441,7 @@ def _optimize(stage, t0, q0, T0, boundary, terms, opts, search, check=None) -> P
         return float(total[0]), total[1:], tuple(traced.values())
 
     z0 = np.concatenate([q0.ravel(), softplus_inverse(np.maximum(T0, T_MIN * 1.001))])
-    z, trace, converged, reason = _lbfgs(fg, z0, opts, search)
+    z, trace, converged, reason = _lbfgs(fg, z0, opts, c2)
     out = build_minco(z[:n_q].reshape(-1, 3), softplus(z[n_q:]), boundary)
     feasible, min_clear = check(out) if check else (None, None)
     if feasible is False:
@@ -490,7 +478,7 @@ def optimize_stage1(
         ("deviation", weights.deviation, lambda traj: deviation_cost_with_grads(traj, init)),
     ]
     boundary = Boundary.rest_to_rest(poses[0], poses[-1])
-    return _optimize("stage1", t0, poses[1:-1], T0, boundary, terms, opts, _wolfe_search)
+    return _optimize("stage1", t0, poses[1:-1], T0, boundary, terms, opts, 0.9)
 
 
 def check_feasibility(traj, grid: GridMap, veh: VehicleParams) -> tuple[bool, float]:
@@ -521,6 +509,6 @@ def optimize_stage2(
         ("sweep", weights.sweep, sweep_cost_with_grads),
     ]
     return _optimize(
-        "stage2", t0, traj.waypoints, traj.durations, traj.boundary, terms, opts, _armijo_search,
+        "stage2", t0, traj.waypoints, traj.durations, traj.boundary, terms, opts, math.inf,
         lambda out: check_feasibility(out, grid, veh),
     )

@@ -411,6 +411,25 @@ def obstacle_cost_all_pairs(traj, pts: np.ndarray, veh, safety_margin: float):
     return value, grad_q
 
 
+def armijo_search(fg, x, f, g, d, c1=1e-4, shrink=0.5, max_evals=30):
+    """Stage 2's line search as it was before the one line search: backtracking
+    on sufficient decrease only, from the unit step, halving.
+
+    Returns (alpha, f, g, terms, evals) of the accepted step, the last point
+    evaluated, or None.
+    """
+    g0 = float(g @ d)
+    if g0 >= 0.0:
+        return None
+    alpha = 1.0
+    for evals in range(1, max_evals + 1):
+        f_a, g_vec, terms = fg(x + alpha * d)
+        if f_a <= f + c1 * alpha * g0:
+            return alpha, f_a, g_vec, terms, evals
+        alpha *= shrink
+    return None
+
+
 # The swept-field search as it was before the coarse poses were shared: every
 # point samples the path at every coarse time, refinement re-evaluates g at
 # its start times, and a final evaluation recomputes g at the refined times.

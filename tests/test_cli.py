@@ -436,6 +436,60 @@ def test_failed_plan_leaves_no_earlier_run_behind(tmp_path, straight_all):
     _assert_later_stages_fail(sc, out)
 
 
+def _timing_stages(out):
+    """The stages whose keys timings.json in `out` holds."""
+    return {key.split("_", 1)[0] for key in json.loads((out / "timings.json").read_text())}
+
+
+def test_timing_keys_start_with_their_stage_name(straight_all):
+    assert _timing_stages(straight_all) == set(cli.STAGES)
+
+
+def test_a_stage_drops_the_timings_of_the_artifacts_it_removes(tmp_path, straight_all):
+    out = tmp_path / "out"
+    shutil.copytree(straight_all, out)
+    old = json.loads((out / "timings.json").read_text())
+    (out / "timings.json").write_text(json.dumps(dict.fromkeys(old, -1.0)))
+    assert run_pipeline(parse_scenario(STRAIGHT), ["sweep"], str(out)) == 0
+    now = json.loads((out / "timings.json").read_text())
+    assert {k: v for k, v in now.items() if not k.startswith("sweep_")} == {
+        k: -1.0 for k in old if k.startswith(("plan_", "track_"))
+    }
+    assert {k for k in now if k.startswith("sweep_")} == {k for k in old if k.startswith("sweep_")}
+    assert all(v >= 0.0 for k, v in now.items() if k.startswith("sweep_"))
+
+
+@pytest.fixture(scope="module")
+def straight_ablation(tmp_path_factory):
+    """Output directory of one `all --ablate-sv` run on straight.json."""
+    out = tmp_path_factory.mktemp("straight_ablation")
+    assert main(["all", "--config", STRAIGHT, "--out", str(out), "--ablate-sv"]) == 0
+    assert (out / "ablation.json").exists()
+    return out
+
+
+def test_ablation_rerun_leaves_no_stale_timings_or_comparison(tmp_path, straight_ablation):
+    out = tmp_path / "out"
+    shutil.copytree(straight_ablation, out)
+    assert main(["plan", "--config", STRAIGHT, "--out", str(out), "--ablate-sv"]) == 0
+    assert sorted(os.listdir(out)) == ["sv_off", "sv_on"]
+    for sub in ("sv_on", "sv_off"):
+        assert set(os.listdir(out / sub)) == {*cli.STAGES["plan"][1], "timings.json"}
+        assert _timing_stages(out / sub) == {"plan"}
+
+
+def test_failed_ablation_rerun_leaves_no_stale_timings_or_comparison(tmp_path, straight_ablation):
+    out = tmp_path / "out"
+    shutil.copytree(straight_ablation, out)
+    raw = json.loads(open(STRAIGHT, encoding="utf-8").read())
+    raw["world"]["obstacles"] = [{"type": "box", "min": [4.8, -3.0], "max": [5.2, 3.0]}]
+    assert main(["plan", "--config", _write(tmp_path, raw), "--out", str(out), "--ablate-sv"]) == 1
+    assert not (out / "ablation.json").exists()
+    assert set(os.listdir(out / "sv_on")) == {"error.json", "timings.json"}
+    assert json.loads((out / "sv_on" / "error.json").read_text())["error"] == "NoPath"
+    assert _timing_stages(out / "sv_on") == set()
+
+
 def test_pipeline_rerun_overwrites_identically(tmp_path):
     sc = parse_scenario(STRAIGHT)
     out = tmp_path / "out"

@@ -10,7 +10,15 @@ import numpy.testing as npt
 import pytest
 
 from helpers import curved_traj, folded, nudge_off_kinks, random_instance, scatter_grid, small_vehicle, straight_traj
-from oracles import fd_cost_grads, min_time_scan, obstacle_cost_all_pairs, obstacle_pairs_all, rel_err, sweep_cost_loop
+from oracles import (
+    armijo_search,
+    fd_cost_grads,
+    min_time_scan,
+    obstacle_cost_all_pairs,
+    obstacle_pairs_all,
+    rel_err,
+    sweep_cost_loop,
+)
 import sweptplan.planner as planner
 from sweptplan import minco, sweptfield
 from sweptplan.cli import _build_grid, _plan_init, parse_scenario
@@ -23,6 +31,8 @@ from sweptplan.planner import (
     PlannerWeights,
     SizeMismatch,
     _NeighbourList,
+    _lbfgs,
+    _line_search,
     check_feasibility,
     deviation_cost_with_grads,
     obstacle_cost_with_grads,
@@ -356,12 +366,12 @@ def test_obstacle_cost_early_returns_build_no_tree(veh, monkeypatch):
     monkeypatch.setattr(_NeighbourList, "_query", lambda *a: calls.append(1))
     traj = straight_traj()
     empty = _point_grid(np.zeros((0, 2)))
-    c = obstacle_cost_with_grads(traj, empty, veh)
+    c = obstacle_cost_with_grads(traj, empty, veh, 0.3)
     assert c.value == 0.0 and not c.grad_q.any()
     boundary = Boundary.rest_to_rest((0.0, 0.0, 0.0), (2.0, 0.0, 0.0))
     one_segment = build_minco(np.zeros((0, 3)), np.array([2.0]), boundary)
     crowded = _point_grid([(1.0, 0.0), (1.2, 0.1)])
-    c = obstacle_cost_with_grads(one_segment, crowded, veh)
+    c = obstacle_cost_with_grads(one_segment, crowded, veh, 0.3)
     assert c.value == 0.0 and c.grad_q.shape == (0, 3)
     # Neither early return may build a neighbour list.
     assert calls == []
@@ -712,6 +722,115 @@ def test_capped_run_reports_the_cap(veh):
     for report in (r1, r2):
         assert report.reason.startswith("max_iterations")
         assert report.iterations == 5 and len(report.trace) == 6
+
+
+def _kinked_objective(rng, n=6, planes=4):
+    """A convex quadratic plus weighted cubic hinges, with both parts as terms."""
+    m = rng.normal(size=(n, n))
+    a = m @ m.T / n + 0.1 * np.eye(n)
+    b = rng.normal(size=n)
+    normals = rng.normal(size=(planes, n))
+    offsets = rng.uniform(-1.0, 1.0, planes)
+    w = rng.uniform(1.0, 100.0)
+
+    def fg(x):
+        quad = 0.5 * float(x @ a @ x) + float(b @ x)
+        h = np.maximum(offsets - normals @ x, 0.0)
+        hinge = w * float(np.sum(h**3))
+        return quad + hinge, a @ x + b - 3.0 * w * (normals.T @ (h * h)), (quad, hinge)
+
+    return fg
+
+
+def _same_step(got, want):
+    if got is None or want is None:
+        return got is want
+    (alpha, f, g, terms, evals), (alpha_r, f_r, g_r, terms_r, evals_r) = got, want
+    return (alpha, f, terms, evals) == (alpha_r, f_r, terms_r, evals_r) and np.array_equal(g, g_r)
+
+
+def test_line_search_without_curvature_test_is_armijo_backtracking():
+    """With c2 = inf the one line search returns what stage 2's former Armijo
+    backtracking returned, bit for bit, on seeded kinked objectives."""
+    outcomes = {"unit": 0, "halved": 0, "none": 0}
+    for seed in range(500):
+        rng = np.random.default_rng(seed)
+        fg = _kinked_objective(rng)
+        x = rng.normal(size=6)
+        f, g, _ = fg(x)
+        # Scaled steepest descent, 0.1-50x; every 50th 1e9x, too long to cut back within the cap.
+        scale = 1e9 if seed % 50 == 0 else 10.0 ** rng.uniform(-1.0, math.log10(50.0))
+        d = -scale * g * rng.uniform(0.5, 2.0, g.size)
+        got = _line_search(fg, x, f, g, d, math.inf)
+        assert _same_step(got, armijo_search(fg, x, f, g, d)), seed
+        outcomes["none" if got is None else "unit" if got[0] == 1.0 else "halved"] += 1
+    assert all(outcomes.values()), outcomes
+
+
+def test_stage2_line_search_equals_armijo_backtracking(veh, monkeypatch):
+    """Stage 1 searches with c2 = 0.9 and stage 2 with c2 = inf; every stage-2
+    search equals the former Armijo backtracking on the same inputs."""
+    search, calls = planner._line_search, []
+
+    def spy(fg, x, f, g, d, c2):
+        got = search(fg, x, f, g, d, c2)
+        if c2 == math.inf:
+            assert _same_step(got, armijo_search(fg, x, f, g, d))
+        calls.append((c2, got))
+        return got
+
+    monkeypatch.setattr(planner, "_line_search", spy)
+    r1 = optimize_stage1(_line_init(), PlannerWeights(), PlanOptions(max_iterations=40))
+    n1 = len(calls)
+    traj = curved_traj(seed=3)
+    r2 = optimize_stage2(traj, scatter_grid(traj, 3), veh, PlannerWeights(), PlanOptions(max_iterations=150))
+    assert n1 >= r1.iterations > 0 and len(calls) - n1 >= r2.iterations > 0
+    assert {c2 for c2, _ in calls[:n1]} == {0.9} and {c2 for c2, _ in calls[n1:]} == {math.inf}
+    assert r2.trace[:, TRACE_COLUMNS.index("obstacle")].max() > 0.0  # the hinge is active
+    assert any(got and got[4] > 1 for _, got in calls[n1:])  # some stage-2 searches backtrack
+
+
+def _flat_then_rising(z):
+    """Cost 1e20 up to 0.5 along +x and 3e20 past it, slope -1 everywhere, so
+    a halved step's Armijo slack, c1 * alpha, vanishes in rounding."""
+    return (1e20 if z[0] <= 0.5 else 3e20), np.array([-1.0]), ()
+
+
+def test_line_search_rejects_a_step_that_leaves_the_cost_unchanged():
+    x, g, d = np.zeros(1), np.array([-1.0]), np.array([1.0])
+    alpha, f, _, _, evals = armijo_search(_flat_then_rising, x, 1e20, g, d)
+    assert (alpha, f, evals) == (0.5, 1e20, 2)  # the former search accepted no decrease
+    for c2 in (0.9, math.inf):
+        assert _line_search(_flat_then_rising, x, 1e20, g, d, c2) is None
+
+
+def test_line_search_rejects_a_nan_cost():
+    """A NaN cost fails the sufficient-decrease test, as it did in the former
+    backtracking, so the search bisects back to a finite point."""
+
+    def fg(z):
+        t = z[0]
+        return (math.nan if t > 0.75 else (t - 0.5) ** 2), np.array([2.0 * (t - 0.5)]), ()
+
+    x, g, d = np.zeros(1), np.array([-1.0]), np.array([1.0])
+    for c2 in (0.9, math.inf):
+        alpha, f, _, _, evals = _line_search(fg, x, 0.25, g, d, c2)
+        assert (alpha, f, evals) == (0.5, 0.0, 2)
+    assert _same_step(_line_search(fg, x, 0.25, g, d, math.inf), armijo_search(fg, x, 0.25, g, d))
+
+
+def test_lbfgs_reports_a_line_search_failure():
+    """A search that finds no acceptable step stops the loop unconverged, with
+    the trace ending at the last accepted point."""
+
+    def fg(z):
+        f = 2e20 if z[0] < 1.0 else _flat_then_rising(z - 1.0)[0]
+        return f, np.array([-1.0]), (f, 0.0, 0.0, 0.0, 0.0)
+
+    x, trace, converged, reason = _lbfgs(fg, np.zeros(1), PlanOptions(), math.inf)
+    assert (converged, reason) == (False, "line_search_failure")
+    assert x.tolist() == [1.0]
+    assert trace[:, 0].tolist() == [2e20, 1e20] and trace[-1, 2] == 1.0
 
 
 def test_check_feasibility_reports_min_clearance(veh):
