@@ -33,8 +33,8 @@ from .minco import MincoTrajectory
 from .mpc import MpcConfig
 from .planner import TRACE_COLUMNS, PlanOptions, PlannerWeights, optimize_stage1, optimize_stage2
 from .render import render_scene
-from .sim import SimConfig, SimTrace, compute_metrics, run_closed_loop
-from .sweptfield import TIME_TOL, SweptField, auto_region, compute_swept_field, excess_area
+from .sim import QP_COLUMNS, SimConfig, SimTrace, compute_metrics, run_closed_loop
+from .sweptfield import TIME_TOL, UNWRITTEN, SweptField, auto_region, compute_swept_field, excess_area
 from .worldmodel import (
     Box,
     Disc,
@@ -301,18 +301,9 @@ def _build_scenario(echo: dict) -> Scenario:
     except ValueError as exc:
         raise ValidationError(f"vehicle: {exc}") from exc
     du_max = np.full(3, np.inf) if m["du_max"] is None else np.array(m["du_max"])
+    weights = {key: np.diag(m[key]) for key in ("state_weight", "input_weight")}
     try:
-        mpc = MpcConfig(
-            dt=m["dt"],
-            horizon=m["horizon"],
-            control_horizon=m["control_horizon"],
-            state_weight=np.diag(m["state_weight"]),
-            input_weight=np.diag(m["input_weight"]),
-            u_min=np.array(m["u_min"]),
-            u_max=np.array(m["u_max"]),
-            du_min=-du_max,
-            du_max=du_max,
-        )
+        mpc = MpcConfig(**{**m, **weights, "du_min": -du_max, "du_max": du_max})
     except ValueError as exc:
         raise ValidationError(f"mpc: {exc}") from exc
     return Scenario(
@@ -366,6 +357,11 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
+def _record(report) -> dict:
+    """A report record as its JSON object: every field not marked UNWRITTEN, by name."""
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.metadata != UNWRITTEN}
+
+
 def _write_csv(path: str, header: list, rows) -> None:
     data = np.asarray(rows, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
@@ -381,8 +377,7 @@ def write_field_csv(path: str, field: SweptField) -> None:
     the coarse sample times, so few t* are distinct. Rows are built one grid
     column at a time, so the text held in memory stays one column long.
     """
-    cx = field.origin[0] + (np.arange(field.width) + 0.5) * field.resolution
-    cy = field.origin[1] + (np.arange(field.height) + 0.5) * field.resolution
+    cx, cy = field.axes()
     ys = [f"{y!r}," for y in cy.tolist()]
     f_star = np.asarray(field.f_star, dtype=float)
     t_bits, t_index = np.unique(np.ascontiguousarray(field.t_star, dtype=float).view(np.int64), return_inverse=True)
@@ -417,49 +412,59 @@ def load_field_csv(path: str) -> SweptField:
     )
 
 
+# trace.csv's layout: each SimTrace field in column order with its column
+# names. A field named by one string is 1-D; a "{}" name is one column per
+# wheel, numbered from 1.
+TRACE_CSV = (
+    ("t", "t"),
+    ("pose", ("x", "y", "phi")),
+    ("ref", ("ref_x", "ref_y", "ref_phi")),
+    ("u", ("vx", "vy", "omega")),
+    ("e_y", "e_y"),
+    ("e_phi", "e_phi"),
+    ("wheel_gamma", ("gamma_{}",)),
+    ("wheel_speed", ("speed_{}",)),
+)
+
+
+def _trace_layout(n_wheels: int) -> list:
+    """(field, column names, index into a row) of each TRACE_CSV field for
+    n_wheels wheels: a column number for a 1-D field, a slice otherwise."""
+    layout, start = [], 0
+    for name, cols in TRACE_CSV:
+        if isinstance(cols, str):
+            layout.append((name, [cols], start))
+        else:
+            names = [c.format(i + 1) for c in cols for i in range(n_wheels if "{}" in c else 1)]
+            layout.append((name, names, slice(start, start + len(names))))
+        start += len(layout[-1][1])
+    return layout
+
+
 def write_trace_csv(path: str, trace: SimTrace) -> None:
-    n_w = trace.wheel_gamma.shape[1]
-    header = ["t", "x", "y", "phi", "ref_x", "ref_y", "ref_phi", "vx", "vy", "omega", "e_y", "e_phi"]
-    header += [f"gamma_{i + 1}" for i in range(n_w)] + [f"speed_{i + 1}" for i in range(n_w)]
-    rows = np.column_stack(
-        [
-            trace.t,
-            trace.pose,
-            trace.ref,
-            trace.u,
-            trace.e_y,
-            trace.e_phi,
-            trace.wheel_gamma,
-            trace.wheel_speed,
-        ]
-    )
-    _write_csv(path, header, rows)
+    layout = _trace_layout(trace.wheel_gamma.shape[1])
+    header = [col for _, names, _ in layout for col in names]
+    _write_csv(path, header, np.column_stack([getattr(trace, name) for name, _, _ in layout]))
 
 
 def write_qp_log(path: str, trace: SimTrace) -> None:
-    """One row per solved MPC step: whether the QP ended optimal, its iterations and active-set size."""
+    """One row per solved MPC step: its step number, then SimTrace.qp's QP_COLUMNS."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,optimal,iterations,active_set_size\n")
-        fh.writelines([f"{k},{o},{i},{a}\n" for k, (o, i, a) in enumerate(trace.qp.tolist())])
+        fh.write(",".join(["step", *QP_COLUMNS]) + "\n")
+        fh.writelines([",".join(map(str, [k, *row])) + "\n" for k, row in enumerate(trace.qp.tolist())])
 
 
 def load_trace_csv(path: str) -> SimTrace:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)  # a handle, not a path: no gzip import
-    n_w = sum(1 for h in header if h.startswith("gamma_"))
     if data.shape[0] < 2:
         raise MissingArtifact(f"{path} holds fewer than two samples")
-    return SimTrace(
-        t=data[:, 0],
-        pose=data[:, 1:4],
-        ref=data[:, 4:7],
-        u=data[:, 7:10],
-        e_y=data[:, 10],
-        e_phi=data[:, 11],
-        wheel_gamma=data[:, 12 : 12 + n_w],
-        wheel_speed=data[:, 12 + n_w : 12 + 2 * n_w],
-    )
+    fixed, one = (sum(len(names) for _, names, _ in _trace_layout(n)) for n in (0, 1))
+    layout = _trace_layout((len(header) - fixed) // (one - fixed))
+    if [col for _, names, _ in layout for col in names] != header:
+        raise MissingArtifact(f"{path} does not have the trace.csv columns")
+    return SimTrace(**{name: data[:, index] for name, _, index in layout})
 
 
 def _merge_timings(out_dir: str, updates: dict, stale=()) -> None:
@@ -578,9 +583,7 @@ def _stage_sweep(sc: Scenario, out_dir: str) -> None:
     csv_time = time.perf_counter() - t0
     report = excess_area(field, traj, sc.veh)
     area = {
-        "swept_area": report.swept_area,
-        "baseline_area": report.baseline_area,
-        "excess_area": report.excess_area,
+        **_record(report),
         "region": region,
         "resolution": sc.sweep_resolution,
         "field_cells": field.width * field.height,
@@ -600,7 +603,9 @@ def _stage_sweep(sc: Scenario, out_dir: str) -> None:
     _merge_timings(out_dir, {"sweep_s": sweep_time, "sweep_csv_s": csv_time, "sweep_svg_s": svg_time})
 
 
-_AREA_KEYS = ("swept_area", "excess_area", "region", "resolution")
+# the area.json keys the metrics stage reads; the planned areas go to metrics.json as planned_<key>
+_PLANNED_AREAS = ("swept_area", "excess_area")
+_AREA_KEYS = (*_PLANNED_AREAS, "region", "resolution")
 
 
 def _load_area(out_dir: str) -> dict:
@@ -642,29 +647,9 @@ def _stage_metrics(sc: Scenario, out_dir: str) -> None:
     trace, area = _load_trace(out_dir), _load_area(out_dir)
     t0 = time.perf_counter()
     report = compute_metrics(trace, sc.veh, area["region"], area["resolution"])
-    doc = {
-        "excess_swept_area": report.excess_swept_area,
-        "swept_area": report.swept_area,
-        "baseline_area": report.baseline_area,
-        "planned_swept_area": area["swept_area"],
-        "planned_excess_area": area["excess_area"],
-        "max_abs_e_y": report.max_abs_e_y,
-        "mean_abs_e_y": report.mean_abs_e_y,
-        "max_abs_e_phi_deg": report.max_abs_e_phi_deg,
-        "mean_abs_e_phi_deg": report.mean_abs_e_phi_deg,
-    }
-    _write_json(os.path.join(out_dir, "metrics.json"), doc)
-    sweep = report.sweep
-    _write_json(
-        os.path.join(out_dir, "metrics_sweep.json"),
-        {
-            "cells": sweep.cells,
-            "skipped_far": sweep.skipped_far,
-            "certified_inside": sweep.certified_inside,
-            "certified_outside": sweep.certified_outside,
-            "refined": sweep.refined,
-        },
-    )
+    planned = {f"planned_{key}": area[key] for key in _PLANNED_AREAS}
+    _write_json(os.path.join(out_dir, "metrics.json"), {**_record(report), **planned})
+    _write_json(os.path.join(out_dir, "metrics_sweep.json"), _record(report.sweep))
     _merge_timings(out_dir, {"metrics_s": time.perf_counter() - t0, "metrics_area_s": report.area_s})
 
 
@@ -727,18 +712,18 @@ def run_pipeline(sc: Scenario, stages, out_dir: str, seed: int | None = None) ->
 def _run_ablation(sc: Scenario, stages, out_dir: str, seed) -> int:
     """Run the pipeline twice: as configured, and with the sweep weight zeroed.
 
-    An old ablation.json is deleted first; a new one is written only when both runs produce metrics."""
+    Both runs always run, so neither subdirectory keeps an older run's artifacts, and the first
+    nonzero exit code is returned. An old ablation.json is deleted first; a new one is written
+    only when both runs produce metrics."""
     os.makedirs(out_dir, exist_ok=True)
     ablation = os.path.join(out_dir, "ablation.json")
     if os.path.exists(ablation):
         os.remove(ablation)
     sv_off = _build_scenario(dict(sc.echo, planner=dict(sc.echo["planner"], sweep=0.0)))
-    results = {}
+    codes, results = [], {}
     for label, run_sc in (("sv_on", sc), ("sv_off", sv_off)):
         sub = os.path.join(out_dir, label)
-        code = run_pipeline(run_sc, stages, sub, seed=seed)
-        if code != 0:
-            return code
+        codes.append(run_pipeline(run_sc, stages, sub, seed=seed))
         metrics_path = os.path.join(sub, "metrics.json")
         if os.path.exists(metrics_path):
             with open(metrics_path, "r", encoding="utf-8") as fh:
@@ -753,7 +738,7 @@ def _run_ablation(sc: Scenario, stages, out_dir: str, seed) -> int:
                 - results["sv_on"]["excess_swept_area"],
             },
         )
-    return 0
+    return next((code for code in codes if code), 0)
 
 
 def main(argv=None) -> int:

@@ -25,7 +25,14 @@ import numpy as np
 from .drivetrain import allocate
 from .geometry import Pose2, VehicleParams, to_body_frame, wrap_angle
 from .mpc import MpcConfig, mpc_step, reference_windows
-from .sweptfield import LinearPosePath, SweepCount, count_swept_cells, ribbon_report
+from .sweptfield import UNWRITTEN, LinearPosePath, SweepCount, count_swept_cells, ribbon_report
+
+# SimTrace.qp's columns in order, each with its value from one solve's mpc_step info
+QP_COLUMNS = {
+    "optimal": lambda info: int(info["status"] == "optimal"),
+    "iterations": lambda info: info["iterations"],
+    "active_set_size": lambda info: len(info["active_set"]),
+}
 
 
 @dataclass
@@ -47,7 +54,7 @@ class SimTrace:
     wheel_gamma: np.ndarray  # (m, n_wheels)
     wheel_speed: np.ndarray
     aborted: str | None = None
-    # (solved steps, 3) ints per QP solve: optimal (1/0), iterations, active-set size
+    # (solved steps, len(QP_COLUMNS)) ints, one row per QP solve
     qp: np.ndarray | None = None
     # wall-clock seconds inside mpc_step and allocate, summed over steps; never written to trace.csv
     mpc_s: float = 0.0
@@ -63,8 +70,8 @@ class MetricsReport:
     mean_abs_e_y: float
     max_abs_e_phi_deg: float
     mean_abs_e_phi_deg: float
-    sweep: SweepCount  # how the driven swept cells were decided
-    area_s: float = 0.0  # wall-clock seconds of the driven count; never written to metrics.json
+    sweep: SweepCount = field(metadata=UNWRITTEN)  # how the driven swept cells were decided
+    area_s: float = field(default=0.0, metadata=UNWRITTEN)  # wall-clock seconds of the driven count
 
 
 def plant_step(pose: Pose2, u_world: np.ndarray, dt: float) -> Pose2:
@@ -136,7 +143,7 @@ def run_closed_loop(
         try:
             u, info = mpc_step(pose, windows[k], u_prev, mpc_cfg, start=start)
             start = info["next_start"]
-            qp_log.append((int(info["status"] == "optimal"), info["iterations"], len(info["active_set"])))
+            qp_log.append([column(info) for column in QP_COLUMNS.values()])
         except Exception as exc:  # noqa: BLE001 - the trace records the failure mode
             aborted = f"{type(exc).__name__}: {exc}"
             m = k + 1
@@ -166,7 +173,7 @@ def run_closed_loop(
         wheel_gamma=out_g[:m],
         wheel_speed=out_s[:m],
         aborted=aborted,
-        qp=np.array(qp_log, dtype=int).reshape(-1, 3),
+        qp=np.array(qp_log, dtype=int).reshape(-1, len(QP_COLUMNS)),
         mpc_s=mpc_s,
         alloc_s=alloc_s,
     )

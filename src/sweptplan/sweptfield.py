@@ -58,12 +58,14 @@ basins searched.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import VehicleParams, footprint_sdf_batch, footprint_sdf_values, to_body_frame
+from .worldmodel import Grid
 
 # at vehicle-scale speeds a body passage spans several of 64 samples, so few
 # intervals need bisecting
@@ -96,18 +98,21 @@ class RegionTooSmall(Exception):
 
 
 @dataclass
-class SweptField:
+class SweptField(Grid):
     """Sampled f*(p) and arg-min times on a uniform grid, indexed [ix, iy]."""
 
-    origin: np.ndarray
-    resolution: float
-    width: int
-    height: int
     f_star: np.ndarray
     t_star: np.ndarray
     # (width, height): the cells whose f* and t* were refined; None when unknown,
     # as for a field loaded from field.csv
     refined: np.ndarray | None = None
+
+
+# The report records (SweepCount, AreaReport, sim.MetricsReport) are written
+# as JSON objects, one key per field, except the fields marked UNWRITTEN: a
+# nested record (it has its own file), a wall-clock time (it goes to
+# timings.json only) and the swept-cell count (its area is written).
+UNWRITTEN = {"written": False}
 
 
 @dataclass
@@ -119,7 +124,7 @@ class SweepCount:
     certified_inside: int
     certified_outside: int
     refined: int
-    swept: int  # cells with f* <= 0
+    swept: int = dataclasses.field(metadata=UNWRITTEN)  # cells with f* <= 0
 
 
 @dataclass
@@ -468,10 +473,9 @@ def auto_region(path, veh: VehicleParams, margin: float = 0.3):
     return (xmin - pad, ymin - pad, xmax + pad, ymax + pad)
 
 
-def _region_grid(path, veh: VehicleParams, region, resolution: float):
-    """(origin, width, height, cx, cy) of the grid over `region`, None for an
-    auto-sized box; cx and cy are the cell-center coordinates along x and y.
-    Raises RegionTooSmall unless the region holds `footprint_bounds(path, veh)`."""
+def _region_grid(path, veh: VehicleParams, region, resolution: float) -> Grid:
+    """The grid covering `region`, None for an auto-sized box. Raises
+    RegionTooSmall unless the region holds `footprint_bounds(path, veh)`."""
     if region is None:
         region = auto_region(path, veh)
     xmin, ymin, xmax, ymax = (float(v) for v in region)
@@ -480,12 +484,7 @@ def _region_grid(path, veh: VehicleParams, region, resolution: float):
     fx0, fy0, fx1, fy1 = footprint_bounds(path, veh)
     if fx0 < xmin or fy0 < ymin or fx1 > xmax or fy1 > ymax:
         raise RegionTooSmall("trajectory footprint leaves the requested region")
-    width = int(math.ceil((xmax - xmin) / resolution))
-    height = int(math.ceil((ymax - ymin) / resolution))
-    origin = np.array([xmin, ymin])
-    cx = origin[0] + (np.arange(width) + 0.5) * resolution
-    cy = origin[1] + (np.arange(height) + 0.5) * resolution
-    return origin, width, height, cx, cy
+    return Grid.covering(region, resolution)
 
 
 def compute_swept_field(path, veh: VehicleParams, region=None, resolution: float = 0.05) -> SweptField:
@@ -497,18 +496,11 @@ def compute_swept_field(path, veh: VehicleParams, region=None, resolution: float
     region is (xmin, ymin, xmax, ymax) or None for an auto-sized box, and
     must hold `footprint_bounds(path, veh)`.
     """
-    origin, width, height, cx, cy = _region_grid(path, veh, region, resolution)
-    pts = np.column_stack([np.repeat(cx, height), np.tile(cy, width)])
-    t, f, refined = _min_over_time(path, veh, pts, _coarse_poses(path), lambda g_min: field_band(resolution) + CERT_MARGIN)
-    return SweptField(
-        origin=origin,
-        resolution=resolution,
-        width=width,
-        height=height,
-        f_star=f.reshape(width, height),
-        t_star=t.reshape(width, height),
-        refined=refined.reshape(width, height),
-    )
+    grid = _region_grid(path, veh, region, resolution)
+    shape = (grid.width, grid.height)
+    band = field_band(resolution) + CERT_MARGIN
+    t, f, refined = _min_over_time(path, veh, grid.centers(), _coarse_poses(path), lambda g_min: band)
+    return SweptField(**vars(grid), f_star=f.reshape(shape), t_star=t.reshape(shape), refined=refined.reshape(shape))
 
 
 def _certify(path, veh: VehicleParams, cx: np.ndarray, cy: np.ndarray, coarse):
@@ -549,11 +541,11 @@ def count_swept_cells(path, veh: VehicleParams, region, resolution: float) -> Sw
     as the field; their results do not depend on how cells are batched, so
     the count is exact. `path` must provide `rate_bounds`.
     """
-    _, width, height, cx, cy = _region_grid(path, veh, region, resolution)
-    cls, swept = _certify(path, veh, cx, cy, _coarse_poses(path))
+    grid = _region_grid(path, veh, region, resolution)
+    cls, swept = _certify(path, veh, *grid.axes(), _coarse_poses(path))
     n = np.bincount(cls.ravel(), minlength=4)
     return SweepCount(
-        cells=width * height,
+        cells=grid.width * grid.height,
         skipped_far=int(n[FAR]),
         certified_inside=int(n[INSIDE]),
         certified_outside=int(n[OUTSIDE]),

@@ -69,18 +69,41 @@ class Disc:
 
 
 @dataclass
-class GridMap:
-    """Uniform occupancy grid. occupancy is indexed [ix, iy], x fastest in world."""
+class Grid:
+    """Square cells of side `resolution`, `width` along x by `height` along
+    y, indexed [ix, iy] from the low corner `origin`. Every grid of the
+    package, the occupancy raster and the swept field, takes its cell counts
+    from `covering` and its cell centers from `axes`."""
 
     origin: np.ndarray
     resolution: float
     width: int
     height: int
+
+    @staticmethod
+    def covering(bounds, resolution: float) -> Grid:
+        """The grid from (xmin, ymin) with the fewest cells that cover bounds (xmin, ymin, xmax, ymax)."""
+        xmin, ymin, xmax, ymax = (float(v) for v in bounds)
+        width, height = (int(math.ceil(extent / resolution)) for extent in (xmax - xmin, ymax - ymin))
+        return Grid(np.array([xmin, ymin]), resolution, width, height)
+
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cx, cy), the cell-center coordinates along x and along y."""
+        cx, cy = (o + (np.arange(n) + 0.5) * self.resolution for o, n in zip(self.origin, (self.width, self.height)))
+        return cx, cy
+
+    def centers(self) -> np.ndarray:
+        """Every cell center as (width * height, 2) rows, ix outer, iy inner."""
+        cx, cy = self.axes()
+        return np.column_stack([np.repeat(cx, self.height), np.tile(cy, self.width)])
+
+
+@dataclass
+class GridMap(Grid):
+    """Uniform occupancy grid. occupancy is indexed [ix, iy], x fastest in world."""
+
     occupancy: np.ndarray
     obstacle_points: np.ndarray
-
-    def cell_center(self, ix: int, iy: int) -> np.ndarray:
-        return self.origin + (np.array([ix, iy], dtype=float) + 0.5) * self.resolution
 
     def world_to_cell(self, p: np.ndarray) -> tuple[int, int]:
         c = np.floor((np.asarray(p, dtype=float) - self.origin) / self.resolution).astype(int)
@@ -99,25 +122,12 @@ def rasterize_obstacles(shapes, bounds, resolution: float) -> GridMap:
     xmin, ymin, xmax, ymax = (float(v) for v in bounds)
     if not (xmax > xmin and ymax > ymin) or resolution <= 0.0:
         raise EmptyRegion(f"degenerate raster region {bounds!r} at resolution {resolution}")
-    width = int(math.ceil((xmax - xmin) / resolution))
-    height = int(math.ceil((ymax - ymin) / resolution))
-    origin = np.array([xmin, ymin])
-
-    ix, iy = np.meshgrid(np.arange(width), np.arange(height), indexing="ij")
-    centers = origin + (np.stack([ix.ravel(), iy.ravel()], axis=1) + 0.5) * resolution
+    grid = Grid.covering(bounds, resolution)
+    centers = grid.centers()
     occ = np.zeros(centers.shape[0], dtype=bool)
     for shape in shapes:
         occ |= shape.contains(centers)
-    occupancy = occ.reshape(width, height)
-    obstacle_points = centers[occ]
-    return GridMap(
-        origin=origin,
-        resolution=resolution,
-        width=width,
-        height=height,
-        occupancy=occupancy,
-        obstacle_points=obstacle_points,
-    )
+    return GridMap(**vars(grid), occupancy=occ.reshape(grid.width, grid.height), obstacle_points=centers[occ])
 
 
 def inflate_occupancy(grid: GridMap, clearance: float) -> np.ndarray:
@@ -215,7 +225,9 @@ def astar_plan(grid: GridMap, start_xy, goal_xy, clearance: float = 0.0) -> np.n
     while cells[-1] != start:
         cells.append(tuple(parent[cells[-1]]))
     cells.reverse()
-    return np.array([grid.cell_center(ix, iy) for ix, iy in cells])
+    cx, cy = grid.axes()
+    ix, iy = np.array(cells).T
+    return np.column_stack([cx[ix], cy[iy]])
 
 
 @dataclass

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from artifacts import compare_trees
 from helpers import (
     curved_traj,
     folded,
@@ -414,14 +415,11 @@ def test_acceptance_8_determinism(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(out)
-    same = {
-        name: (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        for _, writes, _ in STAGES.values()
-        for name in writes
-    }
+    same = compare_trees(str(outs[0]), str(outs[1]))
+    written = {name for _, writes, _ in STAGES.values() for name in writes}
     _report(
         8,
         "two pipeline runs, PYTHONHASHSEED 0 vs 1: artifacts byte-identical: "
         + ", ".join(f"{k}={v}" for k, v in same.items()),
-        all(same.values()),
+        set(same) == written and all(same.values()),
     )

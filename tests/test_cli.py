@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from sweptplan.cli import (
     run_pipeline,
     write_field_csv,
 )
-from sweptplan.sweptfield import SweptField
+from sweptplan.sweptfield import UNWRITTEN, AreaReport, SweepCount, SweptField
 
 STRAIGHT = os.path.join(os.path.dirname(__file__), "..", "scenarios", "straight.json")
 ARTIFACTS = [name for _, writes, _ in cli.STAGES.values() for name in writes]
@@ -485,9 +486,11 @@ def test_failed_ablation_rerun_leaves_no_stale_timings_or_comparison(tmp_path, s
     raw["world"]["obstacles"] = [{"type": "box", "min": [4.8, -3.0], "max": [5.2, 3.0]}]
     assert main(["plan", "--config", _write(tmp_path, raw), "--out", str(out), "--ablate-sv"]) == 1
     assert not (out / "ablation.json").exists()
-    assert set(os.listdir(out / "sv_on")) == {"error.json", "timings.json"}
-    assert json.loads((out / "sv_on" / "error.json").read_text())["error"] == "NoPath"
-    assert _timing_stages(out / "sv_on") == set()
+    # both sub-runs run, so sv_off/ holds no artifact of the earlier scenario either
+    for sub in ("sv_on", "sv_off"):
+        assert set(os.listdir(out / sub)) == {"error.json", "timings.json"}
+        assert json.loads((out / sub / "error.json").read_text())["error"] == "NoPath"
+        assert _timing_stages(out / sub) == set()
 
 
 def test_pipeline_rerun_overwrites_identically(tmp_path):
@@ -512,6 +515,50 @@ def test_csv_round_trip(tmp_path):
     # repr-format floats reload to the exact same values
     field2 = load_field_csv(str(out / "field.csv"))
     npt.assert_array_equal(field.f_star, field2.f_star)
+
+
+def _odd_trace(n_wheels: int, rows: int = 6) -> sim.SimTrace:
+    """A SimTrace of seeded values with signed zeros, a subnormal and large
+    magnitudes, whose last row is an aborted step (nan twist and wheels)."""
+    rng = np.random.default_rng(n_wheels)
+    parts = {}
+    for name, columns, index in cli._trace_layout(n_wheels):
+        shape = (rows,) if isinstance(index, int) else (rows, len(columns))
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        values.flat[:3] = (-0.0, 0.0, 5e-324)
+        parts[name] = values
+    for name in ("u", "wheel_gamma", "wheel_speed"):
+        parts[name][-1] = np.nan
+    return sim.SimTrace(**parts)
+
+
+@pytest.mark.parametrize("n_wheels", [1, 4, 10])
+def test_trace_csv_round_trip_is_bitwise(tmp_path, n_wheels):
+    trace = _odd_trace(n_wheels)
+    path = tmp_path / "trace.csv"
+    cli.write_trace_csv(str(path), trace)
+    back = load_trace_csv(str(path))
+    for name, _ in cli.TRACE_CSV:
+        want, got = getattr(trace, name), getattr(back, name)
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name  # -0.0 and nan kept
+    header = path.read_text().splitlines()[0].split(",")
+    assert header[-2 * n_wheels :] == [f"{k}_{i + 1}" for k in ("gamma", "speed") for i in range(n_wheels)]
+    again = tmp_path / "again.csv"
+    cli.write_trace_csv(str(again), back)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_load_trace_csv_rejects_other_columns(tmp_path):
+    path = tmp_path / "trace.csv"
+    cli.write_trace_csv(str(path), _odd_trace(2))
+    header, *rows = path.read_text().splitlines()
+    renamed = [header.replace("ref_phi", "ref_heading"), *rows]
+    extra = [header + ",extra", *(row + ",0.0" for row in rows)]
+    for lines in (renamed, extra):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MissingArtifact, match="does not have the trace.csv columns"):
+            load_trace_csv(str(path))
 
 
 def test_grid_res_override(tmp_path):
@@ -805,16 +852,33 @@ def test_metrics_sweep_counters_and_area_timing(straight_all):
     assert 0.0 <= timings["metrics_area_s"] <= timings["metrics_s"]
 
 
-def test_readme_artifact_table_names_every_file(straight_all):
+def _readme_artifact_rows() -> dict:
+    """{artifact: the backticked names of its row after the file name} of README.md's artifact table."""
     readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
     with open(readme, "r", encoding="utf-8") as fh:
         section = fh.read().split("## Artifacts", 1)[1].split("\n## ", 1)[0]
-    documented = set(re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE))
-    assert set(os.listdir(straight_all)) - documented == set()
+    rows = re.findall(r"^\| `([^`]+)` \|(.*)$", section, flags=re.MULTILINE)
+    return {name: set(re.findall(r"`([^`]+)`", rest)) for name, rest in rows}
+
+
+def test_readme_artifact_table_names_every_file(straight_all):
+    rows = _readme_artifact_rows()
+    assert set(os.listdir(straight_all)) - set(rows) == set()
     # the timings.json row names exactly the keys a run writes; other backticked names are artifacts
-    row = re.search(r"^\| `timings\.json` \|.*$", section, flags=re.MULTILINE).group(0)
-    keys = set(re.findall(r"`([^`]+)`", row)) - documented
+    keys = rows["timings.json"] - set(rows)
     assert keys == set(json.loads((straight_all / "timings.json").read_text()))
+
+
+def test_readme_artifact_table_names_every_column_and_key(straight_all):
+    rows = _readme_artifact_rows()
+    columns = {c.replace("{}", "*") for _, cols in cli.TRACE_CSV for c in ([cols] if isinstance(cols, str) else cols)}
+    assert columns - rows["trace.csv"] == set()
+    assert {"step", *sim.QP_COLUMNS} - rows["qp_log.csv"] == set()
+    records = {"area.json": AreaReport, "metrics.json": sim.MetricsReport, "metrics_sweep.json": SweepCount}
+    for name, record in records.items():
+        keys = set(json.loads((straight_all / name).read_text()))
+        assert {f.name for f in dataclasses.fields(record) if f.metadata != UNWRITTEN} <= keys, name
+        assert keys - rows[name] == set(), name
 
 
 def test_readme_flags_list_every_cli_option(capsys):

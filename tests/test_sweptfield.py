@@ -455,7 +455,7 @@ def test_count_edge_cases_hit_zero(veh):
 
 
 def _classes(path, veh, region, res):
-    _, _, _, cx, cy = sweptfield._region_grid(path, veh, region, res)
+    cx, cy = sweptfield._region_grid(path, veh, region, res).axes()
     cls, _ = sweptfield._certify(path, veh, cx, cy, sweptfield._coarse_poses(path))
     ix, iy = np.meshgrid(np.arange(cx.size), np.arange(cy.size), indexing="ij")
     return cls.ravel(), np.column_stack([cx[ix.ravel()], cy[iy.ravel()]])
@@ -691,7 +691,7 @@ LEVELS = {
 @pytest.mark.parametrize("name", list(BOUND_CASES))
 def test_deferred_bound_equals_per_sample_loop(veh, name, caller):
     path, region, res = BOUND_CASES[name]()
-    _, _, _, cx, cy = sweptfield._region_grid(path, veh, region, res)
+    cx, cy = sweptfield._region_grid(path, veh, region, res).axes()
     px, py = np.repeat(cx, cy.size), np.tile(cy, cx.size)
     coarse = sweptfield._coarse_poses(path)
     rates = (*path.rate_bounds(coarse[0]), np.diff(coarse[0]))
