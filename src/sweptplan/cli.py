@@ -362,6 +362,9 @@ def _record(report) -> dict:
     return {f.name: getattr(report, f.name) for f in fields(report) if f.metadata != UNWRITTEN}
 
 
+FIELD_COLUMNS = ["x", "y", "f_star", "t_star"]
+
+
 def _write_csv(path: str, header: list, rows) -> None:
     data = np.asarray(rows, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
@@ -370,46 +373,21 @@ def _write_csv(path: str, header: list, rows) -> None:
 
 
 def write_field_csv(path: str, field: SweptField) -> None:
-    """Rows in fixed (ix outer, iy inner) order so files compare bytewise.
-
-    Each distinct x, y and t* is formatted once; t* is told apart by its
-    bits, so -0.0 and 0.0 keep their own text. Unrefined cells hold one of
-    the coarse sample times, so few t* are distinct. Rows are built one grid
-    column at a time, so the text held in memory stays one column long.
-    """
+    """One row per refined cell, whose f* and t* are exact, in (ix outer, iy
+    inner) order so files compare bytewise. The grid is area.json's."""
+    ix, iy = np.nonzero(field.refined)
     cx, cy = field.axes()
-    ys = [f"{y!r}," for y in cy.tolist()]
-    f_star = np.asarray(field.f_star, dtype=float)
-    t_bits, t_index = np.unique(np.ascontiguousarray(field.t_star, dtype=float).view(np.int64), return_inverse=True)
-    t_text = [f",{t!r}\n" for t in t_bits.view(np.float64).tolist()]
-    t_index = t_index.reshape(f_star.shape)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,f_star,t_star\n")
-        for ix, x in enumerate(cx.tolist()):
-            xr = f"{x!r},"
-            column = zip(ys, f_star[ix].tolist(), [t_text[i] for i in t_index[ix].tolist()])
-            fh.write("".join([f"{xr}{y}{f!r}{t}" for y, f, t in column]))
+    _write_csv(path, FIELD_COLUMNS, np.column_stack([cx[ix], cy[iy], field.f_star[ix, iy], field.t_star[ix, iy]]))
 
 
-def load_field_csv(path: str) -> SweptField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[0] < 2:
-        raise MissingArtifact(f"{path} holds fewer than two cells, so its grid resolution cannot be inferred")
-    xs, ys = data[:, 0], data[:, 1]
-    height = int(np.argmax(xs != xs[0])) or data.shape[0]
-    if data.shape[0] % height != 0:
-        raise MissingArtifact(f"{path} has a ragged grid layout")
-    width = data.shape[0] // height
-    resolution = float(ys[1] - ys[0]) if height > 1 else float(xs[height] - xs[0])
-    origin = np.array([xs[0] - resolution / 2.0, ys[0] - resolution / 2.0])
-    return SweptField(
-        origin=origin,
-        resolution=resolution,
-        width=width,
-        height=height,
-        f_star=data[:, 2].reshape(width, height),
-        t_star=data[:, 3].reshape(width, height),
-    )
+def load_field_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(centers, f_star, t_star) of field.csv's rows: (n, 2), (n,) and (n,).
+    No stage reads field.csv back."""
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.readline().strip().split(",") != FIELD_COLUMNS:
+            raise MissingArtifact(f"{path} does not have the field.csv columns")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)  # a handle, not a path: no gzip import
+    return data[:, :2], data[:, 2], data[:, 3]
 
 
 # trace.csv's layout: each SimTrace field in column order with its column

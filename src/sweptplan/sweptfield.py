@@ -17,17 +17,23 @@ vmax_j * h), with vmax_j and wmax_j the path's `rate_bounds` on speed and
 (g_j + g_{j+1}) / 2 - L_j * h / 2 there (conservative advancement). From the
 table come the deepest sample g_min and its first index; the caller refines
 the points whose g_min lies above a floor and whose bound, the least over
-the intervals, is at most a level:
+the intervals, is at most a level.
+
+The field and the count search a grid by one stamp (`_search`). Within
+interval j the body stays inside a disc of radius half_diagonal + vmax_j * h
+around c_j, so a cell farther than that plus the level from every coarse
+center has f* > level: it is never searched.
 
 - `compute_swept_field` refines a cell when its bound is at most B =
-  `field_band(resolution)`. Any other cell keeps its deepest sample and that
-  sample's time: a value >= f* and > B. The zero contour, the swept area and
-  the planner's clearances all lie inside the band.
-- `count_swept_cells` needs only the f* <= 0 count. A cell with a positive
-  bound is outside, one with a non-positive sample inside; only the rest are
-  refined, to the field's values, so the count equals the field's. Cells
-  farther than half_diagonal + vmax_j * h from every coarse center skip the
-  SDF. `min_time_distance` refines its point.
+  `field_band(resolution)`. Any other searched cell keeps its deepest sample
+  and that sample's time: a value >= f* and > B. A cell never searched holds
+  +inf and NaN. The zero contour, the swept area and the planner's
+  clearances all lie inside the band.
+- `count_swept_cells` needs only the f* <= 0 count, so its level is
+  CERT_MARGIN. A cell with a positive bound is outside, one with a
+  non-positive sample inside; only the rest are refined, to the field's
+  values, so the count equals the field's. `min_time_distance` refines its
+  point.
 - `least_time_distance` needs only the least f*, which the least deepest
   sample so far bounds from above: a block's level is that, never below 0,
   plus CERT_MARGIN. Each point refines alone, so the least keeps its bits.
@@ -82,8 +88,6 @@ CERT_MARGIN = 1e-9
 # is 4 MiB; 16,384 points took the same CPU within 1% and 5 MiB more peak
 # RSS on straight's sweep.
 SCAN_BLOCK = 8192
-# cell classes of the certified count
-FAR, INSIDE, OUTSIDE, REFINED = range(4)
 
 
 def field_band(resolution: float) -> float:
@@ -103,9 +107,7 @@ class SweptField(Grid):
 
     f_star: np.ndarray
     t_star: np.ndarray
-    # (width, height): the cells whose f* and t* were refined; None when unknown,
-    # as for a field loaded from field.csv
-    refined: np.ndarray | None = None
+    refined: np.ndarray  # (width, height): the cells whose f* and t* were refined
 
 
 # The report records (SweepCount, AreaReport, sim.MetricsReport) are written
@@ -487,70 +489,71 @@ def _region_grid(path, veh: VehicleParams, region, resolution: float) -> Grid:
     return Grid.covering(region, resolution)
 
 
-def compute_swept_field(path, veh: VehicleParams, region=None, resolution: float = 0.05) -> SweptField:
-    """Evaluate f* and t* on a uniform grid covering `region`, exactly in the
-    band: a cell is refined unless its coarse bound certifies f* > B =
-    `field_band(resolution)`, and otherwise keeps its deepest coarse sample
-    and that sample's time, a value >= the refined f* and > B.
-
-    region is (xmin, ymin, xmax, ymax) or None for an auto-sized box, and
-    must hold `footprint_bounds(path, veh)`.
-    """
+def _search(path, veh: VehicleParams, region, resolution: float, level: float, floor: float):
+    """(grid, ix, iy, (t, f, refined)): the grid of `_region_grid` and
+    `_min_over_time` at this level and floor over the cells (ix, iy) that the
+    stamp of the module docstring keeps, ix outer, iy inner; every cell for a
+    path of zero duration."""
     grid = _region_grid(path, veh, region, resolution)
-    shape = (grid.width, grid.height)
-    band = field_band(resolution) + CERT_MARGIN
-    t, f, refined = _min_over_time(path, veh, grid.centers(), _coarse_poses(path), lambda g_min: band)
-    return SweptField(**vars(grid), f_star=f.reshape(shape), t_star=t.reshape(shape), refined=refined.reshape(shape))
-
-
-def _certify(path, veh: VehicleParams, cx: np.ndarray, cy: np.ndarray, coarse):
-    """(cls, swept): the class of every cell of the (cx x cy) grid, shape
-    (cx.size, cy.size), FAR, INSIDE, OUTSIDE, or REFINED where the coarse scan
-    cannot decide, and the number of f* <= 0 cells. Only the cells that are
-    not FAR are searched, and only the REFINED ones are refined."""
+    cx, cy = grid.axes()
+    coarse = _coarse_poses(path)
     near = np.full((cx.size, cy.size), coarse is None)
     if coarse is not None:
         ts, xs, ys, _, _ = coarse
         h = np.diff(ts)
         vmax, _ = path.rate_bounds(ts)
-        # Within interval j the body stays inside a disc of this radius around c_j.
-        reach = veh.half_diagonal + vmax * h + CERT_MARGIN
+        reach = veh.half_diagonal + vmax * h + level
         for j in range(h.size):
             ix0, ix1 = np.searchsorted(cx, [xs[j] - reach[j], xs[j] + reach[j]], side="left")
             iy0, iy1 = np.searchsorted(cy, [ys[j] - reach[j], ys[j] + reach[j]], side="left")
             dx = cx[ix0:ix1, None] - xs[j]
             dy = cy[None, iy0:iy1] - ys[j]
             near[ix0:ix1, iy0:iy1] |= dx * dx + dy * dy <= reach[j] * reach[j]
-
     ix, iy = np.nonzero(near)
-    pts = np.column_stack([cx[ix], cy[iy]])
-    _, f, refined = _min_over_time(path, veh, pts, coarse, lambda g_min: CERT_MARGIN, -CERT_MARGIN)
-    cls = np.full((cx.size, cy.size), FAR, dtype=np.int8)
-    # An unrefined cell holds its deepest sample: <= -CERT_MARGIN inside, and
-    # otherwise its bound is > CERT_MARGIN.
-    cls[ix, iy] = np.where(refined, REFINED, np.where(f <= -CERT_MARGIN, INSIDE, OUTSIDE))
-    return cls, int(np.count_nonzero(f <= 0.0))
+    found = _min_over_time(path, veh, np.column_stack([cx[ix], cy[iy]]), coarse, lambda g_min: level, floor)
+    return grid, ix, iy, found
+
+
+def compute_swept_field(path, veh: VehicleParams, region=None, resolution: float = 0.05) -> SweptField:
+    """Evaluate f* and t* on a uniform grid covering `region`, exactly in the
+    band: a cell is refined unless its stamp or its coarse bound certifies f*
+    > B = `field_band(resolution)`. A searched cell that is not refined keeps
+    its deepest coarse sample and that sample's time, a value >= f* and > B;
+    a cell never searched holds +inf and NaN.
+
+    region is (xmin, ymin, xmax, ymax) or None for an auto-sized box, and
+    must hold `footprint_bounds(path, veh)`.
+    """
+    level = field_band(resolution) + CERT_MARGIN
+    grid, ix, iy, (t, f, refined) = _search(path, veh, region, resolution, level, -math.inf)
+    shape = (grid.width, grid.height)
+    field = SweptField(**vars(grid), f_star=np.full(shape, np.inf), t_star=np.full(shape, np.nan),
+                       refined=np.zeros(shape, dtype=bool))
+    field.f_star[ix, iy], field.t_star[ix, iy], field.refined[ix, iy] = f, t, refined
+    return field
 
 
 def count_swept_cells(path, veh: VehicleParams, region, resolution: float) -> SweepCount:
     """Number of f* <= 0 cells of `compute_swept_field(path, veh, region,
     resolution)`, without computing the field.
 
-    Cells are certified from the coarse scan (see the module docstring) and
-    only the undecided ones are refined, by the same search and coarse poses
-    as the field; their results do not depend on how cells are batched, so
-    the count is exact. `path` must provide `rate_bounds`.
+    Cells are certified from the stamp and the coarse scan (see the module
+    docstring) and only the undecided ones are refined, by the same search
+    and coarse poses as the field; their results do not depend on how cells
+    are batched, so the count is exact. `path` must provide `rate_bounds`.
     """
-    grid = _region_grid(path, veh, region, resolution)
-    cls, swept = _certify(path, veh, *grid.axes(), _coarse_poses(path))
-    n = np.bincount(cls.ravel(), minlength=4)
+    grid, ix, iy, (_, f, refined) = _search(path, veh, region, resolution, CERT_MARGIN, -CERT_MARGIN)
+    cells, n_refined = grid.width * grid.height, int(np.count_nonzero(refined))
+    # An unrefined cell holds its deepest sample: <= -CERT_MARGIN inside, and
+    # otherwise its bound is > CERT_MARGIN.
+    inside = int(np.count_nonzero(~refined & (f <= -CERT_MARGIN)))
     return SweepCount(
-        cells=grid.width * grid.height,
-        skipped_far=int(n[FAR]),
-        certified_inside=int(n[INSIDE]),
-        certified_outside=int(n[OUTSIDE]),
-        refined=int(n[REFINED]),
-        swept=swept,
+        cells=cells,
+        skipped_far=cells - ix.size,
+        certified_inside=inside,
+        certified_outside=ix.size - inside - n_refined,
+        refined=n_refined,
+        swept=int(np.count_nonzero(f <= 0.0)),
     )
 
 

@@ -15,7 +15,7 @@ from sweptplan.geometry import (
     wrap_angle,
 )
 from sweptplan.minco import Boundary, build_minco, propagate_gradient
-from sweptplan.worldmodel import Box, rasterize_obstacles
+from sweptplan.worldmodel import Box, Grid, rasterize_obstacles
 
 
 def small_vehicle() -> VehicleParams:
@@ -35,6 +35,17 @@ def world_sdf_with_grad(p_world, pose, veh: VehicleParams) -> SdfResult:
     res = footprint_sdf_with_grad(to_body_frame(p_world[0] - pose.x, p_world[1] - pose.y, c, s), veh)
     gx, gy = res.gradient
     return SdfResult(value=res.value, gradient=np.array([c * gx - s * gy, s * gx + c * gy]))
+
+
+def on_area_grid(xy: np.ndarray, area: dict) -> bool:
+    """Whether every (x, y) row is, bit for bit, a cell center of area.json's
+    grid (its `region` and `resolution`)."""
+    axes = Grid.covering(area["region"], area["resolution"]).axes()
+    for axis, coords in zip(axes, xy.T):
+        i = np.minimum(np.searchsorted(axis, coords), axis.size - 1)
+        if axis[i].tobytes() != coords.tobytes():
+            return False
+    return True
 
 
 def grid_centers(field) -> np.ndarray:

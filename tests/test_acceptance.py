@@ -20,6 +20,7 @@ from helpers import (
     curved_traj,
     folded,
     nudge_off_kinks,
+    on_area_grid,
     random_instance,
     rotation_traj,
     scatter_grid,
@@ -51,7 +52,7 @@ from sweptplan.planner import (
     sweep_cost_with_grads,
 )
 from sweptplan.sweptfield import compute_swept_field, min_time_distance, swept_area
-from sweptplan.worldmodel import InitialTrajectory, rasterize_obstacles
+from sweptplan.worldmodel import Grid, InitialTrajectory, rasterize_obstacles
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 TURN90 = os.path.join(ROOT, "scenarios", "turn90.json")
@@ -374,12 +375,15 @@ def test_acceptance_7_corner_scenario(turn90_run):
 
 
 def test_turn90_metrics_count_on_the_sweep_grid(turn90_run):
-    """The metrics stage counts driven cells on exactly the sweep stage's grid."""
+    """The metrics stage counts driven cells on exactly the sweep stage's
+    grid, the grid of area.json on whose centers every field.csv row lies."""
     for label in ("sv_on", "sv_off"):
-        with open(turn90_run / label / "field.csv", "r", encoding="utf-8") as fh:
-            rows = sum(1 for _ in fh) - 1
+        area = json.loads((turn90_run / label / "area.json").read_text())
+        xy = np.loadtxt(turn90_run / label / "field.csv", delimiter=",", skiprows=1, usecols=(0, 1), ndmin=2)
+        assert xy.shape[0] == area["field_refined"] > 0 and on_area_grid(xy, area), label
+        grid = Grid.covering(area["region"], area["resolution"])
         sweep = json.loads((turn90_run / label / "metrics_sweep.json").read_text())
-        assert sweep["cells"] == rows, label
+        assert sweep["cells"] == grid.width * grid.height == area["field_cells"], label
 
 
 def test_turn90_sweep_refines_only_the_band(turn90_run):

@@ -11,7 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import straight_traj
+from helpers import on_area_grid, straight_traj
 from oracles import write_csv_per_value
 import sweptplan.cli as cli
 import sweptplan.mpc as mpc
@@ -27,7 +27,9 @@ from sweptplan.cli import (
     run_pipeline,
     write_field_csv,
 )
-from sweptplan.sweptfield import UNWRITTEN, AreaReport, SweepCount, SweptField
+from sweptplan.minco import MincoTrajectory
+from sweptplan.sweptfield import UNWRITTEN, AreaReport, SweepCount, SweptField, compute_swept_field, min_time_distance
+from sweptplan.worldmodel import Grid
 
 STRAIGHT = os.path.join(os.path.dirname(__file__), "..", "scenarios", "straight.json")
 ARTIFACTS = [name for _, writes, _ in cli.STAGES.values() for name in writes]
@@ -508,13 +510,13 @@ def test_csv_round_trip(tmp_path):
     sc = parse_scenario(STRAIGHT)
     out = tmp_path / "out"
     assert run_pipeline(sc, ["plan", "sweep", "track"], str(out)) == 0
-    field = load_field_csv(str(out / "field.csv"))
-    assert field.f_star.size > 0
+    centers, f_star, t_star = load_field_csv(str(out / "field.csv"))
+    assert f_star.size > 0 and centers.shape == (f_star.size, 2) and t_star.shape == f_star.shape
     trace = load_trace_csv(str(out / "trace.csv"))
     assert trace.t.shape[0] == trace.pose.shape[0]
     # repr-format floats reload to the exact same values
-    field2 = load_field_csv(str(out / "field.csv"))
-    npt.assert_array_equal(field.f_star, field2.f_star)
+    _, f_star2, _ = load_field_csv(str(out / "field.csv"))
+    npt.assert_array_equal(f_star, f_star2)
 
 
 def _odd_trace(n_wheels: int, rows: int = 6) -> sim.SimTrace:
@@ -571,15 +573,16 @@ def test_grid_res_override(tmp_path):
     body["sweep"]["resolution"] = 0.1
     sc2 = parse_scenario(_write(tmp_path, body))
     assert run_pipeline(sc2, ["plan", "sweep"], str(out2)) == 0
-    f1 = load_field_csv(str(out1 / "field.csv"))
-    f2 = load_field_csv(str(out2 / "field.csv"))
-    # resolution is inferred from the written cell centers, so only close
-    npt.assert_allclose(f2.resolution, 0.1, rtol=1e-9)
-    npt.assert_allclose(f1.resolution, 0.05, rtol=1e-9)
-    assert f1.f_star.size > f2.f_star.size
-    # area.json records the exact resolution the field was computed at
-    assert json.loads((out1 / "area.json").read_text())["resolution"] == 0.05
-    assert json.loads((out2 / "area.json").read_text())["resolution"] == 0.1
+    rows = []
+    for out, res in ((out1, 0.05), (out2, 0.1)):
+        # area.json records the exact resolution the field was computed at,
+        # and every row lies on a center of its grid, bit for bit
+        area = json.loads((out / "area.json").read_text())
+        assert area["resolution"] == res
+        centers, f_star, _ = load_field_csv(str(out / "field.csv"))
+        assert on_area_grid(centers, area)
+        rows.append(f_star.size)
+    assert rows[0] > rows[1]
 
 
 def test_main_help_and_exit_codes(tmp_path):
@@ -676,22 +679,20 @@ def test_ablation_leaves_scenario_unchanged(tmp_path, monkeypatch):
     assert json.dumps(sc.echo, sort_keys=True) == echo_before
 
 
-def test_field_csv_single_cell_is_reported(tmp_path):
-    field = SweptField(
-        origin=np.array([0.0, 0.0]),
-        resolution=0.5,
-        width=1,
-        height=1,
-        f_star=np.array([[-0.25]]),
-        t_star=np.array([[1.0]]),
-    )
-    path = str(tmp_path / "field.csv")
-    write_field_csv(path, field)
-    with pytest.raises(MissingArtifact, match="field.csv.*resolution"):
-        load_field_csv(path)
+def test_load_field_csv_rejects_other_columns(tmp_path):
+    path = tmp_path / "field.csv"
+    write_field_csv(str(path), _field([[-0.25, 0.5]], [[1.0, 2.0]]))
+    header, *rows = path.read_text().splitlines()
+    assert header == "x,y,f_star,t_star" and len(rows) == 2
+    renamed = [header.replace("t_star", "t"), *rows]
+    extra = [header + ",extra", *(row + ",0.0" for row in rows)]
+    for lines in (renamed, extra):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MissingArtifact, match="does not have the field.csv columns"):
+            load_field_csv(str(path))
 
 
-def _field(f_star, t_star, origin=(-1.25, 0.5), resolution=0.1):
+def _field(f_star, t_star, origin=(-1.25, 0.5), resolution=0.1, refined=None):
     f_star = np.asarray(f_star, dtype=float)
     width, height = f_star.shape
     return SweptField(
@@ -701,15 +702,19 @@ def _field(f_star, t_star, origin=(-1.25, 0.5), resolution=0.1):
         height=height,
         f_star=f_star,
         t_star=np.asarray(t_star, dtype=float),
+        refined=np.ones(f_star.shape, dtype=bool) if refined is None else refined,
     )
 
 
 def _write_field_per_value(path, field):
-    cx = field.origin[0] + (np.arange(field.width) + 0.5) * field.resolution
-    cy = field.origin[1] + (np.arange(field.height) + 0.5) * field.resolution
-    rows = np.column_stack(
-        [np.repeat(cx, field.height), np.tile(cy, field.width), field.f_star.ravel(), field.t_star.ravel()]
-    )
+    """The refined cells' rows, ix outer and iy inner, one value at a time."""
+    rows = [
+        (field.origin[0] + (ix + 0.5) * field.resolution, field.origin[1] + (iy + 0.5) * field.resolution,
+         field.f_star[ix, iy], field.t_star[ix, iy])
+        for ix in range(field.width)
+        for iy in range(field.height)
+        if field.refined[ix, iy]
+    ]
     write_csv_per_value(path, ["x", "y", "f_star", "t_star"], rows)
 
 
@@ -725,21 +730,41 @@ def test_field_csv_bytes_equal_per_value_writer(tmp_path, shape, origin):
     n = shape[0] * shape[1]
     f_star = np.resize(_ODD_VALUES, n).reshape(shape)
     t_star = np.resize(_ODD_VALUES[::-1], n).reshape(shape)
-    field = _field(f_star, t_star, origin=origin)
+    # every third cell not refined, so not written
+    refined = np.resize([True, True, False], n).reshape(shape)
+    field = _field(f_star, t_star, origin=origin, refined=refined)
     write_field_csv(str(tmp_path / "a.csv"), field)
     _write_field_per_value(str(tmp_path / "b.csv"), field)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert len((tmp_path / "a.csv").read_text().splitlines()) == 1 + np.count_nonzero(refined)
 
 
 def test_field_csv_formats_signed_zero_and_nan_times_apart(tmp_path):
-    # t* is formatted once per distinct value, told apart by bits: -0.0 and
-    # 0.0 compare equal but print differently
+    # -0.0 and 0.0 compare equal but print differently; NaN prints as nan
     t_star = np.array([[0.0, -0.0, 0.0, math.nan], [-0.0, 2.5, math.nan, 2.5]])
     field = _field(np.zeros_like(t_star), t_star)
     write_field_csv(str(tmp_path / "a.csv"), field)
     _write_field_per_value(str(tmp_path / "b.csv"), field)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    assert [row.rsplit(",", 1)[1] for row in (tmp_path / "a.csv").read_text().splitlines()[1:4]] == ["0.0", "-0.0", "0.0"]
+    times = [row.rsplit(",", 1)[1] for row in (tmp_path / "a.csv").read_text().splitlines()[1:]]
+    assert times == ["0.0", "-0.0", "0.0", "nan", "-0.0", "2.5", "nan", "2.5"]
+
+
+def test_field_csv_rows_are_the_exact_refined_cells(straight_all):
+    # One row per refined cell of the sweep stage's field, in (ix, iy) order,
+    # each the exact f* and t* at its cell center.
+    sc = parse_scenario(STRAIGHT)
+    area = json.loads((straight_all / "area.json").read_text())
+    traj = MincoTrajectory.from_dict(json.loads((straight_all / "trajectory.json").read_text()))
+    field = compute_swept_field(traj, sc.veh, region=area["region"], resolution=area["resolution"])
+    ix, iy = np.nonzero(field.refined)
+    cx, cy = Grid.covering(area["region"], area["resolution"]).axes()
+    centers, f_star, t_star = load_field_csv(str(straight_all / "field.csv"))
+    assert f_star.size == area["field_refined"] == ix.size
+    assert centers.tobytes() == np.column_stack([cx[ix], cy[iy]]).tobytes()
+    t_ref, f_ref = min_time_distance(centers, traj, sc.veh)
+    assert f_star.tobytes() == f_ref.tobytes()
+    assert t_star.tobytes() == t_ref.tobytes()
 
 
 def test_metrics_stage_samples_the_driven_footprint_once(tmp_path, straight_all, monkeypatch):

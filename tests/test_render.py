@@ -62,6 +62,7 @@ def _corner_field(values, origin=(0.25, -1.0), resolution=0.5):
         height=f.shape[1],
         f_star=f,
         t_star=np.zeros_like(f),
+        refined=np.ones(f.shape, dtype=bool),
     )
 
 

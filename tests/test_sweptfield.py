@@ -74,10 +74,15 @@ def test_zero_length_trajectory_field_is_static_sdf(veh):
     field = compute_swept_field(traj, veh, region=(-2.0, -1.0, 4.0, 5.0), resolution=0.1)
     centers = grid_centers(field)
     static = Pose2(*pose)
+    # A cell the stamp puts beyond the band is never searched.
+    assert np.isinf(field.f_star).any() and np.isfinite(field.f_star).any()
     for idx in range(0, centers.shape[0], 97):
         expect = world_sdf_with_grad(centers[idx], static, veh).value
         got = field.f_star[idx // field.height, idx % field.height]
-        npt.assert_allclose(got, expect, atol=1e-9)
+        if np.isinf(got):
+            assert expect > sweptfield.field_band(field.resolution)
+        else:
+            npt.assert_allclose(got, expect, atol=1e-9)
 
 
 def test_straight_line_swept_area(veh, line_traj):
@@ -106,6 +111,7 @@ def test_swept_area_all_positive_field():
         height=10,
         f_star=np.full((20, 10), 0.3),
         t_star=np.zeros((20, 10)),
+        refined=np.ones((20, 10), dtype=bool),
     )
     assert swept_area(field) == 0.0
 
@@ -149,8 +155,11 @@ def test_field_mirror_symmetry(veh, bend_traj):
 
 def test_t_star_within_domain(veh, bend_traj):
     field = compute_swept_field(bend_traj, veh, resolution=0.3)
-    assert field.t_star.min() >= 0.0
-    assert field.t_star.max() <= bend_traj.total_time + 1e-12
+    searched = np.isfinite(field.f_star)
+    # NaN exactly at the cells never searched
+    assert np.array_equal(np.isnan(field.t_star), ~searched) and not searched.all()
+    assert field.t_star[searched].min() >= 0.0
+    assert field.t_star[searched].max() <= bend_traj.total_time + 1e-12
 
 
 def test_region_must_cover_trajectory(veh, line_traj):
@@ -239,20 +248,23 @@ def test_empty_interval_equals_oracle(veh, n):
 
 def _assert_band_contract(field, path, veh, t_ref, f_ref, oracle_path=None):
     """Every cell pinned bit for bit to the exact oracle (t_ref, f_ref): a
-    refined cell holds the oracle's refined values; any other holds the
-    oracle's deepest coarse sample and that sample's time, with the oracle's
-    refined f* above the band."""
+    refined cell holds the oracle's refined values; a searched cell that is
+    not refined holds the oracle's deepest coarse sample and that sample's
+    time; a cell never searched holds +inf and NaN. The oracle's refined f*
+    of every cell not refined lies above the band."""
     grid_ts, vals = coarse_values(grid_centers(field), oracle_path or path, veh, 0.0, path.total_time)
     deep = vals.argmin(axis=0)
     refined = field.refined.ravel()
-    out = np.flatnonzero(~refined)
     f, t = field.f_star.ravel(), field.t_star.ravel()
+    unsearched = np.flatnonzero(np.isinf(f))
+    out = np.flatnonzero(~refined & np.isfinite(f))
     _assert_same_bits(f[refined], f_ref[refined])
     _assert_same_bits(t[refined], t_ref[refined])
     _assert_same_bits(f[out], vals[deep[out], out])
     _assert_same_bits(t[out], grid_ts[deep[out]])
-    assert np.all(f_ref[out] > sweptfield.field_band(field.resolution))
-    assert refined.any() and out.size
+    assert np.all(f[unsearched] == np.inf) and np.all(np.isnan(t[unsearched]))
+    assert np.all(f_ref[~refined] > sweptfield.field_band(field.resolution))
+    assert refined.any() and out.size and unsearched.size
 
 
 def test_field_equals_per_point_oracle(veh, bend_traj):
@@ -454,23 +466,30 @@ def test_count_edge_cases_hit_zero(veh):
         assert np.count_nonzero(field.f_star == 0.0) >= 7
 
 
-def _classes(path, veh, region, res):
-    cx, cy = sweptfield._region_grid(path, veh, region, res).axes()
-    cls, _ = sweptfield._certify(path, veh, cx, cy, sweptfield._coarse_poses(path))
-    ix, iy = np.meshgrid(np.arange(cx.size), np.arange(cy.size), indexing="ij")
-    return cls.ravel(), np.column_stack([cx[ix.ravel()], cy[iy.ravel()]])
+def _outside_and_far(path, veh, region, res):
+    """The centers of the cells that count_swept_cells certifies outside, and
+    of those it never searches."""
+    margin = sweptfield.CERT_MARGIN
+    grid, ix, iy, (_, f, refined) = sweptfield._search(path, veh, region, res, margin, -margin)
+    flat = ix * grid.height + iy
+    searched = np.zeros(grid.width * grid.height, dtype=bool)
+    searched[flat] = True
+    centers = grid.centers()
+    outside = centers[flat[~refined & (f > -margin)]]
+    count = count_swept_cells(path, veh, region, res)
+    assert (count.certified_outside, count.skipped_far) == (outside.shape[0], np.count_nonzero(~searched))
+    return outside, centers[~searched]
 
 
 @pytest.mark.parametrize("name", ["bend", "dash", "jab", "edge_line", "touch_and_retreat", "minco"])
 def test_certificates_hold_on_dense_samples(veh, name):
     path, region, res = COUNT_CASES[name]()
-    cls, pts = _classes(path, veh, region, res)
-    outside = pts[cls == sweptfield.OUTSIDE]
+    outside, far = _outside_and_far(path, veh, region, res)
     assert outside.size
     _, g_min = min_time_scan(outside, path, veh.length, veh.width, t_step=path.total_time / 19_999)
     assert g_min.min() > 0.0
     centers = path.sample(np.linspace(0.0, path.total_time, 20_000), 0)[:, :2]
-    dist, _ = cKDTree(centers).query(pts[cls == sweptfield.FAR])
+    dist, _ = cKDTree(centers).query(far)
     assert np.all(dist > veh.half_diagonal)
 
 
@@ -562,7 +581,9 @@ def test_scene_from_banded_field_equals_exact(tmp_path, veh, bend_traj):
     # Every cell refined: the search with no band.
     t_ref, f_ref = _batch(grid_centers(field), bend_traj, veh)
     shape = (field.width, field.height)
-    exact = SweptField(field.origin, field.resolution, *shape, f_ref.reshape(shape), t_ref.reshape(shape))
+    exact = SweptField(
+        field.origin, field.resolution, *shape, f_ref.reshape(shape), t_ref.reshape(shape), np.ones(shape, bool)
+    )
     assert not np.array_equal(field.f_star, exact.f_star)
     bounds = (*field.origin, *(field.origin + field.resolution * np.array(shape)))
     grid = rasterize_obstacles([], bounds, field.resolution)
@@ -583,8 +604,9 @@ def _spin_dash():
 def test_band_certificate_holds_on_dense_samples(veh, kind):
     path = _spin_dash() if kind == "spin_dash" else FROZEN_PATHS[kind]()
     field = compute_swept_field(path, veh, resolution=0.25)
+    # the cells not refined, the cells never searched among them
     out = grid_centers(field)[~field.refined.ravel()]
-    assert out.size
+    assert np.isinf(field.f_star.ravel()[~field.refined.ravel()]).any()
     _, g_min = min_time_scan(out, path, veh.length, veh.width, t_step=path.total_time / 19_999)
     assert g_min.min() > sweptfield.field_band(field.resolution)
 
@@ -813,7 +835,7 @@ def test_each_interval_bound_is_computed_once(veh, monkeypatch):
 
     monkeypatch.setattr(sweptfield, "_interval_bound", spy)
     field = compute_swept_field(path, veh, resolution=res)
-    blocks = -(-field.width * field.height // sweptfield.SCAN_BLOCK)
+    blocks = -(-np.count_nonzero(np.isfinite(field.f_star)) // sweptfield.SCAN_BLOCK)
     assert calls.count("scan") == (COARSE_SAMPLES - 1) * blocks
     assert calls.count("piece") > 0  # pieces were bisected
     assert calls.count("other") == 0
