@@ -70,13 +70,11 @@ def allocate(u_body: np.ndarray, veh, prev_gamma=None) -> list[WheelCommand]:
     return [fold_steering(wheel_velocity(u_body, w), g) for w, g in zip(wheels, held, strict=True)]
 
 
-def reconstruct_twist(commands: list[WheelCommand], veh, return_residual: bool = False):
+def reconstruct_twist(commands: list[WheelCommand], veh):
     """Least-squares body twist from wheel commands; inverse of allocate.
 
     Raises RankDeficient when the stacked wheel jacobian has rank below 3
-    (all wheels collinear or coincident). With return_residual=True also
-    returns the stacked velocity residual norm, nonzero for inconsistent
-    command sets.
+    (all wheels collinear or coincident).
     """
     wheels = np.atleast_2d(np.asarray(veh.wheel_positions, dtype=float))
     if len(commands) != wheels.shape[0]:
@@ -91,10 +89,7 @@ def reconstruct_twist(commands: list[WheelCommand], veh, return_residual: bool =
         a[2 * i + 1, 2] = xw
         b[2 * i] = cmd.speed * math.cos(cmd.gamma)
         b[2 * i + 1] = cmd.speed * math.sin(cmd.gamma)
-    u, residuals, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    u, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < 3:
         raise RankDeficient(f"wheel jacobian rank {rank} < 3; layout is degenerate")
-    if return_residual:
-        res = float(np.linalg.norm(a @ u - b))
-        return u, res
     return u

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import array
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .minco import (
     propagate_gradient,
     time_cost_with_grads,
 )
-from .sweptfield import least_time_distance
+from .sweptfield import TIME_TOL, UNWRITTEN, least_time_distance
 from .worldmodel import GridMap, InitialTrajectory
 
 T_MIN = 0.01  # duration floor under the softplus map, seconds
@@ -86,23 +85,24 @@ TRACE_COLUMNS = ("cost", "grad_norm", "step", "evals", "energy", "time", "deviat
 
 @dataclass
 class PlanReport:
-    trajectory: MincoTrajectory
-    trace: np.ndarray  # one TRACE_COLUMNS row per accepted point, the start point first
-    wall_time_s: float
+    """One stage's outcome; its fields not marked UNWRITTEN are the stage's
+    entry in plan_report.json, and `trace` is its rows of cost_trace.csv."""
+
+    trajectory: MincoTrajectory = field(metadata=UNWRITTEN)
+    trace: np.ndarray = field(metadata=UNWRITTEN)  # one TRACE_COLUMNS row per accepted point, the start point first
     converged: bool
     reason: str
-    stage: str
-    feasible: bool | None = None
-    min_clearance: float | None = None
+    iterations: int  # optimizer steps taken: accepted points after the start point
+    final_cost: float  # the cost of the last accepted point
 
-    @property
-    def cost_trace(self) -> list:
-        return self.trace[:, 0].tolist()
 
-    @property
-    def iterations(self) -> int:
-        """Optimizer steps taken: accepted points after the start point."""
-        return self.trace.shape[0] - 1
+@dataclass
+class CheckedPlanReport(PlanReport):
+    """A stage-2 outcome with its clearance check by `check_feasibility`."""
+
+    feasible: bool
+    min_clearance: float | None  # certified least footprint distance; None without obstacle points
+    clearance_time_tol: float = TIME_TOL  # seconds down to which the sign of min_clearance is certified
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +413,13 @@ def _lbfgs(fg, x0, opts: PlanOptions, c2):
 # stage drivers
 
 
-def _optimize(stage, t0, q0, T0, boundary, terms, opts, c2, check=None) -> PlanReport:
+def _optimize(q0, T0, boundary, terms, opts, c2) -> PlanReport:
     """One stage's L-BFGS over knots q and durations T = softplus(tau) >= T_MIN.
 
     terms lists (TRACE_COLUMNS name, weight, cost(traj)) in column order; the
     cost and both gradients sum the weighted terms left to right, and a term
     not listed traces as 0.0. Callers build terms per call, not at import, so
     each row calls the module binding current then (a wrapper included).
-    wall_time_s runs from the caller's t0 to the end of check(traj), which, if
-    given, returns the result's (feasible, min_clearance).
     """
     n_q = q0.size
 
@@ -442,19 +440,13 @@ def _optimize(stage, t0, q0, T0, boundary, terms, opts, c2, check=None) -> PlanR
 
     z0 = np.concatenate([q0.ravel(), softplus_inverse(np.maximum(T0, T_MIN * 1.001))])
     z, trace, converged, reason = _lbfgs(fg, z0, opts, c2)
-    out = build_minco(z[:n_q].reshape(-1, 3), softplus(z[n_q:]), boundary)
-    feasible, min_clear = check(out) if check else (None, None)
-    if feasible is False:
-        reason += "; infeasible_result"
     return PlanReport(
-        trajectory=out,
+        trajectory=build_minco(z[:n_q].reshape(-1, 3), softplus(z[n_q:]), boundary),
         trace=trace,
-        wall_time_s=time.perf_counter() - t0,
         converged=converged,
         reason=reason,
-        stage=stage,
-        feasible=feasible,
-        min_clearance=min_clear,
+        iterations=trace.shape[0] - 1,
+        final_cost=float(trace[-1, 0]),
     )
 
 
@@ -468,7 +460,6 @@ def optimize_stage1(
     opts = opts or PlanOptions()
     if init.count < 3:
         raise SizeMismatch("need at least 3 poses (one interior knot) to optimize")
-    t0 = time.perf_counter()
     poses = init.poses
     chord = np.diff(poses[:, :2], axis=0)
     T0 = np.maximum(np.hypot(chord[:, 0], chord[:, 1]) / max(opts.init_speed, 1e-6), 0.1)
@@ -478,7 +469,7 @@ def optimize_stage1(
         ("deviation", weights.deviation, lambda traj: deviation_cost_with_grads(traj, init)),
     ]
     boundary = Boundary.rest_to_rest(poses[0], poses[-1])
-    return _optimize("stage1", t0, poses[1:-1], T0, boundary, terms, opts, 0.9)
+    return _optimize(poses[1:-1], T0, boundary, terms, opts, 0.9)
 
 
 def check_feasibility(traj, grid: GridMap, veh: VehicleParams) -> tuple[bool, float]:
@@ -496,11 +487,12 @@ def optimize_stage2(
     veh: VehicleParams,
     weights: PlannerWeights | None = None,
     opts: PlanOptions | None = None,
-) -> PlanReport:
-    """Collision- and sweep-aware refinement starting from the stage-1 spline."""
+) -> CheckedPlanReport:
+    """Collision- and sweep-aware refinement starting from the stage-1 spline,
+    then `check_feasibility` of the result; an infeasible result's reason
+    ends in "; infeasible_result"."""
     weights = weights or PlannerWeights()
     opts = opts or PlanOptions()
-    t0 = time.perf_counter()
     neighbours = _NeighbourList(grid)
     terms = [
         ("energy", weights.energy, energy_cost_with_grads),
@@ -508,7 +500,10 @@ def optimize_stage2(
         ("obstacle", weights.obstacle, lambda tr: obstacle_cost_with_grads(tr, grid, veh, weights.safety_margin, neighbours)),
         ("sweep", weights.sweep, sweep_cost_with_grads),
     ]
-    return _optimize(
-        "stage2", t0, traj.waypoints, traj.durations, traj.boundary, terms, opts, math.inf,
-        lambda out: check_feasibility(out, grid, veh),
+    report = _optimize(traj.waypoints, traj.durations, traj.boundary, terms, opts, math.inf)
+    feasible, clearance = check_feasibility(report.trajectory, grid, veh)
+    if not feasible:
+        report.reason += "; infeasible_result"
+    return CheckedPlanReport(
+        **vars(report), feasible=feasible, min_clearance=clearance if math.isfinite(clearance) else None
     )

@@ -110,10 +110,11 @@ class SweptField(Grid):
     refined: np.ndarray  # (width, height): the cells whose f* and t* were refined
 
 
-# The report records (SweepCount, AreaReport, sim.MetricsReport) are written
-# as JSON objects, one key per field, except the fields marked UNWRITTEN: a
-# nested record (it has its own file), a wall-clock time (it goes to
-# timings.json only) and the swept-cell count (its area is written).
+# The report records (SweepCount, AreaReport, sim.MetricsReport and the
+# planner's PlanReport) are written as JSON objects, one key per field, except
+# the fields marked UNWRITTEN: a nested record, trajectory or trace (each has
+# its own file), a wall-clock time (it goes to timings.json only) and the
+# swept-cell count (its area is written).
 UNWRITTEN = {"written": False}
 
 

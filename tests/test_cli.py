@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -15,6 +16,7 @@ from helpers import on_area_grid, straight_traj
 from oracles import write_csv_per_value
 import sweptplan.cli as cli
 import sweptplan.mpc as mpc
+import sweptplan.planner as planner
 import sweptplan.sim as sim
 from sweptplan.cli import (
     MissingArtifact,
@@ -28,6 +30,7 @@ from sweptplan.cli import (
     write_field_csv,
 )
 from sweptplan.minco import MincoTrajectory
+from sweptplan.planner import TRACE_COLUMNS, CheckedPlanReport, PlanReport
 from sweptplan.sweptfield import UNWRITTEN, AreaReport, SweepCount, SweptField, compute_swept_field, min_time_distance
 from sweptplan.worldmodel import Grid
 
@@ -284,6 +287,32 @@ def test_cost_trace_columns_explain_convergence(straight_all):
         for term in row[5:]:
             total += term
         assert total == row[0]
+
+
+def _written(record) -> set:
+    return {f.name for f in dataclasses.fields(record) if f.metadata != UNWRITTEN}
+
+
+def test_plan_report_stage_entries_are_their_records(straight_all):
+    report = json.loads((straight_all / "plan_report.json").read_text())
+    assert set(report["stage1"]) == _written(PlanReport)
+    assert set(report["stage2"]) == _written(CheckedPlanReport)
+
+
+def test_plan_stage2_time_covers_the_feasibility_check(tmp_path, monkeypatch):
+    """plan_stage2_s runs through check_feasibility, and the plan's three
+    parts fit inside plan_s."""
+    check = planner.check_feasibility
+
+    def slow_check(*args):
+        time.sleep(0.2)
+        return check(*args)
+
+    monkeypatch.setattr(planner, "check_feasibility", slow_check)
+    assert run_pipeline(parse_scenario(STRAIGHT), ["plan"], str(tmp_path)) == 0
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    assert timings["plan_stage2_s"] >= 0.2
+    assert timings["plan_init_s"] + timings["plan_stage1_s"] + timings["plan_stage2_s"] <= timings["plan_s"]
 
 
 @pytest.mark.parametrize(
@@ -899,11 +928,14 @@ def test_readme_artifact_table_names_every_column_and_key(straight_all):
     columns = {c.replace("{}", "*") for _, cols in cli.TRACE_CSV for c in ([cols] if isinstance(cols, str) else cols)}
     assert columns - rows["trace.csv"] == set()
     assert {"step", *sim.QP_COLUMNS} - rows["qp_log.csv"] == set()
+    assert {"stage", "iteration", *TRACE_COLUMNS} - rows["cost_trace.csv"] == set()
     records = {"area.json": AreaReport, "metrics.json": sim.MetricsReport, "metrics_sweep.json": SweepCount}
     for name, record in records.items():
         keys = set(json.loads((straight_all / name).read_text()))
-        assert {f.name for f in dataclasses.fields(record) if f.metadata != UNWRITTEN} <= keys, name
+        assert _written(record) <= keys, name
         assert keys - rows[name] == set(), name
+    plan = json.loads((straight_all / "plan_report.json").read_text())
+    assert {*plan, *plan["stage1"], *plan["stage2"]} - rows["plan_report.json"] == set()
 
 
 def test_readme_flags_list_every_cli_option(capsys):

@@ -148,13 +148,19 @@ def test_reconstruct_uniform_forward(veh):
 
 
 def test_reconstruct_reports_residual(veh):
+    """The round trip allocate(reconstruct_twist(cmds)) returns a consistent
+    command set's wheel velocities and leaves an inconsistent set's residual."""
+
+    def velocities(cmds):
+        return np.array([(c.speed * math.cos(c.gamma), c.speed * math.sin(c.gamma)) for c in cmds])
+
     cmds = allocate(np.array([0.5, -0.3, 0.4]), veh)
-    u, res = reconstruct_twist(cmds, veh, return_residual=True)
-    assert res < 1e-12
+    back = allocate(reconstruct_twist(cmds, veh), veh)
+    assert np.linalg.norm(velocities(back) - velocities(cmds)) < 1e-12
     bad = list(cmds)
     bad[2] = WheelCommand(gamma=bad[2].gamma, speed=bad[2].speed + 0.3)
-    u2, res2 = reconstruct_twist(bad, veh, return_residual=True)
-    assert res2 > 0.01
+    back = allocate(reconstruct_twist(bad, veh), veh)
+    assert np.linalg.norm(velocities(back) - velocities(bad), axis=1).max() > 0.01
 
 
 def test_reconstruct_rank_deficient():
