@@ -366,10 +366,14 @@ FIELD_COLUMNS = ["x", "y", "f_star", "t_star"]
 
 
 def _write_csv(path: str, header: list, rows) -> None:
+    """The header, then one line per row of values written as repr(float):
+    one repr call per value, grouped into rows by zip rather than a join per row."""
     data = np.asarray(rows, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(repr, r)) + "\n" for r in data.tolist())
+        if len(data):
+            values = map(repr, data.ravel().tolist())
+            fh.write("\n".join(map(",".join, zip(*[values] * data.shape[1]))) + "\n")
 
 
 def write_field_csv(path: str, field: SweptField) -> None:

@@ -179,9 +179,10 @@ def footprint_sdf_batch(points: np.ndarray, length: float, width: float):
     hyp = np.hypot(np.where(corner, dx, 1.0), np.where(corner, dy, 1.0))
     values = np.where(corner, hyp, np.maximum(dx, dy))
 
-    gx = np.where(corner, dx * sx / hyp, np.where(dx >= dy, sx, 0.0))
-    gy = np.where(corner, dy * sy / hyp, np.where(dx >= dy, 0.0, sy))
-    grads = np.stack([gx, gy], axis=-1)
+    x_edge = dx >= dy
+    grads = np.empty(values.shape + (2,))
+    grads[..., 0] = np.where(corner, dx * sx / hyp, np.where(x_edge, sx, 0.0))
+    grads[..., 1] = np.where(corner, dy * sy / hyp, np.where(x_edge, 0.0, sy))
     return values, grads
 
 

@@ -40,6 +40,7 @@ _LDAB = 3 * _BAND + 1
 # _DERIV[order][i]: factor of t^(i - order) in the order-th derivative of t^i,
 # the falling factorial i (i - 1) ... (i - order + 1); zero when i < order.
 _DERIV = [[float(math.perm(i, order)) for i in range(6)] for order in range(6)]
+_DERIV_TABLE = np.array(_DERIV)[:, :, None, None]  # broadcast over (component, segment)
 # Relative slack on rate_bounds: the rounding of its Horner sums and of a
 # sampled rate stays far below it.
 _RATE_MARGIN = 1e-9
@@ -90,9 +91,9 @@ def _band_pattern(n_seg: int):
 
     Entry k has the value factor[k] * powers[power[k]], where powers is the
     (n_seg, 6) table of T_seg ** p flattened (rows evaluated at local time 0
-    use p = 0). It sits at flat index ab_flat[k] of the column-major banded
-    storage and at abt_flat[k] of the transpose's. The arrays are shared, so
-    read-only.
+    use p = 0). In a flat (2, n, _LDAB) buffer, whose [0] is the column-major
+    banded storage and [1] the transpose's, it sits at ab_flat[k] and at
+    abt_flat[k]. The arrays are shared, so read-only.
     """
     rows, cols, power, factor = [], [], [], []
 
@@ -118,7 +119,7 @@ def _band_pattern(n_seg: int):
     rows, cols = np.array(rows), np.array(cols)
     # Entry (i, j) of a banded matrix sits at row 2 _BAND + i - j of column j.
     ab_flat = cols * _LDAB + 2 * _BAND + rows - cols
-    abt_flat = rows * _LDAB + 2 * _BAND + cols - rows
+    abt_flat = (6 * n_seg + rows) * _LDAB + 2 * _BAND + cols - rows
     pattern = (ab_flat, abt_flat, np.array(power), np.array(factor))
     for a in pattern:
         a.setflags(write=False)
@@ -137,18 +138,19 @@ def _assemble(T: np.ndarray):
     Rows _BAND.. of each hold solve_banded's (2 _BAND + 1, n) layout.
     """
     n_seg = T.shape[0]
-    n = 6 * n_seg
     ab_flat, abt_flat, power, factor = _band_pattern(n_seg)
     # Powers from Python floats: numpy's array power rounds some of them differently.
-    powers = np.array([[t**p for p in range(6)] for t in T.tolist()])
-    values = factor * powers.ravel()[power]
+    powers = []
+    for t in T.tolist():
+        powers += (1.0, t, t**2, t**3, t**4, t**5)
+    values = factor * np.array(powers).take(power)
     _check_finite(values)
-    # Column-major (_LDAB, n), so LAPACK works on them in place.
-    ab = np.zeros((n, _LDAB)).T
-    abt = np.zeros((n, _LDAB)).T
-    ab.T.ravel()[ab_flat] = values
-    abt.T.ravel()[abt_flat] = values
-    return ab, abt
+    # Each half transposed is column-major (_LDAB, n), so LAPACK works on it in place.
+    both = np.zeros((2, 6 * n_seg, _LDAB))
+    flat = both.reshape(-1)
+    flat[ab_flat] = values
+    flat[abt_flat] = values
+    return both[0].T, both[1].T
 
 
 def _rhs(q: np.ndarray, boundary: Boundary, n_seg: int) -> np.ndarray:
@@ -177,14 +179,18 @@ class MincoTrajectory:
         self.waypoints = np.asarray(waypoints, dtype=float).reshape(-1, 3)
         self.boundary = boundary
         self.coeffs = np.asarray(coeffs, dtype=float)
-        self.knot_times = np.concatenate([[0.0], np.cumsum(self.durations)])
         self._adjoint_band = adjoint_band
+
+    @functools.cached_property
+    def knot_times(self) -> np.ndarray:
+        """(N,) knot times from 0: built on first use, as the optimizer never samples."""
+        return np.concatenate([[0.0], np.cumsum(self.durations)])
 
     @functools.cached_property
     def _tables(self) -> np.ndarray:
         """(6, 6, 3, N-1) table: [order, power, component, segment] holds the
         power's coefficient times its order-th derivative factor _DERIV."""
-        return np.array(_DERIV)[:, :, None, None] * self.coeffs.transpose(1, 2, 0)
+        return _DERIV_TABLE * self.coeffs.transpose(1, 2, 0)
 
     @functools.cached_property
     def _adjoint_lu(self):
@@ -309,9 +315,9 @@ def build_minco(q: np.ndarray, T: np.ndarray, boundary: Boundary) -> MincoTrajec
         raise ValueError("need at least one segment")
     if q.shape[0] != n_seg - 1:
         raise ValueError(f"waypoint count {q.shape[0]} does not match segment count {n_seg}")
-    if np.any(T <= 0.0):
+    if (T <= 0.0).any():
         raise NonPositiveDuration(f"durations must be positive, got {T}")
-    if np.any(T < 1e-6):
+    if (T < 1e-6).any():
         raise SingularSystem(f"durations below 1e-6 s make the system numerically singular: {T}")
     ab, abt = _assemble(T)
     b = _rhs(q, boundary, n_seg)
@@ -339,7 +345,8 @@ def propagate_gradient(traj: MincoTrajectory, costs: list[CostWithGrads]) -> lis
     lu, piv = traj._adjoint_lu
     # Column-major, with three zero rows after the n rows LAPACK solves.
     b = np.zeros((k, 3, n + 3))
-    b[:, :, :n] = np.array([costs[i].grad_C for i in coupled]).reshape(k, n, 3).transpose(0, 2, 1)
+    for block, i in zip(b, coupled):
+        block[:, :n] = costs[i].grad_C.reshape(n, 3).T
     _check_finite(b)
     lam, _ = dgbtrs(lu, _BAND, _BAND, b.reshape(3 * k, n + 3).T, piv, overwrite_b=1)
     # rows[c, j, o] is row 6 j + 3 + o of cost c's lambda: knot j + 1 enters rows 6 j + 3
@@ -377,10 +384,13 @@ def _horner(traj: MincoTrajectory, seg, tau, order: int) -> np.ndarray:
     return out.transpose((*range(1, out.ndim), 0))
 
 
-# Energy coefficients: of the six products c_a c_b (36 c3^2, 144 c3 c4,
-# 240 c3 c5, 720 c4 c5, 720 c5^2, 192 c4^2), and of grad_C row r's term in
+# Energy coefficients: of the six products K c_a c_b (36 c3^2, 144 c3 c4,
+# 240 c3 c5, 720 c4 c5, 720 c5^2, 192 c4^2), with the factors a and b as row
+# indices of the cubic..quintic coefficients; and of grad_C row r's term in
 # c_k, multiplied by T^(r + k + 1).
-_ENERGY_K = np.array([36.0, 144.0, 240.0, 720.0, 720.0, 192.0])
+_ENERGY_K = np.array([36.0, 144.0, 240.0, 720.0, 720.0, 192.0])[:, None, None]
+_ENERGY_A = np.array([0, 0, 0, 1, 2, 1])
+_ENERGY_B = np.array([0, 1, 2, 2, 2, 1])
 _ENERGY_GRAD_K = np.array([[72.0, 144.0, 240.0], [144.0, 384.0, 720.0], [240.0, 720.0, 1440.0]])[:, :, None, None]
 _ENERGY_GRAD_T = np.add.outer(np.arange(3), np.arange(3))
 
@@ -399,14 +409,14 @@ def energy_cost_with_grads(traj: MincoTrajectory) -> CostWithGrads:
     # axis, so they add left to right as the written-out terms do; starting
     # from -0.0, the exact additive identity, keeps a sum of -0.0 terms -0.0.
     c = C[:, 3:, :].transpose(1, 0, 2)
-    tp = np.cumprod(np.repeat(T[:, None], 5, axis=1), axis=1).T[:, :, None]
+    tp = np.multiply.accumulate(T[None].repeat(5, axis=0), axis=0)[:, :, None]
     # The six products K a b, 192 c4^2 last so it adds into 240 c3 c5.
-    prod = (_ENERGY_K[:, None, None] * c[[0, 0, 0, 1, 2, 1]]) * c[[0, 1, 2, 2, 2, 1]]
+    prod = (_ENERGY_K * c[_ENERGY_A]) * c[_ENERGY_B]
     prod[2] += prod[5]
-    value = float(np.sum(np.add.reduce(prod[:5] * tp, axis=0, initial=-0.0)))
-    grad_C = np.zeros_like(C)
-    grad_rows = np.add.reduce((_ENERGY_GRAD_K * c) * tp[_ENERGY_GRAD_T], axis=1, initial=-0.0)
-    grad_C[:, 3:, :] = grad_rows.transpose(1, 0, 2)
+    value = float(np.add.reduce(prod[:5] * tp, axis=0, initial=-0.0).sum())
+    grad_C = np.zeros(C.shape)
+    rows = grad_C[:, 3:, :].transpose(1, 0, 2)
+    np.add.reduce((_ENERGY_GRAD_K * c) * tp[_ENERGY_GRAD_T], axis=1, initial=-0.0, out=rows)
     # Direct T dependence: the integrand (squared jerk) evaluated at the segment end.
     jerk = traj._end_rows[2]
     grad_q = np.zeros((max(traj.n_segments - 1, 0), 3))
@@ -416,10 +426,10 @@ def energy_cost_with_grads(traj: MincoTrajectory) -> CostWithGrads:
 def time_cost_with_grads(T: np.ndarray) -> CostWithGrads:
     """Total duration with its trivial gradients."""
     T = np.asarray(T, dtype=float)
-    if np.any(T <= 0.0):
+    if (T <= 0.0).any():
         raise NonPositiveDuration(f"durations must be positive, got {T}")
     return CostWithGrads(
         value=float(T.sum()),
         grad_q=np.zeros((max(T.shape[0] - 1, 0), 3)),
-        grad_T=np.ones_like(T),
+        grad_T=np.ones(T.shape),
     )

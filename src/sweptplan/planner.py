@@ -23,6 +23,7 @@ the hinge margin reach the exact SDF: no other point can activate the hinge.
 from __future__ import annotations
 
 import array
+import collections
 import math
 from dataclasses import dataclass, field
 
@@ -54,6 +55,7 @@ LBFGS_MEMORY = 8  # curvature pairs kept by the quasi-Newton loop
 LINE_SEARCH_C1 = 1e-4  # sufficient-decrease (Armijo) constant of the line search
 LINE_SEARCH_EVALS = 30  # cost evaluations one line search may make
 SWEEP_MIN_SPEED_SQ = 1e-8  # (m/s)^2: the sweep term skips knots moving slower
+_XYZ = np.arange(3)  # a knot's coordinates, as bin offsets of the hinge gradient
 
 
 class SizeMismatch(Exception):
@@ -123,7 +125,7 @@ def deviation_cost_with_grads(traj: MincoTrajectory, ref: InitialTrajectory) -> 
     anchors = ref.poses[1:-1]
     diff = traj.waypoints - anchors
     diff[:, 2] = wrap_angles(diff[:, 2])
-    value = float(np.sum(diff * diff))
+    value = float((diff * diff).sum())
     return CostWithGrads(
         value=value, grad_q=2.0 * diff, grad_T=np.zeros(n_seg)
     )
@@ -150,34 +152,48 @@ def obstacle_cost_with_grads(
     n_seg = traj.n_segments
     q = traj.waypoints
     n_int = q.shape[0]
-    grad_q = np.zeros_like(q)
-    pts = grid.obstacle_points
-    if pts.shape[0] == 0 or n_int == 0:
-        return CostWithGrads(value=0.0, grad_q=grad_q, grad_T=np.zeros(n_seg))
-    k_idx, body = (neighbours or _NeighbourList(grid)).pairs(q, veh.length, veh.width, safety_margin)
+    zero = CostWithGrads(value=0.0, grad_q=np.zeros(q.shape), grad_T=np.zeros(n_seg))
+    if grid.obstacle_points.shape[0] == 0 or n_int == 0:
+        return zero
+    frames = _frames(q)
+    k_idx, body = (neighbours or _NeighbourList(grid)).pairs(q, veh.length, veh.width, safety_margin, frames)
     if k_idx.size == 0:
-        return CostWithGrads(value=0.0, grad_q=grad_q, grad_T=np.zeros(n_seg))
+        return zero
     f, g_body = footprint_sdf_batch(body, veh.length, veh.width)
     act = f < safety_margin
     if not act.any():
-        return CostWithGrads(value=0.0, grad_q=grad_q, grad_T=np.zeros(n_seg))
+        return zero
     k_act = k_idx[act]
     h = safety_margin - f[act]
-    value = float(np.sum(h**3))
+    value = float((h**3).sum())
     dJdF = -3.0 * h * h
-    gb = g_body[act]
-    c = np.cos(q[:, 2])[k_act]
-    s = np.sin(q[:, 2])[k_act]
-    # World gradient w.r.t. the knot position is the negated rotated body gradient.
-    gwx = c * gb[:, 0] - s * gb[:, 1]
-    gwy = s * gb[:, 0] + c * gb[:, 1]
-    # d(body point)/d(phi) = R'^T (P - p) = (body_y, -body_x) in the body frame.
-    body_act = body[act]
-    dF_dphi = gb[:, 0] * body_act[:, 1] - gb[:, 1] * body_act[:, 0]
-    grad_q[:, 0] = np.bincount(k_act, weights=dJdF * -gwx, minlength=n_int)
-    grad_q[:, 1] = np.bincount(k_act, weights=dJdF * -gwy, minlength=n_int)
-    grad_q[:, 2] = np.bincount(k_act, weights=dJdF * dF_dphi, minlength=n_int)
-    return CostWithGrads(value=value, grad_q=grad_q, grad_T=np.zeros(n_seg))
+    gbx, gby = g_body[act].T
+    bx, by = body[act].T
+    c, s = frames[2:].take(k_act, axis=1)
+    # Per active pair, dJ/dF times dF/d(x, y, phi). dF/d(x, y) = -(gwx, gwy), the
+    # body gradient rotated into the world frame, here s gby - c gbx and
+    # -s gbx - c gby: only a zero's sign can differ from -gwx and -gwy, and the
+    # bincount's sums from +0.0 drop it. d(body point)/d(phi) = R'^T (P - p)
+    # = (body_y, -body_x) in the body frame.
+    w = np.empty((k_act.size, 3))
+    np.subtract(s * gby, c * gbx, out=w[:, 0])
+    np.subtract(-s * gbx, c * gby, out=w[:, 1])
+    np.subtract(gbx * by, gby * bx, out=w[:, 2])
+    w *= dJdF[:, None]
+    # One bincount over the (knot, coordinate) bins adds each bin's pairs in order.
+    bins = 3 * k_act[:, None] + _XYZ
+    grad_q = np.bincount(bins.ravel(), weights=w.ravel(), minlength=3 * n_int).reshape(n_int, 3)
+    return CostWithGrads(value=value, grad_q=grad_q, grad_T=zero.grad_T)
+
+
+def _frames(q: np.ndarray) -> np.ndarray:
+    """(4, n) rows x, y, cos(phi) and sin(phi) of the knots q: one take
+    gathers a pair's knot frame."""
+    frames = np.empty((4, q.shape[0]))
+    frames[:2] = q[:, :2].T
+    np.cos(q[:, 2], out=frames[2])
+    np.sin(q[:, 2], out=frames[3])
+    return frames
 
 
 class _NeighbourList:
@@ -195,43 +211,63 @@ class _NeighbourList:
 
     def __init__(self, grid: GridMap):
         self.grid = grid
+        # The obstacle points' x and y as contiguous rows, for the exhaustive test.
+        self.xy = grid.obstacle_points.T.copy()
+        self.offsets = None
         self.anchors = None
         self.box = None
 
-    def _query(self, q: np.ndarray, box) -> None:
+    def _query(self, q: np.ndarray, box, frames: np.ndarray) -> None:
         self.anchors = q.copy()
         self.box = length, width, margin = box
-        pts = self.grid.obstacle_points
+        self.half = np.array([[length / 2.0], [width / 2.0]])
         hx = length / 2.0 + margin + _SKIN + _QUERY_SLACK
         hy = width / 2.0 + margin + _SKIN + _QUERY_SLACK
         # The square around the box's circumcircle first, so few points rotate.
+        # Its (2, knots, points) offsets go into a buffer kept across rebuilds:
+        # a fresh array that size costs more in page faults than in arithmetic.
         r = math.hypot(hx, hy)
-        ax, ay = pts[None, :, 0] - q[:, None, 0], pts[None, :, 1] - q[:, None, 1]
-        k_idx, m_idx = np.nonzero((np.abs(ax, out=ax) <= r) & (np.abs(ay, out=ay) <= r))
-        body = _body_offsets(q, k_idx, pts[m_idx, 0], pts[m_idx, 1])
+        d = self.offsets
+        if d is None or d.shape[1] != q.shape[0]:
+            d = self.offsets = np.empty((2, q.shape[0], self.xy.shape[1]))
+        np.subtract(self.xy[:, None, :], q[:, :2].T[:, :, None], out=d)
+        np.abs(d, out=d)
+        # np.nonzero's pairs in its order, from the flat indices: a 2-D nonzero costs more.
+        hits = np.flatnonzero(np.maximum(d[0], d[1], out=d[0]) <= r)
+        k_idx, m_idx = np.divmod(hits, self.xy.shape[1])
+        body = _body_offsets(frames, k_idx, self.xy[:, m_idx])
         keep = (np.abs(body[:, 0]) <= hx) & (np.abs(body[:, 1]) <= hy)
-        self.k_idx, m_idx = k_idx[keep], m_idx[keep]
-        self.px, self.py = pts[m_idx, 0], pts[m_idx, 1]
+        self.k_idx, self.p = k_idx[keep], self.xy[:, m_idx[keep]]
 
-    def pairs(self, q: np.ndarray, length: float, width: float, margin: float):
+    def pairs(self, q: np.ndarray, length: float, width: float, margin: float, frames=None):
         """Knot indices, knot-major with points ascending, and the (m, 2)
         body-frame offsets, rotated as the SDF input is, of every pair with
-        |bx| - length / 2 < margin and |by| - width / 2 < margin."""
+        |bx| - length / 2 < margin and |by| - width / 2 < margin. frames is
+        `_frames(q)` when the caller has it."""
+        if frames is None:
+            frames = _frames(q)
         box, a = (length, width, margin), self.anchors
-        reach = math.hypot(length / 2.0 + margin, width / 2.0 + margin)
-        if (a is None or box != self.box or a.shape[0] != q.shape[0] or not (
-                np.hypot(q[:, 0] - a[:, 0], q[:, 1] - a[:, 1]) + np.abs(q[:, 2] - a[:, 2]) * reach <= _SKIN).all()):
-            self._query(q, box)
-        body = _body_offsets(q, self.k_idx, self.px, self.py)
+        if a is None or box != self.box or a.shape[0] != q.shape[0]:
+            self._query(q, box, frames)
+        else:
+            reach = math.hypot(length / 2.0 + margin, width / 2.0 + margin)
+            d = (q - a).T
+            if not (np.hypot(d[0], d[1]) + np.abs(d[2]) * reach <= _SKIN).all():
+                self._query(q, box, frames)
+        body = _body_offsets(frames, self.k_idx, self.p)
         # The same subtraction as the SDF's, so a dropped point's SDF is >= margin.
-        keep = (np.abs(body[:, 0]) - length / 2.0 < margin) & (np.abs(body[:, 1]) - width / 2.0 < margin)
+        edge = np.abs(body.T)
+        edge -= self.half
+        keep = (edge < margin).all(axis=0)
         return self.k_idx[keep], body[keep]
 
 
-def _body_offsets(q: np.ndarray, k_idx: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """(m, 2) offsets of the points (px, py) in the body frames of their knots q[k_idx]."""
-    c, s = np.cos(q[:, 2])[k_idx], np.sin(q[:, 2])[k_idx]
-    return to_body_frame(px - q[k_idx, 0], py - q[k_idx, 1], c, s, out=np.empty((2, k_idx.size)))
+def _body_offsets(frames: np.ndarray, k_idx: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(m, 2) offsets of the points p, a (2, m) array, in the body frames of
+    their knots k_idx, whose `_frames` are frames."""
+    g = frames.take(k_idx, axis=1)
+    d = p - g[:2]
+    return to_body_frame(d[0], d[1], g[2], g[3], out=np.empty(d.shape))
 
 
 def sweep_cost_with_grads(traj: MincoTrajectory) -> CostWithGrads:
@@ -244,19 +280,19 @@ def sweep_cost_with_grads(traj: MincoTrajectory) -> CostWithGrads:
     """
     n_seg = traj.n_segments
     grad_q = np.zeros((max(n_seg - 1, 0), 3))
-    grad_C = np.zeros_like(traj.coeffs)
+    grad_C = np.zeros(traj.coeffs.shape)
     value = 0.0
-    rows = []  # per knot: the partials w.r.t. its heading and its velocity's x and y
+    rows = []  # per knot, flat: the partials w.r.t. its heading and its velocity's x and y
     # Python floats do the same double arithmetic as numpy scalars, faster.
     knots = zip(traj.coeffs[1:, 1, :2].tolist(), traj.waypoints[:, 2].tolist())
     for (vx, vy), phi in knots:
         s2 = vx * vx + vy * vy
         if s2 < SWEEP_MIN_SPEED_SQ:
-            rows.append((0.0, 0.0, 0.0))
+            rows += (0.0, 0.0, 0.0)
             continue
         delta = wrap_angle(phi - math.atan2(vy, vx))
         value += delta * delta
-        rows.append((2.0 * delta, 2.0 * delta * (vy / s2), 2.0 * delta * (-vx / s2)))
+        rows += (2.0 * delta, 2.0 * delta * (vy / s2), 2.0 * delta * (-vx / s2))
     # + 0.0 stores them as an add into zeros would: a -0.0 as +0.0.
     grad_q[:, 2], grad_C[1:, 1, 0], grad_C[1:, 1, 1] = (np.array(rows).reshape(-1, 3) + 0.0).T
     return CostWithGrads(value=value, grad_q=grad_q, grad_T=np.zeros(n_seg), grad_C=grad_C)
@@ -300,7 +336,7 @@ def _line_search(fg, x, f, g, d, c2):
     g, terms, evals) of the accepted step, which is always the last point
     evaluated, or None.
     """
-    g0 = float(g @ d)
+    g0 = float(g.dot(d))
     if g0 >= 0.0:
         return None
     lo, f_lo = 0.0, f
@@ -311,7 +347,7 @@ def _line_search(fg, x, f, g, d, c2):
     while True:
         if evals >= LINE_SEARCH_EVALS:
             return None
-        g_a = float(g_vec @ d)
+        g_a = float(g_vec.dot(d))
         if not f_a <= f + LINE_SEARCH_C1 * alpha * g0 or (evals > 1 and f_a >= f_lo):
             hi = alpha
             break
@@ -330,7 +366,7 @@ def _line_search(fg, x, f, g, d, c2):
         alpha = 0.5 * (lo + hi)
         f_a, g_vec, terms = fg(x + alpha * d)
         evals += 1
-        g_a = float(g_vec @ d)
+        g_a = float(g_vec.dot(d))
         if not f_a <= f + LINE_SEARCH_C1 * alpha * g0 or f_a >= f_lo:
             hi = alpha
         else:
@@ -353,12 +389,21 @@ def _lbfgs(fg, x0, opts: PlanOptions, c2):
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g, terms = fg(x)
-    gnorm = math.sqrt(float(g @ g))  # np.linalg.norm's bits
+    # .dot is the BLAS dot product @ computes, without matmul's ufunc dispatch; the norm is np.linalg.norm's bits.
+    gnorm = math.sqrt(float(g.dot(g)))
     # Flat doubles rather than a list of tuples: a stage-2 trace has ~1,000 rows.
     trace = array.array("d", (f, gnorm, 0.0, 1, *terms))
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    # Curvature pairs (s, y, 1 / s.y), oldest first; scale is s.y / y.y of the newest.
+    pairs = collections.deque(maxlen=LBFGS_MEMORY)
+    scale = 1.0
+    # The accepted step is the last point evaluated, so its x + alpha d is kept, not recomputed.
+    point = x
+
+    def fg_at(z):
+        nonlocal point
+        point = z
+        return fg(z)
+
     converged = False
     reason = "max_iterations"
     for _ in range(opts.max_iterations):
@@ -368,40 +413,34 @@ def _lbfgs(fg, x0, opts: PlanOptions, c2):
         # two-loop recursion
         d = -g
         alphas = []
-        for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-            a = rho * float(s @ d)
+        for s, y, rho in reversed(pairs):
+            a = rho * float(s.dot(d))
             alphas.append(a)
             d -= a * y
-        if y_hist:
-            y_last, s_last = y_hist[-1], s_hist[-1]
-            d *= float(s_last @ y_last) / max(float(y_last @ y_last), 1e-300)
-        for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-            b = rho * float(y @ d)
+        if pairs:
+            d *= scale
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            b = rho * float(y.dot(d))
             d += (a - b) * s
-        if float(g @ d) >= 0.0:
+        if float(g.dot(d)) >= 0.0:
             # Fall back to steepest descent if curvature info went stale.
             d = -g
-            s_hist.clear()
-            y_hist.clear()
-            rho_hist.clear()
-        res = _line_search(fg, x, f, g, d, c2)
+            pairs.clear()
+        res = _line_search(fg_at, x, f, g, d, c2)
         if res is None:
             converged, reason = False, "line_search_failure"
             break
         alpha, f_new, g_new, terms, evals = res
         s = alpha * d
         y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-12 * math.sqrt(float(s @ s)) * math.sqrt(float(y @ y)):
-            s_hist.append(s)
-            y_hist.append(y)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > LBFGS_MEMORY:
-                s_hist.pop(0), y_hist.pop(0), rho_hist.pop(0)
-        x = x + s
+        sy, yy = float(s.dot(y)), float(y.dot(y))
+        if sy > 1e-12 * math.sqrt(float(s.dot(s))) * math.sqrt(yy):
+            pairs.append((s, y, 1.0 / sy))
+            scale = sy / max(yy, 1e-300)
+        x = point
         rel = abs(f - f_new) / max(1.0, abs(f))
         f, g = f_new, g_new
-        gnorm = math.sqrt(float(g @ g))
+        gnorm = math.sqrt(float(g.dot(g)))
         trace.extend((f, gnorm, alpha, evals, *terms))
         if rel < opts.cost_tol:
             converged, reason = True, "cost_tolerance"
@@ -422,21 +461,29 @@ def _optimize(q0, T0, boundary, terms, opts, c2) -> PlanReport:
     each row calls the module binding current then (a wrapper included).
     """
     n_q = q0.size
+    costs = [cost for _, _, cost in terms]
+    weights = [w for _, w, _ in terms]
+    # Column k of the weighted terms' trace row each term fills.
+    slots = [TRACE_COLUMNS.index(name) - 4 for name, _, _ in terms]
+    w_rows = np.array(weights, dtype=float)[:, None]
 
     def fg(z):
         tau = z[n_q:]
         traj = build_minco(z[:n_q].reshape(-1, 3), softplus(tau), boundary)
-        traced = dict.fromkeys(TRACE_COLUMNS[4:], 0.0)
-        # Row i: term i's weighted cost and (q, T) gradient, added left to right.
-        rows = np.empty((len(terms), 1 + z.size))
-        costs = propagate_gradient(traj, [cost(traj) for _, _, cost in terms])
-        for row, (name, w, _), c in zip(rows, terms, costs):
-            row[0] = traced[name] = w * c.value
-            np.multiply(w, c.grad_q.ravel(), out=row[1 : 1 + n_q])
-            np.multiply(w, c.grad_T, out=row[1 + n_q :])
-        total = np.add.reduce(rows, axis=0)
-        total[1 + n_q :] *= _sigmoid(tau)
-        return float(total[0]), total[1:], tuple(traced.values())
+        folded = propagate_gradient(traj, [cost(traj) for cost in costs])
+        # Row i: term i's (q, T) gradient, weighted, then the rows added left to right.
+        rows = np.concatenate([g for c in folded for g in (c.grad_q.ravel(), c.grad_T)])
+        rows = rows.reshape(len(folded), -1)
+        rows *= w_rows
+        grad = np.add.reduce(rows, axis=0)
+        grad[n_q:] *= _sigmoid(tau)
+        # The weighted costs, added left to right from the first.
+        traced = [0.0] * (len(TRACE_COLUMNS) - 4)
+        f = None
+        for k, w, c in zip(slots, weights, folded):
+            v = traced[k] = w * c.value
+            f = v if f is None else f + v
+        return f, grad, tuple(traced)
 
     z0 = np.concatenate([q0.ravel(), softplus_inverse(np.maximum(T0, T_MIN * 1.001))])
     z, trace, converged, reason = _lbfgs(fg, z0, opts, c2)

@@ -188,46 +188,52 @@ def astar_plan(grid: GridMap, start_xy, goal_xy, clearance: float = 0.0) -> np.n
     if not grid.in_bounds(*goal) or blocked[goal]:
         raise GoalOccupied(f"goal cell {goal} is blocked or out of bounds")
 
+    # Flat indices into the grid padded by one blocked cell on every side, so
+    # no neighbour needs a bounds test; cell (ix, iy) is (ix + 1) * stride + iy + 1.
+    # The scores are Python floats: the same double arithmetic, without numpy's
+    # per-element indexing.
     res = grid.resolution
-    g_score = np.full((grid.width, grid.height), np.inf)
-    parent = np.full((grid.width, grid.height, 2), -1, dtype=int)
-    closed = np.zeros((grid.width, grid.height), dtype=bool)
-    g_score[start] = 0.0
-
-    def h(c):
-        return math.hypot(c[0] - goal[0], c[1] - goal[1]) * res
+    stride = grid.height + 2
+    padded = np.ones((grid.width + 2, stride), dtype=bool)
+    padded[1:-1, 1:-1] = blocked
+    shut = padded.ravel().tolist()  # blocked or closed
+    g_score = [math.inf] * len(shut)
+    parent = [-1] * len(shut)
+    moves = [(dx, dy, dx * stride + dy, res * (math.sqrt(2.0) if dx != 0 and dy != 0 else 1.0)) for dx, dy in _NEIGHBORS]
+    gx, gy = goal
+    start_i, goal_i = (start[0] + 1) * stride + start[1] + 1, (gx + 1) * stride + gy + 1
+    g_score[start_i] = 0.0
 
     counter = 0
-    open_heap = [(h(start), counter, start)]
+    open_heap = [(math.hypot(start[0] - gx, start[1] - gy) * res, counter, start_i)]
     while open_heap:
         _, _, cur = heapq.heappop(open_heap)
-        if closed[cur]:
+        if shut[cur]:
             continue
-        closed[cur] = True
-        if cur == goal:
+        shut[cur] = True
+        if cur == goal_i:
             break
-        cx, cy = cur
-        for dx, dy in _NEIGHBORS:
-            nx, ny = cx + dx, cy + dy
-            if not grid.in_bounds(nx, ny) or blocked[nx, ny] or closed[nx, ny]:
+        cx, cy = divmod(cur, stride)
+        g_cur = g_score[cur]
+        for dx, dy, offset, step in moves:
+            nxt = cur + offset
+            if shut[nxt]:
                 continue
-            step = res * (math.sqrt(2.0) if dx != 0 and dy != 0 else 1.0)
-            cand = g_score[cur] + step
-            if cand < g_score[nx, ny] - 1e-12:
-                g_score[nx, ny] = cand
-                parent[nx, ny] = cur
+            cand = g_cur + step
+            if cand < g_score[nxt] - 1e-12:
+                g_score[nxt] = cand
+                parent[nxt] = cur
                 counter += 1
-                heapq.heappush(open_heap, (cand + h((nx, ny)), counter, (nx, ny)))
+                heapq.heappush(open_heap, (cand + math.hypot(cx + dx - 1 - gx, cy + dy - 1 - gy) * res, counter, nxt))
     else:
         raise NoPath("open set exhausted before reaching the goal")
 
-    cells = [goal]
-    while cells[-1] != start:
-        cells.append(tuple(parent[cells[-1]]))
-    cells.reverse()
+    cells = [goal_i]
+    while cells[-1] != start_i:
+        cells.append(parent[cells[-1]])
+    ix, iy = np.divmod(np.array(cells[::-1]), stride)
     cx, cy = grid.axes()
-    ix, iy = np.array(cells).T
-    return np.column_stack([cx[ix], cy[iy]])
+    return np.column_stack([cx[ix - 1], cy[iy - 1]])
 
 
 @dataclass

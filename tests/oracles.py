@@ -24,8 +24,11 @@ import math
 import numpy as np
 from scipy.linalg import solve_banded
 
+from sweptplan._lapack import dgbsv, dgbtrs
 from sweptplan.geometry import footprint_sdf_batch, footprint_sdf_values, to_body_frame, wrap_angle
+from sweptplan.minco import CostWithGrads, MincoTrajectory, NonPositiveDuration, SingularSystem
 from sweptplan.mpc import NU, MpcProblem, _feasible_start, _hessian_inverse, _range_space_step
+from sweptplan.worldmodel import GoalOccupied, NoPath, StartOccupied, inflate_occupancy
 
 
 def rect_boundary_points(length: float, width: float, n: int) -> np.ndarray:
@@ -428,6 +431,440 @@ def armijo_search(fg, x, f, g, d, c1=1e-4, shrink=0.5, max_evals=30):
             return alpha, f_a, g_vec, terms, evals
         alpha *= shrink
     return None
+
+
+# ---------------------------------------------------------------------------
+# The planner's step as it was before its per-call array work was cut: each
+# rewritten routine's former body, whole. The library performs the same
+# floating-point operations in the same order with fewer numpy calls, so the
+# tests compare with exact equality, routine by routine and over whole stage
+# runs. They share with the library only its data containers, the LAPACK
+# wrappers and the trajectory's cached end rows and adjoint factors.
+
+_LDAB = 3 * _BAND + 1
+_T_MIN = 0.01
+_SKIN = 0.5
+_QUERY_SLACK = 1e-6
+_TRACE_COLUMNS = ("cost", "grad_norm", "step", "evals", "energy", "time", "deviation", "obstacle", "sweep")
+
+
+def _band_pattern_before(n_seg: int):
+    rows, cols, power, factor = [], [], [], []
+
+    def put_row(r: int, seg: int, at_end: bool, order: int, sign: float = 1.0) -> None:
+        for i in range(order, 6) if at_end else (order,):
+            rows.append(r)
+            cols.append(6 * seg + i)
+            power.append(6 * seg + (i - order if at_end else 0))
+            factor.append(sign * _DERIV[order][i])
+
+    for order in range(3):
+        put_row(order, 0, False, order)
+    for j in range(1, n_seg):
+        r0 = 6 * j - 3
+        put_row(r0, j - 1, True, 0)
+        for k in range(1, 5):
+            put_row(r0 + k, j - 1, True, k)
+            put_row(r0 + k, j, False, k, sign=-1.0)
+        put_row(r0 + 5, j, False, 0)
+    for order in range(3):
+        put_row(6 * n_seg - 3 + order, n_seg - 1, True, order)
+    rows, cols = np.array(rows), np.array(cols)
+    ab_flat = cols * _LDAB + 2 * _BAND + rows - cols
+    abt_flat = rows * _LDAB + 2 * _BAND + cols - rows
+    return ab_flat, abt_flat, np.array(power), np.array(factor)
+
+
+def _check_finite_before(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def assemble_before(T: np.ndarray):
+    """minco._assemble: a nested list of t**p, two zero buffers, two scatters."""
+    n_seg = T.shape[0]
+    n = 6 * n_seg
+    ab_flat, abt_flat, power, factor = _band_pattern_before(n_seg)
+    powers = np.array([[t**p for p in range(6)] for t in T.tolist()])
+    values = factor * powers.ravel()[power]
+    _check_finite_before(values)
+    ab = np.zeros((n, _LDAB)).T
+    abt = np.zeros((n, _LDAB)).T
+    ab.T.ravel()[ab_flat] = values
+    abt.T.ravel()[abt_flat] = values
+    return ab, abt
+
+
+def build_minco_before(q, T, boundary) -> MincoTrajectory:
+    """minco.build_minco with its former assembly and checks."""
+    T = np.asarray(T, dtype=float)
+    q = np.asarray(q, dtype=float).reshape(-1, 3)
+    n_seg = T.shape[0]
+    if np.any(T <= 0.0):
+        raise NonPositiveDuration(f"durations must be positive, got {T}")
+    if np.any(T < 1e-6):
+        raise SingularSystem(f"durations below 1e-6 s make the system numerically singular: {T}")
+    ab, abt = assemble_before(T)
+    n = 6 * n_seg
+    b = np.zeros((3, n)).T
+    b[0:3] = boundary.start
+    b[3 : n - 3 : 6] = q
+    b[8 : n - 3 : 6] = q
+    b[-3:] = boundary.end
+    _check_finite_before(b)
+    _, _, flat, info = dgbsv(_BAND, _BAND, ab, b, overwrite_ab=1, overwrite_b=1)
+    assert info == 0
+    return MincoTrajectory(durations=T, waypoints=q, boundary=boundary, coeffs=flat.reshape(n_seg, 6, 3), adjoint_band=abt)
+
+
+def propagate_gradient_before(traj, costs: list) -> list:
+    """minco.propagate_gradient: the grad_C blocks stacked by np.array, then copied."""
+    out = list(costs)
+    coupled = [i for i, c in enumerate(costs) if c.grad_C is not None]
+    if not coupled:
+        return out
+    n_seg, k = traj.n_segments, len(coupled)
+    n = 6 * n_seg
+    lu, piv = traj._adjoint_lu
+    b = np.zeros((k, 3, n + 3))
+    b[:, :, :n] = np.array([costs[i].grad_C for i in coupled]).reshape(k, n, 3).transpose(0, 2, 1)
+    _check_finite_before(b)
+    lam, _ = dgbtrs(lu, _BAND, _BAND, b.reshape(3 * k, n + 3).T, piv, overwrite_b=1)
+    rows = lam.T[:, 3:].reshape(k, 3, n_seg, 6).transpose(0, 2, 3, 1)
+    grad_q = np.array([costs[i].grad_q for i in coupled]) + 0.0
+    grad_q += rows[:, :-1, 0] + rows[:, :-1, 5]
+    terms = np.empty((k, n_seg, 6))
+    terms[:, :, 0] = np.array([costs[i].grad_T for i in coupled]) + 0.0
+    np.vecdot(rows[:, :, :5], traj._end_rows.transpose(1, 0, 2), out=terms[:, :, 1:])
+    grad_T = np.subtract.reduce(terms, axis=2)
+    for c, i in enumerate(coupled):
+        out[i] = CostWithGrads(value=costs[i].value, grad_q=grad_q[c], grad_T=grad_T[c])
+    return out
+
+
+def energy_cost_before(traj) -> CostWithGrads:
+    """minco.energy_cost_with_grads: index lists and the power table built per call."""
+    T = traj.durations
+    C = traj.coeffs
+    c = C[:, 3:, :].transpose(1, 0, 2)
+    tp = np.cumprod(np.repeat(T[:, None], 5, axis=1), axis=1).T[:, :, None]
+    k = np.array([36.0, 144.0, 240.0, 720.0, 720.0, 192.0])
+    prod = (k[:, None, None] * c[[0, 0, 0, 1, 2, 1]]) * c[[0, 1, 2, 2, 2, 1]]
+    prod[2] += prod[5]
+    value = float(np.sum(np.add.reduce(prod[:5] * tp, axis=0, initial=-0.0)))
+    grad_k = np.array([[72.0, 144.0, 240.0], [144.0, 384.0, 720.0], [240.0, 720.0, 1440.0]])[:, :, None, None]
+    grad_C = np.zeros_like(C)
+    grad_rows = np.add.reduce((grad_k * c) * tp[np.add.outer(np.arange(3), np.arange(3))], axis=1, initial=-0.0)
+    grad_C[:, 3:, :] = grad_rows.transpose(1, 0, 2)
+    jerk = traj._end_rows[2]
+    grad_q = np.zeros((max(traj.n_segments - 1, 0), 3))
+    return CostWithGrads(value=value, grad_q=grad_q, grad_T=np.vecdot(jerk, jerk), grad_C=grad_C)
+
+
+def time_cost_before(T) -> CostWithGrads:
+    T = np.asarray(T, dtype=float)
+    return CostWithGrads(value=float(T.sum()), grad_q=np.zeros((max(T.shape[0] - 1, 0), 3)), grad_T=np.ones_like(T))
+
+
+def deviation_cost_before(traj, ref) -> CostWithGrads:
+    diff = traj.waypoints - ref.poses[1:-1]
+    w = np.remainder(diff[:, 2], 2.0 * math.pi)
+    diff[:, 2] = np.where(w > math.pi, w - 2.0 * math.pi, w)
+    return CostWithGrads(value=float(np.sum(diff * diff)), grad_q=2.0 * diff, grad_T=np.zeros(traj.n_segments))
+
+
+def footprint_sdf_batch_before(points, length: float, width: float):
+    """geometry.footprint_sdf_batch: its gradient columns joined by np.stack."""
+    pts = np.asarray(points, dtype=float)
+    x = pts[..., 0]
+    y = pts[..., 1]
+    dx = np.abs(x) - length / 2.0
+    dy = np.abs(y) - width / 2.0
+    sx = np.where(x >= 0.0, 1.0, -1.0)
+    sy = np.where(y >= 0.0, 1.0, -1.0)
+    corner = (dx > 0.0) & (dy > 0.0)
+    hyp = np.hypot(np.where(corner, dx, 1.0), np.where(corner, dy, 1.0))
+    values = np.where(corner, hyp, np.maximum(dx, dy))
+    gx = np.where(corner, dx * sx / hyp, np.where(dx >= dy, sx, 0.0))
+    gy = np.where(corner, dy * sy / hyp, np.where(dx >= dy, 0.0, sy))
+    return values, np.stack([gx, gy], axis=-1)
+
+
+def _body_offsets_before(q, k_idx, px, py):
+    c, s = np.cos(q[:, 2])[k_idx], np.sin(q[:, 2])[k_idx]
+    return to_body_frame(px - q[k_idx, 0], py - q[k_idx, 1], c, s, out=np.empty((2, k_idx.size)))
+
+
+class NeighbourListBefore:
+    """planner._NeighbourList: strided point columns, cos and sin per call."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.anchors = None
+        self.box = None
+        self.queries = 0
+
+    def _query(self, q, box) -> None:
+        self.queries += 1
+        self.anchors = q.copy()
+        self.box = length, width, margin = box
+        pts = self.grid.obstacle_points
+        hx = length / 2.0 + margin + _SKIN + _QUERY_SLACK
+        hy = width / 2.0 + margin + _SKIN + _QUERY_SLACK
+        r = math.hypot(hx, hy)
+        ax, ay = pts[None, :, 0] - q[:, None, 0], pts[None, :, 1] - q[:, None, 1]
+        k_idx, m_idx = np.nonzero((np.abs(ax, out=ax) <= r) & (np.abs(ay, out=ay) <= r))
+        body = _body_offsets_before(q, k_idx, pts[m_idx, 0], pts[m_idx, 1])
+        keep = (np.abs(body[:, 0]) <= hx) & (np.abs(body[:, 1]) <= hy)
+        self.k_idx, m_idx = k_idx[keep], m_idx[keep]
+        self.px, self.py = pts[m_idx, 0], pts[m_idx, 1]
+
+    def pairs(self, q, length: float, width: float, margin: float):
+        box, a = (length, width, margin), self.anchors
+        reach = math.hypot(length / 2.0 + margin, width / 2.0 + margin)
+        if (a is None or box != self.box or a.shape[0] != q.shape[0] or not (
+                np.hypot(q[:, 0] - a[:, 0], q[:, 1] - a[:, 1]) + np.abs(q[:, 2] - a[:, 2]) * reach <= _SKIN).all()):
+            self._query(q, box)
+        body = _body_offsets_before(q, self.k_idx, self.px, self.py)
+        keep = (np.abs(body[:, 0]) - length / 2.0 < margin) & (np.abs(body[:, 1]) - width / 2.0 < margin)
+        return self.k_idx[keep], body[keep]
+
+
+def obstacle_cost_before(traj, grid, veh, safety_margin: float, neighbours=None) -> CostWithGrads:
+    """planner.obstacle_cost_with_grads: the knot headings' cos and sin taken twice."""
+    n_seg = traj.n_segments
+    q = traj.waypoints
+    n_int = q.shape[0]
+    grad_q = np.zeros_like(q)
+    if grid.obstacle_points.shape[0] == 0 or n_int == 0:
+        return CostWithGrads(value=0.0, grad_q=grad_q, grad_T=np.zeros(n_seg))
+    k_idx, body = (neighbours or NeighbourListBefore(grid)).pairs(q, veh.length, veh.width, safety_margin)
+    if k_idx.size == 0:
+        return CostWithGrads(value=0.0, grad_q=grad_q, grad_T=np.zeros(n_seg))
+    f, g_body = footprint_sdf_batch_before(body, veh.length, veh.width)
+    act = f < safety_margin
+    if not act.any():
+        return CostWithGrads(value=0.0, grad_q=grad_q, grad_T=np.zeros(n_seg))
+    k_act = k_idx[act]
+    h = safety_margin - f[act]
+    value = float(np.sum(h**3))
+    dJdF = -3.0 * h * h
+    gb = g_body[act]
+    c = np.cos(q[:, 2])[k_act]
+    s = np.sin(q[:, 2])[k_act]
+    gwx = c * gb[:, 0] - s * gb[:, 1]
+    gwy = s * gb[:, 0] + c * gb[:, 1]
+    body_act = body[act]
+    dF_dphi = gb[:, 0] * body_act[:, 1] - gb[:, 1] * body_act[:, 0]
+    grad_q[:, 0] = np.bincount(k_act, weights=dJdF * -gwx, minlength=n_int)
+    grad_q[:, 1] = np.bincount(k_act, weights=dJdF * -gwy, minlength=n_int)
+    grad_q[:, 2] = np.bincount(k_act, weights=dJdF * dF_dphi, minlength=n_int)
+    return CostWithGrads(value=value, grad_q=grad_q, grad_T=np.zeros(n_seg))
+
+
+def sweep_cost_before(traj, min_speed_sq: float = 1e-8) -> CostWithGrads:
+    """planner.sweep_cost_with_grads: one tuple per knot."""
+    n_seg = traj.n_segments
+    grad_q = np.zeros((max(n_seg - 1, 0), 3))
+    grad_C = np.zeros_like(traj.coeffs)
+    value = 0.0
+    rows = []
+    for (vx, vy), phi in zip(traj.coeffs[1:, 1, :2].tolist(), traj.waypoints[:, 2].tolist()):
+        s2 = vx * vx + vy * vy
+        if s2 < min_speed_sq:
+            rows.append((0.0, 0.0, 0.0))
+            continue
+        delta = wrap_angle(phi - math.atan2(vy, vx))
+        value += delta * delta
+        rows.append((2.0 * delta, 2.0 * delta * (vy / s2), 2.0 * delta * (-vx / s2)))
+    grad_q[:, 2], grad_C[1:, 1, 0], grad_C[1:, 1, 1] = (np.array(rows).reshape(-1, 3) + 0.0).T
+    return CostWithGrads(value=value, grad_q=grad_q, grad_T=np.zeros(n_seg), grad_C=grad_C)
+
+
+def _softplus(tau):
+    return np.where(tau > 30.0, tau, np.log1p(np.exp(np.minimum(tau, 30.0)))) + _T_MIN
+
+
+def _sigmoid(tau):
+    e = np.exp(-np.abs(tau))
+    return np.where(tau >= 0, 1.0, e) / (1.0 + e)
+
+
+def line_search_before(fg, x, f, g, d, c2, c1=1e-4, max_evals=30):
+    """planner._line_search with its dot products by @."""
+    g0 = float(g @ d)
+    if g0 >= 0.0:
+        return None
+    lo, f_lo = 0.0, f
+    alpha = 1.0
+    f_a, g_vec, terms = fg(x + alpha * d)
+    evals = 1
+    while True:
+        if evals >= max_evals:
+            return None
+        g_a = float(g_vec @ d)
+        if not f_a <= f + c1 * alpha * g0 or (evals > 1 and f_a >= f_lo):
+            hi = alpha
+            break
+        if abs(g_a) <= -c2 * g0:
+            return alpha, f_a, g_vec, terms, evals
+        if g_a >= 0.0:
+            lo, f_lo, hi = alpha, f_a, lo
+            break
+        lo, f_lo = alpha, f_a
+        alpha = min(2.0 * alpha, 1e4)
+        if alpha >= 1e4:
+            return None
+        f_a, g_vec, terms = fg(x + alpha * d)
+        evals += 1
+    for _ in range(max(max_evals - evals, 1)):
+        alpha = 0.5 * (lo + hi)
+        f_a, g_vec, terms = fg(x + alpha * d)
+        evals += 1
+        g_a = float(g_vec @ d)
+        if not f_a <= f + c1 * alpha * g0 or f_a >= f_lo:
+            hi = alpha
+        else:
+            if abs(g_a) <= -c2 * g0:
+                return alpha, f_a, g_vec, terms, evals
+            if g_a * (hi - lo) >= 0.0:
+                hi = lo
+            lo, f_lo = alpha, f_a
+        if abs(hi - lo) < 1e-14:
+            break
+    return None
+
+
+def lbfgs_before(fg, x0, opts, c2, memory: int = 8):
+    """planner._lbfgs: history lists trimmed by pop(0), the scale's dot
+    products taken again each step, and the accepted point as x + s."""
+    x = np.asarray(x0, dtype=float).copy()
+    f, g, terms = fg(x)
+    gnorm = math.sqrt(float(g @ g))
+    trace = [(f, gnorm, 0.0, 1, *terms)]
+    s_hist, y_hist, rho_hist = [], [], []
+    converged, reason = False, "max_iterations"
+    for _ in range(opts.max_iterations):
+        if gnorm < opts.grad_tol:
+            converged, reason = True, "gradient_tolerance"
+            break
+        d = -g
+        alphas = []
+        for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+            a = rho * float(s @ d)
+            alphas.append(a)
+            d -= a * y
+        if y_hist:
+            y_last, s_last = y_hist[-1], s_hist[-1]
+            d *= float(s_last @ y_last) / max(float(y_last @ y_last), 1e-300)
+        for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+            b = rho * float(y @ d)
+            d += (a - b) * s
+        if float(g @ d) >= 0.0:
+            d = -g
+            s_hist.clear()
+            y_hist.clear()
+            rho_hist.clear()
+        res = line_search_before(fg, x, f, g, d, c2)
+        if res is None:
+            converged, reason = False, "line_search_failure"
+            break
+        alpha, f_new, g_new, terms, evals = res
+        s = alpha * d
+        y = g_new - g
+        sy = float(s @ y)
+        if sy > 1e-12 * math.sqrt(float(s @ s)) * math.sqrt(float(y @ y)):
+            s_hist.append(s)
+            y_hist.append(y)
+            rho_hist.append(1.0 / sy)
+            if len(s_hist) > memory:
+                s_hist.pop(0), y_hist.pop(0), rho_hist.pop(0)
+        x = x + s
+        rel = abs(f - f_new) / max(1.0, abs(f))
+        f, g = f_new, g_new
+        gnorm = math.sqrt(float(g @ g))
+        trace.append((f, gnorm, alpha, evals, *terms))
+        if rel < opts.cost_tol:
+            converged, reason = True, "cost_tolerance"
+            break
+    return x, np.array(trace, dtype=float), converged, reason
+
+
+def optimize_before(q0, T0, boundary, terms, opts, c2):
+    """planner._optimize's former closure and loop over frozen routines:
+    (trajectory, trace, converged, reason). terms lists (name, weight, cost(traj))."""
+    n_q = q0.size
+
+    def fg(z):
+        tau = z[n_q:]
+        traj = build_minco_before(z[:n_q].reshape(-1, 3), _softplus(tau), boundary)
+        traced = dict.fromkeys(_TRACE_COLUMNS[4:], 0.0)
+        rows = np.empty((len(terms), 1 + z.size))
+        costs = propagate_gradient_before(traj, [cost(traj) for _, _, cost in terms])
+        for row, (name, w, _), c in zip(rows, terms, costs):
+            row[0] = traced[name] = w * c.value
+            np.multiply(w, c.grad_q.ravel(), out=row[1 : 1 + n_q])
+            np.multiply(w, c.grad_T, out=row[1 + n_q :])
+        total = np.add.reduce(rows, axis=0)
+        total[1 + n_q :] *= _sigmoid(tau)
+        return float(total[0]), total[1:], tuple(traced.values())
+
+    y = np.asarray(np.maximum(T0, _T_MIN * 1.001), dtype=float) - _T_MIN
+    tau0 = np.where(y > 30.0, y, np.log(np.expm1(np.minimum(y, 30.0))))
+    z, trace, converged, reason = lbfgs_before(fg, np.concatenate([q0.ravel(), tau0]), opts, c2)
+    return build_minco_before(z[:n_q].reshape(-1, 3), _softplus(z[n_q:]), boundary), trace, converged, reason
+
+
+def astar_before(grid, start_xy, goal_xy, clearance: float = 0.0) -> np.ndarray:
+    """worldmodel.astar_plan on numpy score, parent and closed arrays, with a
+    bounds test per neighbour."""
+    blocked = inflate_occupancy(grid, clearance)
+    start = grid.world_to_cell(start_xy)
+    goal = grid.world_to_cell(goal_xy)
+    if not grid.in_bounds(*start) or blocked[start]:
+        raise StartOccupied(f"start cell {start} is blocked or out of bounds")
+    if not grid.in_bounds(*goal) or blocked[goal]:
+        raise GoalOccupied(f"goal cell {goal} is blocked or out of bounds")
+    res = grid.resolution
+    g_score = np.full((grid.width, grid.height), np.inf)
+    parent = np.full((grid.width, grid.height, 2), -1, dtype=int)
+    closed = np.zeros((grid.width, grid.height), dtype=bool)
+    g_score[start] = 0.0
+
+    def h(c):
+        return math.hypot(c[0] - goal[0], c[1] - goal[1]) * res
+
+    counter = 0
+    open_heap = [(h(start), counter, start)]
+    neighbours = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
+    while open_heap:
+        _, _, cur = heapq.heappop(open_heap)
+        if closed[cur]:
+            continue
+        closed[cur] = True
+        if cur == goal:
+            break
+        cx, cy = cur
+        for dx, dy in neighbours:
+            nx, ny = cx + dx, cy + dy
+            if not grid.in_bounds(nx, ny) or blocked[nx, ny] or closed[nx, ny]:
+                continue
+            step = res * (math.sqrt(2.0) if dx != 0 and dy != 0 else 1.0)
+            cand = g_score[cur] + step
+            if cand < g_score[nx, ny] - 1e-12:
+                g_score[nx, ny] = cand
+                parent[nx, ny] = cur
+                counter += 1
+                heapq.heappush(open_heap, (cand + h((nx, ny)), counter, (nx, ny)))
+    else:
+        raise NoPath("open set exhausted before reaching the goal")
+    cells = [goal]
+    while cells[-1] != start:
+        cells.append(tuple(parent[cells[-1]]))
+    cells.reverse()
+    cx, cy = grid.axes()
+    ix, iy = np.array(cells).T
+    return np.column_stack([cx[ix], cy[iy]])
 
 
 # The swept-field search as it was before the coarse poses were shared: every

@@ -865,7 +865,14 @@ def test_write_csv_equals_per_value_oracle(tmp_path):
         ]
     )
     many = np.random.default_rng(0).standard_normal((517, 3))
-    cases = (odd, odd.tolist(), [(0.0, 1, -2), (1.0, 2, 10**22)], np.arange(6).reshape(3, 2), [], many)
+    # Row counts on both sides of 4,096, with the odd values scattered through them.
+    special = np.array([-0.0, np.nan, np.inf, -np.inf, 1e16, 5e-324, -5e-324, 1e-7, 123456789.0, 0.0])
+    blocks = []
+    for n_rows in (4095, 4096, 4097, 8193):
+        rows = np.random.default_rng(n_rows).standard_normal((n_rows, 4)) * 10.0 ** np.arange(-8, 8, 4)
+        rows.ravel()[:: 97] = np.resize(special, rows.ravel()[:: 97].size)
+        blocks.append(rows)
+    cases = (odd, odd.tolist(), [(0.0, 1, -2), (1.0, 2, 10**22)], np.arange(6).reshape(3, 2), [], many, special[:, None], *blocks)
     for i, rows in enumerate(cases):
         got, ref = tmp_path / f"got{i}.csv", tmp_path / f"ref{i}.csv"
         cli._write_csv(str(got), ["a", "b"], rows)
