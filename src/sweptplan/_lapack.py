@@ -1,4 +1,7 @@
-"""The four LAPACK routines the program calls, from scipy's compiled wrapper.
+"""The five LAPACK routines the program calls, from scipy's compiled wrapper:
+the banded solve, factor and back-substitution of the MINCO systems
+(`dgbsv`, `dgbtrf`, `dgbtrs`), and the Cholesky factor and back-substitution
+of the MPC's working-set systems (`dpotrf`, `dpotrs`).
 
 `scipy.linalg._flapack` is loaded straight from its file, so
 `scipy/linalg/__init__.py`, most of scipy's import time (it builds numpy's
@@ -22,4 +25,5 @@ _loader = importlib.machinery.ExtensionFileLoader(_NAME, _path)
 _flapack = importlib.util.module_from_spec(importlib.util.spec_from_file_location(_NAME, _path, loader=_loader))
 _loader.exec_module(_flapack)
 
-dgbsv, dgbtrf, dgbtrs, dposv = _flapack.dgbsv, _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dposv
+dgbsv, dgbtrf, dgbtrs = _flapack.dgbsv, _flapack.dgbtrf, _flapack.dgbtrs
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs

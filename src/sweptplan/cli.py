@@ -369,19 +369,28 @@ def _write_csv(path: str, header: list, rows) -> None:
     """The header, then one line per row of values written as repr(float):
     one repr call per value, grouped into rows by zip rather than a join per row."""
     data = np.asarray(rows, dtype=float)
+    values = map(repr, data.ravel().tolist())
+    _write_lines(path, header, zip(*[values] * data.shape[1]) if len(data) else ())
+
+
+def _write_lines(path: str, header: list, rows) -> None:
+    """The header, then one comma-joined line per row of strings."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        if len(data):
-            values = map(repr, data.ravel().tolist())
-            fh.write("\n".join(map(",".join, zip(*[values] * data.shape[1]))) + "\n")
+        lines = list(map(",".join, rows))
+        if lines:
+            fh.write("\n".join(lines) + "\n")
 
 
 def write_field_csv(path: str, field: SweptField) -> None:
     """One row per refined cell, whose f* and t* are exact, in (ix outer, iy
-    inner) order so files compare bytewise. The grid is area.json's."""
+    inner) order so files compare bytewise. The grid is area.json's. Each
+    grid axis value is formatted once and looked up by the cell's index."""
     ix, iy = np.nonzero(field.refined)
-    cx, cy = field.axes()
-    _write_csv(path, FIELD_COLUMNS, np.column_stack([cx[ix], cy[iy], field.f_star[ix, iy], field.t_star[ix, iy]]))
+    cx, cy = (list(map(repr, axis.tolist())) for axis in field.axes())
+    xs, ys = map(cx.__getitem__, ix.tolist()), map(cy.__getitem__, iy.tolist())
+    f, t = (map(repr, v[ix, iy].tolist()) for v in (field.f_star, field.t_star))
+    _write_lines(path, FIELD_COLUMNS, zip(xs, ys, f, t))
 
 
 def load_field_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

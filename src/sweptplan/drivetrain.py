@@ -47,7 +47,10 @@ def fold_steering(v: np.ndarray, prev_gamma: float = 0.0) -> WheelCommand:
     Below STEER_HOLD_SPEED the wheel keeps prev_gamma and drives at v's
     component along it, instead of steering to the atan2 of rounding noise.
     """
-    vx, vy = float(v[0]), float(v[1])
+    return _fold(float(v[0]), float(v[1]), prev_gamma)
+
+
+def _fold(vx: float, vy: float, prev_gamma: float) -> WheelCommand:
     speed = math.hypot(vx, vy)
     if speed < STEER_HOLD_SPEED:
         return WheelCommand(gamma=prev_gamma, speed=vx * math.cos(prev_gamma) + vy * math.sin(prev_gamma))
@@ -63,11 +66,13 @@ def allocate(u_body: np.ndarray, veh, prev_gamma=None) -> list[WheelCommand]:
     """Steering/speed commands for every wheel under the body twist.
 
     prev_gamma holds each wheel's previous steering angle (zeros when None),
-    kept by the wheels slower than STEER_HOLD_SPEED.
+    kept by the wheels slower than STEER_HOLD_SPEED. Each wheel is folded
+    from its `wheel_velocity`, worked out on Python floats.
     """
+    vx, vy, w = (float(v) for v in u_body)
     wheels = np.atleast_2d(np.asarray(veh.wheel_positions, dtype=float)).tolist()
     held = [0.0] * len(wheels) if prev_gamma is None else [float(g) for g in prev_gamma]
-    return [fold_steering(wheel_velocity(u_body, w), g) for w, g in zip(wheels, held, strict=True)]
+    return [_fold(vx - w * yw, vy + w * xw, g) for (xw, yw), g in zip(wheels, held, strict=True)]
 
 
 def reconstruct_twist(commands: list[WheelCommand], veh):

@@ -7,9 +7,10 @@ inputs and their first differences make it a box/rate-constrained strictly
 convex QP, solved by a primal active-set method with deterministic
 tie-breaking.
 
-Psi, H and Theta^T Qbar depend only on the config, and the constraint matrix
-only on the control horizon and on which bounds are finite, so they are built
-once per distinct config; each step forms only the gradient and the bounds.
+Psi, H, Theta^T Qbar and the bounds depend only on the config, and the
+constraint matrix only on the control horizon and on which bounds are
+finite, so they are built once per distinct config and shared read-only;
+each step forms only the gradient and the constraints' right-hand side.
 
 A closed loop hot-starts each solve after the first from the previous
 solution shifted one control step, x0 = (x[3:], x[-3:]), with its active
@@ -21,23 +22,30 @@ rebuilding its working set one row per iteration from `_feasible_start`.
 Each active-set step is taken in the range space of H (Nocedal and Wright,
 Numerical Optimization, section 16.5). H^-1 is formed once per distinct H
 and cached, and H^-1 g once per solve; an iteration then solves only the
-k x k system A_w H^-1 A_w^T for the working set's multipliers, by Cholesky.
+k x k system A_w H^-1 A_w^T for the working set's multipliers. A closed loop
+meets the same few working sets again and again, so each one's rows, its
+A_w H^-1 and the Cholesky factor of that system (`dpotrf`) are kept with
+H^-1, the most recently used FACTORS_KEPT of them, and an iteration on a
+kept set only back-substitutes (`dpotrs`). The factor and the solve are the
+two halves of `dposv`, so the steps have the bits of a fresh `dposv`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-from ._lapack import dposv
+from ._lapack import dpotrf, dpotrs
 
 from .geometry import Pose2, wrap_angle
 
 NU = 3  # inputs per step: Vx, Vy, omega
 ITERATIONS_PER_VARIABLE = 50  # solve_qp's cap is this times the number of inputs
+FACTORS_KEPT = 32  # working-set factors kept per Hessian, least recently used dropped first
 
 
 class Infeasible(Exception):
@@ -125,34 +133,38 @@ def _qp_terms(dt, horizon: int, control_horizon: int, state_weight: bytes, input
     return psi, h, theta_t_qbar
 
 
+@functools.lru_cache(maxsize=16)
+def _bounds(nc: int, u_min: bytes, u_max: bytes, du_min: bytes, du_max: bytes):
+    """Read-only (lb, ub, du_lb, du_ub): the input box repeated over nc steps, and the rate bounds."""
+    lb, ub = (np.tile(np.frombuffer(v), nc) for v in (u_min, u_max))
+    lb.flags.writeable = ub.flags.writeable = False
+    return lb, ub, np.frombuffer(du_min), np.frombuffer(du_max)  # frombuffer of bytes is read-only
+
+
 def build_qp(state: Pose2, ref: np.ndarray, u_prev: np.ndarray, cfg: MpcConfig) -> MpcProblem:
     """Assemble the tracking QP for a stacked reference Y_t (3*Np,).
 
     Reference headings must already be unwrapped relative to state.phi; a
-    per-step jump above pi raises HeadingWrapMismatch.
+    per-step jump above pi raises HeadingWrapMismatch. H and the bounds are
+    the config's cached read-only arrays; only g is built per call.
     """
     ref = np.asarray(ref, dtype=float).ravel()
     np_, nc = cfg.horizon, cfg.control_horizon
     if ref.shape[0] != NU * np_:
         raise ValueError(f"reference must have length {NU * np_}")
     u_prev = np.asarray(u_prev, dtype=float).reshape(NU)
-    phis = np.concatenate([[state.phi], ref.reshape(np_, NU)[:, 2]])
-    if np.any(np.abs(np.diff(phis)) > math.pi + 1e-9):
-        raise HeadingWrapMismatch("reference heading jumps by more than pi per step")
+    prev = state.phi
+    for phi in ref[2::NU].tolist():
+        if abs(phi - prev) > math.pi + 1e-9:
+            raise HeadingWrapMismatch("reference heading jumps by more than pi per step")
+        prev = phi
 
     weights = (np.asarray(w, dtype=float).tobytes() for w in (cfg.state_weight, cfg.input_weight))
     psi, h, theta_t_qbar = _qp_terms(cfg.dt, np_, nc, *weights)
-    g = theta_t_qbar @ (psi @ state.as_array() - ref)
-    return MpcProblem(
-        H=h.copy(),
-        g=g,
-        lb=np.concatenate([cfg.u_min] * nc),
-        ub=np.concatenate([cfg.u_max] * nc),
-        du_lb=cfg.du_min.copy(),
-        du_ub=cfg.du_max.copy(),
-        u_prev=u_prev,
-        nc=nc,
-    )
+    g = theta_t_qbar.dot(psi.dot(state.as_array()) - ref)
+    bounds = (np.asarray(v, dtype=float).tobytes() for v in (cfg.u_min, cfg.u_max, cfg.du_min, cfg.du_max))
+    lb, ub, du_lb, du_ub = _bounds(nc, *bounds)
+    return MpcProblem(H=h, g=g, lb=lb, ub=ub, du_lb=du_lb, du_ub=du_ub, u_prev=u_prev, nc=nc)
 
 
 def _feasible_start(prob: MpcProblem) -> np.ndarray:
@@ -196,12 +208,14 @@ def _feasible_start(prob: MpcProblem) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _row_layout(nc: int, box_ub: bytes, box_lb: bytes, du_ub: bytes, du_lb: bytes):
-    """Read-only rows of a^T u <= b and the shift map, for one pattern of finite bounds.
+def _row_layout(nc: int, ub: bytes, lb: bytes, du_ub: bytes, du_lb: bytes):
+    """Read-only rows of a^T u <= b, the source of each row's b, and the shift
+    map, for the bounds with these bytes: only which of them are finite matters.
 
     Rows run box upper, box lower, rate upper, rate lower, each in input
-    order; zeros are +0.0. shift[r] lists the rows that row r becomes one
-    control step later, under the start x0 = (x[NU:], x[-NU:]):
+    order; zeros are +0.0. b is `_rhs`'s source vector gathered at b_index.
+    shift[r] lists the rows that row r becomes one control step later, under
+    the start x0 = (x[NU:], x[-NU:]):
     - a box or rate row on input j becomes the same kind of row on j - NU;
     - the last block's box rows also stay where they are;
     - rows of block 0, and the rate rows of block 1, are dropped. With u_prev
@@ -210,13 +224,20 @@ def _row_layout(nc: int, box_ub: bytes, box_lb: bytes, du_ub: bytes, du_lb: byte
     A target whose bound is infinite has no row and is dropped too.
     """
     n = NU * nc
-    masks = [np.frombuffer(box_ub, dtype=bool), np.frombuffer(box_lb, dtype=bool)]
-    masks += [np.tile(np.frombuffer(m, dtype=bool), nc) for m in (du_ub, du_lb)]
+    box_ub, box_lb, rate_ub, rate_lb = (np.isfinite(np.frombuffer(v)) for v in (ub, lb, du_ub, du_lb))
+    masks = [box_ub, box_lb, np.tile(rate_ub, nc), np.tile(rate_lb, nc)]
     eye = np.eye(n)
     lag = np.eye(n, k=-NU)  # row i picks u[i - NU]
     a_mat = np.concatenate([eye[masks[0]], (0.0 - eye)[masks[1]], (eye - lag)[masks[2]], (lag - eye)[masks[3]]])
     a_mat.flags.writeable = False
     keys = [(kind, j) for kind, mask in enumerate(masks) for j in np.flatnonzero(mask).tolist()]
+    # Where each row's b sits in `_rhs`'s source: ub and -lb by input, then
+    # the rate upper and the rate lower bounds, each block 0's NU values
+    # (u_prev folded in) before the NU values of every later block.
+    b_index = np.array([
+        kind * n + j if kind < 2 else 2 * n + 2 * NU * (kind - 2) + (NU if j >= NU else 0) + j % NU
+        for kind, j in keys
+    ], dtype=np.intp)
     row_of = {key: r for r, key in enumerate(keys)}
     shift = []
     for kind, j in keys:
@@ -227,12 +248,20 @@ def _row_layout(nc: int, box_ub: bytes, box_lb: bytes, du_ub: bytes, du_lb: byte
         if kind < 2 and block == nc - 1:
             targets.append((kind, j))
         shift.append(tuple(row_of[t] for t in targets if t in row_of))
-    return a_mat, tuple(masks), tuple(shift)
+    return a_mat, b_index, tuple(shift)
 
 
 def _layout(prob: MpcProblem):
-    finite = (np.isfinite(v).tobytes() for v in (prob.ub, prob.lb, prob.du_ub, prob.du_lb))
-    return _row_layout(prob.nc, *finite)
+    """(key, `_row_layout`) of the problem's bounds; the key, their bytes, fixes the rows."""
+    key = (prob.nc, *(np.asarray(v, dtype=float).tobytes() for v in (prob.ub, prob.lb, prob.du_ub, prob.du_lb)))
+    return key, _row_layout(*key)
+
+
+def _rhs(prob: MpcProblem, b_index: np.ndarray) -> np.ndarray:
+    """b of a^T u <= b: the bounds' values (lb and du_lb negated, u_prev folded into block 0's rate rows) at b_index."""
+    du_lb = -prob.du_lb
+    source = (prob.ub, -prob.lb, prob.du_ub + prob.u_prev, prob.du_ub, du_lb - prob.u_prev, du_lb)
+    return np.concatenate(source).take(b_index)
 
 
 def _constraint_rows(prob: MpcProblem):
@@ -240,13 +269,8 @@ def _constraint_rows(prob: MpcProblem):
 
     The matrix is the cached, read-only one of the problem's layout; only b is built here.
     """
-    a_mat, (box_ub, box_lb, du_ub, du_lb), _ = _layout(prob)
-    rate_ub = np.concatenate([prob.du_ub] * prob.nc)
-    rate_ub[:NU] = prob.du_ub + prob.u_prev
-    rate_lb = np.concatenate([-prob.du_lb] * prob.nc)
-    rate_lb[:NU] = (-prob.du_lb) - prob.u_prev
-    b_vec = np.concatenate([prob.ub[box_ub], -prob.lb[box_lb], rate_ub[du_ub], rate_lb[du_lb]])
-    return a_mat, b_vec
+    a_mat, b_index, _ = _layout(prob)[1]
+    return a_mat, _rhs(prob, b_index)
 
 
 def _shift_start(prob: MpcProblem, x: np.ndarray, active_set) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -255,37 +279,51 @@ def _shift_start(prob: MpcProblem, x: np.ndarray, active_set) -> tuple[np.ndarra
     x0 = (x[NU:], x[-NU:]), with the active rows mapped by the layout's shift
     map (see `_row_layout`). The next step's u_prev is x[:NU].
     """
-    shift = _layout(prob)[2]
+    shift = _layout(prob)[1][2]
     rows = sorted({t for r in active_set for t in shift[r]})
     return np.concatenate([x[NU:], x[-NU:]]), tuple(rows)
 
 
 @functools.lru_cache(maxsize=16)
-def _hessian_inverse(n: int, h: bytes) -> np.ndarray:
-    """Read-only H^-1 = L^-T L^-1 from the Cholesky factor of the (n, n) H with these bytes.
+def _hessian_inverse(n: int, h: bytes):
+    """(h_inv, factors) for the (n, n) H with these bytes: the read-only
+    H^-1 = L^-T L^-1 from H's Cholesky factor, and the cache of its working
+    sets' factors that `_working_set` fills.
 
     A Hessian that is not positive definite raises np.linalg.LinAlgError.
     """
     l_inv = np.linalg.inv(np.linalg.cholesky(np.frombuffer(h).reshape(n, n)))
     h_inv = l_inv.T @ l_inv
     h_inv.flags.writeable = False
-    return h_inv
+    return h_inv, OrderedDict()
 
 
-def _range_space_step(h_inv: np.ndarray, y: np.ndarray, aw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Step p and multipliers lam of the working-set KKT system, with y = x + H^-1 g.
+def _working_set(h_inv: np.ndarray, factors: OrderedDict, layout_key, a_mat: np.ndarray, work: list[int]):
+    """(aw, w, factor, floor) of the working set: its rows A_w, w = A_w H^-1,
+    the upper Cholesky factor of w A_w^T, and the ratio test's floor on a @ p
+    (1e-12 on the rows outside the working set, inf on its rows).
 
-    [H aw^T; aw 0] [p; lam] = [-(H x + g); 0] gives aw H^-1 aw^T lam = -aw y
-    and p = -y - H^-1 aw^T lam. A working-set matrix that Cholesky cannot
-    factor (dependent rows) raises np.linalg.LinAlgError.
+    Kept in factors under (layout_key, work), at most FACTORS_KEPT of them,
+    the least recently used dropped first. A working-set matrix that
+    Cholesky cannot factor (dependent rows) raises np.linalg.LinAlgError,
+    and is not kept, so it raises again on every visit.
     """
-    if not aw.shape[0]:
-        return -y, np.zeros(0)
+    key = (layout_key, tuple(work))
+    entry = factors.get(key)
+    if entry is not None:
+        factors.move_to_end(key)
+        return entry
+    aw = a_mat[work]
     w = aw @ h_inv
-    _, lam, info = dposv(w @ aw.T, -(aw @ y))
+    factor, info = dpotrf(w @ aw.T, 0, 0)  # upper, the other triangle left as it was: as in dposv
     if info:
-        raise np.linalg.LinAlgError(f"working-set matrix is not positive definite (dposv info {info})")
-    return -y - w.T @ lam, lam
+        raise np.linalg.LinAlgError(f"working-set matrix is not positive definite (dpotrf info {info})")
+    floor = np.full(a_mat.shape[0], 1e-12)
+    floor[work] = math.inf
+    factors[key] = entry = (aw, w, factor, floor)
+    if len(factors) > FACTORS_KEPT:
+        factors.popitem(last=False)
+    return entry
 
 
 def solve_qp(prob: MpcProblem, start=None):
@@ -297,9 +335,12 @@ def solve_qp(prob: MpcProblem, start=None):
     rows that are tight within 1e-10. Otherwise, and when start is None, the
     solve starts cold: from `_feasible_start` with an empty working set.
 
-    Each step comes from `_range_space_step` on H^-1, which is cached per
-    distinct H, so a closed loop inverts its Hessian once; H^-1 g is formed
-    once per solve. An H that is not positive definite, or a working set
+    Each step is a range-space step on H^-1, which is cached per distinct H,
+    so a closed loop inverts its Hessian once; H^-1 g is formed once per
+    solve. With y = x + H^-1 g, the working-set KKT system
+    [H aw^T; aw 0] [p; lam] = [-(H x + g); 0] gives aw H^-1 aw^T lam = -aw y
+    and p = -y - H^-1 aw^T lam, solved on the working set's kept factor (see
+    `_working_set`). An H that is not positive definite, or a working set
     with dependent rows, raises np.linalg.LinAlgError.
 
     Returns (x, info): the stacked input vector and a dict with iterations,
@@ -308,26 +349,34 @@ def solve_qp(prob: MpcProblem, start=None):
     constraint index so identical problems reproduce identical paths.
     """
     n = NU * prob.nc
-    h_inv = _hessian_inverse(n, np.asarray(prob.H, dtype=float).tobytes())
-    h_inv_g = h_inv @ prob.g
-    a_mat, b_vec = _constraint_rows(prob)
+    h_inv, factors = _hessian_inverse(n, np.asarray(prob.H, dtype=float).tobytes())
+    h_inv_g = h_inv.dot(prob.g)
+    layout_key, (a_mat, b_index, _) = _layout(prob)
+    b_vec = _rhs(prob, b_index)
     m = a_mat.shape[0]
     work: list[int] = []
     # Rows hold one or two +-1 entries, so a @ x rounds once, as row by row: resid also picks tight rows.
-    resid = None if start is None else a_mat @ start[0] - b_vec
-    if resid is not None and np.all(resid < 1e-10):
+    resid = None if start is None else a_mat.dot(start[0]) - b_vec
+    if resid is not None and (resid < 1e-10).all():
         x = start[0]
-        work = [idx for idx in start[1] if 0 <= idx < m and abs(resid[idx]) < 1e-10]
+        tight = (np.abs(resid) < 1e-10).tolist()
+        work = [idx for idx in start[1] if 0 <= idx < m and tight[idx]]
     else:
         x = _feasible_start(prob)
     max_iter = ITERATIONS_PER_VARIABLE * max(n, 1)
     # A zero step on the working set, relative to the gradient's scale.
     step_tol = 1e-11 * max(1.0, float(np.abs(prob.g).max(initial=0.0)))
     status = "max_iterations"
-    lam_full = np.zeros(m)
+    no_rows = np.zeros(0)
     for it in range(max_iter):
         # Equality-constrained step on the working set.
-        p, lam = _range_space_step(h_inv, x + h_inv_g, a_mat[work])
+        y = x + h_inv_g
+        if work:
+            aw, w, factor, floor = _working_set(h_inv, factors, layout_key, a_mat, work)
+            lam = dpotrs(factor, -aw.dot(y))[0]
+            p = -y - w.T.dot(lam)
+        else:
+            p, lam, floor = -y, no_rows, 1e-12
         if float(np.abs(p).max(initial=0.0)) <= step_tol:
             if not work or lam.min() >= -1e-9:
                 status = "optimal"
@@ -340,25 +389,28 @@ def solve_qp(prob: MpcProblem, start=None):
         # Step length to the nearest violated constraint not in the working set.
         # Rows hold one or two +-1 entries, so a @ p and a @ x round once, as
         # in a row-by-row scan. Candidates are scanned in index order and a
-        # later ratio must undercut alpha by 1e-12, so near-ties keep the lower index.
+        # later ratio must undercut alpha by 1e-12, so near-ties keep the
+        # lower index. A row moves when a @ p > 1e-12 and it is outside the
+        # working set; alpha <= 1, so a row whose slack is not below its
+        # a @ p (ratio >= 1) can never block. Rows above both floors are scanned.
         alpha = 1.0
         blocker = -1
-        ap = a_mat @ p
-        moving = ap > 1e-12
-        moving[work] = False
-        rows = moving.nonzero()[0]
-        ratios = (b_vec[rows] - a_mat[rows] @ x) / ap[rows]
-        for i, ratio in zip(rows.tolist(), ratios.tolist()):
-            if ratio < alpha - 1e-12:
-                alpha = max(ratio, 0.0)
-                blocker = i
+        ap = a_mat.dot(p)
+        slack = b_vec - a_mat.dot(x)
+        rows = (ap > np.maximum(slack, floor)).nonzero()[0]
+        if rows.size:
+            for i, s, a in zip(rows.tolist(), slack[rows].tolist(), ap[rows].tolist()):
+                ratio = s / a
+                if ratio < alpha - 1e-12:
+                    alpha = max(ratio, 0.0)
+                    blocker = i
         x = x + alpha * p
         if blocker >= 0:
             work.append(blocker)
             work.sort()
     else:
         it = max_iter
-    kkt_residual = float(np.abs(prob.H @ x + prob.g + a_mat.T @ lam_full).max(initial=0.0)) if status == "optimal" else math.inf
+    kkt_residual = float(np.abs(prob.H @ x + prob.g + a_mat.T.dot(lam_full)).max(initial=0.0)) if status == "optimal" else math.inf
     info = {
         "status": status,
         "iterations": it + 1 if status == "optimal" else max_iter,
@@ -394,7 +446,8 @@ def mpc_step(state: Pose2, ref: np.ndarray, u_prev: np.ndarray, cfg: MpcConfig, 
     ref = np.array(ref, dtype=float).reshape(cfg.horizon, NU)
     prev_phi, phis = state.phi, []
     for phi in ref[:, 2].tolist():
-        prev_phi += wrap_angle(phi - prev_phi)
+        d = phi - prev_phi
+        prev_phi += d if -math.pi < d <= math.pi else wrap_angle(d)  # wrap_angle(d) is d there
         phis.append(prev_phi)
     ref[:, 2] = phis
     prob = build_qp(state, ref.ravel(), u_prev, cfg)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drivetrain import allocate
-from .geometry import Pose2, VehicleParams, to_body_frame, wrap_angle
+from .geometry import Pose2, VehicleParams, wrap_angle
 from .mpc import MpcConfig, mpc_step, reference_windows
 from .sweptfield import UNWRITTEN, LinearPosePath, SweepCount, count_swept_cells, ribbon_report
 
@@ -152,9 +152,11 @@ def run_closed_loop(
             mpc_s += time.perf_counter() - t0
         out_u[k] = u
         u_applied = [a + lag_alpha * (b - a) for a, b in zip(u_applied, u.tolist())]
-        # Wheel states follow the applied twist expressed in the body frame.
-        v_body = to_body_frame(u_applied[0], u_applied[1], math.cos(pose.phi), math.sin(pose.phi))
-        u_body = (*v_body.tolist(), u_applied[2])
+        # Wheel states follow the applied twist expressed in the body frame
+        # (to_body_frame's rotation, on Python floats).
+        ux, uy, w = u_applied
+        c, s = math.cos(pose.phi), math.sin(pose.phi)
+        u_body = (c * ux + s * uy, -s * ux + c * uy, w)
         t0 = time.perf_counter()
         cmds = allocate(u_body, veh, prev_gamma=gamma)
         alloc_s += time.perf_counter() - t0

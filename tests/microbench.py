@@ -10,8 +10,17 @@ It plans the scenario once, then times, on the scenario's own data:
 - `propagate_gradient` on a fresh trajectory's stage-2 cost rows;
 - one `_lbfgs` step of stage 2 without its evaluations: the loop and line
   search replayed against the recorded evaluation results;
-- `cli._write_csv` of the scenario's field.csv rows;
-- `astar_plan` of the scenario's route.
+- `cli._write_csv` of the scenario's field.csv rows, and `cli.write_field_csv`
+  of the sweep stage's field;
+- `astar_plan` of the scenario's route;
+- the track stage's calls, replayed from the scenario's own closed loops,
+  box-only (the scenario's MPC config) and rate-limited (the same with
+  `du_max = [0.1, 0.1, 0.05]`, as the benchmark's `track_ratelimit`):
+  `mpc_step` and `solve_qp` of every step, `allocate` of every step of the
+  box-only loop, `cli.write_trace_csv` of its trace, and each whole
+  `run_closed_loop`. The replays run in the loop's order, so caches that a
+  loop fills (the Hessian inverse, and any kept per working set) are warm
+  after the first pass, as they are for all but a run's first steps.
 
 Each figure is the best of --repeat passes. It uses only names that the
 package has kept, so it runs against any checkout put on PYTHONPATH, and a
@@ -21,6 +30,7 @@ before/after table is two runs. pytest does not collect it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import tempfile
@@ -28,10 +38,12 @@ import time
 
 import numpy as np
 
-from sweptplan import cli, planner
+from sweptplan import cli, mpc, planner, sim
 from sweptplan.minco import build_minco, energy_cost_with_grads, propagate_gradient, time_cost_with_grads
 from sweptplan.planner import _NeighbourList, obstacle_cost_with_grads, sweep_cost_with_grads, softplus
 from sweptplan.worldmodel import astar_plan
+
+RATE_LIMIT = np.array([0.1, 0.1, 0.05])  # mpc.du_max of the rate-limited loop
 
 
 def _best_us(fn, items, repeat: int) -> float:
@@ -84,6 +96,47 @@ def _replay_lbfgs_us(stage, iterations: int, repeat: int) -> float:
     return best / iterations * 1e6
 
 
+def _record_track(traj, sc, cfg):
+    """The closed loop under cfg, with the args of its mpc_step, solve_qp and allocate calls in call order."""
+    calls = {"mpc_step": [], "solve_qp": [], "allocate": []}
+    spied = ((sim, "mpc_step"), (mpc, "solve_qp"), (sim, "allocate"))
+    real = {name: getattr(mod, name) for mod, name in spied}
+
+    def spy(name):
+        def recorded(*args, **kwargs):
+            calls[name].append((args, kwargs))
+            return real[name](*args, **kwargs)
+        return recorded
+
+    for mod, name in spied:
+        setattr(mod, name, spy(name))
+    try:
+        trace = sim.run_closed_loop(traj, sc.veh, cfg, sc.sim)
+    finally:
+        for mod, name in spied:
+            setattr(mod, name, real[name])
+    return trace, calls
+
+
+def _track_rows(traj, sc, repeat: int) -> list:
+    rows = []
+    limited = dataclasses.replace(sc.mpc, du_min=-RATE_LIMIT, du_max=RATE_LIMIT)
+    for label, cfg in (("box-only", sc.mpc), ("rate-limited", limited)):
+        trace, calls = _record_track(traj, sc, cfg)
+        for name, fn in (("mpc_step", mpc.mpc_step), ("solve_qp", mpc.solve_qp)):
+            items = calls[name]
+            rows.append((f"{name}, {label}", len(items), _best_us(lambda c: fn(*c[0], **c[1]), items, repeat)))
+        if label == "box-only":
+            items = calls["allocate"]
+            rows.append(("allocate", len(items), _best_us(lambda c: sim.allocate(*c[0], **c[1]), items, repeat)))
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "trace.csv")
+                rows.append(("write_trace_csv", 1, _best_us(lambda _: cli.write_trace_csv(path, trace), [None], repeat)))
+        rows.append((f"run_closed_loop, {label}", 1, _best_us(
+            lambda _: sim.run_closed_loop(traj, sc.veh, cfg, sc.sim), [None], repeat)))
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -133,14 +186,22 @@ def main(argv=None) -> int:
     rows.append(("_lbfgs step, stage 2, no evaluations", r2.iterations, _replay_lbfgs_us(stages[1], r2.iterations, args.repeat)))
 
     with tempfile.TemporaryDirectory() as tmp:
-        cli.run_pipeline(sc, ["plan", "sweep"], tmp)
+        written = []
+        real_write = cli.write_field_csv
+        cli.write_field_csv = lambda path, field: written.append(field) or real_write(path, field)
+        try:
+            cli.run_pipeline(sc, ["plan", "sweep"], tmp)
+        finally:
+            cli.write_field_csv = real_write
         centers, f_star, t_star = cli.load_field_csv(os.path.join(tmp, "field.csv"))
         field_rows = np.column_stack([centers, f_star, t_star])
         path = os.path.join(tmp, "bench.csv")
         rows.append(("_write_csv, field.csv", 1, _best_us(
             lambda _: cli._write_csv(path, cli.FIELD_COLUMNS, field_rows), [None], args.repeat)))
+        rows.append(("write_field_csv", 1, _best_us(lambda _: cli.write_field_csv(path, written[0]), [None], args.repeat)))
     rows.append(("astar_plan", 1, _best_us(
         lambda _: astar_plan(grid, sc.start[:2], sc.goal[:2], clearance=sc.clearance), [None], args.repeat)))
+    rows += _track_rows(r2.trajectory, sc, args.repeat)
 
     print(f"{os.path.basename(args.scenario)}: stage 1 {r1.iterations} steps / {len(stages[0][4])} evaluations, "
           f"stage 2 {r2.iterations} steps / {len(points2)} evaluations; best of {args.repeat}")

@@ -11,23 +11,27 @@ hot paths written one entry and one pair at a time. The vectorized library
 code performs the same floating-point operations in the same order, so the
 tests compare the two with exact equality. The loop forms of the MPC (per-step
 QP assembly, row-by-row constraints and start shift, scalar ratio test) share
-only the data containers, the feasible-start routine and the range-space step
-with the library; `kkt_step_dense` is the independent check of that step.
+only the data containers and the feasible-start routine with the library, and
+take the former range-space step (`range_space_step_before`);
+`kkt_step_dense` is the independent check of that step.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dposv
 
 from sweptplan._lapack import dgbsv, dgbtrs
-from sweptplan.geometry import footprint_sdf_batch, footprint_sdf_values, to_body_frame, wrap_angle
+from sweptplan.drivetrain import STEER_HOLD_SPEED, WheelCommand
+from sweptplan.geometry import Pose2, footprint_sdf_batch, footprint_sdf_values, to_body_frame, wrap_angle
 from sweptplan.minco import CostWithGrads, MincoTrajectory, NonPositiveDuration, SingularSystem
-from sweptplan.mpc import NU, MpcProblem, _feasible_start, _hessian_inverse, _range_space_step
+from sweptplan.mpc import NU, HeadingWrapMismatch, MpcProblem, _feasible_start, _qp_terms
 from sweptplan.worldmodel import GoalOccupied, NoPath, StartOccupied, inflate_occupancy
 
 
@@ -1133,14 +1137,14 @@ def kkt_step_dense(prob: MpcProblem, x, aw):
 def solve_qp_scalar(prob: MpcProblem, start=None, dense_kkt: bool = False):
     """Primal active-set solve whose ratio test visits one row at a time.
 
-    Steps come from the library's range-space step on its cached H^-1, or
-    with dense_kkt=True from `kkt_step_dense`.
+    Steps come from the former range-space step (`range_space_step_before`)
+    on H^-1, or with dense_kkt=True from `kkt_step_dense`.
     """
     n = NU * prob.nc
     a_mat, b_vec = constraint_rows_loop(prob)
     m = a_mat.shape[0]
     if not dense_kkt:
-        h_inv = _hessian_inverse(n, np.asarray(prob.H, dtype=float).tobytes())
+        h_inv = hessian_inverse_before(n, np.asarray(prob.H, dtype=float).tobytes())
         h_inv_g = h_inv @ prob.g
     work = []
     if start is not None and all(float(a_mat[i] @ start[0]) - b_vec[i] < 1e-10 for i in range(m)):
@@ -1160,7 +1164,7 @@ def solve_qp_scalar(prob: MpcProblem, start=None, dense_kkt: bool = False):
         if dense_kkt:
             p, lam = kkt_step_dense(prob, x, a_mat[work])
         else:
-            p, lam = _range_space_step(h_inv, x + h_inv_g, a_mat[work])
+            p, lam = range_space_step_before(h_inv, x + h_inv_g, a_mat[work])
         if float(np.abs(p).max(initial=0.0)) <= step_tol:
             if k == 0 or lam.min() >= -1e-9:
                 status = "optimal"
@@ -1469,3 +1473,250 @@ def occupancy_rects_loop(grid) -> list:
             rects.append((ox + ix * res, oy + iy * res, (run - ix) * res, res))
             ix = run
     return rects
+
+
+# The track step as it was before the working-set factor cache: each
+# iteration gathered A_w, formed A_w H^-1 and A_w H^-1 A_w^T and solved with
+# dposv; build_qp copied H and built the bounds per call; mpc_step unwrapped
+# through wrap_angle; allocate went through wheel_velocity and fold_steering
+# on each wheel; and the closed loop rotated the applied twist with
+# to_body_frame. They share only the data containers, `_qp_terms` and
+# `_feasible_start` with the library, so the tests compare with exact
+# equality, signed zeros included.
+
+
+@functools.lru_cache(maxsize=16)
+def hessian_inverse_before(n: int, h: bytes) -> np.ndarray:
+    l_inv = np.linalg.inv(np.linalg.cholesky(np.frombuffer(h).reshape(n, n)))
+    h_inv = l_inv.T @ l_inv
+    h_inv.flags.writeable = False
+    return h_inv
+
+
+def range_space_step_before(h_inv: np.ndarray, y: np.ndarray, aw: np.ndarray):
+    if not aw.shape[0]:
+        return -y, np.zeros(0)
+    w = aw @ h_inv
+    _, lam, info = dposv(w @ aw.T, -(aw @ y))
+    if info:
+        raise np.linalg.LinAlgError(f"working-set matrix is not positive definite (dposv info {info})")
+    return -y - w.T @ lam, lam
+
+
+def build_qp_before(state, ref, u_prev, cfg) -> MpcProblem:
+    ref = np.asarray(ref, dtype=float).ravel()
+    np_, nc = cfg.horizon, cfg.control_horizon
+    if ref.shape[0] != NU * np_:
+        raise ValueError(f"reference must have length {NU * np_}")
+    u_prev = np.asarray(u_prev, dtype=float).reshape(NU)
+    phis = np.concatenate([[state.phi], ref.reshape(np_, NU)[:, 2]])
+    if np.any(np.abs(np.diff(phis)) > math.pi + 1e-9):
+        raise HeadingWrapMismatch("reference heading jumps by more than pi per step")
+    weights = (np.asarray(w, dtype=float).tobytes() for w in (cfg.state_weight, cfg.input_weight))
+    psi, h, theta_t_qbar = _qp_terms(cfg.dt, np_, nc, *weights)
+    g = theta_t_qbar @ (psi @ state.as_array() - ref)
+    return MpcProblem(
+        H=h.copy(),
+        g=g,
+        lb=np.concatenate([cfg.u_min] * nc),
+        ub=np.concatenate([cfg.u_max] * nc),
+        du_lb=cfg.du_min.copy(),
+        du_ub=cfg.du_max.copy(),
+        u_prev=u_prev,
+        nc=nc,
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _row_layout_before(nc: int, box_ub: bytes, box_lb: bytes, du_ub: bytes, du_lb: bytes):
+    n = NU * nc
+    masks = [np.frombuffer(box_ub, dtype=bool), np.frombuffer(box_lb, dtype=bool)]
+    masks += [np.tile(np.frombuffer(m, dtype=bool), nc) for m in (du_ub, du_lb)]
+    eye = np.eye(n)
+    lag = np.eye(n, k=-NU)
+    a_mat = np.concatenate([eye[masks[0]], (0.0 - eye)[masks[1]], (eye - lag)[masks[2]], (lag - eye)[masks[3]]])
+    a_mat.flags.writeable = False
+    keys = [(kind, j) for kind, mask in enumerate(masks) for j in np.flatnonzero(mask).tolist()]
+    row_of = {key: r for r, key in enumerate(keys)}
+    shift = []
+    for kind, j in keys:
+        block = j // NU
+        targets = []
+        if block >= (1 if kind < 2 else 2):
+            targets.append((kind, j - NU))
+        if kind < 2 and block == nc - 1:
+            targets.append((kind, j))
+        shift.append(tuple(row_of[t] for t in targets if t in row_of))
+    return a_mat, tuple(masks), tuple(shift)
+
+
+def _layout_before(prob: MpcProblem):
+    finite = (np.isfinite(v).tobytes() for v in (prob.ub, prob.lb, prob.du_ub, prob.du_lb))
+    return _row_layout_before(prob.nc, *finite)
+
+
+def constraint_rows_before(prob: MpcProblem):
+    a_mat, (box_ub, box_lb, du_ub, du_lb), _ = _layout_before(prob)
+    rate_ub = np.concatenate([prob.du_ub] * prob.nc)
+    rate_ub[:NU] = prob.du_ub + prob.u_prev
+    rate_lb = np.concatenate([-prob.du_lb] * prob.nc)
+    rate_lb[:NU] = (-prob.du_lb) - prob.u_prev
+    b_vec = np.concatenate([prob.ub[box_ub], -prob.lb[box_lb], rate_ub[du_ub], rate_lb[du_lb]])
+    return a_mat, b_vec
+
+
+def shift_start_before(prob: MpcProblem, x, active_set):
+    shift = _layout_before(prob)[2]
+    rows = sorted({t for r in active_set for t in shift[r]})
+    return np.concatenate([x[NU:], x[-NU:]]), tuple(rows)
+
+
+def solve_qp_before(prob: MpcProblem, start=None, iterations_per_variable: int = 50):
+    n = NU * prob.nc
+    h_inv = hessian_inverse_before(n, np.asarray(prob.H, dtype=float).tobytes())
+    h_inv_g = h_inv @ prob.g
+    a_mat, b_vec = constraint_rows_before(prob)
+    m = a_mat.shape[0]
+    work = []
+    resid = None if start is None else a_mat @ start[0] - b_vec
+    if resid is not None and np.all(resid < 1e-10):
+        x = start[0]
+        work = [idx for idx in start[1] if 0 <= idx < m and abs(resid[idx]) < 1e-10]
+    else:
+        x = _feasible_start(prob)
+    max_iter = iterations_per_variable * max(n, 1)
+    step_tol = 1e-11 * max(1.0, float(np.abs(prob.g).max(initial=0.0)))
+    status = "max_iterations"
+    lam_full = np.zeros(m)
+    for it in range(max_iter):
+        p, lam = range_space_step_before(h_inv, x + h_inv_g, a_mat[work])
+        if float(np.abs(p).max(initial=0.0)) <= step_tol:
+            if not work or lam.min() >= -1e-9:
+                status = "optimal"
+                lam_full = np.zeros(m)
+                lam_full[work] = lam
+                break
+            drop = int(np.argmin(lam))
+            work.pop(drop)
+            continue
+        alpha = 1.0
+        blocker = -1
+        ap = a_mat @ p
+        moving = ap > 1e-12
+        moving[work] = False
+        rows = moving.nonzero()[0]
+        ratios = (b_vec[rows] - a_mat[rows] @ x) / ap[rows]
+        for i, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < alpha - 1e-12:
+                alpha = max(ratio, 0.0)
+                blocker = i
+        x = x + alpha * p
+        if blocker >= 0:
+            work.append(blocker)
+            work.sort()
+    else:
+        it = max_iter
+    kkt_residual = float(np.abs(prob.H @ x + prob.g + a_mat.T @ lam_full).max(initial=0.0)) if status == "optimal" else math.inf
+    info = {
+        "status": status,
+        "iterations": it + 1 if status == "optimal" else max_iter,
+        "active_set": tuple(sorted(work)),
+        "kkt_residual": kkt_residual,
+    }
+    return x, info
+
+
+def mpc_step_before(state, ref, u_prev, cfg, start=None):
+    ref = np.array(ref, dtype=float).reshape(cfg.horizon, NU)
+    prev_phi, phis = state.phi, []
+    for phi in ref[:, 2].tolist():
+        prev_phi += wrap_angle(phi - prev_phi)
+        phis.append(prev_phi)
+    ref[:, 2] = phis
+    prob = build_qp_before(state, ref.ravel(), u_prev, cfg)
+    u, info = solve_qp_before(prob, start=start)
+    info["next_start"] = shift_start_before(prob, u, info["active_set"])
+    return u[:NU], info
+
+
+def _wheel_velocity_before(u_body, wheel_xy):
+    vx, vy, w = (float(v) for v in u_body)
+    xw, yw = float(wheel_xy[0]), float(wheel_xy[1])
+    return vx - w * yw, vy + w * xw
+
+
+def _fold_steering_before(v, prev_gamma: float = 0.0) -> WheelCommand:
+    vx, vy = float(v[0]), float(v[1])
+    speed = math.hypot(vx, vy)
+    if speed < STEER_HOLD_SPEED:
+        return WheelCommand(gamma=prev_gamma, speed=vx * math.cos(prev_gamma) + vy * math.sin(prev_gamma))
+    gamma = math.atan2(vy, vx)
+    if gamma > math.pi / 2.0:
+        return WheelCommand(gamma=gamma - math.pi, speed=-speed)
+    if gamma <= -math.pi / 2.0:
+        return WheelCommand(gamma=gamma + math.pi, speed=-speed)
+    return WheelCommand(gamma=gamma, speed=speed)
+
+
+def allocate_before(u_body, veh, prev_gamma=None) -> list:
+    wheels = np.atleast_2d(np.asarray(veh.wheel_positions, dtype=float)).tolist()
+    held = [0.0] * len(wheels) if prev_gamma is None else [float(g) for g in prev_gamma]
+    return [_fold_steering_before(_wheel_velocity_before(u_body, w), g) for w, g in zip(wheels, held, strict=True)]
+
+
+def run_closed_loop_before(traj, veh, mpc_cfg, sim_cfg, start_pose=None) -> dict:
+    """The closed loop's fields by SimTrace name (no timings), through the former step and allocation."""
+    dt = mpc_cfg.dt
+    duration = traj.total_time + sim_cfg.settle_time
+    steps = max(1, int(round(duration / dt)))
+    n_w = np.atleast_2d(veh.wheel_positions).shape[0]
+    m = steps + 1
+    out_t = np.arange(m) * dt
+    out_pose = np.empty((m, 3))
+    out_ref = np.empty((m, 3))
+    out_u = np.full((m, 3), np.nan)
+    out_ephi = np.empty(m)
+    out_g = np.full((m, n_w), np.nan)
+    out_s = np.full((m, n_w), np.nan)
+    qp_log = []
+    aborted = None
+    refs = traj.sample(np.minimum(out_t, traj.total_time), 0)
+    ahead = np.clip(out_t[:, None] + dt * np.arange(1, mpc_cfg.horizon + 1), 0.0, traj.total_time)
+    windows = traj.sample(ahead.ravel(), 0).reshape(m, mpc_cfg.horizon, NU)
+    pose = Pose2(*refs[0]) if start_pose is None else start_pose
+    u_prev = np.zeros(3)
+    u_applied = [0.0, 0.0, 0.0]
+    start = None
+    lag_alpha = 1.0 - math.exp(-dt / sim_cfg.input_lag_tau) if sim_cfg.input_lag_tau > 0.0 else 1.0
+    gamma = [0.0] * n_w
+    for k, (rx, ry, rphi) in enumerate(refs.tolist()):
+        out_pose[k] = pose.x, pose.y, pose.phi
+        out_ref[k] = rx, ry, wrap_angle(rphi)
+        out_ephi[k] = wrap_angle(pose.phi - rphi)
+        try:
+            u, info = mpc_step_before(pose, windows[k], u_prev, mpc_cfg, start=start)
+            start = info["next_start"]
+            qp_log.append([int(info["status"] == "optimal"), info["iterations"], len(info["active_set"])])
+        except Exception as exc:  # noqa: BLE001
+            aborted = f"{type(exc).__name__}: {exc}"
+            m = k + 1
+            break
+        out_u[k] = u
+        u_applied = [a + lag_alpha * (b - a) for a, b in zip(u_applied, u.tolist())]
+        v_body = to_body_frame(u_applied[0], u_applied[1], math.cos(pose.phi), math.sin(pose.phi))
+        u_body = (*v_body.tolist(), u_applied[2])
+        cmds = allocate_before(u_body, veh, prev_gamma=gamma)
+        out_g[k] = gamma = [cmd.gamma for cmd in cmds]
+        out_s[k] = [cmd.speed for cmd in cmds]
+        if k < steps:
+            ux, uy, w = (float(v) for v in u_applied)
+            pose = Pose2(pose.x + dt * ux, pose.y + dt * uy, pose.phi + dt * w)
+            u_prev = u
+    pose_m, ref_m = out_pose[:m], out_ref[:m]
+    phi = ref_m[:, 2]
+    e_y = np.cos(phi) * (pose_m[:, 1] - ref_m[:, 1]) - np.sin(phi) * (pose_m[:, 0] - ref_m[:, 0])
+    return {
+        "t": out_t[:m], "pose": pose_m, "ref": ref_m, "u": out_u[:m], "e_y": e_y, "e_phi": out_ephi[:m],
+        "wheel_gamma": out_g[:m], "wheel_speed": out_s[:m], "aborted": aborted,
+        "qp": np.array(qp_log, dtype=int).reshape(-1, 3),
+    }

@@ -1031,3 +1031,23 @@ def test_main_unreadable_scenario_exit_code(tmp_path, kind, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("origin", [(-0.35, -0.25), (-0.45, -0.05)], ids=["across_zero", "at_zero"])
+def test_field_csv_equals_per_value_oracle_across_zero(tmp_path, origin):
+    # Axis values below, at and above zero, each formatted once and looked up
+    # by many cells; and an empty field, which has the header alone.
+    rng = np.random.default_rng(3)
+    shape = (7, 9)
+    refined = rng.random(shape) < 0.6
+    field = _field(rng.standard_normal(shape), rng.uniform(0.0, 5.0, shape), origin=origin, refined=refined)
+    assert (field.axes()[0] < 0.0).any() and (field.axes()[0] > 0.0).any()
+    empty = _field(np.zeros(shape), np.zeros(shape), origin=origin, refined=np.zeros(shape, dtype=bool))
+    for i, f in enumerate((field, empty)):
+        ix, iy = np.nonzero(f.refined)
+        cx, cy = f.axes()
+        rows = [(cx[a], cy[b], f.f_star[a, b], f.t_star[a, b]) for a, b in zip(ix, iy)]
+        write_field_csv(str(tmp_path / f"got{i}.csv"), f)
+        write_csv_per_value(str(tmp_path / f"ref{i}.csv"), cli.FIELD_COLUMNS, rows)
+        assert (tmp_path / f"got{i}.csv").read_bytes() == (tmp_path / f"ref{i}.csv").read_bytes()
+    assert (tmp_path / "got1.csv").read_text() == "x,y,f_star,t_star\n"

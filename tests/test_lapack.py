@@ -16,7 +16,7 @@ from sweptplan import _lapack
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(HERE, "..", "src")
 STRAIGHT = os.path.join(HERE, "..", "scenarios", "straight.json")
-ROUTINES = ("dgbsv", "dgbtrf", "dgbtrs", "dposv")
+ROUTINES = ("dgbsv", "dgbtrf", "dgbtrs", "dpotrf", "dpotrs")
 
 _STAGES = """
 import json, sys
